@@ -4,7 +4,9 @@ Files are named {kind}-{n}.json inside the cache directory, which resolves
 from, in order: an explicit argument, the QESQUARTIC_CACHE environment
 variable, and ~/.cache/qesquartic.  Writes go through a temp file and an
 atomic rename, so concurrent duplicate computation is wasteful but safe.
-Big integers are serialized as decimal strings.
+Big integers are serialized as decimal strings and point sets as lists of
+[re, im] pairs.  A damaged entry (unreadable JSON, or a point list of the
+wrong length or with non-finite values) reads as a miss.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ENV_VAR = "QESQUARTIC_CACHE"
 
@@ -36,8 +40,11 @@ def load(kind: str, n: int, directory=None):
     path = artifact_path(kind, n, directory)
     if not path.exists():
         return None
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
 
 
 def store(kind: str, n: int, payload: dict, directory=None) -> Path:
@@ -59,6 +66,23 @@ def encode_int_poly(coeffs) -> list:
 
 def decode_int_poly(strings) -> list:
     return [int(s) for s in strings]
+
+
+def encode_points(points) -> list:
+    return [[z.real, z.imag] for z in map(complex, points)]
+
+
+def decode_points(payload, count: int):
+    """The complex ndarray stored under payload["points"], or None unless it
+    holds exactly ``count`` finite [re, im] pairs."""
+    pts = payload.get("points") if isinstance(payload, dict) else None
+    if not isinstance(pts, list) or len(pts) != count:
+        return None
+    try:
+        out = np.array([complex(re, im) for re, im in pts])
+    except (TypeError, ValueError):
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 def list_entries(directory=None):

@@ -211,7 +211,7 @@ def _figure_triangle(out, cache_dir, ov):
 
     n = int(ov.get("n", 40))
     A = scaled_sigma(n, cache_dir=cache_dir)
-    B = scaled_zeros(n)
+    B = scaled_zeros(n, cache_dir=cache_dir)
     A.write_csv(out / "scaled_branching.csv")
     B.write_csv(out / "scaled_zeros.csv")
     _write_json(out / "comparison.json", compare_sets(A, B))
@@ -317,7 +317,7 @@ def _sweep_task(args):
     elif op == "yv-zeros":
         from .yv import yv_zeros
 
-        ps = yv_zeros(n)
+        ps = yv_zeros(n, cache_dir=cache_dir)
         path = out / f"yv_zeros_n{n}.csv"
         ps.write_csv(path)
     elif op == "sigma-points":

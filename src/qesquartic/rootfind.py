@@ -1,21 +1,40 @@
 """Simultaneous polynomial root finding at staged multiprecision.
 
-The driver is Aberth-Ehrlich iteration: Newton ratios p/p' are evaluated with
-mpmath at a working precision that escalates in stages, while the mutual
-repulsion sums run vectorized in double precision (root estimates live at
-unit scale after rescaling, so double is plenty for the geometry; only the
-polynomial evaluation needs big arithmetic because the coefficients are
-huge).  Initial estimates come from the Newton polygon of the coefficient
-moduli unless the caller supplies better ones.
+The solver is Aberth-Ehrlich iteration.  Each sweep evaluates the Newton
+ratios p/p' of the unconverged roots, while the mutual repulsion sums run
+vectorized in double precision: root estimates live at unit scale after
+rescaling, so double is plenty for the geometry, and only the polynomial
+evaluation needs big arithmetic because the coefficients are huge.  Initial
+estimates come from the Newton polygon of the coefficient moduli unless the
+caller supplies better ones.
+
+Evaluation is one kernel, shared by the solver, Newton polishing and the
+scale-aware residual: a simultaneous Horner pass for (p, p') in complex
+fixed-point Python integers.  Coefficients (int, Fraction, float, complex,
+mpf or mpc) are converted exactly, once per precision stage, to integers at
+scale 2^-shift with ceil(dps log2 10) + span_bits + GUARD_BITS fractional
+bits, where span_bits is log2 of the ratio of the largest to the smallest
+nonzero rescaled coefficient modulus.  Every coefficient thus carries at
+least the stage precision, and the error of p(z) stays within the stage
+precision of sum_k |c_k||z|^k, as a floating evaluation's would.  A root
+estimate enters exactly, as the dyadic rational its double is, so
+multiplying by it costs a big-by-small integer product.
 
 Everything is rescaled to the dominant root radius before iterating; without
 that, evaluation near roots of a polynomial whose coefficients span hundreds
-of digits cancels catastrophically at any fixed precision.
+of digits cancels catastrophically at any fixed precision.  A root whose
+correction falls below ``tol`` is frozen for the rest of its stage, as in
+MPSolve (Bini & Fiorentino 2000; Bini & Robol 2014): it still repels the
+others but is no longer evaluated.  On convergence every root z_i gets the
+Newton inclusion radius d |p(z_i)/p'(z_i)|, the radius of a disk about z_i
+that holds a root; the disks must be pairwise disjoint, so each holds
+exactly one.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import mpmath as mp
@@ -69,19 +88,111 @@ def newton_polygon_radii(coeffs):
     return radii
 
 
-def _coeff_to_mp(c, slog, k, d):
-    """c * exp((k-d) slog) at the current working precision."""
-    if isinstance(c, int):
-        base = mp.mpf(c)
-    elif isinstance(c, Fraction):
-        base = mp.mpf(c.numerator) / c.denominator
-    elif isinstance(c, (mp.mpf, mp.mpc)):
-        base = c
-    elif isinstance(c, complex):
-        base = mp.mpc(c)
-    else:
-        base = mp.mpf(c)
-    return base * mp.e ** (mp.mpf(k - d) * slog)
+GUARD_BITS = 32
+_LN2 = math.log(2)
+_LOG2_10 = math.log2(10)
+
+
+def _ratio(x):
+    """(num, den) with x == num / den exactly, den > 0."""
+    if isinstance(x, numbers.Rational):           # int, Fraction, numpy ints
+        return int(x.numerator), int(x.denominator)
+    if isinstance(x, mp.mpf):
+        sign, man, exp, _ = x._mpf_
+        if not man:
+            if exp:
+                raise ValueError(f"non-finite coefficient {x}")
+            return 0, 1
+        man = -man if sign else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return float(x).as_integer_ratio()
+
+
+def _parts(c):
+    """Exact (num, den) pairs of the real and imaginary parts of c."""
+    if isinstance(c, (mp.mpc, complex)):
+        return _ratio(c.real), _ratio(c.imag)
+    return _ratio(c), (0, 1)
+
+
+def _fixed_coeffs(coeffs, dps, scale=1.0):
+    """Coefficients of p(scale w) as complex fixed-point ints.
+
+    Returns (cfix, shift): cfix[k] = (re, im) approximates the k-th
+    coefficient of p(scale w) times 2^shift, floored, where shift puts the
+    largest coefficient modulus near 1 and leaves the smallest nonzero one
+    ceil(dps log2 10) + GUARD_BITS significant bits.
+    """
+    d = len(coeffs) - 1
+    ls = math.log(scale)
+    logs = [L + (k - d) * ls for k, L in enumerate(map(_log_abs, coeffs))
+            if L is not None]
+    top = max(logs)
+    span_bits = math.ceil((top - min(logs)) / _LN2)
+    shift = (math.ceil(dps * _LOG2_10) + span_bits + GUARD_BITS
+             - math.floor(top / _LN2))
+    sn, sd = float(scale).as_integer_ratio()
+    up, down = 1, 1                     # sd^(d-k), sn^(d-k)
+    cfix = [None] * (d + 1)
+    for k in range(d, -1, -1):
+        cfix[k] = tuple(_floor_scaled(num * up, den * down, shift)
+                        for num, den in _parts(coeffs[k]))
+        up, down = up * sd, down * sn
+    return cfix, shift
+
+
+def _floor_scaled(num, den, shift):
+    """floor(num 2^shift / den)."""
+    if shift >= 0:
+        return (num << shift) // den
+    return num // (den << -shift)
+
+
+def _exact_point(z):
+    """(zr, zi, e) with z == (zr + i zi) 2^-e exactly."""
+    z = complex(z)
+    rn, rd = z.real.as_integer_ratio()
+    im, id_ = z.imag.as_integer_ratio()
+    den = max(rd, id_)                  # both are powers of two
+    return rn * (den // rd), im * (den // id_), den.bit_length() - 1
+
+
+def _horner(cfix, points):
+    """(p, p') at each point (zr, zi, e) = (zr + i zi) 2^-e.
+
+    One simultaneous Horner pass per point (q <- q z + p; p <- p z + c_k) in
+    the fixed-point scale of cfix; returns (pr, pi, qr, qi) per point.
+    """
+    top = cfix[-1]
+    rest = cfix[-2::-1]
+    out = []
+    for zr, zi, e in points:
+        pr, pi = top
+        qr = qi = 0
+        for cr, ci in rest:
+            qr, qi = ((qr * zr - qi * zi) >> e) + pr, ((qr * zi + qi * zr) >> e) + pi
+            pr, pi = ((pr * zr - pi * zi) >> e) + cr, ((pr * zi + pi * zr) >> e) + ci
+        out.append((pr, pi, qr, qi))
+    return out
+
+
+def _newton_ratio(pr, pi, qr, qi):
+    """p / p' as a complex double; infinite where p' vanishes or it overflows."""
+    den = qr * qr + qi * qi
+    try:
+        return complex((pr * qr + pi * qi) / den, (pi * qr - pr * qi) / den)
+    except (ZeroDivisionError, OverflowError):
+        return complex(math.inf, 0.0)
+
+
+def _inclusion_radii(cfix, z):
+    """Newton inclusion radii d |p(z_i) / p'(z_i)| (inf where p' vanishes).
+
+    The disk of that radius about z_i holds at least one root of p.
+    """
+    d = len(cfix) - 1
+    vals = _horner(cfix, map(_exact_point, z))
+    return d * np.abs([_newton_ratio(*v) for v in vals])
 
 
 def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
@@ -89,8 +200,9 @@ def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
     """All roots of sum coeffs[k] z^k (ascending; exact or mp coefficients).
 
     Returns a complex ndarray of the d roots.  Raises NonConvergence when the
-    final sweep still moves by more than sqrt(tol) at root scale, or when the
-    exact sum-of-roots identity fails beyond tolerance.
+    final sweep still moves by more than sqrt(tol) at root scale, when the
+    exact sum-of-roots identity fails beyond tolerance, or when the Newton
+    inclusion disks of the returned roots are not pairwise disjoint.
     """
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
@@ -101,10 +213,7 @@ def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
         return np.empty(0, dtype=complex)
     if d == 1:
         with mp.workdps(40):
-            r = -_coeff_to_mp(coeffs[0], mp.mpf(0), 0, 0) / _coeff_to_mp(
-                coeffs[1], mp.mpf(0), 0, 0
-            )
-            return np.array([complex(r)])
+            return np.array([complex(-_to_mp(coeffs[0]) / _to_mp(coeffs[1]))])
     radii = newton_polygon_radii(coeffs)
     s = float(radii.max())
     if s == 0 or not math.isfinite(s):
@@ -114,46 +223,35 @@ def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
         z = (np.maximum(radii, 1e-12 * s) / s) * np.exp(1j * ang)
     else:
         z = np.asarray(init, dtype=complex) / s
-    slog_f = math.log(s)
     last_step = math.inf
     for dps, max_sweeps in schedule:
-        with mp.workdps(dps):
-            slog = mp.mpf(slog_f)
-            cs = [_coeff_to_mp(c, slog, k, d) for k, c in enumerate(coeffs)]
-            m = max(abs(c) for c in cs)
-            cs = [c / m for c in cs]
-            dcs = [cs[k] * k for k in range(1, d + 1)]
-            rng = np.random.RandomState(12345)
-            for _ in range(max_sweeps):
-                N = np.empty(d, dtype=complex)
-                for i in range(d):
-                    zi = mp.mpc(complex(z[i]))
-                    p = cs[d]
-                    for k in range(d - 1, -1, -1):
-                        p = p * zi + cs[k]
-                    q = dcs[d - 1]
-                    for k in range(d - 2, -1, -1):
-                        q = q * zi + dcs[k]
-                    if q == 0:
-                        N[i] = 1e-3 * (1 + abs(z[i]))
-                    else:
-                        N[i] = complex(p / q)
-                diff = z[:, None] - z[None, :]
-                np.fill_diagonal(diff, np.inf)
-                with np.errstate(all="ignore"):
-                    S = np.sum(1.0 / diff, axis=1)
-                    w = N / (1 - N * S)
-                bad = ~np.isfinite(w)
-                if bad.any():
-                    w[bad] = 1e-3 * np.exp(2j * np.pi * rng.rand(int(bad.sum())))
-                aw = np.abs(w)
-                cap = 0.2 + 0.5 * np.abs(z)
-                w = np.where(aw > cap, w / np.maximum(aw, 1e-300) * cap, w)
-                z = z - w
-                last_step = float(np.max(np.abs(w)))
-                if last_step < tol:
-                    break
-        if last_step < tol:
+        cfix, _ = _fixed_coeffs(coeffs, dps, s)
+        rng = np.random.RandomState(12345)
+        active = np.arange(d)
+        for _ in range(max_sweeps):
+            za = z[active]
+            N = np.array([_newton_ratio(*v) for v in
+                          _horner(cfix, map(_exact_point, za))])
+            stuck = ~np.isfinite(N)
+            N[stuck] = 1e-3 * (1 + np.abs(za[stuck]))
+            diff = za[:, None] - z[None, :]
+            diff[np.arange(len(active)), active] = np.inf
+            with np.errstate(all="ignore"):
+                S = np.sum(1.0 / diff, axis=1)
+                w = N / (1 - N * S)
+            bad = ~np.isfinite(w)
+            if bad.any():
+                w[bad] = 1e-3 * np.exp(2j * np.pi * rng.rand(int(bad.sum())))
+            aw = np.abs(w)
+            cap = 0.2 + 0.5 * np.abs(za)
+            w = np.where(aw > cap, w / np.maximum(aw, 1e-300) * cap, w)
+            z[active] = za - w
+            aw = np.abs(w)
+            last_step = float(aw.max())
+            active = active[aw >= tol]
+            if not len(active):
+                break
+        if not len(active):
             break
     roots = z * s
     if last_step > math.sqrt(tol):
@@ -168,7 +266,28 @@ def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
             raise NonConvergence(
                 f"sum-of-roots check failed: relative error {err:.2e}"
             )
+    rad = _inclusion_radii(cfix, z)
+    dist = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(dist, np.inf)
+    overlap = dist <= rad[:, None] + rad[None, :]
+    if overlap.any():
+        i, j = np.argwhere(overlap)[0]
+        raise NonConvergence(
+            f"inclusion disks of roots {i} and {j} overlap: radii "
+            f"{rad[i] * s:.2e}, {rad[j] * s:.2e} at distance {dist[i, j] * s:.2e}"
+        )
     return roots
+
+
+def _to_mp(c):
+    """c as an mpf/mpc at the current working precision."""
+    if isinstance(c, Fraction):
+        return mp.mpf(c.numerator) / c.denominator
+    if isinstance(c, (mp.mpf, mp.mpc)):
+        return +c
+    if isinstance(c, complex):
+        return mp.mpc(c)
+    return mp.mpf(c)
 
 
 def _is_exact(c):
@@ -176,42 +295,47 @@ def _is_exact(c):
 
 
 def newton_polish(coeffs, roots, dps=50, steps=3):
-    """A few high-precision Newton steps on each root; returns mpc list."""
-    d = len(coeffs) - 1
-    out = []
+    """A few Newton steps on each root at dps digits; returns mpc list.
+
+    Each iterate is kept in fixed point with ceil(dps log2 10) + GUARD_BITS
+    bits below its leading bit.
+    """
+    cfix, _ = _fixed_coeffs(coeffs, dps)
+    prec = math.ceil(dps * _LOG2_10) + GUARD_BITS
+    pts = []
+    for zr, zi, e in map(_exact_point, roots):
+        lead = max(abs(zr), abs(zi)).bit_length() - e
+        up = max(0, prec - lead - e)
+        pts.append((zr << up, zi << up, e + up))
+    for _ in range(steps):
+        moved = []
+        for (zr, zi, e), (pr, pi, qr, qi) in zip(pts, _horner(cfix, pts)):
+            den = qr * qr + qi * qi
+            if den:
+                zr -= ((pr * qr + pi * qi) << e) // den
+                zi -= ((pi * qr - pr * qi) << e) // den
+            moved.append((zr, zi, e))
+        pts = moved
     with mp.workdps(dps):
-        cs = [_coeff_to_mp(c, mp.mpf(0), 0, 0) for c in coeffs]
-        dcs = [cs[k] * k for k in range(1, d + 1)]
-        for z0 in roots:
-            z = mp.mpc(complex(z0))
-            for _ in range(steps):
-                p = cs[d]
-                for k in range(d - 1, -1, -1):
-                    p = p * z + cs[k]
-                q = dcs[d - 1]
-                for k in range(d - 2, -1, -1):
-                    q = q * z + dcs[k]
-                if q == 0:
-                    break
-                z = z - p / q
-            out.append(z)
-    return out
+        return [mp.mpc(mp.mpf((zr, -e)), mp.mpf((zi, -e))) for zr, zi, e in pts]
 
 
 def residual_scale_aware(coeffs, z, dps=60):
     """|p(z)| / sum_k |c_k||z|^k   (backward-stable residual normalization)."""
-    with mp.workdps(dps):
-        zc = mp.mpc(complex(z))
-        az = abs(zc)
-        p = mp.mpf(0)
-        den = mp.mpf(0)
-        for c in reversed(coeffs):
-            cm = _coeff_to_mp(c, mp.mpf(0), 0, 0)
-            p = p * zc + cm
-            den = den * az + abs(cm)
-        if den == 0:
-            return 0.0 if p == 0 else math.inf
-        return float(abs(p) / den)
+    z = complex(z)
+    cfix, shift = _fixed_coeffs(coeffs, dps)
+    pr, pi, _, _ = _horner(cfix, [_exact_point(z)])[0]
+    if pr == 0 and pi == 0:
+        return 0.0
+    lz = math.log(abs(z)) if z else -math.inf
+    terms = [L + k * lz if k else L
+             for k, L in enumerate(map(_log_abs, coeffs)) if L is not None]
+    top = max(terms)
+    if top == -math.inf:
+        return math.inf
+    log_den = top + math.log(sum(math.exp(t - top) for t in terms))
+    log_p = 0.5 * _log_abs_int(pr * pr + pi * pi) - shift * _LN2
+    return math.exp(log_p - log_den)
 
 
 def cubic_roots(b, c, d):

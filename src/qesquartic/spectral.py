@@ -210,9 +210,8 @@ def eigenvalues(n: int, a=0.0, cap: int = EIG_CAP_DEFAULT, cache_dir=None) -> Po
     from . import cache
 
     kind = f"eigs-{_a_token(ac)}"
-    payload = cache.load(kind, n, cache_dir)
-    if payload is not None:
-        lam = np.array([complex(re, im) for re, im in payload["points"]])
+    lam = cache.decode_points(cache.load(kind, n, cache_dir), n + 1)
+    if lam is not None:
         return PointSet(lam, label=f"spectrum n={n}", meta=meta)
     if ac == 0:
         lam = _eigs_poly_zero_a(n)
@@ -220,7 +219,7 @@ def eigenvalues(n: int, a=0.0, cap: int = EIG_CAP_DEFAULT, cache_dir=None) -> Po
         lam = _eigs_poly_general(n, ac)
     lam = sort_points(lam)
     cache.store(kind, n, {"n": n, "a": [ac.real, ac.imag],
-                          "points": [[z.real, z.imag] for z in lam]}, cache_dir)
+                          "points": cache.encode_points(lam)}, cache_dir)
     return PointSet(lam, label=f"spectrum n={n}", meta=meta)
 
 

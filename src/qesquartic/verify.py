@@ -214,7 +214,7 @@ def criterion_yv_exact(n_max: int = 40):
     return _check("yv-exact", run)
 
 
-def criterion_yv_scaling_band(n: int = 40, band: float = 0.10):
+def criterion_yv_scaling_band(n: int = 40, band: float = 0.10, cache_dir=None):
     """(7, asymptotic clause) corner modulus within the band of its limit.
 
     The ratio max|zeros of YV_n| / ((27/2)^(1/3) n^(2/3)) must lie within
@@ -224,8 +224,8 @@ def criterion_yv_scaling_band(n: int = 40, band: float = 0.10):
     n = 40 (passes), 0.8855 at n = 16 (fails); the gap closes like n^(-0.78).
     """
     def run():
-        ratio = yv.yv_zeros(n).max_modulus() / (yv.CORNER_CONSTANT
-                                                * n ** (2.0 / 3.0))
+        corner = yv.yv_zeros(n, cache_dir=cache_dir).max_modulus()
+        ratio = corner / (yv.CORNER_CONSTANT * n ** (2.0 / 3.0))
         ok = abs(ratio - 1.0) < band
         return ok, (f"ratio to the corner limit max|zeros_{n}|/((27/2)^(1/3) "
                     f"{n}^(2/3)) = {ratio:.4f} (band +-{band:.2f} around 1)")
@@ -261,7 +261,7 @@ def criterion_fig2_trend(ns=(10, 20), cache_dir=None):
         dists = []
         for n in ns:
             A = branching.scaled_sigma(n, cache_dir=cache_dir)
-            B = yv.scaled_zeros(n)
+            B = yv.scaled_zeros(n, cache_dir=cache_dir)
             rep = branching.compare_sets(A, B)
             if rep["card_a"] != rep["card_b"]:
                 return False, f"cardinality mismatch at n={n}: {rep}"
@@ -377,7 +377,7 @@ def run_suite(suite: str = "all", fast: bool = False, cache_dir=None):
             criterion_scaling_limit(t1_ns, cache_dir=cache_dir),
             criterion_cauchy_consistency(cache_dir=cache_dir),
             criterion_real_interval(),
-            criterion_yv_scaling_band(yv_max),
+            criterion_yv_scaling_band(yv_max, cache_dir=cache_dir),
             criterion_fig2_trend(fig2_ns, cache_dir=cache_dir),
             criterion_topology(n_probe=topo_probe, cache_dir=cache_dir),
         ],

@@ -108,9 +108,9 @@ def yv_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, residual_tol: float = RESIDUAL
     if n >= 25:
         from . import cache
 
-        payload = cache.load("yv-zeros", n, cache_dir)
-        if payload is not None:
-            pts = np.array([complex(re, im) for re, im in payload["points"]])
+        pts = cache.decode_points(cache.load("yv-zeros", n, cache_dir),
+                                  n * (n + 1) // 2)
+        if pts is not None:
             return PointSet(pts, label=f"YV_{n} zeros", meta={"n": n})
     cs = list(_yv_int_coeffs(n)[n])
     d = len(cs) - 1
@@ -135,7 +135,7 @@ def yv_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, residual_tol: float = RESIDUAL
 
         pts = sort_points(pts)
         cache.store("yv-zeros", n,
-                    {"n": n, "points": [[z.real, z.imag] for z in pts]},
+                    {"n": n, "points": cache.encode_points(pts)},
                     cache_dir)
     return PointSet(pts, label=f"YV_{n} zeros", meta={"n": n})
 
@@ -170,7 +170,7 @@ def scaled_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, cache_dir=None) -> PointSe
     return out
 
 
-def painleve_rational(n: int, t_samples, pole_tol: float = 1e-6):
+def painleve_rational(n: int, t_samples, pole_tol: float = 1e-6, cache_dir=None):
     """u(t; n) = YV_{n-1}'/YV_{n-1} - YV_n'/YV_n at each sample.
 
     Raises TooClose when a sample sits within pole_tol of a zero of either
@@ -181,8 +181,9 @@ def painleve_rational(n: int, t_samples, pole_tol: float = 1e-6):
     seq = yv_generate(n)
     p, q = seq[n - 1], seq[n]
     dp, dq = p.derivative(), q.derivative()
-    zp = yv_zeros(n - 1).points if n >= 2 else np.empty(0, complex)
-    zq = yv_zeros(n).points
+    zp = (yv_zeros(n - 1, cache_dir=cache_dir).points if n >= 2
+          else np.empty(0, complex))
+    zq = yv_zeros(n, cache_dir=cache_dir).points
     out = []
     for t in t_samples:
         tc = complex(t)

@@ -6,6 +6,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _session_cache(tmp_path_factory):
+    """Point the default cache at a session temp dir.
+
+    Calls made without ``cache_dir`` then neither read results left by
+    earlier runs (or earlier code) nor write into the user's cache.
+    """
+    from qesquartic import cache
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cache.ENV_VAR, str(tmp_path_factory.mktemp("qesquartic-cache")))
+        yield
+
+
 @pytest.fixture()
 def tmp_cache(tmp_path):
     """Isolated cache directory for tests that exercise cache semantics."""

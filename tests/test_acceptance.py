@@ -9,7 +9,7 @@ measured ratio is 0.9440, inside the 10% band; the gap closes like
 
 Environment knobs:
   QESQ_ACCEPT_N40=1   extend the branching-suite degree checks to n=40
-                      (tens of minutes cold, cached afterwards)
+                      (tens of minutes)
 """
 
 import os

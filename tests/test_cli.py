@@ -179,3 +179,19 @@ class TestMainEntry:
     def test_cache_cli(self, tmp_path):
         rc = cli.main(["cache", "ls", "--cache-dir", str(tmp_path / "cc")])
         assert rc == 0
+
+
+class TestCacheDirConfinesWrites:
+    def test_triangle_writes_only_under_cache_dir(self, tmp_path, monkeypatch):
+        home, env_cache, target = (tmp_path / d for d in ("home", "env", "target"))
+        for d in (home, env_cache):
+            d.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv(cache.ENV_VAR, str(env_cache))
+        # YV zeros are disk-cached from n = 25 on
+        cli.cmd_figure("triangle", out_dir=tmp_path / "out",
+                       cache_dir=str(target), overrides={"n": 25})
+        assert list(home.rglob("*")) == []
+        assert list(env_cache.rglob("*")) == []
+        assert {"yv-zeros-25.json", "sigma-poly-25.json"} <= set(
+            cache.list_entries(str(target)))

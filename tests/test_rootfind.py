@@ -1,0 +1,161 @@
+"""The fixed-point (p, p') kernel and the Aberth solver built on it."""
+
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qesquartic import rootfind
+from qesquartic.errors import NonConvergence
+
+SPAN_DIGITS = 320       # decimal digits between the smallest and largest |c_k|
+
+
+def _exact_mp(c):
+    """c as an mp number, exact at the caller's working precision."""
+    if isinstance(c, Fraction):
+        return mp.mpf(c.numerator) / c.denominator
+    return mp.mpc(c) if isinstance(c, mp.mpc) else mp.mpf(c)
+
+
+def _oracle(coeffs, scale, z, dps):
+    """p, p', sum |c_k||z|^k and sum k|c_k||z|^(k-1) for the coefficients
+    c_k scale^(k-d) at the double z, in mpmath at dps digits."""
+    d = len(coeffs) - 1
+    with mp.workdps(dps):
+        s = mp.mpf(scale)
+        cs = [_exact_mp(c) * s ** (k - d) for k, c in enumerate(coeffs)]
+        zm, az = mp.mpc(z), abs(mp.mpc(z))
+        p, q, den, dden = cs[d], mp.mpc(0), abs(cs[d]), mp.mpf(0)
+        for c in reversed(cs[:-1]):
+            q = q * zm + p
+            dden = dden * az + den
+            p = p * zm + c
+            den = den * az + abs(c)
+        return p, q, den, dden
+
+
+@st.composite
+def _coefficients(draw):
+    """Dense coefficients of one kind whose moduli span SPAN_DIGITS digits."""
+    kind = draw(st.sampled_from(["int", "fraction", "mpc"]))
+    d = draw(st.integers(2, 24))
+    exps = draw(st.lists(st.integers(0, SPAN_DIGITS), min_size=d + 1,
+                         max_size=d + 1))
+    lo, hi = draw(st.permutations(range(d + 1)))[:2]
+    exps[lo], exps[hi] = 0, SPAN_DIGITS
+    mant = st.integers(1, 10**6).flatmap(lambda m: st.sampled_from([m, -m]))
+    coeffs = []
+    for e in exps:
+        if kind == "int":
+            coeffs.append(draw(mant) * 10**e)
+        elif kind == "fraction":
+            coeffs.append(Fraction(draw(mant) * 10**e, draw(st.integers(1, 999))))
+        else:
+            with mp.workprec(4 * SPAN_DIGITS):
+                coeffs.append(mp.mpc(draw(mant) * 10**e, draw(mant) * 10**e))
+    return coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=_coefficients(),
+       scale=st.sampled_from([1.0, 0.75 * 2.0**-10, 3.0e5]),
+       z=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                            allow_nan=False, allow_infinity=False),
+       dps=st.sampled_from([15, 50, 120]))
+def test_kernel_matches_oracle(coeffs, scale, z, dps):
+    """(p, p') from the fixed-point kernel agree with a floating evaluation
+    at twice the digits, to the stage precision of the absolute sums."""
+    cfix, shift = rootfind._fixed_coeffs(coeffs, dps, scale)
+    pr, pi, qr, qi = rootfind._horner(cfix, [rootfind._exact_point(z)])[0]
+    p, q, den, dden = _oracle(coeffs, scale, z, 2 * dps)
+    with mp.workdps(2 * dps):
+        unit = mp.mpf(2) ** -shift
+        tol = mp.mpf(10) ** -dps
+        assert abs(mp.mpc(pr, pi) * unit - p) <= tol * den
+        assert abs(mp.mpc(qr, qi) * unit - q) <= tol * dden
+
+
+def _from_roots(real_roots, pairs):
+    """Ascending Fraction coefficients of prod (z - r) prod (z - w)(z - conj w)."""
+    poly = [Fraction(1)]
+    factors = [[-r, 1] for r in real_roots]
+    factors += [[re * re + im * im, -2 * re, 1] for re, im in pairs]
+    for f in factors:
+        out = [Fraction(0)] * (len(poly) + len(f) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        poly = out
+    return poly
+
+
+def _assert_certified(coeffs, true_roots):
+    """Each true root lies in the inclusion disk of its own returned root."""
+    got = rootfind.aberth_roots(coeffs)
+    cfix, _ = rootfind._fixed_coeffs(coeffs, 50)
+    radii = rootfind._inclusion_radii(cfix, got)
+    true_roots = np.asarray(true_roots, dtype=complex)
+    nearest = np.abs(got[:, None] - true_roots[None, :]).argmin(axis=0)
+    assert sorted(nearest) == list(range(len(got)))
+    assert np.all(np.abs(got[nearest] - true_roots) <= radii[nearest])
+    assert radii.max() < 1e-12 * np.abs(true_roots).max()
+
+
+def test_known_roots_with_cluster():
+    eps = Fraction(1, 10**6)
+    real = [Fraction(1), 1 + eps, 1 + 2 * eps, Fraction(-3, 2), Fraction(7, 3)]
+    pairs = [(Fraction(1, 2), Fraction(5, 4)), (Fraction(-2), Fraction(1, 3)),
+             (Fraction(1), eps)]
+    truth = [complex(r) for r in real]
+    truth += [complex(re, s * im) for re, im in pairs for s in (1, -1)]
+    _assert_certified(_from_roots(real, pairs), truth)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=64),
+                min_size=2, max_size=14, unique=True))
+def test_known_real_roots(real):
+    _assert_certified(_from_roots(real, []), [complex(r) for r in real])
+
+
+def test_degree_one():
+    assert rootfind.aberth_roots([3, 2])[0] == -1.5
+    assert rootfind.aberth_roots([Fraction(1, 3), Fraction(2)])[0] == -1 / 6
+    with mp.workdps(30):
+        root = rootfind.aberth_roots([mp.mpc(1, 1), mp.mpc(0, 2)])[0]
+    assert abs(root - (-0.5 + 0.5j)) < 1e-15
+
+
+def test_leading_zero_rejected():
+    with pytest.raises(ValueError):
+        rootfind.aberth_roots([1, 2, 0])
+
+
+def test_one_sweep_does_not_converge():
+    with pytest.raises(NonConvergence):
+        rootfind.aberth_roots(list(range(1, 12)), schedule=((50, 1),))
+
+
+def test_double_root_refused():
+    # (z - 1)^2 (z + 2): the two estimates of the double root cannot get
+    # disjoint inclusion disks
+    with pytest.raises(NonConvergence):
+        rootfind.aberth_roots([2, -3, 0, 1])
+
+
+def test_polish_and_residual_at_roots():
+    coeffs = _from_roots([Fraction(-3, 2), Fraction(7, 3)], [(Fraction(1, 2), 2)])
+    polished = rootfind.newton_polish(coeffs, rootfind.aberth_roots(coeffs),
+                                      dps=40, steps=2)
+    with mp.workdps(40):
+        for z in polished:
+            val = sum(_exact_mp(c) * z**k for k, c in enumerate(coeffs))
+            assert abs(val) < mp.mpf(10) ** -35
+    for z in polished:
+        assert rootfind.residual_scale_aware(coeffs, complex(z)) < 1e-15
+    assert rootfind.residual_scale_aware(coeffs, 0) == pytest.approx(1.0)
+    assert rootfind.residual_scale_aware([0, 1], 0) == 0.0

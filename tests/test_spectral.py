@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ class TestEigenvalues:
     def test_cap(self):
         with pytest.raises(ValueError):
             eigenvalues(401, 0.0)
+
+    def test_damaged_cache_entry_is_recomputed(self, tmp_cache):
+        a = 0.5 - 0.5j
+        first = eigenvalues(81, a, cache_dir=tmp_cache).points
+        (path,) = Path(tmp_cache).glob("eigs-*-81.json")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        again = eigenvalues(81, a, cache_dir=tmp_cache).points
+        assert np.array_equal(first, again)
+        assert path.read_text() == text
 
 
 class TestZeroAStructure:
