@@ -30,19 +30,6 @@ EQUIMODULAR_TOL = 1e-4
 
 
 @dataclass
-class RecurrenceSpec:
-    """The frozen recurrence at fixed (a, tau)."""
-
-    a: complex
-    tau: float
-
-    def cubic_coeffs(self, beta):
-        """(b, c, d) of Psi^3 + b Psi^2 + c Psi + d at this (a, tau)."""
-        T = self.tau * (1 - self.tau)
-        return complex(beta), self.a * T, -(T * T)
-
-
-@dataclass
 class SupportSample:
     """Union-of-supports sample over a tau grid."""
 
@@ -467,7 +454,7 @@ def _recurrence_roots_structured(tau, k_max):
     from fractions import Fraction as F
 
     from . import intpoly
-    from .rootfind import aberth_roots
+    from .rootfind import threefold_roots
 
     exact = isinstance(tau, (int, F)) or (isinstance(tau, float) and
                                           F(tau).limit_denominator(10**6) == F(tau))
@@ -483,14 +470,10 @@ def _recurrence_roots_structured(tau, k_max):
                 for i, c in enumerate(p3):
                     new[i] += T2 * c
             p3, p2, p1 = p2, p1, new
-        r = k_max % 3
-        g = p1[r::3]
         den = 1
-        for c in g:
+        for c in p1:
             den = den * c.denominator // math.gcd(den, c.denominator)
-        gi = [int(c * den) for c in g]
-        gi = intpoly.primitive(gi)[0]
-        xi = aberth_roots(gi) if len(gi) > 1 else np.empty(0, complex)
+        p1 = intpoly.primitive([int(c * den) for c in p1])[0]
     else:
         T2 = (tau * (1 - tau)) ** 2
         p3, p2, p1 = None, None, np.array([1.0])
@@ -500,13 +483,5 @@ def _recurrence_roots_structured(tau, k_max):
             if p3 is not None:
                 new[: len(p3)] += T2 * p3
             p3, p2, p1 = p2, p1, new
-        r = k_max % 3
-        g = p1[r::3]
-        xi = np.roots(g[::-1]) if len(g) > 1 else np.empty(0, complex)
-    pts = [0.0] * (k_max % 3)
-    for x in xi:
-        rad = abs(x) ** (1.0 / 3.0)
-        th = np.angle(x) / 3.0
-        for j in range(3):
-            pts.append(rad * np.exp(1j * (th + 2 * np.pi * j / 3)))
-    return np.asarray(pts, dtype=complex)
+        p1 = p1.tolist()
+    return threefold_roots(p1)

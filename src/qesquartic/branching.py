@@ -201,7 +201,7 @@ def _interpolate_mod(pts, vals, p):
     return coeffs
 
 
-def discriminant_resultant_exact(n: int, progress=None):
+def discriminant_resultant_exact(n: int):
     """Raw integer coefficients (ascending in a) of Res_x(Sp, dSp/dx)."""
     biv = charpoly_bivariate(n)
     dbiv = biv.derivative_x()
@@ -237,8 +237,6 @@ def discriminant_resultant_exact(n: int, progress=None):
         else:
             stable = 0
         sym = new_sym
-        if progress:
-            progress(p)
 
 
 def _spot_check(n: int, coeffs):
@@ -268,16 +266,15 @@ def sigma_polynomial(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None,
         raise ValueError("n must be >= 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds the configured cap {cap}")
-    payload = cache.load("sigma-poly", n, cache_dir)
-    if payload is not None:
-        coeffs = cache.decode_int_poly(payload["coeffs"])
+    D = n * (n + 1) // 2
+    coeffs = cache.decode_int_poly(cache.load("sigma-poly", n, cache_dir), D)
+    if coeffs is not None:
         return ExactPoly.from_int_coeffs(coeffs, "a")
     raw = discriminant_resultant_exact(n)
     raw = intpoly.trim(list(raw))
     if verify:
         _spot_check(n, raw)
     prim, _ = intpoly.primitive(raw)
-    D = n * (n + 1) // 2
     if len(prim) - 1 != D:
         raise DegreeMismatch(
             f"discriminant degree {len(prim) - 1} != {D} for n={n}"
@@ -291,31 +288,6 @@ def sigma_polynomial(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None,
 # numeric roots and indexing
 # ---------------------------------------------------------------------------
 
-def _roots_via_structure(ip):
-    """Roots of an integer poly supported on a single residue class mod 3.
-
-    Strips the a^s monomial factor, substitutes b = a^3 in the remainder,
-    finds the b-roots with the staged Aberth solver, and maps back through
-    cube roots; this keeps the threefold symmetry exact.  Falls back to
-    plain Aberth when the support is not single-class.
-    """
-    klass = {j % 3 for j, c in enumerate(ip) if c}
-    if len(klass) != 1:
-        return rootfind.aberth_roots(ip)
-    s = min(j for j, c in enumerate(ip) if c)
-    body = ip[s:]
-    g = body[::3]
-    roots = [0.0] * s
-    if len(g) > 1:
-        xi = rootfind.aberth_roots(g)
-        for x in xi:
-            rad = abs(x) ** (1.0 / 3.0)
-            th = np.angle(x) / 3.0
-            for k in range(3):
-                roots.append(rad * np.exp(1j * (th + 2 * np.pi * k / 3)))
-    return np.asarray(roots, dtype=complex)
-
-
 def sigma_points(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> BranchSet:
     """Numeric branching points with (row, column) grid indices.
 
@@ -328,7 +300,7 @@ def sigma_points(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> Branch
     """
     poly = sigma_polynomial(n, cap=cap, cache_dir=cache_dir)
     ip, _ = poly._int_form()
-    pts = _roots_via_structure(ip)
+    pts = rootfind.threefold_roots(ip)
     pts = np.asarray(sorted(pts, key=lambda z: (z.real, z.imag)), dtype=complex)
     ps = PointSet(pts, label=f"branching points n={n}", meta={"n": n})
     try:

@@ -5,8 +5,10 @@ from, in order: an explicit argument, the QESQUARTIC_CACHE environment
 variable, and ~/.cache/qesquartic.  Writes go through a temp file and an
 atomic rename, so concurrent duplicate computation is wasteful but safe.
 Big integers are serialized as decimal strings and point sets as lists of
-[re, im] pairs.  A damaged entry (unreadable JSON, or a point list of the
-wrong length or with non-finite values) reads as a miss.
+[re, im] pairs.  A damaged entry (unreadable JSON, a point list of the
+wrong length or with non-finite values, or an integer polynomial of the
+wrong degree or with a coefficient that is not a decimal string) reads as a
+miss.
 """
 
 from __future__ import annotations
@@ -64,8 +66,17 @@ def encode_int_poly(coeffs) -> list:
     return [str(int(c)) for c in coeffs]
 
 
-def decode_int_poly(strings) -> list:
-    return [int(s) for s in strings]
+def decode_int_poly(payload, degree: int):
+    """The int list stored under payload["coeffs"], or None unless it holds
+    exactly degree + 1 decimal strings with a nonzero last one."""
+    cs = payload.get("coeffs") if isinstance(payload, dict) else None
+    if not isinstance(cs, list) or len(cs) != degree + 1:
+        return None
+    try:
+        out = [int(c) for c in cs if isinstance(c, str)]
+    except ValueError:
+        return None
+    return out if len(out) == len(cs) and out[-1] else None
 
 
 def encode_points(points) -> list:

@@ -370,7 +370,6 @@ def _build_parser():
     fig.add_argument("--grid", type=int, help="generic grid/sample override")
     fig.add_argument("--tol", type=float)
     fig.add_argument("--out", type=str)
-    fig.add_argument("--precision", type=int, help="working precision (digits)")
 
     ver = sub.add_parser("verify", parents=[common],
                          help="run a verification suite")
@@ -421,14 +420,6 @@ def main(argv=None) -> int:
             overrides["k_max"] = args.grid
         if args.tol is not None:
             overrides["tol"] = args.tol
-        if args.precision is not None:
-            from . import rootfind
-
-            # lift the final refinement stage to at least the requested digits
-            sched = list(rootfind.DEFAULT_SCHEDULE)
-            last_dps, last_sw = sched[-1]
-            sched[-1] = (max(last_dps, args.precision), last_sw)
-            rootfind.DEFAULT_SCHEDULE = tuple(sched)
         out = cmd_figure(args.name, out_dir=args.out, cache_dir=args.cache_dir,
                          overrides=overrides)
         print(f"wrote {out}")

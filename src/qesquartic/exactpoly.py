@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from . import intpoly
-from .errors import DegreeCapExceeded, NotDivisible, NotSquarefree
+from .errors import DegreeCapExceeded, NotSquarefree
 
 
 def _to_fraction_list(coeffs):
@@ -192,28 +192,16 @@ class ExactPoly:
 
 
 def exact_div(p: ExactPoly, q: ExactPoly) -> ExactPoly:
-    """Exact quotient with p = q * result; raises NotDivisible otherwise."""
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return ExactPoly.zero(p.var_name)
-    if p.degree < q.degree:
-        raise NotDivisible("degree of dividend below divisor")
-    r = list(p.coeffs)
-    qd = q.degree
-    qlc = q.leading()
-    out = [Fraction(0)] * (p.degree - qd + 1)
-    for i in range(p.degree, qd - 1, -1):
-        c = r[i]
-        if c == 0:
-            continue
-        f = c / qlc
-        out[i - qd] = f
-        for j in range(qd + 1):
-            r[i - qd + j] -= f * q.coeffs[j]
-    if any(r):
-        raise NotDivisible("nonzero remainder")
-    return ExactPoly(out, p.var_name)
+    """Exact quotient with p = q * result; raises NotDivisible otherwise.
+
+    Pseudo-division over the integers: when q divides p over Q, the integer
+    form of p times lc(q)^(deg p - deg q + 1) is divisible by that of q in Z[x].
+    """
+    ip, dp = p._int_form()
+    iq, dq = q._int_form()
+    lc = iq[-1] ** max(len(ip) - len(iq) + 1, 0) if iq else 1
+    quot = intpoly.div_exact(intpoly.scale(ip, lc), iq)
+    return ExactPoly([Fraction(c * dq, dp * lc) for c in quot], p.var_name)
 
 
 def real_roots(p: ExactPoly, lo=None, hi=None):

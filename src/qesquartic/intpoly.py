@@ -163,13 +163,6 @@ def eval_int(p, x: int) -> int:
     return acc
 
 
-def eval_fraction(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def sign_at(p, x) -> int:
     """Sign of p at a rational point (integer arithmetic, no Fraction churn)."""
     if not p:
@@ -242,45 +235,6 @@ def _prem_even(p, q):
     return r
 
 
-def squarefree_part(p):
-    """p / gcd(p, p'), primitive."""
-    g = gcd(p, deriv(p))
-    if len(g) <= 1:
-        return primitive(list(p))[0]
-    q = div_exact_rational(p, g)
-    return primitive(q)[0]
-
-
-def div_exact_rational(p, q):
-    """Quotient of p by q when q | p over Q; result scaled to integers."""
-    if len(p) < len(q):
-        from .errors import NotDivisible
-
-        raise NotDivisible("degree of dividend below divisor")
-    # do the division over Fractions then clear denominators
-    fp = [Fraction(c) for c in p]
-    fq = [Fraction(c) for c in q]
-    out = [Fraction(0)] * (len(p) - len(q) + 1)
-    r = fp
-    qd = len(q) - 1
-    for i in range(len(p) - 1, qd - 1, -1):
-        c = r[i]
-        if c == 0:
-            continue
-        f = c / fq[-1]
-        out[i - qd] = f
-        for j in range(qd + 1):
-            r[i - qd + j] -= f * fq[j]
-    if any(r):
-        from .errors import NotDivisible
-
-        raise NotDivisible("nonzero remainder in rational division")
-    den = 1
-    for c in out:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return trim([int(c * den) for c in out])
-
-
 # ---------------------------------------------------------------------------
 # Sturm machinery
 # ---------------------------------------------------------------------------
@@ -288,18 +242,22 @@ def div_exact_rational(p, q):
 def sturm_sequence(p):
     """Integer Sturm sequence of p (primitive-reduced, sign-faithful)."""
     s0, _ = primitive(list(p))
-    seq = [s0]
-    d = deriv(s0)
-    if d:
-        d, _ = primitive(d)
-        seq.append(d)
+    return signed_remainders(s0, _positive_primitive(deriv(s0))[0])
+
+
+def signed_remainders(p, q):
+    """Signed remainder sequence p, q, -rem(p, q), ... (deg p >= deg q).
+
+    Each member after q is a pseudo-remainder divided by its positive
+    content, so it differs from the true signed remainder by a positive
+    factor only and every sign variation count is exact.
+    """
+    seq = [list(p), list(q)] if q else [list(p)]
     while len(seq[-1]) > 1:
         r = _prem_even(seq[-2], seq[-1])
         if not r:
             break
-        r = neg(r)
-        r, _ = _positive_primitive(r)
-        seq.append(r)
+        seq.append(_positive_primitive(neg(r))[0])
     return seq
 
 
@@ -324,7 +282,12 @@ def sign_variations(signs) -> int:
 
 
 def sturm_count(seq, lo, hi) -> int:
-    """Number of distinct real roots in (lo, hi]; lo/hi may be +-math.inf."""
+    """V(lo) - V(hi), the sign variation drop of seq over (lo, hi].
+
+    For a Sturm sequence this is the number of distinct real roots in
+    (lo, hi]; for the signed remainders of (p, q) it is the Cauchy index of
+    q/p there (Basu, Pollack & Roy, Thm 2.58).  lo/hi may be +-math.inf.
+    """
     def vs(x):
         if x == math.inf:
             return sign_variations([sign_at_inf(s, True) for s in seq])
@@ -342,29 +305,17 @@ def root_bound(p) -> int:
     return 1 + (m + lc - 1) // lc + 1
 
 
-def isolate_real_roots(p, lo=None, hi=None, seq=None, hints=None):
+def isolate_real_roots(p, lo=None, hi=None, seq=None):
     """Disjoint rational intervals (a, b], one per distinct real root in (lo, hi].
 
-    `hints` may carry approximate root locations (floats) used to propose
-    cut points; every interval is still certified by exact Sturm counts.
+    Sturm bisection: every interval is certified by exact counts.
     """
     if seq is None:
         seq = sturm_sequence(p)
     B = root_bound(p)
     lo = Fraction(-B) if lo is None else Fraction(lo)
     hi = Fraction(B) if hi is None else Fraction(hi)
-    total = sturm_count(seq, lo, hi)
-    if total == 0:
-        return []
-    cuts = [lo, hi]
-    if hints is not None:
-        hs = sorted(float(h) for h in hints if lo < h <= hi)
-        for a, b in zip(hs, hs[1:]):
-            m = _simple_rational_between(a, b)
-            if m is not None and lo < m < hi:
-                cuts.append(m)
-    cuts = sorted(set(cuts))
-    stack = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+    stack = [(lo, hi)]
     out = []
     while stack:
         a, b = stack.pop()
@@ -379,37 +330,6 @@ def isolate_real_roots(p, lo=None, hi=None, seq=None, hints=None):
         stack.append((m, b))
     out.sort()
     return out
-
-
-def _simple_rational_between(a: float, b: float):
-    """A rational with small denominator strictly between floats a < b."""
-    if not a < b:
-        return None
-    # integer first
-    ia = math.floor(a) + 1
-    if a < ia < b:
-        return Fraction(ia)
-    den = 1
-    while den <= 1 << 60:
-        den *= 2
-        k = math.floor(a * den) + 1
-        if a * den < k < b * den:
-            return Fraction(k, den)
-    return None
-
-
-def refine_interval(p, a: Fraction, b: Fraction, seq=None, bits=60):
-    """Shrink an isolating interval (a,b] of p by bisection to ~2^-bits width."""
-    if seq is None:
-        seq = sturm_sequence(p)
-    target = (b - a) / (1 << bits)
-    while b - a > target:
-        m = (a + b) / 2
-        if sturm_count(seq, a, m) == 1:
-            b = m
-        else:
-            a = m
-    return a, b
 
 
 # ---------------------------------------------------------------------------

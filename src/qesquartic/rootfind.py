@@ -29,6 +29,10 @@ others but is no longer evaluated.  On convergence every root z_i gets the
 Newton inclusion radius d |p(z_i)/p'(z_i)|, the radius of a disk about z_i
 that holds a root; the disks must be pairwise disjoint, so each holds
 exactly one.
+
+``threefold_roots`` is the one route for polynomials x^s g(x^3) (the a = 0
+spectra, the YV zeros, the branching points and the frozen recurrence at
+a = 0): Aberth on g, mapped back by cube roots.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import NonConvergence, StructureViolation
 
 DEFAULT_SCHEDULE = ((50, 90), (120, 20), (250, 8))
 
@@ -277,6 +281,24 @@ def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
             f"{rad[i] * s:.2e}, {rad[j] * s:.2e} at distance {dist[i, j] * s:.2e}"
         )
     return roots
+
+
+def threefold_roots(coeffs):
+    """All roots of x^s g(x^3) (ascending coefficients), multiplicity included.
+
+    The s zeros come first, then the three cube roots of each root of g, which
+    aberth_roots finds; the threefold symmetry is thus exact.  Raises
+    StructureViolation unless every nonzero coefficient sits in one residue
+    class of degrees mod 3.
+    """
+    support = [j for j, c in enumerate(coeffs) if c]
+    if len({j % 3 for j in support}) != 1:
+        raise StructureViolation("coefficient support spans several classes mod 3")
+    s = support[0]
+    xi = aberth_roots(coeffs[s::3])
+    cube = np.abs(xi) ** (1 / 3) * np.exp(1j * np.angle(xi) / 3)
+    turns = np.exp(2j * np.pi * np.arange(3) / 3)
+    return np.concatenate([np.zeros(s, complex), (cube[:, None] * turns).ravel()])
 
 
 def _to_mp(c):

@@ -167,19 +167,6 @@ def _eigs_dense(n, a):
     return lam
 
 
-def _eigs_poly_zero_a(n):
-    r, q = zero_a_structure(n)
-    lam = [0.0] * r
-    if len(q) > 1:
-        xi = rootfind.aberth_roots(q)
-        for x in xi:
-            rad = abs(x) ** (1.0 / 3.0)
-            th = np.angle(x) / 3.0
-            for k in range(3):
-                lam.append(rad * np.exp(1j * (th + 2 * np.pi * k / 3)))
-    return np.asarray(lam, dtype=complex)
-
-
 def _eigs_poly_general(n, a):
     dps = 40 + int(0.6 * n)
     cs = charpoly_coeffs_mp(n, a, dps=dps)
@@ -214,7 +201,7 @@ def eigenvalues(n: int, a=0.0, cap: int = EIG_CAP_DEFAULT, cache_dir=None) -> Po
     if lam is not None:
         return PointSet(lam, label=f"spectrum n={n}", meta=meta)
     if ac == 0:
-        lam = _eigs_poly_zero_a(n)
+        lam = rootfind.threefold_roots(spectral_polynomial(n, 0)._int_form()[0])
     else:
         lam = _eigs_poly_general(n, ac)
     lam = sort_points(lam)

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from . import intpoly, rootfind
@@ -48,19 +46,21 @@ class YVSequence:
         return len(self.polys)
 
 
-@lru_cache(maxsize=8)
+_YV = [(1,), (0, 1)]   # YV_0, YV_1, ...: each built once per process, kept
+
+
 def _yv_int_coeffs(N: int):
-    seq = [[1], [0, 1]]
-    for n in range(1, N):
-        Y = seq[n]
+    """Coefficient tuples of YV_0..YV_N, extending _YV as far as N."""
+    while len(_YV) <= N:
+        Y, prev = list(_YV[-1]), list(_YV[-2])
         tYY = intpoly.mul([0, 1], intpoly.mul(Y, Y))
         wron = intpoly.sub(
             intpoly.mul(Y, intpoly.deriv(intpoly.deriv(Y))),
             intpoly.mul(intpoly.deriv(Y), intpoly.deriv(Y)),
         )
         num = intpoly.sub(tYY, intpoly.scale(wron, 4))
-        seq.append(intpoly.div_exact(num, seq[n - 1]))
-    return tuple(tuple(p) for p in seq[: N + 1])
+        _YV.append(tuple(intpoly.div_exact(num, prev)))
+    return tuple(_YV[: N + 1])
 
 
 def yv_generate(N: int) -> YVSequence:
@@ -96,10 +96,10 @@ def yv_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, residual_tol: float = RESIDUAL
     """All n(n+1)/2 zeros of YV_n, multiplicity included.
 
     Roots come from the exact cubic-structure factor g (YV_n = t^r g(t^3))
-    through the staged Aberth solver, then map back by cube roots; each
-    returned zero passes the scale-aware residual test
-    |YV_n(z)| / sum_k |c_k||z|^k < residual_tol.  Large-n zero sets are
-    disk-cached (the solve costs a minute near the cap).
+    through rootfind.threefold_roots: Aberth roots of g, each in its own
+    Newton inclusion disk, mapped back by cube roots.  Each returned zero
+    passes the scale-aware residual test |YV_n(z)| / sum_k |c_k||z|^k <
+    residual_tol.  Large-n zero sets are disk-cached.
     """
     if n > cap:
         raise ValueError(f"n={n} exceeds the configured cap {cap}")
@@ -113,21 +113,7 @@ def yv_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, residual_tol: float = RESIDUAL
         if pts is not None:
             return PointSet(pts, label=f"YV_{n} zeros", meta={"n": n})
     cs = list(_yv_int_coeffs(n)[n])
-    d = len(cs) - 1
-    r = d % 3
-    if not coefficient_support_mod3_ok(n):
-        raise NonConvergence("unexpected coefficient support; structure route invalid")
-    g = cs[r::3]
-    zs = [0.0] * r
-    if len(g) > 1:
-        xi = rootfind.aberth_roots(g)
-        xi = rootfind.newton_polish(g, xi, dps=50, steps=2)
-        for x in xi:
-            rad = mp.cbrt(abs(x))
-            th = mp.arg(x) / 3
-            for k in range(3):
-                zs.append(complex(rad * mp.exp(1j * (th + 2 * mp.pi * k / 3))))
-    pts = np.asarray(zs, dtype=complex)
+    pts = rootfind.threefold_roots(cs)
     _check_residuals(cs, pts, residual_tol)
     if n >= 25:
         from . import cache

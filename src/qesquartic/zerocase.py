@@ -12,7 +12,9 @@ the triple recurrence
 with P_0 = Q_0 = R_0 = 1.  All three have positive coefficients, so their
 real roots are negative; this module certifies - in exact integer
 arithmetic, never floating point - that the roots are real, simple, negative
-and interlace along the recurrence chains.
+and interlace along the recurrence chains.  Negativity is a Sturm count on
+(-inf, 0]; interlacing is one Cauchy index, read off the signed remainder
+sequence of the pair.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import intpoly
 from .errors import MultipleRoot, StructureViolation
@@ -120,13 +120,16 @@ def _all_roots_negative_simple(p: ExactPoly) -> bool:
 
 
 def certify_interlacing(p: ExactPoly, q: ExactPoly) -> str:
-    """Exact interlacing verdict for real-rooted p, q.
+    """Exact interlacing verdict for p, q with deg p = deg q or deg q + 1.
 
-    Accepts deg p = deg q or deg p = deg q + 1.  Returns
-    "interlacing-with-largest-in-p" or "not-interlacing".  Root isolation is
-    Sturm-based bisection over the rationals; float roots are used only to
-    propose cut points, every count is certified exactly.  Raises
-    MultipleRoot if either polynomial is not squarefree.
+    Returns "interlacing-with-largest-in-p" when p has deg p simple real
+    roots, q has a root strictly between each neighbouring pair of them and
+    the largest of all the roots is p's; "not-interlacing" otherwise.  That
+    holds iff the Cauchy index of q/p over R is deg p * sign(lc p * lc q)
+    (Basu, Pollack & Roy, Thm 2.58; Fisk), which is V(-inf) - V(+inf) of the
+    signed remainder sequence of (p, q): no root is isolated, and nothing is
+    computed in floating point.  Raises MultipleRoot if either polynomial is
+    not squarefree.
     """
     if not (p.degree - q.degree in (0, 1)):
         raise ValueError("degrees must differ by 0 or 1 (p the larger)")
@@ -135,89 +138,11 @@ def certify_interlacing(p: ExactPoly, q: ExactPoly) -> str:
     for u, name in ((ip, "p"), (iq, "q")):
         if len(u) > 1 and len(intpoly.gcd(u, intpoly.deriv(u))) > 1:
             raise MultipleRoot(f"{name} is not squarefree")
-    if intpoly.gcd(ip, iq) and len(intpoly.gcd(ip, iq)) > 1:
-        return "not-interlacing"  # shared root: not strictly interlacing
-    seq_p = intpoly.sturm_sequence(ip)
-    seq_q = intpoly.sturm_sequence(iq)
-    dp, dq = len(ip) - 1, len(iq) - 1
-    if intpoly.sturm_count(seq_p, -math.inf, math.inf) != dp:
-        return "not-interlacing"
-    if dq and intpoly.sturm_count(seq_q, -math.inf, math.inf) != dq:
-        return "not-interlacing"
-    hints = _float_root_hints(ip, iq)
-    ivs_p = intpoly.isolate_real_roots(ip, seq=seq_p, hints=hints)
-    ivs_q = intpoly.isolate_real_roots(iq, seq=seq_q, hints=hints)
-    # refine until the two interval families are pairwise disjoint
-    ivs_p, ivs_q = _disjoin(ip, seq_p, ivs_p, iq, seq_q, ivs_q)
-    marked = sorted([(a, b, "p") for a, b in ivs_p] + [(a, b, "q") for a, b in ivs_q])
-    pattern = "".join(m[2] for m in marked)
-    if dp == dq:
-        ok = pattern == "qp" * dp
-    else:
-        ok = pattern == "p" + "qp" * dq
+    index = intpoly.sturm_count(intpoly.signed_remainders(ip, iq),
+                                -math.inf, math.inf)
+    sign = intpoly.sign_at_inf(ip, True) * intpoly.sign_at_inf(iq, True)
+    ok = index == (len(ip) - 1) * sign
     return "interlacing-with-largest-in-p" if ok else "not-interlacing"
-
-
-def _float_root_hints(ip, iq):
-    hints = []
-    for u in (ip, iq):
-        if len(u) <= 1:
-            continue
-        try:
-            sc = _float_scaled(u)
-            hints.extend(np.roots(sc[::-1]).real.tolist())
-        except Exception:
-            pass
-    return hints
-
-
-def _float_scaled(u):
-    """Float image of an integer poly, scaled to avoid overflow."""
-    logs = [math.log(abs(c)) if c else None for c in u]
-    top = max(v for v in logs if v is not None)
-    out = []
-    for c, lv in zip(u, logs):
-        if c == 0:
-            out.append(0.0)
-        else:
-            v = math.exp(lv - top)
-            out.append(v if c > 0 else -v)
-    return out
-
-
-def _disjoin(ip, seq_p, ivs_p, iq, seq_q, ivs_q, max_passes=4000):
-    """Bisect isolating intervals until no p-interval overlaps a q-interval.
-
-    Tight pairs can be genuinely close here (each family is a small relative
-    perturbation of its predecessor at the top recurrence depths), so the
-    budget is generous; coincidence proper is excluded beforehand by the gcd
-    check, so this terminates.
-    """
-    for _ in range(max_passes):
-        overlaps = _all_overlaps(ivs_p, ivs_q)
-        if not overlaps:
-            return ivs_p, ivs_q
-        for i, j in overlaps:
-            ivs_p[i] = _shrink(ip, seq_p, ivs_p[i])
-            ivs_q[j] = _shrink(iq, seq_q, ivs_q[j])
-    raise MultipleRoot("could not separate root intervals (roots may coincide)")
-
-
-def _all_overlaps(ivs_p, ivs_q):
-    out = []
-    for i, (a, b) in enumerate(ivs_p):
-        for j, (c, d) in enumerate(ivs_q):
-            if not (b <= c or d <= a):
-                out.append((i, j))
-    return out
-
-
-def _shrink(u, seq, iv):
-    a, b = iv
-    m = (a + b) / 2
-    if intpoly.sturm_count(seq, a, m) == 1:
-        return (a, m)
-    return (m, b)
 
 
 def certify_all(n: int):

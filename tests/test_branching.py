@@ -51,6 +51,17 @@ class TestSigmaPolynomial:
         b = branching.sigma_polynomial(5, cache_dir=tmp_cache)
         assert a == b
 
+    @pytest.mark.parametrize("payload", [
+        {"n": 3},                              # no coefficients
+        {"n": 3, "coeffs": ["5", "1"]},        # degree 1, not 6
+    ])
+    def test_damaged_cache_entry_is_recomputed(self, tmp_cache, payload):
+        from qesquartic import cache
+
+        want = branching.sigma_polynomial(3, cache_dir=tmp_cache)
+        cache.store("sigma-poly", 3, payload, tmp_cache)
+        assert branching.sigma_polynomial(3, cache_dir=tmp_cache) == want
+
 
 class TestSigmaPoints:
     def test_n2_values(self, tmp_cache):

@@ -29,3 +29,24 @@ class TestPointCodec:
     def test_unreadable_file_is_a_miss(self, tmp_cache, data):
         cache.artifact_path("pts", 2, tmp_cache).write_bytes(data)
         assert cache.load("pts", 2, tmp_cache) is None
+
+
+class TestIntPolyCodec:
+    def test_roundtrip(self, tmp_cache):
+        cs = [-(10 ** 40), 0, 7]
+        cache.store("ip", 2, {"coeffs": cache.encode_int_poly(cs)}, tmp_cache)
+        assert cache.decode_int_poly(cache.load("ip", 2, tmp_cache), 2) == cs
+
+    @pytest.mark.parametrize("payload", [
+        None,
+        [],
+        {},
+        {"coeffs": ["1", "2"]},                 # wrong degree
+        {"coeffs": ["1", "2", "0"]},            # leading zero: degree 1
+        {"coeffs": ["1", "2.5", "3"]},          # not an integer
+        {"coeffs": ["1", "x", "3"]},
+        {"coeffs": [1, 2, 3]},                  # numbers, not strings
+        {"coeffs": "123"},
+    ])
+    def test_bad_payload_is_a_miss(self, payload):
+        assert cache.decode_int_poly(payload, 2) is None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesquartic import rootfind
-from qesquartic.errors import NonConvergence
+from qesquartic.errors import NonConvergence, StructureViolation
 
 SPAN_DIGITS = 320       # decimal digits between the smallest and largest |c_k|
 
@@ -159,3 +159,28 @@ def test_polish_and_residual_at_roots():
         assert rootfind.residual_scale_aware(coeffs, complex(z)) < 1e-15
     assert rootfind.residual_scale_aware(coeffs, 0) == pytest.approx(1.0)
     assert rootfind.residual_scale_aware([0, 1], 0) == 0.0
+
+
+def test_threefold_roots_refuses_mixed_classes():
+    # x^4 + x^3 + 1: degrees 4, 3 and 0 sit in two classes mod 3
+    with pytest.raises(StructureViolation):
+        rootfind.threefold_roots([1, 0, 0, 1, 1])
+
+
+def test_threefold_roots_of_x2_g_x3():
+    g_roots = [Fraction(-3, 2), Fraction(7, 3), Fraction(5)]
+    g = _from_roots(g_roots, [(Fraction(1, 2), 2)])
+    coeffs = [0, 0] + [c for cg in g for c in (cg, 0, 0)][:-2]   # x^2 g(x^3)
+    got = rootfind.threefold_roots(coeffs)
+    assert len(got) == len(coeffs) - 1
+    assert np.array_equal(got[:2], [0, 0])
+    xi = np.array([complex(r) for r in g_roots] + [0.5 + 2j, 0.5 - 2j])
+    cubes = got[2:] ** 3
+    assert np.abs(cubes[:, None] - xi[None, :]).min(axis=1).max() < 1e-12
+    # each root of g shows up as exactly three cube roots, 120 degrees apart
+    nearest = np.abs(cubes[:, None] - xi[None, :]).argmin(axis=1)
+    assert sorted(nearest) == sorted(list(range(len(xi))) * 3)
+    for k in range(len(xi)):
+        z = got[2:][nearest == k]
+        turned = z * np.exp(2j * np.pi / 3)
+        assert np.abs(turned[:, None] - z[None, :]).min(axis=1).max() < 1e-12

@@ -31,6 +31,17 @@ class TestGeneration:
     def test_coefficient_support_mod3(self, n):
         assert yv.coefficient_support_mod3_ok(n)
 
+    def test_members_built_once(self, monkeypatch):
+        first = yv._yv_int_coeffs(30)
+        for n in range(1, 11):
+            yv.painleve_residual(n, 0.3 + 0.2j)
+        built = []
+        div_exact = yv.intpoly.div_exact
+        monkeypatch.setattr(yv.intpoly, "div_exact",
+                            lambda p, q: built.append(q) or div_exact(p, q))
+        assert yv._yv_int_coeffs(30) == first
+        assert built == []
+
 
 class TestZeros:
     def test_first(self):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qesquartic.errors import MultipleRoot
 from qesquartic.exactpoly import ExactPoly
@@ -92,6 +94,64 @@ class TestInterlacing:
         assert certify_interlacing(xi_poly(2, 1), xi_poly(1, 1)) == "not-interlacing"
         assert certify_interlacing(xi_poly(1, 1), xi_poly(2, 1)) == \
             "interlacing-with-largest-in-p"
+
+
+@st.composite
+def interlaced_roots(draw):
+    """(p roots, q roots): distinct integers, the largest in p, alternating
+    below it; deg q = deg p or deg p - 1."""
+    d = draw(st.integers(1, 6))
+    k = 2 * d if draw(st.booleans()) else 2 * d - 1
+    roots = sorted(draw(st.sets(st.integers(-60, 60), min_size=k, max_size=k)))
+    return roots[::-2], roots[-2::-2]
+
+
+def from_roots(roots, lc):
+    poly = xi_poly(lc)
+    for r in roots:
+        poly = poly * xi_poly(-r, 1)
+    return poly
+
+
+LEADING = st.sampled_from([1, -1, 3, -7])
+
+
+class TestInterlacingProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(interlaced_roots(), LEADING, LEADING)
+    def test_interlacing(self, roots, cp, cq):
+        p_roots, q_roots = roots
+        v = certify_interlacing(from_roots(p_roots, cp), from_roots(q_roots, cq))
+        assert v == "interlacing-with-largest-in-p"
+
+    @settings(max_examples=30, deadline=None)
+    @given(interlaced_roots(), LEADING, LEADING)
+    def test_swapped(self, roots, cp, cq):
+        p_roots, q_roots = roots
+        assume(len(p_roots) == len(q_roots))
+        v = certify_interlacing(from_roots(q_roots, cq), from_roots(p_roots, cp))
+        assert v == "not-interlacing"
+
+    @settings(max_examples=60, deadline=None)
+    @given(interlaced_roots(), LEADING, LEADING, st.data())
+    def test_shifted_root(self, roots, cp, cq, data):
+        # one root of q moved above the largest root of p
+        p_roots, q_roots = roots
+        assume(q_roots)
+        i = data.draw(st.integers(0, len(q_roots) - 1))
+        q_roots[i] = max(p_roots) + data.draw(st.integers(1, 5))
+        v = certify_interlacing(from_roots(p_roots, cp), from_roots(q_roots, cq))
+        assert v == "not-interlacing"
+
+    @settings(max_examples=60, deadline=None)
+    @given(interlaced_roots(), LEADING, LEADING, st.data())
+    def test_shared_root(self, roots, cp, cq, data):
+        p_roots, q_roots = roots
+        assume(q_roots)
+        i = data.draw(st.integers(0, len(q_roots) - 1))
+        q_roots[i] = data.draw(st.sampled_from(p_roots))
+        v = certify_interlacing(from_roots(p_roots, cp), from_roots(q_roots, cq))
+        assert v == "not-interlacing"
 
 
 class TestCertifyAll:
