@@ -421,9 +421,10 @@ def recurrence_roots(tau, a=0.0, k_max=150) -> PointSet:
     recurrence with D^(-2)=D^(-1)=0, D^(0)=1.
 
     At a = 0 the solution polynomial is supported on every third degree, so
-    the roots are computed through the cubic substitution (exactly when tau
-    is rational); this pins them onto the three rays instead of smearing
-    them with companion-matrix noise.
+    the roots are computed through the cubic substitution from the exact
+    polynomial at the rational value tau holds (a float tau is taken as the
+    binary fraction it stores); this pins them onto the three rays instead
+    of smearing them with rounding noise.
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
@@ -456,32 +457,19 @@ def _recurrence_roots_structured(tau, k_max):
     from . import intpoly
     from .rootfind import threefold_roots
 
-    exact = isinstance(tau, (int, F)) or (isinstance(tau, float) and
-                                          F(tau).limit_denominator(10**6) == F(tau))
-    tq = F(tau) if exact else None
-    if exact:
-        T2 = (tq * (1 - tq)) ** 2
-        p3, p2, p1 = None, None, [F(1)]
-        for _ in range(k_max):
-            new = [F(0)] * (len(p1) + 1)
-            for i, c in enumerate(p1):
-                new[i + 1] -= c
-            if p3 is not None:
-                for i, c in enumerate(p3):
-                    new[i] += T2 * c
-            p3, p2, p1 = p2, p1, new
-        den = 1
-        for c in p1:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        p1 = intpoly.primitive([int(c * den) for c in p1])[0]
-    else:
-        T2 = (tau * (1 - tau)) ** 2
-        p3, p2, p1 = None, None, np.array([1.0])
-        for _ in range(k_max):
-            new = np.zeros(len(p1) + 1)
-            new[1:] -= p1
-            if p3 is not None:
-                new[: len(p3)] += T2 * p3
-            p3, p2, p1 = p2, p1, new
-        p1 = p1.tolist()
+    tq = F(tau)
+    T2 = (tq * (1 - tq)) ** 2
+    p3, p2, p1 = None, None, [F(1)]
+    for _ in range(k_max):
+        new = [F(0)] * (len(p1) + 1)
+        for i, c in enumerate(p1):
+            new[i + 1] -= c
+        if p3 is not None:
+            for i, c in enumerate(p3):
+                new[i] += T2 * c
+        p3, p2, p1 = p2, p1, new
+    den = 1
+    for c in p1:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    p1 = intpoly.primitive([int(c * den) for c in p1])[0]
     return threefold_roots(p1)

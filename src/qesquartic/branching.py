@@ -1,19 +1,24 @@
 """Branching sets: where the spectral polynomial has a multiple eigenvalue.
 
 The discriminant-in-x of the characteristic polynomial is an integer
-polynomial in a of degree n(n+1)/2; its zero locus is the branching set.
-It is computed exactly by a CRT-modular scheme: for each 31-bit prime the
+polynomial in a of degree D = n(n+1)/2; its zero locus is the branching set.
+It is computed exactly by one CRT-modular route: for each 31-bit prime the
 resultant of the polynomial and its x-derivative is evaluated at the
-integers 0..D (vectorized mod-p Euclid over all points at once - the
+integers 1..D+1 (vectorized mod-p Euclid over all points at once - the
 x-leading coefficients are +-1 and +-(n+1), so every prime above n+1 is
 good), interpolated through Newton divided differences mod p, and the
 coefficients are lifted by CRT until they stabilize over two extra primes.
+The node a = 0 is left out on purpose: there the polynomial is supported on
+every third power of x and the remainder degrees drop at every prime.  A
+prime at which some node still breaks the generic remainder-degree sequence
+is skipped, and three such primes in a row raise NonConvergence.
 
 Exactness is cross-checked, not assumed: the computed polynomial must have
-degree exactly n(n+1)/2, and its value at random integer points must equal
-the fraction-free Sylvester determinant computed independently by Bareiss
-elimination.  Results are disk-cached ({kind}-{n}.json) since large-n
-resultants are the most expensive objects in the package.
+degree exactly n(n+1)/2, and its value at random integer points outside the
+nodes must equal the fraction-free Sylvester determinant computed
+independently by Bareiss elimination.  Results are disk-cached
+({kind}-{n}.json) since large-n resultants are the most expensive objects
+in the package.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ class BranchSet:
 # ---------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_SKIPPED_PRIMES = 3
 
 
 def _is_prime(n: int) -> bool:
@@ -99,47 +105,11 @@ def _modpow_vec(b, e, p):
     return r
 
 
-def _resultant_scalar_mod(f, g, p):
-    def deg(u):
-        d = len(u) - 1
-        while d >= 0 and u[d] % p == 0:
-            d -= 1
-        return d
-
-    f = [x % p for x in f]
-    g = [x % p for x in g]
-    res = 1
-    df, dg = deg(f), deg(g)
-    if df < 0 or dg < 0:
-        return 0
-    f = f[: df + 1]
-    g = g[: dg + 1]
-    while True:
-        if dg == 0:
-            return (res * pow(g[0], df, p)) % p
-        inv = pow(g[dg], p - 2, p)
-        r = list(f)
-        for i in range(df, dg - 1, -1):
-            q = (r[i] * inv) % p
-            if q:
-                for j in range(dg + 1):
-                    r[i - dg + j] = (r[i - dg + j] - q * g[j]) % p
-        r = r[:dg]
-        dr = deg(r)
-        if dr < 0:
-            return 0
-        if (df * dg) % 2:
-            res = (-res) % p
-        res = (res * pow(g[dg], df - dr, p)) % p
-        f, g = g, r[: dr + 1]
-        df, dg = dg, dr
-
-
 def _resultants_vector_mod(F, G, p):
     """Resultants of many pairs at once mod p; returns (values, ok_mask).
 
     Points where the generic degree sequence breaks (leading coefficient of
-    a remainder vanishing mod p) are flagged for the scalar fallback.
+    a remainder vanishing mod p) are flagged; their values are not resultants.
     """
     m = F[0].shape[0]
     f = [c % p for c in F]
@@ -184,20 +154,22 @@ def _eval_grid_mod(rows, pts, p):
     return out
 
 
-def _interpolate_mod(pts, vals, p):
-    """Monomial coefficients of the unique degree <= D interpolant mod p."""
-    D = len(pts) - 1
-    dd = vals.copy() % p
+def _interpolate_mod(vals, p):
+    """Monomial coefficients of the degree <= D interpolant mod p through
+    the points (j + 1, vals[j]), j = 0..D.
+
+    The nodes are consecutive integers, so level j of the divided
+    differences divides by the scalar j.
+    """
+    D = len(vals) - 1
+    dd = vals % p
     for j in range(1, D + 1):
-        num = (dd[j:] - dd[j - 1 : -1]) % p
-        den = (pts[j:] - pts[: len(pts) - j]) % p
-        dd[j:] = (num * _modpow_vec(den, p - 2, p)) % p
+        dd[j:] = (dd[j:] - dd[j - 1 : -1]) * pow(j, -1, p) % p
     coeffs = np.zeros(D + 1, dtype=np.int64)
     for j in range(D, -1, -1):
-        shifted = np.roll(coeffs, 1)
-        shifted[0] = 0
-        coeffs = (shifted - pts[j] * coeffs) % p
-        coeffs[0] = (coeffs[0] + dd[j]) % p
+        # coeffs <- coeffs * (a - (j + 1)) + dd[j]
+        coeffs[1:] = (coeffs[:-1] - (j + 1) * coeffs[1:]) % p
+        coeffs[0] = (dd[j] - (j + 1) * coeffs[0]) % p
     return coeffs
 
 
@@ -206,11 +178,12 @@ def discriminant_resultant_exact(n: int):
     biv = charpoly_bivariate(n)
     dbiv = biv.derivative_x()
     D = n * (n + 1) // 2
-    pts = np.arange(D + 1, dtype=np.int64)
+    pts = np.arange(1, D + 2, dtype=np.int64)
     crt_mod = 1
     crt_val = [0] * (D + 1)
     sym = None
     stable = 0
+    skipped = 0
     for p in _primes_from((1 << 30) + 1):
         if p <= n + 1:
             continue
@@ -218,11 +191,15 @@ def discriminant_resultant_exact(n: int):
         G = _eval_grid_mod(dbiv.grid, pts, p)
         vals, ok = _resultants_vector_mod(F, G, p)
         if not ok.all():
-            for idx in np.nonzero(~ok)[0]:
-                fc = [int(c[idx]) for c in F]
-                gc = [int(c[idx]) for c in G]
-                vals[idx] = _resultant_scalar_mod(fc, gc, p)
-        coeffs = _interpolate_mod(pts, vals, p)
+            skipped += 1
+            if skipped >= _MAX_SKIPPED_PRIMES:
+                raise NonConvergence(
+                    f"{skipped} consecutive primes break the remainder-degree "
+                    f"sequence at a node for n={n}"
+                )
+            continue
+        skipped = 0
+        coeffs = _interpolate_mod(vals, p)
         inv = pow(crt_mod % p, p - 2, p)
         crt_val = [
             r + crt_mod * (((int(c) - r) * inv) % p)
@@ -256,8 +233,7 @@ def _spot_check(n: int, coeffs):
             )
 
 
-def sigma_polynomial(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None,
-                     verify: bool = True) -> ExactPoly:
+def sigma_polynomial(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> ExactPoly:
     """Exact branching polynomial in a: content-free, positive leading.
 
     Degree must come out to exactly n(n+1)/2 (DegreeMismatch otherwise).
@@ -272,8 +248,7 @@ def sigma_polynomial(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None,
         return ExactPoly.from_int_coeffs(coeffs, "a")
     raw = discriminant_resultant_exact(n)
     raw = intpoly.trim(list(raw))
-    if verify:
-        _spot_check(n, raw)
+    _spot_check(n, raw)
     prim, _ = intpoly.primitive(raw)
     if len(prim) - 1 != D:
         raise DegreeMismatch(

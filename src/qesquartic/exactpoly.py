@@ -4,13 +4,16 @@ ExactPoly carries big-rational coefficients (ascending degree) and supports
 the closed, exact operations the rest of the package is built on: arithmetic,
 derivative, exact division, Sturm-based real-root counting and isolation.
 BivariatePoly holds an integer coefficient grid in (x, a), used for spectral
-polynomials in both variables and their resultants.
+polynomials in both variables.  Their resultant in x is computed by the
+modular route in ``branching``; the fraction-free determinant over Z[a] that
+cross-checks it is a test oracle, not part of the package.
 
 Conventions (fixed so results are reproducible bit for bit):
 
-* ``resultant`` is the determinant of the Sylvester matrix with the first
-  polynomial's coefficients in the top rows, computed by fraction-free
-  (Bareiss) elimination.  No normalization by leading coefficients.
+* ``resultant`` is the determinant of the Sylvester matrix of two ExactPoly
+  with the first polynomial's coefficients in the top rows, computed by
+  fraction-free (Bareiss) elimination.  No normalization by leading
+  coefficients.
 * ``discriminant`` is ``resultant(p, dp/dx)`` with no further division; only
   its zero locus is ever used downstream.
 """
@@ -228,22 +231,14 @@ def real_roots(p: ExactPoly, lo=None, hi=None):
     return len(intervals), intervals
 
 
-def resultant(p, q, var: str = "x"):
-    """Sylvester-determinant resultant.
-
-    For two ExactPoly inputs this eliminates their common variable and
-    returns a Fraction.  For two BivariatePoly inputs, ``var`` names the
-    eliminated variable ("x" or "a") and an ExactPoly in the other variable
-    is returned.
-    """
-    if isinstance(p, BivariatePoly) and isinstance(q, BivariatePoly):
-        return _resultant_bivariate(p, q, var)
-    if isinstance(p, ExactPoly) and isinstance(q, ExactPoly):
-        ip, dp_ = p._int_form()
-        iq, dq_ = q._int_form()
-        det = intpoly.sylvester_resultant(ip, iq)
-        return Fraction(det, dp_ ** (len(iq) - 1) * dq_ ** (len(ip) - 1))
-    raise TypeError("resultant expects two ExactPoly or two BivariatePoly")
+def resultant(p: ExactPoly, q: ExactPoly) -> Fraction:
+    """Sylvester-determinant resultant of two ExactPoly in their common variable."""
+    if not (isinstance(p, ExactPoly) and isinstance(q, ExactPoly)):
+        raise TypeError("resultant expects two ExactPoly")
+    ip, dp_ = p._int_form()
+    iq, dq_ = q._int_form()
+    det = intpoly.sylvester_resultant(ip, iq)
+    return Fraction(det, dp_ ** (len(iq) - 1) * dq_ ** (len(ip) - 1))
 
 
 def discriminant(p: ExactPoly) -> Fraction:
@@ -325,77 +320,3 @@ class BivariatePoly:
             f"BivariatePoly({self.x_name}-deg {self.x_degree}, "
             f"{self.a_name}-deg {self.a_degree})"
         )
-
-
-def _resultant_bivariate(p: BivariatePoly, q: BivariatePoly, var: str) -> ExactPoly:
-    if var == p.x_name or var == "x":
-        pc = [row for row in p.grid]
-        qc = [row for row in q.grid]
-        out_name = p.a_name
-    elif var == p.a_name or var == "a":
-        # transpose the grids
-        pc = _transpose(p.grid)
-        qc = _transpose(q.grid)
-        out_name = p.x_name
-    else:
-        raise ValueError(f"unknown variable {var!r}")
-    if len(pc) - 1 <= 0 or len(qc) - 1 <= 0:
-        raise ValueError("positive degree in the eliminated variable required")
-    det = _bareiss_det_poly(_sylvester_poly_matrix(pc, qc))
-    return ExactPoly.from_int_coeffs(det, out_name)
-
-
-def _transpose(grid):
-    na = max((len(row) for row in grid), default=0)
-    out = [[0] * len(grid) for _ in range(na)]
-    for j, row in enumerate(grid):
-        for k, c in enumerate(row):
-            out[k][j] = c
-    trimmed = [intpoly.trim(r) for r in out]
-    while trimmed and not trimmed[-1]:
-        trimmed.pop()
-    return trimmed
-
-
-def _sylvester_poly_matrix(pc, qc):
-    """Sylvester matrix with entries in Z[a] (coefficient lists)."""
-    dp, dq = len(pc) - 1, len(qc) - 1
-    n = dp + dq
-    M = [[[] for _ in range(n)] for _ in range(n)]
-    prow = list(reversed(pc))
-    qrow = list(reversed(qc))
-    for i in range(dq):
-        for j, c in enumerate(prow):
-            M[i][i + j] = list(c)
-    for i in range(dp):
-        for j, c in enumerate(qrow):
-            M[dq + i][i + j] = list(c)
-    return M
-
-
-def _bareiss_det_poly(M):
-    """Fraction-free determinant of a matrix with Z[a] entries."""
-    n = len(M)
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not M[k][k]:
-            for r in range(k + 1, n):
-                if M[r][k]:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            mik = M[i][k]
-            for j in range(k + 1, n):
-                t = intpoly.sub(
-                    intpoly.mul(M[i][j], pk), intpoly.mul(mik, M[k][j])
-                )
-                M[i][j] = intpoly.div_exact(t, prev) if len(prev) > 1 or prev[0] != 1 else t
-            M[i][k] = []
-        prev = pk
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else intpoly.neg(det)

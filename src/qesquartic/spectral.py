@@ -174,7 +174,8 @@ def _eigs_poly_general(n, a):
 
 
 def _a_token(a: complex) -> str:
-    s = f"{a.real:.12g}_{a.imag:.12g}"
+    # shortest round-trip repr: distinct doubles never share a token
+    s = "_".join(repr(x).removesuffix(".0") for x in (a.real, a.imag))
     return s.replace("-", "m").replace(".", "p").replace("+", "")
 
 

@@ -3,12 +3,17 @@
 Nothing here shares an algorithm with the package paths it checks: the
 Sylvester determinant is expanded by hand-style elimination over Fractions,
 determinants come from permutation-free cofactor recursion on dense lists,
-and root counting falls back to numpy with wide margins.
+products are schoolbook convolutions, the resultant over Z[a] is one
+fraction-free elimination on a Sylvester matrix of polynomials (the package
+interpolates it modulo primes instead), and root counting falls back to
+numpy with wide margins.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from qesquartic import intpoly
 
 
 def dense_det_fraction(M):
@@ -26,21 +31,64 @@ def dense_det_fraction(M):
     return total
 
 
-def sylvester_det_by_hand(p, q):
-    """Resultant as the cofactor determinant of the Sylvester matrix
-    (p's coefficients in the top rows, descending powers)."""
+def sylvester_matrix(p, q, zero):
+    """Sylvester matrix of p, q (ascending coefficient lists): p's
+    coefficients in the top rows, descending powers, ``zero`` elsewhere."""
     dp, dq = len(p) - 1, len(q) - 1
     n = dp + dq
-    M = [[Fraction(0)] * n for _ in range(n)]
-    prow = [Fraction(c) for c in reversed(p)]
-    qrow = [Fraction(c) for c in reversed(q)]
+    M = [[zero] * n for _ in range(n)]
     for i in range(dq):
-        for j, c in enumerate(prow):
+        for j, c in enumerate(reversed(p)):
             M[i][i + j] = c
     for i in range(dp):
-        for j, c in enumerate(qrow):
+        for j, c in enumerate(reversed(q)):
             M[dq + i][i + j] = c
-    return dense_det_fraction(M)
+    return M
+
+
+def sylvester_det_by_hand(p, q):
+    """Resultant as the cofactor determinant of the Sylvester matrix."""
+    return dense_det_fraction(sylvester_matrix(
+        [Fraction(c) for c in p], [Fraction(c) for c in q], Fraction(0)))
+
+
+def sylvester_resultant_poly(p_rows, q_rows):
+    """Res_x of two polynomials in x with Z[a] coefficients.
+
+    ``p_rows[j]`` is the x^j coefficient as an ascending int list in a (a
+    ``BivariatePoly.grid``).  The Sylvester determinant is eliminated
+    fraction-free (Bareiss) with exact divisions in Z[a]; returns the
+    ascending int coefficients in a.
+    """
+    M = sylvester_matrix(p_rows, q_rows, [])
+    n = len(M)
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if swap is None:
+                return []
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                t = intpoly.sub(intpoly.mul(M[i][j], M[k][k]),
+                                intpoly.mul(M[i][k], M[k][j]))
+                M[i][j] = intpoly.div_exact(t, prev)
+            M[i][k] = []
+        prev = M[k][k]
+    return M[-1][-1] if sign == 1 else intpoly.neg(M[-1][-1])
+
+
+def schoolbook_mul(p, q):
+    """Product of two ascending int coefficient lists, trailing zeros trimmed."""
+    r = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            r[i + j] += a * b
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def numpy_real_root_count(coeffs, lo, hi, imag_tol=1e-7):

@@ -212,3 +212,11 @@ class TestRecurrenceRoots:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             bkw.recurrence_roots(0.5, 0, 2)
+
+    def test_non_dyadic_float_tau_is_exact(self):
+        # a float tau is the binary fraction it stores; its roots are those
+        # of the exact polynomial at that rational, not of a float recurrence
+        got = bkw.recurrence_roots(0.1, 0, 150).points
+        want = bkw._recurrence_roots_structured(Fraction(0.1), 150)
+        dev = max(np.abs(want - z).min() for z in got)
+        assert dev < 1e-12 * np.abs(want).max()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from qesquartic import branching
-from qesquartic.exactpoly import ExactPoly, resultant
+from qesquartic import branching, intpoly
+from qesquartic.errors import NonConvergence
+from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import PointSet
 from qesquartic.spectral import charpoly_bivariate, spectral_polynomial
+
+from oracles import sylvester_resultant_poly
 
 
 class TestSigmaPolynomial:
@@ -26,14 +29,25 @@ class TestSigmaPolynomial:
     def test_matches_exact_sylvester_route(self, n, tmp_cache):
         # full-polynomial comparison against the fraction-free determinant
         biv = charpoly_bivariate(n)
-        raw = resultant(biv, biv.derivative_x(), "x")
-        ip, _ = raw._int_form()
-        from qesquartic import intpoly
-
-        prim, _ = intpoly.primitive(ip)
+        raw = sylvester_resultant_poly(biv.grid, biv.derivative_x().grid)
+        prim, _ = intpoly.primitive(raw)
         got = branching.sigma_polynomial(n, cache_dir=tmp_cache)
         gip, _ = got._int_form()
         assert prim == gip
+
+    def test_non_generic_nodes_raise(self, monkeypatch):
+        # a node that breaks the remainder-degree sequence at every prime
+        # must end the prime loop, not spin it forever
+        real = branching._resultants_vector_mod
+
+        def flag_first_node(F, G, p):
+            vals, ok = real(F, G, p)
+            ok[0] = False
+            return vals, ok
+
+        monkeypatch.setattr(branching, "_resultants_vector_mod", flag_first_node)
+        with pytest.raises(NonConvergence):
+            branching.discriminant_resultant_exact(3)
 
     def test_mod3_support(self, tmp_cache):
         for n in (4, 7, 9):

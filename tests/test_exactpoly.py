@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qesquartic import intpoly
 from qesquartic.errors import NotDivisible, NotSquarefree
@@ -14,7 +16,12 @@ from qesquartic.exactpoly import (
     resultant,
 )
 
-from oracles import numpy_real_root_count, sylvester_det_by_hand
+from oracles import (
+    numpy_real_root_count,
+    schoolbook_mul,
+    sylvester_det_by_hand,
+    sylvester_resultant_poly,
+)
 
 
 def P(*coeffs):
@@ -46,18 +53,20 @@ class TestExactDiv:
 
 
 class TestResultant:
+    # the three BivariatePoly cases freeze the Z[a] oracle that
+    # test_branching compares the modular resultant against
     def test_linear_pair(self):
         # res_x(x - a, x + a) = 2a
         p = BivariatePoly([[0, -1], [1]])
         q = BivariatePoly([[0, 1], [1]])
-        assert resultant(p, q, "x") == ExactPoly([0, 2], "a")
+        assert sylvester_resultant_poly(p.grid, q.grid) == [0, 2]
 
     def test_quadratic_with_derivative(self):
         # res_x(x^2 - a, 2x): the 3x3 Sylvester determinant is -4a
         # (hand oracle below confirms the sign of the raw determinant)
         p = BivariatePoly([[0, -1], [], [1]])
         q = BivariatePoly([[], [2]])
-        assert resultant(p, q, "x") == ExactPoly([0, -4], "a")
+        assert sylvester_resultant_poly(p.grid, q.grid) == [0, -4]
         hand = sylvester_det_by_hand([-5, 0, 1], [0, 2])   # a = 5
         assert hand == -4 * 5
 
@@ -65,7 +74,12 @@ class TestResultant:
         # res_x(x^3 - 4a x - 4, 3x^2 - 4a) = -(256 a^3 - 432)
         p = BivariatePoly([[-4], [0, -4], [], [1]])
         q = BivariatePoly([[0, -4], [], [3]])
-        assert resultant(p, q, "x") == ExactPoly([432, 0, 0, -256], "a")
+        assert sylvester_resultant_poly(p.grid, q.grid) == [432, 0, 0, -256]
+
+    def test_bivariate_input_refused(self):
+        p = BivariatePoly([[0, -1], [1]])
+        with pytest.raises(TypeError):
+            resultant(p, p)
 
     def test_univariate_matches_hand_oracle(self):
         rng = random.Random(11)
@@ -139,31 +153,55 @@ class TestBivariate:
         assert p == ExactPoly([4, 6, 0, -1])
 
 
+# coefficients at the sign and borrow edges: +-2^k and +-(2^k - 1), zero runs
+_POWERS = st.builds(lambda k, sign, off: sign * (2**k - off),
+                    st.integers(0, 80), st.sampled_from([1, -1]), st.sampled_from([0, 1]))
+_WIDE = st.integers(-2**64, 2**64)
+
+
+@st.composite
+def _int_polys(draw, min_len, max_len):
+    """Ascending int coefficient lists with a nonzero leading coefficient;
+    mixed signs, all positive or all negative."""
+    cs = draw(st.lists(st.one_of(st.just(0), _POWERS, _WIDE),
+                       min_size=min_len - 1, max_size=max_len - 1))
+    cs.append(draw(st.one_of(_POWERS, _WIDE).filter(bool)))
+    sign = draw(st.sampled_from([0, 1, -1]))
+    return cs if sign == 0 else [sign * abs(c) for c in cs]
+
+
 class TestKroneckerMultiplication:
     def test_matches_schoolbook(self):
         rng = random.Random(23)
         for _ in range(80):
             p = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(33, 70))]
             q = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(33, 70))]
-            ref = [0] * (len(p) + len(q) - 1)
-            for i, a in enumerate(p):
-                for j, b in enumerate(q):
-                    ref[i + j] += a * b
-            while ref and ref[-1] == 0:
-                ref.pop()
-            assert intpoly.mul(p, q) == ref
+            assert intpoly.mul(p, q) == schoolbook_mul(p, q)
 
     def test_borrow_rollover(self):
         # sparse structured products exercise the digit-rollover path
         p = [-80, 0, 0, 20, 0, 0, 1] * 7
-        q = list(p)
-        naive = [0] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                naive[i + j] += a * b
-        while naive and naive[-1] == 0:
-            naive.pop()
-        assert intpoly._mul_kronecker(p, q) == naive
+        assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=_int_polys(intpoly.KRONECKER_MIN_LEN - 1, intpoly.KRONECKER_MIN_LEN + 1),
+           q=_int_polys(intpoly.KRONECKER_MIN_LEN - 1, intpoly.KRONECKER_MIN_LEN + 1))
+    def test_threshold_and_edges_match_schoolbook(self, p, q):
+        # both sides of KRONECKER_MIN_LEN through mul, and the packing itself
+        ref = schoolbook_mul(p, q)
+        assert intpoly.mul(p, q) == ref
+        assert intpoly._mul_kronecker(p, q) == ref
+
+
+class TestIntDivExact:
+    @settings(max_examples=100, deadline=None)
+    @given(p=_int_polys(1, 40), q=_int_polys(2, 40), data=st.data())
+    def test_roundtrip_and_remainder(self, p, q, data):
+        prod = intpoly.mul(p, q)
+        assert intpoly.div_exact(prod, q) == p
+        r = data.draw(_int_polys(1, len(q) - 1))
+        with pytest.raises(NotDivisible):
+            intpoly.div_exact(intpoly.add(prod, r), q)
 
 
 def test_degree_cap():

@@ -124,6 +124,13 @@ class TestEigenvalues:
         assert np.array_equal(first, again)
         assert path.read_text() == text
 
+    def test_close_parameters_get_distinct_entries(self, tmp_cache):
+        # 0.3 and 0.1 + 0.2 differ in the last bit only
+        eigenvalues(81, 0.3, cache_dir=tmp_cache)
+        eigenvalues(81, 0.1 + 0.2, cache_dir=tmp_cache)
+        names = sorted(p.name for p in Path(tmp_cache).glob("eigs-*-81.json"))
+        assert names == ["eigs-0p30000000000000004_0-81.json", "eigs-0p3_0-81.json"]
+
 
 class TestZeroAStructure:
     def test_n2(self):
