@@ -11,6 +11,12 @@ largest-modulus roots share their modulus.  This module computes those
 supports, their branch points in beta, the discriminant factorization, the
 support endpoints, and the tau-averaged Cauchy transform taken along the
 unique branch with Psi/beta -> -1 at infinity.
+
+Every cubic here goes through the one vectorized helper
+``rootfind.cubic_roots``, and the hot loops call it on whole batches: the
+support raster of one tau, the bisection of all its flagged raster edges
+(one solve per bisection step), the 2001-point scan of the real axis, and
+the branch continuation of all quadrature taus in lockstep.
 """
 
 from __future__ import annotations
@@ -63,23 +69,38 @@ class SupportSample:
         }
 
 
+def _char_roots(beta, a, tau):
+    """Roots of the characteristic cubic, beta and tau broadcast (last axis 3)."""
+    T = np.asarray(tau, dtype=float)
+    T = T * (1 - T)
+    return cubic_roots(beta, complex(a) * T, -(T * T))
+
+
 def characteristic_roots(beta, a=0.0, tau=0.5):
     """The three roots of the characteristic cubic, stably ordered by modulus
-    (largest first)."""
-    T = tau * (1 - tau)
-    r = cubic_roots(beta, complex(a) * T, -(T * T))
-    return r[np.argsort(-np.abs(r))]
+    (largest first) along the last axis."""
+    r = _char_roots(beta, a, tau)
+    return np.take_along_axis(r, np.argsort(-np.abs(r), axis=-1), axis=-1)
+
+
+def _dominance_gap(beta, a, tau):
+    """(|r_1| - |r_2|) / |r_1| for the two largest root moduli |r_1| >= |r_2|,
+    beta and tau broadcast; inf where all three roots vanish."""
+    return _gap(np.abs(characteristic_roots(beta, a, tau)))
+
+
+def _gap(mods):
+    """The dominance gap from root moduli sorted largest first."""
+    top = mods[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(top > 0, (top - mods[..., 1]) / top, np.inf)
 
 
 def support_membership(beta, a=0.0, tau=0.5, tol=EQUIMODULAR_TOL) -> bool:
     """True iff the two largest-modulus cubic roots are equimodular to tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    r = characteristic_roots(beta, a, tau)
-    m0, m1 = abs(r[0]), abs(r[1])
-    if m0 == 0:
-        return False
-    return (m0 - m1) / m0 < tol
+    return bool(_dominance_gap(beta, a, tau) < tol)
 
 
 def branch_points(a=0.0, tau=0.5):
@@ -151,42 +172,51 @@ def endpoint_cubic_exact(a3: Fraction, a_linear: Fraction):
 
 
 def psi_branch(beta, a, tau, start_radius=None, steps=48, max_halvings=48):
-    """Psi~ at beta: the cubic root with Psi/beta -> -1, continued inward.
+    """Psi~ at beta and one tau: the single lane of ``_psi_branches``."""
+    return _psi_branches(beta, a, [tau], start_radius, steps, max_halvings)[0]
+
+
+def _psi_branches(beta, a, taus, start_radius=None, steps=48, max_halvings=48):
+    """Psi~ at beta for every tau in taus: the cubic root with Psi/beta -> -1,
+    continued inward.
 
     Continuation runs along the straight ray arg(z) = arg(beta) from
-    |z| = 10(1+|a|) down to |beta|; at each step the root nearest the
-    previous value is taken, halving the step whenever the nearest and the
-    next-nearest root are not cleanly separated.
+    |z| = 10(1+|a|) down to |beta|, all taus in lockstep: at each radius
+    every lane takes the root nearest its previous value.  Whenever some
+    lane's nearest and next-nearest roots are not cleanly separated, the
+    step is halved for all lanes; each lane may ask for max_halvings halvings.
     """
     beta = complex(beta)
     a = complex(a)
-    T = tau * (1 - tau)
+    taus = np.asarray(taus, dtype=float)
+    T = taus * (1 - taus)
+    c, d = a * T, -(T * T)
     phase = beta / abs(beta)
     R0 = start_radius if start_radius is not None else 10.0 * (1 + abs(a))
     R0 = max(R0, 2 * abs(beta))
     radii = list(np.geomspace(R0, abs(beta), steps))
-    psi = None
-    halvings = 0
-    i = 0
-    prev_rad = None
+    lanes = np.arange(len(T))
+    roots = cubic_roots(radii[0] * phase, c, d)
+    psi = roots[lanes, np.argmin(np.abs(roots + radii[0] * phase), axis=-1)]
+    halvings = np.zeros(len(T), dtype=int)
+    prev_rad = radii[0]
+    i = 1
     while i < len(radii):
         rad = radii[i]
-        roots = cubic_roots(rad * phase, a * T, -(T * T))
-        if psi is None:
-            psi = roots[np.argmin(np.abs(roots - (-rad * phase)))]
-            prev_rad = rad
-            i += 1
-            continue
-        dist = np.sort(np.abs(roots - psi))
-        if dist[0] > 0.5 * dist[1]:
-            if halvings >= max_halvings:
+        roots = cubic_roots(rad * phase, c, d)
+        dist = np.abs(roots - psi[:, None])
+        near = np.sort(dist, axis=-1)
+        ambiguous = near[:, 0] > 0.5 * near[:, 1]
+        if ambiguous.any():
+            floor = np.flatnonzero(ambiguous & (halvings >= max_halvings))
+            if len(floor):
                 raise BranchCollision(
-                    f"refinement floor at |beta|={rad:.4g} (tau={tau:.4f})"
+                    f"refinement floor at |beta|={rad:.4g} (tau={taus[floor[0]]:.4f})"
                 )
             radii.insert(i, 0.5 * (prev_rad + rad))
-            halvings += 1
+            halvings += ambiguous
             continue
-        psi = roots[int(np.argmin(np.abs(roots - psi)))]
+        psi = roots[lanes, np.argmin(dist, axis=-1)]
         prev_rad = rad
         i += 1
     return psi
@@ -201,6 +231,8 @@ def cauchy_nu(beta, a=0.0, quadrature_order=64, tol=1e-10, membership_tol=EQUIMO
     """
     beta = complex(beta)
     a = complex(a)
+    if membership_tol <= 0:
+        raise ValueError("membership_tol must be positive")
     if beta == 0:
         raise InsideSupport("beta = 0 lies on every support")
     order = quadrature_order
@@ -210,15 +242,14 @@ def cauchy_nu(beta, a=0.0, quadrature_order=64, tol=1e-10, membership_tol=EQUIMO
         taus = 0.5 * (nodes + 1.0)
         ws = 0.5 * weights
         # membership precheck on the quadrature grid
-        for t in taus[:: max(1, order // 16)]:
-            if support_membership(beta, a, t, membership_tol):
-                raise InsideSupport(f"beta={beta} is on the tau={t:.3f} support")
-        total = 0j
-        for t, w in zip(taus, ws):
-            T = t * (1 - t)
-            psi = psi_branch(beta, a, t)
-            dpsi = -(psi * psi) / (3 * psi * psi + 2 * beta * psi + a * T)
-            total += w * dpsi / psi
+        probe = taus[:: max(1, order // 16)]
+        inside = probe[_dominance_gap(beta, a, probe) < membership_tol]
+        if len(inside):
+            raise InsideSupport(f"beta={beta} is on the tau={inside[0]:.3f} support")
+        T = taus * (1 - taus)
+        psi = _psi_branches(beta, a, taus)
+        dpsi = -(psi * psi) / (3 * psi * psi + 2 * beta * psi + a * T)
+        total = complex(np.sum(ws * dpsi / psi))
         if prev is not None and abs(total - prev) < tol:
             return total
         prev = total
@@ -273,52 +304,32 @@ def _chain_polylines(pts, break_factor=4.0):
     return [l for l in legs if l]
 
 
-def _cubic_roots_batch(betas, a, tau):
-    """Roots of the characteristic cubic at many beta values (batched eig)."""
-    betas = np.asarray(betas, dtype=complex)
-    T = tau * (1 - tau)
-    m = betas.shape[0]
-    C = np.zeros((m, 3, 3), dtype=complex)
-    C[:, 1, 0] = 1.0
-    C[:, 2, 1] = 1.0
-    C[:, 0, 2] = T * T
-    C[:, 1, 2] = -complex(a) * T
-    C[:, 2, 2] = -betas
-    return np.linalg.eigvals(C)
-
-
-def _dominance_gap(beta, a, tau):
-    r = np.sort(np.abs(cubic_roots(beta, complex(a) * tau * (1 - tau),
-                                   -(tau * (1 - tau)) ** 2)))
-    return (r[2] - r[1]) / r[2] if r[2] > 0 else 1.0
-
-
-def _refine_edge(b0, b1, a, tau, steps=36):
-    """Bisect the equimodular-curve crossing on the segment [b0, b1].
+def _refine_edges(b0, b1, a, tau, steps=36):
+    """Bisect the equimodular-curve crossing on every segment [b0[k], b1[k]]
+    at once.
 
     The curve is where the largest-modulus root hands over to another root;
-    the handover flips the sign of |r_i| - |r_j| for the continued pair.
+    the handover flips the sign of |r_i| - |r_j| for the continued pair.  The
+    root continued is the one nearest the dominant root at b0.
     """
-    T = tau * (1 - tau)
+    b0 = np.asarray(b0, dtype=complex)
+    r0 = _char_roots(b0, a, tau)
+    ref = np.take_along_axis(r0, np.argmax(np.abs(r0), axis=-1)[:, None], axis=-1)
 
-    def top_two_gap(b, ref_roots):
-        roots = cubic_roots(b, complex(a) * T, -(T * T))
-        # continue the previously-largest root by proximity
-        j = int(np.argmin(np.abs(roots - ref_roots[0])))
-        other = np.delete(roots, j)
-        return abs(roots[j]) - np.abs(other).max(), roots
+    def top_two_gap(roots):
+        j = np.argmin(np.abs(roots - ref), axis=-1)[:, None]
+        mods = np.abs(roots)
+        mj = np.take_along_axis(mods, j, axis=-1)[:, 0]
+        np.put_along_axis(mods, j, -np.inf, axis=-1)
+        return mj - mods.max(axis=-1)
 
-    roots0 = cubic_roots(b0, complex(a) * T, -(T * T))
-    roots0 = roots0[np.argsort(-np.abs(roots0))]
-    g0, _ = top_two_gap(b0, roots0)
-    lo, hi = b0, b1
+    positive = top_two_gap(r0) > 0
+    lo, hi = b0, np.asarray(b1, dtype=complex)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        gm, _ = top_two_gap(mid, roots0)
-        if (gm > 0) == (g0 > 0):
-            lo = mid
-        else:
-            hi = mid
+        same = (top_two_gap(_char_roots(mid, a, tau)) > 0) == positive
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -360,29 +371,20 @@ def union_support(a=0.0, tau_grid=None, beta_grid=None, tol=EQUIMODULAR_TOL,
 
 
 def _support_curve_points(grid, a, tau, tol):
-    flat = grid.ravel()
-    roots = _cubic_roots_batch(flat, a, tau)
-    order = np.argsort(-np.abs(roots), axis=1)
-    top = np.take_along_axis(roots, order[:, :1], axis=1)[:, 0].reshape(grid.shape)
-    mods = np.sort(np.abs(roots), axis=1)
-    gap = ((mods[:, 2] - mods[:, 1]) / np.maximum(mods[:, 2], 1e-300))
-    gap = gap.reshape(grid.shape)
-    member = (gap < tol).ravel()
-    found = list(flat[member])
+    roots = characteristic_roots(grid, a, tau)
+    top = roots[..., 0]
+    member = _gap(np.abs(roots)) < tol
     # dominance handover along horizontal and vertical edges
-    for axis in (0, 1):
-        t0 = top if axis == 0 else top.T
-        g = grid if axis == 0 else grid.T
+    b0, b1 = [], []
+    for t0, g in ((top, grid), (top.T, grid.T)):
         # a handover is a jump of the dominant root larger than the local move
         jump = np.abs(np.diff(t0, axis=1))
         scale = np.abs(np.diff(g, axis=1)) + np.abs(t0[:, :-1]) * 0.05 + 1e-12
-        idx = np.argwhere(jump > 0.5 * scale)
-        for i, j in idx:
-            b0, b1 = g[i, j], g[i, j + 1]
-            pt = _refine_edge(b0, b1, a, tau)
-            if _dominance_gap(pt, a, tau) < tol:
-                found.append(pt)
-    return np.asarray(found, dtype=complex)
+        i, j = np.nonzero(jump > 0.5 * scale)
+        b0.append(g[i, j])
+        b1.append(g[i, j + 1])
+    pts = _refine_edges(np.concatenate(b0), np.concatenate(b1), a, tau)
+    return np.concatenate([grid[member], pts[_dominance_gap(pts, a, tau) < tol]])
 
 
 def real_support_interval(a, refine_tol=1e-8):
@@ -396,10 +398,10 @@ def real_support_interval(a, refine_tol=1e-8):
     a = float(a)
     B = 2.0 + abs(a) ** 1.5
     xs = np.linspace(-B, B, 2001)
-    inside = [x for x in xs if support_membership(x, a, 0.5)]
-    if not inside:
+    inside = xs[_dominance_gap(xs, a, 0.5) < EQUIMODULAR_TOL]
+    if not len(inside):
         raise InsideSupport("no support found on the real axis")
-    lo_rough, hi_rough = min(inside), max(inside)
+    lo_rough, hi_rough = inside[0], inside[-1]
     step = xs[1] - xs[0]
 
     def refine(inner, outer):
@@ -418,35 +420,25 @@ def real_support_interval(a, refine_tol=1e-8):
 
 def recurrence_roots(tau, a=0.0, k_max=150) -> PointSet:
     """Roots (in beta) of the k_max-th solution polynomial of the frozen
-    recurrence with D^(-2)=D^(-1)=0, D^(0)=1.
+    recurrence with D^(-2)=D^(-1)=0, D^(0)=1, at a = 0.
 
-    At a = 0 the solution polynomial is supported on every third degree, so
-    the roots are computed through the cubic substitution from the exact
-    polynomial at the rational value tau holds (a float tau is taken as the
-    binary fraction it stores); this pins them onto the three rays instead
-    of smearing them with rounding noise.
+    The solution polynomial is supported on every third degree, so the roots
+    are computed through the cubic substitution from the exact polynomial at
+    the rational value tau holds (a float tau is taken as the binary fraction
+    it stores); this pins them onto the three rays instead of smearing them
+    with rounding noise.  a != 0 is refused: a float recurrence with
+    ``np.roots`` lands a third to nine tenths of the largest root modulus
+    off at k_max = 100..150.
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
     a = complex(a)
+    if a != 0:
+        raise ValueError("recurrence_roots is computed at a = 0 only")
     if tau in (0, 1):
-        return PointSet(np.zeros(k_max, dtype=complex),
-                        label=f"recurrence roots tau={tau}",
-                        meta={"tau": tau, "a": [a.real, a.imag], "k_max": k_max})
-    if a == 0:
-        pts = _recurrence_roots_structured(tau, k_max)
+        pts = np.zeros(k_max, dtype=complex)
     else:
-        T = tau * (1 - tau)
-        p3, p2, p1 = None, None, np.array([1.0 + 0j])
-        for _ in range(k_max):
-            new = np.zeros(len(p1) + 1, dtype=complex)
-            new[1:] -= p1
-            if p2 is not None:
-                new[: len(p2)] -= a * T * p2
-            if p3 is not None:
-                new[: len(p3)] += T * T * p3
-            p3, p2, p1 = p2, p1, new
-        pts = np.roots(p1[::-1])
+        pts = _recurrence_roots_structured(tau, k_max)
     return PointSet(pts, label=f"recurrence roots tau={tau}",
                     meta={"tau": tau, "a": [a.real, a.imag], "k_max": k_max})
 

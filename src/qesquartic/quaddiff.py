@@ -20,6 +20,7 @@ calibration, the singular one reaches ~30).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -160,7 +161,7 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
         Q = -quartic_value(Tc, a, L)
         if Q == 0:
             return dprev
-        u = np.exp(-0.5j * np.angle(Q))
+        u = cmath.exp(-0.5j * cmath.phase(Q))
         return u if (u / dprev).real >= 0 else -u
 
     path = [T]

@@ -360,29 +360,35 @@ def residual_scale_aware(coeffs, z, dps=60):
     return math.exp(log_p - log_den)
 
 
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3) ** np.arange(3)
+
+
 def cubic_roots(b, c, d):
-    """Roots of z^3 + b z^2 + c z + d, numerically stable closed form."""
-    b = complex(b)
-    c = complex(c)
-    d = complex(d)
-    p = c - b * b / 3
-    q = 2 * b**3 / 27 - b * c / 3 + d
-    disc = (q / 2) ** 2 + (p / 3) ** 3
-    sq = np.sqrt(complex(disc))
-    # pick the better-conditioned cube-root branch
-    u3a = -q / 2 + sq
-    u3b = -q / 2 - sq
-    u3 = u3a if abs(u3a) >= abs(u3b) else u3b
-    if u3 == 0:
-        u = 0j
-    else:
-        u = u3 ** (1 / 3)
-    w = np.exp(2j * np.pi / 3)
-    roots = []
-    for k in range(3):
-        uk = u * w**k
-        if uk == 0:
-            roots.append(-b / 3)
-        else:
-            roots.append(uk - p / (3 * uk) - b / 3)
-    return np.array(roots)
+    """Roots of z^3 + b z^2 + c z + d, broadcast over b, c and d.
+
+    The one cubic solver of the package: it serves a whole raster, edge batch
+    or quadrature grid of the frozen-recurrence cubic in one call as well as
+    the branch-point and endpoint cubics at a single parameter.  Cardano's
+    form takes the cube-root argument -q/2 +- sqrt(disc) of larger modulus
+    (the other one cancels); one Newton step then removes most of the
+    rounding that form leaves, and is kept wherever it does not increase
+    |p(z)|.  The roots lie along a last axis of length 3, so scalar
+    coefficients give an array of shape (3,).
+    """
+    # contiguous copies at the common shape: numpy may round a broadcast
+    # (stride-0) operand differently, and each row must not depend on the batch
+    b, c, d = (np.array(x, dtype=complex)[..., None]
+               for x in np.broadcast_arrays(b, c, d))
+    b3 = b / 3
+    p3 = c / 3 - b3 * b3                  # p/3, with p = c - b^2/3
+    h = b3 * (b3 * b3 - c / 2) + d / 2    # q/2, with q = 2b^3/27 - bc/3 + d
+    sq = np.sqrt(h * h + p3 * p3 * p3)
+    # |-h + sq| >= |-h - sq| exactly when Re(conj(h) sq) <= 0
+    u3 = np.where((h.conjugate() * sq).real <= 0, sq, -sq) - h
+    u = u3 ** (1 / 3) * _CUBE_ROOTS_OF_UNITY
+    with np.errstate(all="ignore"):          # bad steps are dropped below
+        z = np.where(u == 0, -b3, u - p3 / u - b3)
+        f = ((z + b) * z + c) * z + d
+        newton = z - f / ((3 * z + 2 * b) * z + c)
+        f_newton = ((newton + b) * newton + c) * newton + d
+    return np.where(np.isfinite(newton) & (np.abs(f_newton) <= np.abs(f)), newton, z)

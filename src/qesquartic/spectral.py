@@ -174,8 +174,9 @@ def _eigs_poly_general(n, a):
 
 
 def _a_token(a: complex) -> str:
-    # shortest round-trip repr: distinct doubles never share a token
-    s = "_".join(repr(x).removesuffix(".0") for x in (a.real, a.imag))
+    # shortest round-trip repr: distinct doubles never share a token; x + 0.0
+    # turns -0.0 into 0.0, so -2j and complex(0, -2) share one entry
+    s = "_".join(repr(x + 0.0).removesuffix(".0") for x in (a.real, a.imag))
     return s.replace("-", "m").replace(".", "p").replace("+", "")
 
 

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# exact and multiprecision examples vary widely in cost: no per-example deadline
+settings.register_profile("qesquartic", deadline=None)
+settings.load_profile("qesquartic")
 
 
 @pytest.fixture(autouse=True, scope="session")

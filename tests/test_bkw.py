@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qesquartic import bkw
-from qesquartic.errors import InsideSupport
+from qesquartic.errors import BranchCollision, InsideSupport
 
 
 class TestCharacteristicRoots:
@@ -159,6 +159,28 @@ class TestCauchyNu:
                 assert abs(val) < 1e-12
 
 
+class TestBatchedContinuation:
+    TAUS = (np.arange(16) + 0.5) / 16
+
+    @pytest.mark.parametrize("beta, a", [(2.0 + 0.5j, 0.7), (0.8 + 0.05j, 0),
+                                         (0.9 + 0.1j, 0.5 - 0.5j)])
+    def test_scalar_branch_is_its_lane(self, beta, a):
+        # lanes share every halving; the continued root, hence the value, is
+        # that of a ray continued alone
+        lanes = bkw._psi_branches(beta, a, self.TAUS)
+        for t, psi in zip(self.TAUS, lanes):
+            assert bkw.psi_branch(beta, a, t) == psi
+
+    def test_no_halvings_left_raises(self):
+        # this ray needs one halving at tau = 1/2
+        beta = 0.74 + 0.01j
+        assert np.isfinite(bkw.psi_branch(beta, 0, 0.5, max_halvings=1))
+        with pytest.raises(BranchCollision):
+            bkw.psi_branch(beta, 0, 0.5, max_halvings=0)
+        with pytest.raises(BranchCollision):
+            bkw._psi_branches(beta, 0, [0.1, 0.5], max_halvings=0)
+
+
 class TestUnionSupport:
     def test_zero_parameter_legs(self):
         sup = bkw.union_support(0, tau_grid=[0.2, 0.35, 0.5], grid_size=31)
@@ -208,6 +230,10 @@ class TestRecurrenceRoots:
         limit = (27 / 4 * (0.25 * 0.75) ** 2) ** (1 / 3)
         assert np.abs(ps.points).max() < limit + 1e-3
         assert np.abs(ps.points).max() > limit - 0.05
+
+    def test_nonzero_parameter_refused(self):
+        with pytest.raises(ValueError):
+            bkw.recurrence_roots(0.5, 1j, 50)
 
     def test_kmax_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -52,6 +53,33 @@ class TestExactDiv:
             assert exact_div(p * q, q) == p
 
 
+@st.composite
+def _split_real_polys(draw):
+    """(coeffs, real roots): up to six distinct real roots k or k/3 in
+    [-20, 20] and complex pairs u +- iv with v >= 1, times a small leading
+    factor."""
+    real = draw(st.lists(st.fractions(-20, 20).filter(lambda r: r.denominator in (1, 3)),
+                         unique=True, max_size=6))
+    pairs = draw(st.lists(st.tuples(st.integers(-10, 10), st.integers(1, 5)),
+                          min_size=0 if real else 1, max_size=2, unique=True))
+    p = ExactPoly([draw(st.sampled_from([1, -1, 3, -7]))])
+    for r in real:
+        p = p * ExactPoly([-r.numerator, r.denominator])
+    for u, v in pairs:
+        p = p * ExactPoly([u * u + v * v, -2 * u, 1])
+    return p._int_form()[0], real
+
+
+# lo < hi, each k + 1/2 (never a root k or k/3) or infinite
+_INTERVAL = st.lists(st.one_of(st.integers(-24, 23).map(lambda k: Fraction(2 * k + 1, 2)),
+                               st.sampled_from([-math.inf, math.inf])),
+                     min_size=2, max_size=2, unique=True).map(sorted)
+
+
+_SMALL_POLY = st.lists(st.fractions(-9, 9, max_denominator=4), min_size=2,
+                       max_size=6).filter(lambda cs: cs[-1] != 0)
+
+
 class TestResultant:
     # the three BivariatePoly cases freeze the Z[a] oracle that
     # test_branching compares the modular resultant against
@@ -81,13 +109,10 @@ class TestResultant:
         with pytest.raises(TypeError):
             resultant(p, p)
 
-    def test_univariate_matches_hand_oracle(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            p = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 5)]
-            q = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 5)]
-            got = resultant(ExactPoly(p), ExactPoly(q))
-            assert got == sylvester_det_by_hand(p, q)
+    @settings(max_examples=40)
+    @given(_SMALL_POLY, _SMALL_POLY)
+    def test_univariate_matches_hand_oracle(self, p, q):
+        assert resultant(ExactPoly(p), ExactPoly(q)) == sylvester_det_by_hand(p, q)
 
     def test_discriminant_detects_multiple_roots(self):
         rng = random.Random(5)
@@ -126,18 +151,17 @@ class TestRealRoots:
         assert exc.value.gcd_factor is not None
         assert exc.value.gcd_factor.degree == 1
 
-    def test_count_matches_numpy_oracle(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            roots = rng.sample(range(-30, 30), rng.randint(1, 6))
-            coeffs = [1]
-            p = ExactPoly([1])
-            for rt in roots:
-                p = p * ExactPoly([-rt, 1])
-            lo, hi = -40, 40
-            count, _ = real_roots(p, lo, hi)
-            ip, _ = p._int_form()
-            assert count == numpy_real_root_count(ip, lo, hi) == len(roots)
+    @settings(max_examples=80)
+    @given(_split_real_polys(), _INTERVAL)
+    def test_count_matches_numpy_oracle(self, poly, interval):
+        coeffs, real = poly
+        lo, hi = interval
+        count = intpoly.sturm_count(intpoly.sturm_sequence(coeffs), lo, hi)
+        assert count == numpy_real_root_count(coeffs, lo, hi)
+        assert count == sum(lo < r <= hi for r in real)
+        isolated, _ = real_roots(ExactPoly(coeffs), *(None if math.isinf(x) else x
+                                                       for x in (lo, hi)))
+        assert isolated == count
 
 
 class TestBivariate:
@@ -183,7 +207,7 @@ class TestKroneckerMultiplication:
         p = [-80, 0, 0, 20, 0, 0, 1] * 7
         assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(p=_int_polys(intpoly.KRONECKER_MIN_LEN - 1, intpoly.KRONECKER_MIN_LEN + 1),
            q=_int_polys(intpoly.KRONECKER_MIN_LEN - 1, intpoly.KRONECKER_MIN_LEN + 1))
     def test_threshold_and_edges_match_schoolbook(self, p, q):
@@ -194,7 +218,7 @@ class TestKroneckerMultiplication:
 
 
 class TestIntDivExact:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(p=_int_polys(1, 40), q=_int_polys(2, 40), data=st.data())
     def test_roundtrip_and_remainder(self, p, q, data):
         prod = intpoly.mul(p, q)

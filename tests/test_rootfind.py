@@ -1,5 +1,8 @@
-"""The fixed-point (p, p') kernel and the Aberth solver built on it."""
+"""The fixed-point (p, p') kernel, the Aberth solver built on it, and the
+vectorized cubic helper."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -60,7 +63,7 @@ def _coefficients(draw):
     return coeffs
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(coeffs=_coefficients(),
        scale=st.sampled_from([1.0, 0.75 * 2.0**-10, 3.0e5]),
        z=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
@@ -115,7 +118,7 @@ def test_known_roots_with_cluster():
     _assert_certified(_from_roots(real, pairs), truth)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=64),
                 min_size=2, max_size=14, unique=True))
 def test_known_real_roots(real):
@@ -184,3 +187,74 @@ def test_threefold_roots_of_x2_g_x3():
         z = got[2:][nearest == k]
         turned = z * np.exp(2j * np.pi / 3)
         assert np.abs(turned[:, None] - z[None, :]).min(axis=1).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the vectorized cubic helper
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+_ROOT = st.one_of(
+    st.just(0j),
+    st.builds(lambda m, t: m * np.exp(1j * t),
+              st.floats(1e-3, 1e3), st.floats(0, 2 * np.pi)),
+)
+
+
+@st.composite
+def _known_cubic_roots(draw):
+    """Three roots: free, with a pair 1e-6 apart, or with one root at 0 (d = 0)."""
+    r = [draw(_ROOT), draw(_ROOT), draw(_ROOT)]
+    kind = draw(st.sampled_from(["free", "pair", "zero"]))
+    if kind == "pair":
+        r[2] = r[1] + 1e-6 * np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+    elif kind == "zero":
+        r[2] = 0j
+    return [complex(x) for x in r]
+
+
+def _monic_from_roots(r):
+    return (-(r[0] + r[1] + r[2]), r[0] * r[1] + r[0] * r[2] + r[1] * r[2],
+            -r[0] * r[1] * r[2])
+
+
+@settings(max_examples=300)
+@given(_known_cubic_roots())
+def test_cubic_roots_recovered(roots):
+    """Each root within 8 eps sum_k |c_k| s^k / |p'(r)| (s the largest root
+    modulus): the rounding of the coefficients over the root's condition;
+    a multiple root is allowed the eps^(1/3) s of a triple one."""
+    b, c, d = _monic_from_roots(roots)
+    got = rootfind.cubic_roots(b, c, d)
+    assert got.shape == (3,)
+    s = max(abs(x) for x in roots)
+    scale = s**3 + abs(b) * s**2 + abs(c) * s + abs(d)
+    tol = []
+    for i, r in enumerate(roots):
+        dp = abs(math.prod(r - x for j, x in enumerate(roots) if j != i))
+        tol.append(min(8 * EPS * scale / dp if dp else np.inf, 4 * EPS ** (1 / 3) * s))
+    best = min(max(abs(got[p[i]] - roots[i]) - tol[i] for i in range(3))
+               for p in itertools.permutations(range(3)))
+    assert best <= 0
+
+
+@settings(max_examples=50)
+@given(st.lists(_known_cubic_roots(), min_size=1, max_size=12),
+       st.sampled_from(["full", "scalar b", "scalar c, d"]))
+def test_cubic_roots_broadcast_rows_match_scalar_calls(cubics, layout):
+    b, c, d = (np.array(x) for x in zip(*map(_monic_from_roots, cubics)))
+    if layout == "scalar b":
+        b = b[0]
+    elif layout == "scalar c, d":
+        c, d = c[0], d[0]
+    batch = rootfind.cubic_roots(b, c, d)
+    assert batch.shape == (len(cubics), 3)
+    for k, row in enumerate(batch):
+        one = rootfind.cubic_roots(*(x if np.ndim(x) == 0 else x[k] for x in (b, c, d)))
+        lane = rootfind.cubic_roots(*(x if np.ndim(x) == 0 else x[k:k + 1]
+                                      for x in (b, c, d)))
+        assert np.array_equal(one, row) and np.array_equal(lane, row[None])
+    column = [np.reshape(x, (-1, 1)) if np.ndim(x) else x for x in (b, c, d)]
+    grid = rootfind.cubic_roots(*column)     # an extra axis
+    assert grid.shape == (len(cubics), 1, 3)
+    assert np.array_equal(grid[:, 0], batch)

@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from qesquartic.errors import TooClose
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.spectral import (
+    DENSE_EIG_MAX_N,
     build_matrix,
     charpoly_bivariate,
     empirical_cauchy,
@@ -130,6 +131,16 @@ class TestEigenvalues:
         eigenvalues(81, 0.1 + 0.2, cache_dir=tmp_cache)
         names = sorted(p.name for p in Path(tmp_cache).glob("eigs-*-81.json"))
         assert names == ["eigs-0p30000000000000004_0-81.json", "eigs-0p3_0-81.json"]
+
+    def test_signed_zero_shares_one_entry(self, tmp_cache):
+        # -2j is complex(-0.0, -2.0); below the dense threshold nothing is
+        # cached, so n is the smallest cached size
+        n = DENSE_EIG_MAX_N + 1
+        first = eigenvalues(n, -2j, cache_dir=tmp_cache).points
+        again = eigenvalues(n, complex(0, -2), cache_dir=tmp_cache).points
+        names = [p.name for p in Path(tmp_cache).glob("eigs-*.json")]
+        assert names == [f"eigs-0_m2-{n}.json"]
+        assert np.array_equal(first, again)
 
 
 class TestZeroAStructure:

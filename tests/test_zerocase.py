@@ -117,14 +117,14 @@ LEADING = st.sampled_from([1, -1, 3, -7])
 
 
 class TestInterlacingProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(interlaced_roots(), LEADING, LEADING)
     def test_interlacing(self, roots, cp, cq):
         p_roots, q_roots = roots
         v = certify_interlacing(from_roots(p_roots, cp), from_roots(q_roots, cq))
         assert v == "interlacing-with-largest-in-p"
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(interlaced_roots(), LEADING, LEADING)
     def test_swapped(self, roots, cp, cq):
         p_roots, q_roots = roots
@@ -132,7 +132,7 @@ class TestInterlacingProperties:
         v = certify_interlacing(from_roots(q_roots, cq), from_roots(p_roots, cp))
         assert v == "not-interlacing"
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(interlaced_roots(), LEADING, LEADING, st.data())
     def test_shifted_root(self, roots, cp, cq, data):
         # one root of q moved above the largest root of p
@@ -143,7 +143,7 @@ class TestInterlacingProperties:
         v = certify_interlacing(from_roots(p_roots, cp), from_roots(q_roots, cq))
         assert v == "not-interlacing"
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(interlaced_roots(), LEADING, LEADING, st.data())
     def test_shared_root(self, roots, cp, cq, data):
         p_roots, q_roots = roots
