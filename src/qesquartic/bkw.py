@@ -17,6 +17,10 @@ Every cubic here goes through the one vectorized helper
 support raster of one tau, the bisection of all its flagged raster edges
 (one solve per bisection step), the 2001-point scan of the real axis, and
 the branch continuation of all quadrature taus in lockstep.
+
+The frozen recurrence itself is solved exactly at a = 0: its solution
+polynomials are scaled to integer ones at the rational tau and built in
+``intpoly``, and their roots come from ``rootfind.threefold_roots``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import intpoly
 from .errors import BranchCollision, InsideSupport, NonConvergence
 from .exactpoly import ExactPoly
 from .pointset import PointSet
-from .rootfind import cubic_roots
+from .rootfind import cubic_roots, threefold_roots
 
 EQUIMODULAR_TOL = 1e-4
 
@@ -162,13 +167,6 @@ def support_endpoints(a=0.0):
     """
     a = complex(a)
     return cubic_roots(a * a / 4, -9 * a / 8, (-(a**3) - 27 / 16) / 4)
-
-
-def endpoint_cubic_exact(a3: Fraction, a_linear: Fraction):
-    """Exact ascending coefficients of the endpoint cubic in L."""
-    a3 = Fraction(a3)
-    a1 = Fraction(a_linear)
-    return [-a3 - Fraction(27, 16), -Fraction(9, 2) * a1, a1 * a1, Fraction(4)]
 
 
 def psi_branch(beta, a, tau, start_radius=None, steps=48, max_halvings=48):
@@ -438,30 +436,24 @@ def recurrence_roots(tau, a=0.0, k_max=150) -> PointSet:
     if tau in (0, 1):
         pts = np.zeros(k_max, dtype=complex)
     else:
-        pts = _recurrence_roots_structured(tau, k_max)
+        pts = threefold_roots(_frozen_recurrence(tau, k_max))
     return PointSet(pts, label=f"recurrence roots tau={tau}",
                     meta={"tau": tau, "a": [a.real, a.imag], "k_max": k_max})
 
 
-def _recurrence_roots_structured(tau, k_max):
-    from fractions import Fraction as F
+def _frozen_recurrence(tau, k):
+    """Primitive integer form of D_k, the k-th solution polynomial in beta
+    of D_k = -beta D_(k-1) + (tau(1-tau))^2 D_(k-3), D_0 = 1, D_-1 = D_-2 = 0.
 
-    from . import intpoly
-    from .rootfind import threefold_roots
-
-    tq = F(tau)
-    T2 = (tq * (1 - tq)) ** 2
-    p3, p2, p1 = None, None, [F(1)]
-    for _ in range(k_max):
-        new = [F(0)] * (len(p1) + 1)
-        for i, c in enumerate(p1):
-            new[i + 1] -= c
-        if p3 is not None:
-            for i, c in enumerate(p3):
-                new[i] += T2 * c
-        p3, p2, p1 = p2, p1, new
-    den = 1
-    for c in p1:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    p1 = intpoly.primitive([int(c * den) for c in p1])[0]
-    return threefold_roots(p1)
+    With tau = p/q, u = (p(q-p))^2 and v = q^4, E_k = v^floor(k/3) D_k has
+    integer coefficients and obeys E_k = -beta v^[3|k] E_(k-1) + u E_(k-3),
+    so the recurrence runs in ``intpoly`` with no Fraction arithmetic.
+    """
+    t = Fraction(tau)
+    p, q = t.numerator, t.denominator
+    u, v = (p * (q - p)) ** 2, q ** 4
+    e3, e2, e1 = [], [], [1]
+    for j in range(1, k + 1):
+        e = intpoly.neg([0] + (intpoly.scale(e1, v) if j % 3 == 0 else e1))
+        e3, e2, e1 = e2, e1, intpoly.add(e, intpoly.scale(e3, u))
+    return intpoly.primitive(e1)[0]

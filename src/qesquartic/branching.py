@@ -274,7 +274,7 @@ def sigma_points(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> Branch
     is carried on the result for callers that actually need the grid.
     """
     poly = sigma_polynomial(n, cap=cap, cache_dir=cache_dir)
-    ip, _ = poly._int_form()
+    ip = poly.num
     pts = rootfind.threefold_roots(ip)
     pts = np.asarray(sorted(pts, key=lambda z: (z.real, z.imag)), dtype=complex)
     ps = PointSet(pts, label=f"branching points n={n}", meta={"n": n})
@@ -426,59 +426,6 @@ def distinct_imag_report(n: int, tol: float = 1e-9, cache_dir=None) -> dict:
     return {"n": n, "nonreal_count": len(nonreal), "violations": viol,
             "all_distinct": not viol,
             "min_gap": float(gaps.min()) if len(gaps) else math.inf}
-
-
-def sigma_points_numeric(n: int, window=None, grid: int = 160,
-                         gap_tol: float = 1e-6) -> PointSet:
-    """NON-EXACT fallback beyond the exact-resultant cap.
-
-    Scans an a-grid for near-collisions of eigenvalues and polishes each
-    local minimum by minimizing gap^4 (the gap is a sqrt-type cone at a
-    collision, so its fourth power is smooth there).  The result is a
-    numerical estimate: points can be missed or duplicated near the grid
-    resolution, unlike the exact route, and nothing here is certified.
-    """
-    from scipy.optimize import minimize
-
-    from .spectral import build_matrix
-
-    if window is None:
-        R = 1.15 * SCALE_CONSTANT * n ** (2.0 / 3.0)
-        window = (-R, R, -R, R)
-    re0, re1, im0, im1 = window
-
-    def min_gap(a):
-        lam = np.linalg.eigvals(build_matrix(n, complex(a[0], a[1])).matrix)
-        D = np.abs(lam[:, None] - lam[None, :]) + np.diag([np.inf] * len(lam))
-        return float(D.min())
-
-    xs = np.linspace(re0, re1, grid)
-    ys = np.linspace(im0, im1, grid)
-    gap = np.empty((grid, grid))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            gap[i, j] = min_gap((x, y))
-    scale = float(np.median(gap))
-    found = []
-    thresh = np.percentile(gap, 15)
-    for i in range(1, grid - 1):
-        for j in range(1, grid - 1):
-            v = gap[i, j]
-            if v > thresh:
-                continue
-            if v == gap[i - 1 : i + 2, j - 1 : j + 2].min():
-                res = minimize(lambda a: min_gap(a) ** 4,
-                               x0=[xs[i], ys[j]], method="Nelder-Mead",
-                               options={"xatol": 1e-12, "fatol": 0,
-                                        "maxiter": 800})
-                if res.fun ** 0.25 < gap_tol * max(scale, 1.0):
-                    z = complex(res.x[0], res.x[1])
-                    if all(abs(z - w) > 1e-5 for w in found):
-                        found.append(z)
-    pts = np.asarray(sorted(found, key=lambda z: (z.real, z.imag)),
-                     dtype=complex)
-    return PointSet(pts, label=f"branching points n={n} (numeric, non-exact)",
-                    meta={"n": n, "exact": False, "grid": grid})
 
 
 def topology_table(a_values, n_probe: int = 200, cache_dir=None) -> list:

@@ -153,7 +153,10 @@ def _figure_figA1(out, cache_dir, ov):
 def _figure_figA3(out, cache_dir, ov):
     from .bkw import real_support_interval, support_endpoints, union_support
 
-    a = float(ov.get("a", 3.0))
+    a = complex(ov.get("a", 3.0))
+    if a.imag:
+        raise ValueError(f"figA3 needs a real parameter a, got {a}")
+    a = a.real
     taus = _tau_grid(int(ov.get("tau_count", 32)))
     sup = union_support(a, tau_grid=taus)
     sup.union_points().write_csv(out / "support.csv")

@@ -1,15 +1,20 @@
 """Exact univariate and bivariate polynomials over the rationals/integers.
 
-ExactPoly carries big-rational coefficients (ascending degree) and supports
-the closed, exact operations the rest of the package is built on: arithmetic,
-derivative, exact division, Sturm-based real-root counting and isolation.
-BivariatePoly holds an integer coefficient grid in (x, a), used for spectral
-polynomials in both variables.  Their resultant in x is computed by the
-modular route in ``branching``; the fraction-free determinant over Z[a] that
-cross-checks it is a test oracle, not part of the package.
+ExactPoly stores integer numerators over one positive denominator (ascending
+degree) and delegates every operation to ``intpoly``, the package's one exact
+integer kernel: arithmetic, derivative, exact division, evaluation at a
+rational point, Sturm-based real-root counting and isolation.  ``coeffs`` is
+only a read-only view as Fractions.  BivariatePoly holds an integer
+coefficient grid in (x, a), used for spectral polynomials in both variables.
+Their resultant in x is computed by the modular route in ``branching``; the
+fraction-free determinant over Z[a] that cross-checks it is a test oracle,
+not part of the package.
 
 Conventions (fixed so results are reproducible bit for bit):
 
+* An ExactPoly is canonical: no trailing zero numerator, den > 0,
+  gcd(content(num), den) = 1, and the zero polynomial is ([], 1); so two
+  polynomials are equal iff their (num, den) pairs are.
 * ``resultant`` is the determinant of the Sylvester matrix of two ExactPoly
   with the first polynomial's coefficients in the top rows, computed by
   fraction-free (Bareiss) elimination.  No normalization by leading
@@ -27,23 +32,39 @@ from . import intpoly
 from .errors import DegreeCapExceeded, NotSquarefree
 
 
-def _to_fraction_list(coeffs):
-    return [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-
-
 class ExactPoly:
-    """Dense polynomial with exact rational coefficients, ascending degree."""
+    """Dense polynomial num/den with integer numerators, ascending degree."""
 
-    __slots__ = ("coeffs", "var_name")
+    __slots__ = ("num", "den", "var_name")
 
     def __init__(self, coeffs, var_name: str = "x"):
-        cs = _to_fraction_list(list(coeffs))
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if len(cs) > intpoly.DEGREE_CAP:
-            raise DegreeCapExceeded(f"{len(cs)} coefficients exceed the dense cap")
-        self.coeffs = cs
-        self.var_name = var_name
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den,
+                  var_name)
+
+    def _set(self, num, den, var_name):
+        """Store num/den in canonical form (num is trimmed in place)."""
+        intpoly.trim(num)
+        if len(num) > intpoly.DEGREE_CAP:
+            raise DegreeCapExceeded(f"{len(num)} coefficients exceed the dense cap")
+        if not num:
+            den = 1
+        elif den != 1:
+            g = math.gcd(intpoly.content(num), den)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        self.num, self.den, self.var_name = num, den, var_name
+
+    @classmethod
+    def _make(cls, num, den, var_name):
+        """The canonical ExactPoly num/den, built without Fractions."""
+        p = cls.__new__(cls)
+        p._set(num, den, var_name)
+        return p
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -60,41 +81,35 @@ class ExactPoly:
 
     @classmethod
     def from_int_coeffs(cls, coeffs, var_name="x"):
-        p = cls.__new__(cls)
-        p.coeffs = [Fraction(c) for c in coeffs]
-        while p.coeffs and p.coeffs[-1] == 0:
-            p.coeffs.pop()
-        p.var_name = var_name
-        return p
+        return cls._make(list(coeffs), 1, var_name)
 
     # -- basic queries ------------------------------------------------
     @property
+    def coeffs(self) -> list:
+        """The coefficients as Fractions (a fresh list; read-only view)."""
+        return [Fraction(c, self.den) for c in self.num]
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return len(self.num) - 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den) if self.num else Fraction(0)
 
     def __eq__(self, other):
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        return hash((tuple(self.num), self.den))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return f"ExactPoly(0, {self.var_name!r})"
         terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             if k == 0:
@@ -106,38 +121,31 @@ class ExactPoly:
         return "ExactPoly(" + " + ".join(terms) + ")"
 
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op (intpoly.add or sub) on both numerators over a common den."""
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] += c
-        return ExactPoly(cs, self.var_name)
+        den = math.lcm(self.den, other.den)
+        return ExactPoly._make(op(intpoly.scale(self.num, den // self.den),
+                                  intpoly.scale(other.num, den // other.den)),
+                               den, self.var_name)
+
+    def __add__(self, other):
+        return self._combine(other, intpoly.add)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] -= c
-        return ExactPoly(cs, self.var_name)
+        return self._combine(other, intpoly.sub)
 
     def __neg__(self):
-        return ExactPoly([-c for c in self.coeffs], self.var_name)
+        return ExactPoly._make(intpoly.neg(self.num), self.den, self.var_name)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ExactPoly([c * other for c in self.coeffs], self.var_name)
+            other = Fraction(other)
+            return ExactPoly._make(intpoly.scale(self.num, other.numerator),
+                                   self.den * other.denominator, self.var_name)
         other = self._coerce(other)
-        ip, dp = self._int_form()
-        iq, dq = other._int_form()
-        prod = intpoly.mul(ip, iq)
-        den = dp * dq
-        return ExactPoly([Fraction(c, den) for c in prod], self.var_name)
+        return ExactPoly._make(intpoly.mul(self.num, other.num),
+                               self.den * other.den, self.var_name)
 
     __rmul__ = __mul__
 
@@ -149,49 +157,43 @@ class ExactPoly:
         raise TypeError(f"cannot combine ExactPoly with {type(other)!r}")
 
     def _int_form(self):
-        """(integer coefficient list, common denominator)."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return [int(c * den) for c in self.coeffs], den
+        """(integer coefficient list, common denominator): the stored pair."""
+        return self.num, self.den
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly(
-            [i * c for i, c in enumerate(self.coeffs)][1:], self.var_name
-        )
+        return ExactPoly._make(intpoly.deriv(self.num), self.den, self.var_name)
 
     def shift_up(self, k: int) -> "ExactPoly":
         """Multiply by x^k."""
-        return ExactPoly([Fraction(0)] * k + self.coeffs, self.var_name)
+        return ExactPoly._make([0] * k + self.num, self.den, self.var_name)
 
     def compose_cube(self) -> "ExactPoly":
         """p(x) -> p(x^3)."""
-        cs = [Fraction(0)] * (3 * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            cs[3 * i] = c
-        return ExactPoly(cs, self.var_name)
+        cs = [0] * (3 * len(self.num))
+        cs[::3] = self.num
+        return ExactPoly._make(cs, self.den, self.var_name)
 
     def negate_variable(self) -> "ExactPoly":
         """p(x) -> p(-x)."""
-        return ExactPoly(
-            [c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)],
-            self.var_name,
-        )
+        cs = list(self.num)
+        cs[1::2] = intpoly.neg(cs[1::2])
+        return ExactPoly._make(cs, self.den, self.var_name)
 
     def monic(self) -> "ExactPoly":
-        lc = self.leading()
-        if lc in (0, 1):
+        if not self.num or self.num[-1] == self.den:
             return self
-        return ExactPoly([c / lc for c in self.coeffs], self.var_name)
+        return ExactPoly._make(list(self.num), self.num[-1], self.var_name)
 
     def __call__(self, x):
-        acc = 0 if not isinstance(x, complex) else 0j
-        for c in reversed(self.coeffs):
-            if isinstance(x, (int, Fraction)):
-                acc = acc * x + c
-            else:
-                acc = acc * x + complex(c)
-        return acc
+        """p(x): a Fraction at an int or Fraction x, complex otherwise."""
+        if isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+            v = intpoly.eval_at(self.num, x.numerator, x.denominator)
+            return Fraction(v, x.denominator ** max(self.degree, 0) * self.den)
+        acc = 0j
+        for c in reversed(self.num):
+            acc = acc * x + c
+        return acc if self.den == 1 else acc / self.den
 
 
 def exact_div(p: ExactPoly, q: ExactPoly) -> ExactPoly:
@@ -204,7 +206,7 @@ def exact_div(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     iq, dq = q._int_form()
     lc = iq[-1] ** max(len(ip) - len(iq) + 1, 0) if iq else 1
     quot = intpoly.div_exact(intpoly.scale(ip, lc), iq)
-    return ExactPoly([Fraction(c * dq, dp * lc) for c in quot], p.var_name)
+    return ExactPoly._make(intpoly.scale(quot, dq), dp * lc, p.var_name)
 
 
 def real_roots(p: ExactPoly, lo=None, hi=None):
@@ -281,12 +283,6 @@ class BivariatePoly:
             return NotImplemented
         return self.grid == other.grid
 
-    def coefficient(self, x_pow: int, a_pow: int) -> int:
-        if x_pow >= len(self.grid):
-            return 0
-        row = self.grid[x_pow]
-        return row[a_pow] if a_pow < len(row) else 0
-
     def derivative_x(self) -> "BivariatePoly":
         return BivariatePoly(
             [[j * c for c in row] for j, row in enumerate(self.grid)][1:],
@@ -297,13 +293,11 @@ class BivariatePoly:
     def eval_a(self, a) -> ExactPoly:
         """Substitute a rational value for a; ExactPoly in x remains."""
         a = Fraction(a)
-        cs = []
-        for row in self.grid:
-            acc = Fraction(0)
-            for c in reversed(row):
-                acc = acc * a + c
-            cs.append(acc)
-        return ExactPoly(cs, self.x_name)
+        top = max(self.a_degree, 0)
+        # row j of a-degree d_j times den^(top - d_j): all over den^top
+        num = [intpoly.eval_at(row, a.numerator, a.denominator)
+               * a.denominator ** (top + 1 - len(row)) for row in self.grid]
+        return ExactPoly._make(num, a.denominator ** top, self.x_name)
 
     def eval_a_numeric(self, a):
         """Substitute a float/complex a; plain coefficient list in x."""

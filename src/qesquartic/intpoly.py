@@ -2,8 +2,11 @@
 
 Polynomials are plain lists of int coefficients in ascending degree, with no
 trailing zeros (the zero polynomial is the empty list).  This module is the
-exact-arithmetic workhorse underneath the public ExactPoly type: everything
-here is closed over the integers and never rounds.
+package's one exact kernel: ExactPoly (integer numerators over one
+denominator), the frozen recurrence in ``bkw``, the certificates in
+``zerocase`` and the branching polynomials all run on it.  Everything here
+is closed over the integers and never rounds; a rational point num/den is
+evaluated homogeneously by ``eval_at``, without a Fraction.
 
 Multiplication switches to Kronecker substitution above a size threshold:
 the two polynomials are packed into single big integers with enough bits per
@@ -156,33 +159,25 @@ def primitive(p):
     return [c // g for c in p], g
 
 
-def eval_int(p, x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
+def eval_at(p, num: int, den: int) -> int:
+    """den^deg(p) * p(num/den), one homogeneous Horner pass over the integers."""
+    if not p:
+        return 0
+    acc = p[-1]
+    pw = 1
+    for c in reversed(p[:-1]):
+        pw *= den
+        acc = acc * num + c * pw
     return acc
 
 
+def eval_int(p, x: int) -> int:
+    return eval_at(p, x, 1)
+
+
 def sign_at(p, x) -> int:
-    """Sign of p at a rational point (integer arithmetic, no Fraction churn)."""
-    if not p:
-        return 0
-    if isinstance(x, int):
-        v = eval_int(p, x)
-    else:
-        num, den = x.numerator, x.denominator
-        v = 0
-        # sum c_k num^k den^(d-k)
-        d = len(p) - 1
-        pw_num = 1
-        pows = [1]
-        for _ in range(d):
-            pw_num *= num
-            pows.append(pw_num)
-        pw_den = 1
-        for k in range(d, -1, -1):
-            v += p[k] * pows[k] * pw_den
-            pw_den *= den
+    """Sign of p at a rational (int or Fraction) point, in integer arithmetic."""
+    v = eval_at(p, x.numerator, x.denominator)
     return (v > 0) - (v < 0)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +29,6 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    def sorted(self) -> "PointSet":
-        return PointSet(sort_points(self.points), self.label, self.scale, dict(self.meta))
-
     def scaled(self, factor: float, label: str | None = None) -> "PointSet":
         return PointSet(
             self.points / factor,
@@ -51,32 +47,6 @@ class PointSet:
             lines.append(f"{float(z.real)!r},{float(z.imag)!r}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        pts = sort_points(self.points)
-        payload = {
-            "label": self.label,
-            "scale": self.scale,
-            "meta": _jsonable(self.meta),
-            "points": [[float(z.real), float(z.imag)] for z in pts],
-        }
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write(self.to_csv())
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj

@@ -146,11 +146,12 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
     L = complex(L)
     if turning is None:
         turning = turning_points(a, L)
-    tps = np.array([z for z, _ in turning])
-    diam = max(np.abs(tps[:, None] - tps[None, :]).max(), 1e-3)
+    # plain complex scalars: the step loop below scans them every RK4 step
+    tps = [complex(z) for z, _ in turning]
+    diam = max(max(abs(z - w) for z in tps for w in tps), 1e-3)
     cap_r = capture_radius if capture_radius is not None else 1e-3 * diam
     esc_r = escape_radius if escape_radius is not None else (
-        10 * math.sqrt(1 + abs(a) + abs(L)) + np.abs(tps).max()
+        10 * math.sqrt(1 + abs(a) + abs(L)) + max(abs(z) for z in tps)
     )
     max_len = max_length if max_length is not None else 12 * esc_r
     T = complex(start)
@@ -169,10 +170,11 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
     h = h0
     stall = 0
     while slen < max_len:
-        dists = np.abs(tps - T)
-        k = int(np.argmin(dists))
-        if dists[k] < cap_r and slen > 3 * cap_r:
-            path.append(complex(tps[k]))
+        dists = [abs(z - T) for z in tps]
+        dmin = min(dists)
+        if dmin < cap_r and slen > 3 * cap_r:
+            k = dists.index(dmin)
+            path.append(tps[k])
             return "capture", k, np.asarray(path)
         if abs(T) > esc_r:
             return "escape", None, np.asarray(path)
@@ -193,7 +195,7 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
         d = field(T, k4)
         path.append(T)
         slen += abs(step)
-        h = min(h0, 0.2 * float(dists.min()) + 1e-4)
+        h = min(h0, 0.2 * dmin + 1e-4)
     return "maxlen", None, np.asarray(path)
 
 

@@ -140,7 +140,7 @@ def zero_a_structure(n: int):
     from .errors import StructureViolation
 
     p = spectral_polynomial(n, 0)
-    cs, _ = p._int_form()
+    cs = p.num
     r = (n + 1) % 3
     for j, c in enumerate(cs):
         if c != 0 and j % 3 != r:
@@ -203,7 +203,7 @@ def eigenvalues(n: int, a=0.0, cap: int = EIG_CAP_DEFAULT, cache_dir=None) -> Po
     if lam is not None:
         return PointSet(lam, label=f"spectrum n={n}", meta=meta)
     if ac == 0:
-        lam = rootfind.threefold_roots(spectral_polynomial(n, 0)._int_form()[0])
+        lam = rootfind.threefold_roots(spectral_polynomial(n, 0).num)
     else:
         lam = _eigs_poly_general(n, ac)
     lam = sort_points(lam)

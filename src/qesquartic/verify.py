@@ -241,7 +241,7 @@ def criterion_sigma(ns=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 20),
             if poly.degree != n * (n + 1) // 2:
                 return False, f"degree failure at n={n}"
             # conjugation symmetry is exact: integer coefficients
-            if any(c.denominator != 1 for c in poly.coeffs):
+            if poly.den != 1:
                 return False, f"non-integer coefficient at n={n}"
         pts = branching.sigma_points(2, cache_dir=cache_dir).points.points
         w = np.exp(2j * np.pi / 3)

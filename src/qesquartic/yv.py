@@ -101,6 +101,8 @@ def yv_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, residual_tol: float = RESIDUAL
     passes the scale-aware residual test |YV_n(z)| / sum_k |c_k||z|^k <
     residual_tol.  Large-n zero sets are disk-cached.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > cap:
         raise ValueError(f"n={n} exceeds the configured cap {cap}")
     if n == 0:
@@ -184,26 +186,14 @@ def painleve_rational(n: int, t_samples, pole_tol: float = 1e-6, cache_dir=None)
     return out
 
 
-def painleve_residual(n: int, t, h: float = None) -> float:
+def painleve_residual(n: int, t) -> float:
     """|u'' - t u - 2u^3 - n| at t.
 
-    By default u'' comes from differentiating the log-derivative formula
-    analytically (with v = p'/p: v' = p''/p - v^2, v'' = p'''/p - 3 v p''/p
-    + 2 v^3), so the residual is exact up to float evaluation noise.  Passing
-    a step h switches to Richardson-extrapolated central differences, which
-    carry an eps/h^2 noise floor near poles.
+    u'' comes from differentiating the log-derivative formula analytically
+    (with v = p'/p: v' = p''/p - v^2, v'' = p'''/p - 3 v p''/p + 2 v^3), so
+    the residual is exact up to float evaluation noise.
     """
     tc = complex(t)
-    if h is not None:
-        def u(x):
-            return painleve_rational(n, [x])[0]
-
-        def d2(s):
-            return (u(tc + s) - 2 * u(tc) + u(tc - s)) / (s * s)
-
-        upp = (4 * d2(h / 2) - d2(h)) / 3
-        uv = u(tc)
-        return abs(upp - tc * uv - 2 * uv**3 - n)
     seq = yv_generate(n)
     uv, upp = 0j, 0j
     for poly, sign in ((seq[n - 1], 1.0), (seq[n], -1.0)):

@@ -109,7 +109,7 @@ def pqr_matches_factor(n: int) -> bool:
 
 def _all_roots_negative_simple(p: ExactPoly) -> bool:
     """Exact: every root of p real, simple, and in (-inf, 0)."""
-    ip, _ = p._int_form()
+    ip = p.num
     if len(ip) <= 1:
         return True
     seq = intpoly.sturm_sequence(ip)
@@ -133,8 +133,8 @@ def certify_interlacing(p: ExactPoly, q: ExactPoly) -> str:
     """
     if not (p.degree - q.degree in (0, 1)):
         raise ValueError("degrees must differ by 0 or 1 (p the larger)")
-    ip, _ = p._int_form()
-    iq, _ = q._int_form()
+    ip = p.num
+    iq = q.num
     for u, name in ((ip, "p"), (iq, "q")):
         if len(u) > 1 and len(intpoly.gcd(u, intpoly.deriv(u))) > 1:
             raise MultipleRoot(f"{name} is not squarefree")

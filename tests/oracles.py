@@ -5,10 +5,13 @@ Sylvester determinant is expanded by hand-style elimination over Fractions,
 determinants come from permutation-free cofactor recursion on dense lists,
 products are schoolbook convolutions, the resultant over Z[a] is one
 fraction-free elimination on a Sylvester matrix of polynomials (the package
-interpolates it modulo primes instead), and root counting falls back to
-numpy with wide margins.
+interpolates it modulo primes instead), root counting falls back to numpy
+with wide margins, and polynomial arithmetic, evaluation and the frozen
+recurrence run per coefficient over Fractions (the package keeps integer
+numerators over one denominator).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -100,3 +103,54 @@ def numpy_real_root_count(coeffs, lo, hi, imag_tol=1e-7):
         if abs(r.imag) < imag_tol and lo < r.real <= hi:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Fraction-list polynomials (ascending, trailing zeros trimmed): the plain
+# per-coefficient arithmetic that ExactPoly's integer kernel is checked on
+# ---------------------------------------------------------------------------
+
+def frac_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def frac_add(p, q, sign=1):
+    n = max(len(p), len(q))
+    return frac_trim([(p[i] if i < len(p) else 0) + sign * (q[i] if i < len(q) else 0)
+                      for i in range(n)])
+
+
+def frac_mul(p, q):
+    r = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            r[i + j] += a * b
+    return frac_trim(r)
+
+
+def frac_horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def frozen_recurrence_fraction(tau, k):
+    """Primitive integer form of D_k from D_k = -beta D_(k-1) + T^2 D_(k-3),
+    T = tau(1-tau), D_0 = 1, run over Fractions and cleared by the LCM of
+    the denominators."""
+    tq = Fraction(tau)
+    T2 = (tq * (1 - tq)) ** 2
+    p3, p2, p1 = [], [], [Fraction(1)]
+    for _ in range(k):
+        new = [Fraction(0)] + [-c for c in p1]
+        for i, c in enumerate(p3):
+            new[i] += T2 * c
+        p3, p2, p1 = p2, p1, new
+    den = 1
+    for c in p1:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return intpoly.primitive([int(c * den) for c in p1])[0]

@@ -3,8 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qesquartic import bkw
 from qesquartic.errors import BranchCollision, InsideSupport
+from qesquartic.rootfind import threefold_roots
+
+from oracles import frozen_recurrence_fraction
 
 
 class TestCharacteristicRoots:
@@ -243,6 +249,16 @@ class TestRecurrenceRoots:
         # a float tau is the binary fraction it stores; its roots are those
         # of the exact polynomial at that rational, not of a float recurrence
         got = bkw.recurrence_roots(0.1, 0, 150).points
-        want = bkw._recurrence_roots_structured(Fraction(0.1), 150)
+        want = threefold_roots(frozen_recurrence_fraction(Fraction(0.1), 150))
         dev = max(np.abs(want - z).min() for z in got)
         assert dev < 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(2, 60), data=st.data(), k=st.integers(3, 90))
+    def test_integer_recurrence_matches_fraction_oracle(self, q, data, k):
+        tau = Fraction(data.draw(st.integers(1, q - 1)), q)
+        assert bkw._frozen_recurrence(tau, k) == frozen_recurrence_fraction(tau, k)
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5, 0.75, 0.1])
+    def test_integer_recurrence_at_float_taus(self, tau):
+        assert bkw._frozen_recurrence(tau, 150) == frozen_recurrence_fraction(tau, 150)

@@ -180,6 +180,20 @@ class TestMainEntry:
         rc = cli.main(["cache", "ls", "--cache-dir", str(tmp_path / "cc")])
         assert rc == 0
 
+    def test_figA3_real_a_via_main(self, tmp_path, tmp_cache):
+        # --a is parsed into a complex; a real-valued one is accepted
+        rc = cli.main(["figure", "figA3", "--a", "3", "--out",
+                       str(tmp_path / "a3"), "--cache-dir", tmp_cache])
+        assert rc == 0
+        rep = json.loads((tmp_path / "a3" / "interval.json").read_text())
+        assert rep["a"] == 3.0
+        assert rep["interval"][1] == pytest.approx(1.80861, abs=1e-4)
+
+    def test_figA3_nonreal_a_refused(self, tmp_path, tmp_cache):
+        with pytest.raises(ValueError, match="real"):
+            cli.main(["figure", "figA3", "--a", "3+1j", "--out",
+                      str(tmp_path / "a3"), "--cache-dir", tmp_cache])
+
 
 class TestCacheDirConfinesWrites:
     def test_triangle_writes_only_under_cache_dir(self, tmp_path, monkeypatch):

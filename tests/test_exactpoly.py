@@ -18,6 +18,10 @@ from qesquartic.exactpoly import (
 )
 
 from oracles import (
+    frac_add,
+    frac_horner,
+    frac_mul,
+    frac_trim,
     numpy_real_root_count,
     schoolbook_mul,
     sylvester_det_by_hand,
@@ -176,6 +180,15 @@ class TestBivariate:
         p = b.eval_a(Fraction(3, 2))
         assert p == ExactPoly([4, 6, 0, -1])
 
+    @settings(max_examples=60)
+    @given(grid=st.lists(st.lists(st.integers(-10**6, 10**6), max_size=6),
+                         max_size=6),
+           a=st.fractions(-30, 30, max_denominator=40))
+    def test_eval_a_matches_fraction_horner(self, grid, a):
+        p = BivariatePoly(grid).eval_a(a)
+        assert p.coeffs == frac_trim([frac_horner(row, a) for row in grid])
+        _assert_canonical(p)
+
 
 # coefficients at the sign and borrow edges: +-2^k and +-(2^k - 1), zero runs
 _POWERS = st.builds(lambda k, sign, off: sign * (2**k - off),
@@ -233,3 +246,99 @@ def test_degree_cap():
 
     with pytest.raises(DegreeCapExceeded):
         intpoly.mul([1] * 60_000, [1] * 60_000)
+
+
+# coefficient lists with small and wide numerators over small denominators
+_FRACS = st.lists(st.builds(Fraction, st.one_of(st.integers(-60, 60), _WIDE),
+                            st.integers(1, 36)), max_size=8)
+_RATIONAL = st.fractions(-50, 50, max_denominator=30)
+
+
+def _assert_canonical(p):
+    num, den = p._int_form()
+    assert (num, den) == (p.num, p.den)
+    assert den > 0
+    assert not num or num[-1] != 0
+    assert math.gcd(intpoly.content(num), den) == 1
+    if not num:
+        assert den == 1
+
+
+class TestIntegerKernel:
+    """ExactPoly on integer numerators against per-coefficient Fractions."""
+
+    @settings(max_examples=80)
+    @given(p=_FRACS, q=_FRACS)
+    def test_ring_operations(self, p, q):
+        P_, Q_ = ExactPoly(p), ExactPoly(q)
+        assert P_.coeffs == frac_trim(p)
+        assert (P_ + Q_).coeffs == frac_add(frac_trim(p), frac_trim(q))
+        assert (P_ - Q_).coeffs == frac_add(frac_trim(p), frac_trim(q), -1)
+        assert (-P_).coeffs == frac_trim([-c for c in p])
+        assert (P_ * Q_).coeffs == frac_mul(frac_trim(p), frac_trim(q))
+        for r in (P_ + Q_, P_ - Q_, -P_, P_ * Q_):
+            _assert_canonical(r)
+        assert (P_ - P_) == ExactPoly.zero() and (P_ - P_)._int_form() == ([], 1)
+
+    @settings(max_examples=80)
+    @given(p=_FRACS, c=_RATIONAL)
+    def test_scalars_and_equality(self, p, c):
+        P_ = ExactPoly(p)
+        assert (P_ * c).coeffs == frac_trim([x * c for x in p])
+        assert (c * P_) == P_ * c
+        assert (P_ + c).coeffs == frac_add(frac_trim(p), frac_trim([c]))
+        assert ExactPoly(P_.coeffs) == P_
+        assert hash(ExactPoly(P_.coeffs)) == hash(P_)
+
+    @settings(max_examples=80)
+    @given(p=_FRACS, k=st.integers(0, 4))
+    def test_structural_maps(self, p, k):
+        P_, cs = ExactPoly(p), frac_trim(p)
+        assert P_.derivative().coeffs == frac_trim([i * c for i, c in enumerate(cs)][1:])
+        assert P_.shift_up(k).coeffs == frac_trim([0] * k + cs)
+        cube = [Fraction(0)] * (3 * len(cs))
+        cube[::3] = cs
+        assert P_.compose_cube().coeffs == frac_trim(cube)
+        assert P_.negate_variable().coeffs == [c if i % 2 == 0 else -c
+                                               for i, c in enumerate(cs)]
+        monic = P_.monic()
+        assert monic.coeffs == ([c / cs[-1] for c in cs] if cs else [])
+        for r in (P_.derivative(), P_.shift_up(k), P_.compose_cube(),
+                  P_.negate_variable(), monic):
+            _assert_canonical(r)
+
+    @settings(max_examples=80)
+    @given(p=_FRACS, x=_RATIONAL)
+    def test_call_at_rationals(self, p, x):
+        P_ = ExactPoly(p)
+        want = frac_horner(frac_trim(p), x)
+        assert P_(x) == want
+        if x.denominator == 1:
+            assert P_(int(x)) == want
+
+    def test_call_at_complex(self):
+        P_ = ExactPoly([Fraction(1, 3), -2, 0, Fraction(5, 7)])
+        z = 0.3 - 1.2j
+        want = sum(complex(c) * z**k for k, c in enumerate(P_.coeffs))
+        assert abs(P_(z) - want) < 1e-14 * abs(want)
+        assert P_(0.5) == pytest.approx(float(frac_horner(P_.coeffs, Fraction(1, 2))))
+
+
+class TestEvalAt:
+    @settings(max_examples=100)
+    @given(p=st.lists(st.one_of(_POWERS, _WIDE), max_size=10),
+           num=st.integers(-10**12, 10**12), den=st.integers(1, 10**9))
+    def test_matches_fraction_horner(self, p, num, den):
+        p = intpoly.trim(list(p))
+        want = frac_horner(p, Fraction(num, den)) * Fraction(den) ** max(len(p) - 1, 0)
+        assert intpoly.eval_at(p, num, den) == want
+        assert intpoly.eval_at(p, num, 1) == intpoly.eval_int(p, num) \
+            == frac_horner(p, num)
+        sign = intpoly.sign_at(p, Fraction(num, den))
+        assert sign == (want > 0) - (want < 0)
+
+    def test_small_cases(self):
+        assert intpoly.eval_at([], 3, 2) == 0
+        assert intpoly.eval_at([7], -3, 2) == 7
+        # 1 - 2x + x^2 at -3/2: 4 * (25/4) = 25
+        assert intpoly.eval_at([1, -2, 1], -3, 2) == 25

@@ -72,20 +72,6 @@ class TestMonodromyJson:
         json.dumps(d)
 
 
-class TestNumericFallback:
-    def test_matches_exact_small(self, tmp_cache):
-        exact = branching.sigma_points(4, cache_dir=tmp_cache).points.points
-        approx = branching.sigma_points_numeric(4, grid=80).points
-        assert len(approx) == len(exact)
-        dev = max(min(abs(p - q) for q in exact) for p in approx)
-        assert dev < 1e-5
-
-    def test_labeled_non_exact(self):
-        ps = branching.sigma_points_numeric(2, grid=60)
-        assert ps.meta["exact"] is False
-        assert "non-exact" in ps.label
-
-
 class TestDistinctImagReport:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_all_distinct(self, n, tmp_cache):

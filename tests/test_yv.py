@@ -54,6 +54,10 @@ class TestZeros:
         targets = np.sort_complex(np.roots([1, 0, 0, 4]))
         assert np.abs(z - targets).max() < 1e-10
 
+    def test_negative_n_refused(self):
+        with pytest.raises(ValueError):
+            yv.yv_zeros(-1)
+
     def test_count_matches_degree(self):
         for n in (4, 7, 10):
             assert len(yv.yv_zeros(n).points) == n * (n + 1) // 2
