@@ -286,20 +286,15 @@ def sigma_points(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> Branch
                          indexing_error=str(exc))
 
 
-def _cluster_1d(values, expected=None, gap_factor=3.0):
-    """Split sorted values at large gaps; returns cluster ids in value order."""
+def _cluster_1d(values, expected):
+    """Split sorted values at their expected-1 largest gaps (expected <= the
+    number of values); returns cluster ids in value order."""
     order = np.argsort(values)
     sv = np.asarray(values)[order]
     if len(sv) == 1:
         return np.zeros(1, dtype=int)
     gaps = np.diff(sv)
-    if expected is not None and expected <= len(sv):
-        # cut at the expected-1 largest gaps
-        cut_idx = np.sort(np.argsort(gaps)[-(expected - 1):]) if expected > 1 else []
-        cuts = set((i for i in cut_idx))
-    else:
-        med = np.median(gaps[gaps > 0]) if (gaps > 0).any() else 0
-        cuts = {i for i, g in enumerate(gaps) if med and g > gap_factor * med}
+    cuts = set(np.argsort(gaps)[-(expected - 1):]) if expected > 1 else set()
     ids_sorted = np.zeros(len(sv), dtype=int)
     cid = 0
     for i in range(1, len(sv)):
@@ -327,9 +322,8 @@ def _grid_index(n, pts):
             points=pts,
         )
     # rows: imaginary-part bands, bottom-to-top (2n-1 of them; the real axis
-    # is the middle row by the conjugation symmetry)
-    expected_rows = 2 * n - 1 if len(pts) >= 2 * n - 1 else None
-    row_ids = _cluster_1d(pts.imag, expected=expected_rows)
+    # is the middle row by the conjugation symmetry); n(n+1)/2 >= 2n-1 points
+    row_ids = _cluster_1d(pts.imag, expected=2 * n - 1)
     rows = [int(r + 1) for r in row_ids]
     return rows, cols
 
@@ -426,29 +420,3 @@ def distinct_imag_report(n: int, tol: float = 1e-9, cache_dir=None) -> dict:
     return {"n": n, "nonreal_count": len(nonreal), "violations": viol,
             "all_distinct": not viol,
             "min_gap": float(gaps.min()) if len(gaps) else math.inf}
-
-
-def topology_table(a_values, n_probe: int = 200, cache_dir=None) -> list:
-    """Falsification table: the support shape at each sampled parameter.
-
-    Interior points of the scaled triangle should report three legs and
-    exterior ones a single arc; the table reports what was measured, it does
-    not assume the pattern.
-    """
-    from .quaddiff import support_topology
-
-    out = []
-    for a in a_values:
-        verdict, details = support_topology(a, n_probe=n_probe,
-                                            cache_dir=cache_dir)
-        out.append({"a": [complex(a).real, complex(a).imag],
-                    "verdict": verdict, **details})
-    return out
-
-
-def scaling_constants_agree() -> bool:
-    """The two stated growth constants coincide: (27/4)^(1/3) == 3/4^(1/3);
-    checked exactly on cubes."""
-    from fractions import Fraction
-
-    return Fraction(27, 4) == Fraction(3, 1) ** 3 / Fraction(4, 1)

@@ -6,6 +6,18 @@ which operations ran with which parameters.  Outputs are deterministic:
 rerunning a command with the same configuration and a warm cache must be
 byte-identical (sorted points, sorted JSON keys, no timestamps).
 
+A figure is a function ``_figure_<name>(emit, cache_dir, **params)`` whose
+keyword signature is the one declaration of its parameters and defaults.
+``cmd_figure`` binds the overrides to it before touching the disk (a
+parameter the figure does not take raises ``ValueError``), removes the output
+directory again if it created it and the figure fails, and writes the
+manifest: ``config`` is every parameter with the value used, ``operations``
+what the figure returns, ``outputs`` the files it passed to ``emit``.  On the
+command line ``--n``, ``--a`` and ``--tol`` pass through under their own
+names, and ``--grid`` sets the figure's sampling parameter
+(``GRID_PARAMETER``).  Sweep ops declare their parameters the same way, so
+``--a`` is refused by the ops that take none.
+
 Configuration precedence: command-line flags > --config JSON file >
 defaults.  The cache directory alone may also come from the environment
 (QESQUARTIC_CACHE).
@@ -14,12 +26,18 @@ defaults.  The cache directory alone may also come from the environment
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import json
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+
+from .bkw import EQUIMODULAR_TOL
+from .pointset import PointSet
 
 FIGURE_NAMES = ("fig1", "figTau", "figA1", "triangle", "figA3", "figAtau",
                 "figA", "triangle10", "figslopes", "lattice")
@@ -67,13 +85,12 @@ def _write_json(path: Path, payload):
         fh.write("\n")
 
 
-def _manifest(out: Path, name: str, config: dict, operations: list, files: list):
-    _write_json(out / "manifest.json", {
-        "figure": name,
-        "config": config,
-        "operations": operations,
-        "outputs": sorted(files),
-    })
+def _jsonable(value):
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, complex):
+        return _fmt_complex(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -84,38 +101,56 @@ def cmd_figure(name: str, out_dir=None, cache_dir=None, overrides=None) -> Path:
     """Produce the data files behind one figure; returns the output directory."""
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r}; choose from {FIGURE_NAMES}")
-    ov = dict(overrides or {})
-    out = Path(out_dir) if out_dir else Path.cwd() / f"figure-{name}"
-    out.mkdir(parents=True, exist_ok=True)
     fn = globals()[f"_figure_{name}"]
-    fn(out, cache_dir, ov)
+    out = Path(out_dir) if out_dir else Path.cwd() / f"figure-{name}"
+    files = []
+
+    def emit(fname, data):
+        path = out / fname
+        if isinstance(data, PointSet):
+            data.write_csv(path)
+        elif isinstance(data, str):
+            path.write_text(data)
+        else:
+            _write_json(path, data)
+        files.append(fname)
+
+    try:
+        bound = inspect.signature(fn).bind(emit, cache_dir, **(overrides or {}))
+    except TypeError as exc:
+        raise ValueError(f"figure {name}: {exc}") from None
+    bound.apply_defaults()
+    created = next((p for p in reversed((out, *out.parents)) if not p.exists()),
+                   None)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        operations = fn(*bound.args, **bound.kwargs)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+    config = {k: _jsonable(v) for k, v in bound.arguments.items()
+              if k not in ("emit", "cache_dir")}
+    _write_json(out / "manifest.json", {"figure": name, "config": config,
+                                        "operations": operations,
+                                        "outputs": sorted(files)})
     return out
 
 
-def _figure_fig1(out, cache_dir, ov):
+def _figure_fig1(emit, cache_dir, n=200):
     from .spectral import scaled_spectrum
 
-    n = int(ov.get("n", 200))
-    ps = scaled_spectrum(n, 0, cache_dir=cache_dir)
-    ps.write_csv(out / "scaled_spectrum.csv")
-    _manifest(out, "fig1", {"n": n, "a": "0"},
-              [f"scaled_spectrum({n}, 0)"], ["scaled_spectrum.csv"])
+    emit("scaled_spectrum.csv", scaled_spectrum(n, 0, cache_dir=cache_dir))
+    return [f"scaled_spectrum({n}, 0)"]
 
 
-def _figure_figTau(out, cache_dir, ov):
+def _figure_figTau(emit, cache_dir, k_max=150, taus=(0.25, 0.5, 0.75)):
     from .bkw import recurrence_roots
 
-    k_max = int(ov.get("k_max", 150))
-    taus = ov.get("taus", (0.25, 0.5, 0.75))
-    files = []
-    ops = []
     for t in taus:
-        ps = recurrence_roots(t, 0, k_max)
-        fname = f"recurrence_roots_tau{str(t).replace('.', 'p')}.csv"
-        ps.write_csv(out / fname)
-        files.append(fname)
-        ops.append(f"recurrence_roots({t}, 0, {k_max})")
-    _manifest(out, "figTau", {"k_max": k_max, "taus": list(taus)}, ops, files)
+        emit(f"recurrence_roots_tau{str(t).replace('.', 'p')}.csv",
+             recurrence_roots(t, 0, k_max))
+    return [f"recurrence_roots({t}, 0, {k_max})" for t in taus]
 
 
 def _tau_grid(count):
@@ -125,160 +160,115 @@ def _tau_grid(count):
     return sorted(taus)
 
 
-def _figure_figA1(out, cache_dir, ov):
-    from .bkw import EQUIMODULAR_TOL, union_support
+def _figure_figA1(emit, cache_dir, n=200, tol=EQUIMODULAR_TOL, tau_count=32,
+                  a_values=((1 - 1j) / 2, 1j / 2, 1 + 1j)):
+    from .bkw import union_support
     from .spectral import scaled_spectrum
 
-    n = int(ov.get("n", 200))
-    tol = float(ov.get("tol", EQUIMODULAR_TOL))
-    taus = _tau_grid(int(ov.get("tau_count", 32)))
-    avals = ov.get("a_values", ((1 - 1j) / 2, 1j / 2, 1 + 1j))
-    files, ops = [], []
-    for k, a in enumerate(avals):
-        tag = f"a{k}"
-        sup = union_support(a, tau_grid=taus, tol=tol)
-        sup.union_points().write_csv(out / f"support_{tag}.csv")
-        _write_json(out / f"support_{tag}.json", sup.to_json_dict())
-        cloud = scaled_spectrum(n, a, rule="n23", cache_dir=cache_dir)
-        cloud.write_csv(out / f"spectrum_{tag}.csv")
-        files += [f"support_{tag}.csv", f"support_{tag}.json",
-                  f"spectrum_{tag}.csv"]
+    ops = []
+    for k, a in enumerate(a_values):
+        sup = union_support(a, tau_grid=_tau_grid(tau_count), tol=tol)
+        emit(f"support_a{k}.csv", sup.union_points())
+        emit(f"support_a{k}.json", sup.to_json_dict())
+        emit(f"spectrum_a{k}.csv",
+             scaled_spectrum(n, a, rule="n23", cache_dir=cache_dir))
         ops += [f"union_support({_fmt_complex(complex(a))})",
                 f"scaled_spectrum({n}, {_fmt_complex(complex(a))}, n23)"]
-    _manifest(out, "figA1", {"n": n, "tol": tol,
-                             "a_values": [_fmt_complex(complex(a)) for a in avals]},
-              ops, files)
+    return ops
 
 
-def _figure_figA3(out, cache_dir, ov):
+def _figure_figA3(emit, cache_dir, a=3.0, tau_count=32):
     from .bkw import real_support_interval, support_endpoints, union_support
 
-    a = complex(ov.get("a", 3.0))
+    a = complex(a)
     if a.imag:
         raise ValueError(f"figA3 needs a real parameter a, got {a}")
     a = a.real
-    taus = _tau_grid(int(ov.get("tau_count", 32)))
-    sup = union_support(a, tau_grid=taus)
-    sup.union_points().write_csv(out / "support.csv")
+    emit("support.csv", union_support(a, tau_grid=_tau_grid(tau_count)).union_points())
     lo, hi = real_support_interval(a)
-    eps = support_endpoints(a)
-    _write_json(out / "interval.json", {
+    emit("interval.json", {
         "a": a,
         "interval": [lo, hi],
-        "endpoint_roots": sorted([z.real, z.imag] for z in eps),
+        "endpoint_roots": sorted([z.real, z.imag] for z in support_endpoints(a)),
     })
-    _manifest(out, "figA3", {"a": a},
-              [f"union_support({a})", f"real_support_interval({a})"],
-              ["support.csv", "interval.json"])
+    return [f"union_support({a})", f"real_support_interval({a})"]
 
 
-def _figure_figAtau(out, cache_dir, ov):
+def _figure_figAtau(emit, cache_dir, samples=400):
     # the real zero curve of the discriminant factor: a^3 = 27 tau (1 - tau)
-    samples = int(ov.get("samples", 400))
     lines = ["tau,a"]
     for k in range(samples + 1):
         t = k / samples
         a = (27 * t * (1 - t)) ** (1 / 3)
         lines.append(f"{t!r},{a!r}")
-    (out / "threshold_curve.csv").write_text("\n".join(lines) + "\n")
-    _manifest(out, "figAtau", {"samples": samples},
-              ["a^3 = 27 tau (1-tau) curve"], ["threshold_curve.csv"])
+    emit("threshold_curve.csv", "\n".join(lines) + "\n")
+    return ["a^3 = 27 tau (1-tau) curve"]
 
 
-def _figure_figA(out, cache_dir, ov):
+def _figure_figA(emit, cache_dir, n=200,
+                 a_values=((1 - 1j) / 2, 4 / 5 - 2j / 3, 2 / 3 - 1j)):
     from .bkw import support_endpoints
     from .spectral import scaled_spectrum
 
-    n = int(ov.get("n", 200))
-    avals = ov.get("a_values", ((1 - 1j) / 2, 4 / 5 - 2j / 3, 2 / 3 - 1j))
-    files, ops = [], []
-    for k, a in enumerate(avals):
-        tag = f"a{k}"
-        cloud = scaled_spectrum(n, a, rule="n23", cache_dir=cache_dir)
-        cloud.write_csv(out / f"spectrum_{tag}.csv")
-        eps = support_endpoints(a)
-        _write_json(out / f"endpoints_{tag}.json", {
+    for k, a in enumerate(a_values):
+        emit(f"spectrum_a{k}.csv",
+             scaled_spectrum(n, a, rule="n23", cache_dir=cache_dir))
+        emit(f"endpoints_a{k}.json", {
             "a": [complex(a).real, complex(a).imag],
-            "endpoints": sorted([z.real, z.imag] for z in eps),
+            "endpoints": sorted([z.real, z.imag] for z in support_endpoints(a)),
         })
-        files += [f"spectrum_{tag}.csv", f"endpoints_{tag}.json"]
-        ops.append(f"scaled_spectrum({n}, {_fmt_complex(complex(a))}, n23)")
-    _manifest(out, "figA", {"n": n,
-                            "a_values": [_fmt_complex(complex(a)) for a in avals]},
-              ops, files)
+    return [f"scaled_spectrum({n}, {_fmt_complex(complex(a))}, n23)"
+            for a in a_values]
 
 
-def _figure_triangle(out, cache_dir, ov):
+def _figure_triangle(emit, cache_dir, n=40):
     from .branching import compare_sets, scaled_sigma
     from .yv import scaled_zeros
 
-    n = int(ov.get("n", 40))
     A = scaled_sigma(n, cache_dir=cache_dir)
     B = scaled_zeros(n, cache_dir=cache_dir)
-    A.write_csv(out / "scaled_branching.csv")
-    B.write_csv(out / "scaled_zeros.csv")
-    _write_json(out / "comparison.json", compare_sets(A, B))
-    _manifest(out, "triangle", {"n": n},
-              [f"scaled_sigma({n})", f"scaled_zeros({n})", "compare_sets"],
-              ["scaled_branching.csv", "scaled_zeros.csv", "comparison.json"])
+    emit("scaled_branching.csv", A)
+    emit("scaled_zeros.csv", B)
+    emit("comparison.json", compare_sets(A, B))
+    return [f"scaled_sigma({n})", f"scaled_zeros({n})", "compare_sets"]
 
 
-def _figure_triangle10(out, cache_dir, ov):
+def _figure_triangle10(emit, cache_dir, n=10):
     from .branching import sigma_points
 
-    n = int(ov.get("n", 10))
     bs = sigma_points(n, cache_dir=cache_dir)
-    bs.points.write_csv(out / "branching_points.csv")
-    _write_json(out / "grid_index.json", {
+    emit("branching_points.csv", bs.points)
+    emit("grid_index.json", {
         "n": n,
         "points": [
             {"re": z.real, "im": z.imag, "row": r, "col": c}
             for z, r, c in zip(bs.points.points, bs.rows, bs.cols)
         ],
     })
-    _manifest(out, "triangle10", {"n": n}, [f"sigma_points({n})"],
-              ["branching_points.csv", "grid_index.json"])
+    return [f"sigma_points({n})"]
 
 
-def _figure_figslopes(out, cache_dir, ov):
+def _figure_figslopes(emit, cache_dir, n=8, modulus=500.0,
+                      phis=(4 * np.pi / 5, 6 * np.pi / 5)):
     from .monodromy import kac_limit_check
 
-    n = int(ov.get("n", 8))
-    modulus = float(ov.get("modulus", 500.0))
-    phis = ov.get("phis", (4 * np.pi / 5, 6 * np.pi / 5))
-    files, ops = [], []
     for k, phi in enumerate(phis):
-        a = modulus * np.exp(1j * phi)
-        rep = kac_limit_check(n, a)
-        tag = f"phi{k}"
-        lines = ["re,im"]
-        for z in rep["gamma"]:
-            lines.append(f"{float(z.real)!r},{float(z.imag)!r}")
-        (out / f"scaled_roots_{tag}.csv").write_text("\n".join(lines) + "\n")
-        _write_json(out / f"deviation_{tag}.json", {
+        rep = kac_limit_check(n, modulus * np.exp(1j * phi))
+        emit(f"scaled_roots_phi{k}.csv", PointSet(rep["gamma"]))
+        emit(f"deviation_phi{k}.json", {
             "n": n, "a": rep["a"], "max_deviation": rep["max_deviation"],
             "mean_deviation": rep["mean_deviation"],
         })
-        files += [f"scaled_roots_{tag}.csv", f"deviation_{tag}.json"]
-        ops.append(f"kac_limit_check({n}, {modulus}e^({phi:.6f}i))")
-    _manifest(out, "figslopes", {"n": n, "modulus": modulus,
-                                 "phis": [float(p) for p in phis]}, ops, files)
+    return [f"kac_limit_check({n}, {modulus}e^({phi:.6f}i))" for phi in phis]
 
 
-def _figure_lattice(out, cache_dir, ov):
+def _figure_lattice(emit, cache_dir, n=34, window=(-3.0, 3.0, -3.0, 3.0)):
     from .branching import lattice_probe, sigma_points
 
-    n = int(ov.get("n", 34))
-    window = tuple(ov.get("window", (-3.0, 3.0, -3.0, 3.0)))
     for m in (n, n + 3):
-        sigma_points(m, cache_dir=cache_dir).points.write_csv(
-            out / f"branching_n{m}.csv"
-        )
-    rep = lattice_probe(n, window, cache_dir=cache_dir)
-    _write_json(out / "drift.json", rep)
-    _manifest(out, "lattice", {"n": n, "window": list(window)},
-              [f"lattice_probe({n}, {window})"],
-              [f"branching_n{n}.csv", f"branching_n{n + 3}.csv", "drift.json"])
+        emit(f"branching_n{m}.csv", sigma_points(m, cache_dir=cache_dir).points)
+    emit("drift.json", lattice_probe(n, window, cache_dir=cache_dir))
+    return [f"lattice_probe({n}, {window})"]
 
 
 # ---------------------------------------------------------------------------
@@ -301,50 +291,53 @@ def cmd_verify(suite: str, fast: bool = False, cache_dir=None, out_path=None) ->
     return 0 if report["passed"] else 1
 
 
+def _pkg(module):
+    return importlib.import_module(f"{__package__}.{module}")
+
+
+# sweep op -> (output file stem, point set at one n); as for the figures, the
+# signature declares the op's parameters (only the spectra take a)
+SWEEP_OPS = {
+    "scaled-spectrum": ("scaled_spectrum", lambda n, c, a="0":
+                        _pkg("spectral").scaled_spectrum(n, parse_complex(a), cache_dir=c)),
+    "eigenvalues": ("eigenvalues", lambda n, c, a="0":
+                    _pkg("spectral").eigenvalues(n, parse_complex(a), cache_dir=c)),
+    "yv-zeros": ("yv_zeros", lambda n, c: _pkg("yv").yv_zeros(n, cache_dir=c)),
+    "sigma-points": ("branching", lambda n, c:
+                     _pkg("branching").sigma_points(n, cache_dir=c).points),
+}
+
+
 def _sweep_task(args):
-    op, n, a_str, out_dir, cache_dir = args
-    a = parse_complex(a_str)
-    out = Path(out_dir)
-    if op == "scaled-spectrum":
-        from .spectral import scaled_spectrum
-
-        ps = scaled_spectrum(n, a, cache_dir=cache_dir)
-        path = out / f"scaled_spectrum_n{n}.csv"
-        ps.write_csv(path)
-    elif op == "eigenvalues":
-        from .spectral import eigenvalues
-
-        ps = eigenvalues(n, a, cache_dir=cache_dir)
-        path = out / f"eigenvalues_n{n}.csv"
-        ps.write_csv(path)
-    elif op == "yv-zeros":
-        from .yv import yv_zeros
-
-        ps = yv_zeros(n, cache_dir=cache_dir)
-        path = out / f"yv_zeros_n{n}.csv"
-        ps.write_csv(path)
-    elif op == "sigma-points":
-        from .branching import sigma_points
-
-        bs = sigma_points(n, cache_dir=cache_dir)
-        path = out / f"branching_n{n}.csv"
-        bs.points.write_csv(path)
-    else:
-        raise ValueError(f"unknown sweep op {op!r}")
+    op, n, params, out_dir, cache_dir = args
+    stem, run = SWEEP_OPS[op]
+    path = Path(out_dir) / f"{stem}_n{n}.csv"
+    run(n, cache_dir, **params).write_csv(path)
     return str(path)
 
 
-def cmd_sweep(op: str, ns, a="0", out_dir=None, cache_dir=None, jobs: int = 1):
+def cmd_sweep(op: str, ns, a=None, out_dir=None, cache_dir=None, jobs: int = 1):
+    """Run one op over many n; ``a`` is refused by the ops that take none."""
+    if op not in SWEEP_OPS:
+        raise ValueError(f"unknown sweep op {op!r}; choose from {tuple(SWEEP_OPS)}")
+    try:
+        bound = inspect.signature(SWEEP_OPS[op][1]).bind(
+            0, cache_dir, **({} if a is None else {"a": a}))
+    except TypeError as exc:
+        raise ValueError(f"sweep {op}: {exc}") from None
+    bound.apply_defaults()
+    params = {k: v for k, v in bound.arguments.items() if k not in ("n", "c")}
     out = Path(out_dir) if out_dir else Path.cwd() / f"sweep-{op}"
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(op, n, a, str(out), cache_dir) for n in ns]
+    tasks = [(op, n, params, str(out), cache_dir) for n in ns]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             files = sorted(ex.map(_sweep_task, tasks))
     else:
         files = sorted(_sweep_task(t) for t in tasks)
     _write_json(out / "manifest.json", {
-        "sweep": op, "ns": list(ns), "a": a, "outputs": [Path(f).name for f in files],
+        "sweep": op, "ns": list(ns), **params,
+        "outputs": [Path(f).name for f in files],
     })
     return out
 
@@ -352,6 +345,11 @@ def cmd_sweep(op: str, ns, a="0", out_dir=None, cache_dir=None, jobs: int = 1):
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+# the parameter --grid sets; the other figures take no grid and refuse it
+GRID_PARAMETER = {"figTau": "k_max", "figAtau": "samples",
+                  "figA1": "tau_count", "figA3": "tau_count"}
+
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
@@ -370,7 +368,9 @@ def _build_parser():
     fig.add_argument("name", choices=FIGURE_NAMES)
     fig.add_argument("--n", type=int)
     fig.add_argument("--a", type=str)
-    fig.add_argument("--grid", type=int, help="generic grid/sample override")
+    fig.add_argument("--grid", type=int,
+                     help="the sampling parameter: figTau k_max, figAtau samples, "
+                          "figA1 and figA3 tau_count")
     fig.add_argument("--tol", type=float)
     fig.add_argument("--out", type=str)
 
@@ -383,11 +383,11 @@ def _build_parser():
 
     sw = sub.add_parser("sweep", parents=[common],
                         help="run one operation over many n")
-    sw.add_argument("op", choices=("scaled-spectrum", "eigenvalues", "yv-zeros",
-                                   "sigma-points"))
+    sw.add_argument("op", choices=tuple(SWEEP_OPS))
     sw.add_argument("--n", type=str, required=True,
                     help="comma-separated n values")
-    sw.add_argument("--a", type=str, default="0")
+    sw.add_argument("--a", type=str,
+                    help="parameter of scaled-spectrum and eigenvalues (default 0)")
     sw.add_argument("--out", type=str)
     sw.add_argument("--jobs", type=int, default=1)
 
@@ -413,16 +413,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     args = _merge_config(args)
     if args.command == "figure":
-        overrides = {}
-        if args.n is not None:
-            overrides["n"] = args.n
-        if args.a is not None:
-            overrides["a"] = parse_complex(args.a)
+        overrides = {key: getattr(args, key) for key in ("n", "a", "tol")
+                     if getattr(args, key) is not None}
+        if "a" in overrides:
+            overrides["a"] = parse_complex(overrides["a"])
         if args.grid is not None:
-            overrides["samples"] = args.grid
-            overrides["k_max"] = args.grid
-        if args.tol is not None:
-            overrides["tol"] = args.tol
+            overrides[GRID_PARAMETER.get(args.name, "grid")] = args.grid
         out = cmd_figure(args.name, out_dir=args.out, cache_dir=args.cache_dir,
                          overrides=overrides)
         print(f"wrote {out}")

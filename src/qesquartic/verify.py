@@ -333,21 +333,23 @@ def criterion_determinism(tmpdir=None):
     from . import cli
 
     def run():
-        base = tmpdir or tempfile.mkdtemp(prefix="qesq-det-")
-        out1 = f"{base}/run1"
-        out2 = f"{base}/run2"
-        cachedir = f"{base}/cache"
-        cli.cmd_figure("figTau", out_dir=out1, cache_dir=cachedir,
-                       overrides={"k_max": 60})
-        cli.cmd_figure("figTau", out_dir=out2, cache_dir=cachedir,
-                       overrides={"k_max": 60})
-        import filecmp
-        import os
-        names = sorted(os.listdir(out1))
-        for name in names:
-            if not filecmp.cmp(f"{out1}/{name}", f"{out2}/{name}", shallow=False):
-                return False, f"{name} differs between identical runs"
-        return True, f"{len(names)} files byte-identical"
+        with tempfile.TemporaryDirectory(prefix="qesq-det-") as scratch:
+            base = tmpdir or scratch
+            out1 = f"{base}/run1"
+            out2 = f"{base}/run2"
+            cachedir = f"{base}/cache"
+            cli.cmd_figure("figTau", out_dir=out1, cache_dir=cachedir,
+                           overrides={"k_max": 60})
+            cli.cmd_figure("figTau", out_dir=out2, cache_dir=cachedir,
+                           overrides={"k_max": 60})
+            import filecmp
+            import os
+            names = sorted(os.listdir(out1))
+            for name in names:
+                if not filecmp.cmp(f"{out1}/{name}", f"{out2}/{name}",
+                                   shallow=False):
+                    return False, f"{name} differs between identical runs"
+            return True, f"{len(names)} files byte-identical"
     return _check("determinism", run)
 
 

@@ -119,3 +119,16 @@ def test_criterion_11_topology():
 def test_criterion_12_determinism(tmp_path):
     ok, line = _report(verify.criterion_determinism(str(tmp_path)))
     assert ok, line
+
+
+def test_criterion_12_determinism_cleans_up(tmp_path, monkeypatch):
+    # `verify all` calls the criterion without a directory of its own
+    import tempfile
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setenv("TMPDIR", str(scratch))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    ok, line = _report(verify.criterion_determinism())
+    assert ok, line
+    assert list(scratch.iterdir()) == []

