@@ -397,21 +397,37 @@ def _build_parser():
     return ap
 
 
-def _merge_config(args):
+def _merge_config(args, parser):
+    """Fill options left unset from the ``--config`` JSON file.
+
+    Each value goes through its option's argparse ``type`` as ``str(value)``,
+    as if it had been given on the command line; a value that type refuses
+    is a ValueError naming the key.
+    """
     if not args.config:
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
+    sub = next(act for act in parser._actions
+               if isinstance(act, argparse._SubParsersAction))
+    types = {act.dest: act.type for act in sub.choices[args.command]._actions}
     for key, val in conf.items():
         attr = key.replace("-", "_")
         if hasattr(args, attr) and getattr(args, attr) in (None, False):
+            if types.get(attr) is not None:
+                try:
+                    val = types[attr](str(val))
+                except ValueError:
+                    raise ValueError(f"--config {args.config}: {key!r} = {val!r} "
+                                     f"does not parse as {types[attr].__name__}"
+                                     ) from None
             setattr(args, attr, val)
     return args
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    args = _merge_config(args)
+    parser = _build_parser()
+    args = _merge_config(parser.parse_args(argv), parser)
     if args.command == "figure":
         overrides = {key: getattr(args, key) for key in ("n", "a", "tol")
                      if getattr(args, key) is not None}

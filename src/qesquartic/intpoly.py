@@ -8,10 +8,20 @@ denominator), the frozen recurrence in ``bkw``, the certificates in
 is closed over the integers and never rounds; a rational point num/den is
 evaluated homogeneously by ``eval_at``, without a Fraction.
 
-Multiplication switches to Kronecker substitution above a size threshold:
-the two polynomials are packed into single big integers with enough bits per
-digit to hold every convolution coefficient, multiplied once (CPython's big
-int product is subquadratic), and unpacked with signed-digit borrows.
+Multiplication switches to Kronecker substitution above a size threshold.
+Each polynomial becomes one big integer with k bytes per coefficient, k large
+enough that every convolution coefficient c satisfies |c| < 2^(8k-1): the
+coefficients are written with ``int.to_bytes(k, signed=True)`` (two's
+complement, so each negative digit carries a borrow of 2^(8k) into the next
+one), joined, read back with ``int.from_bytes``, and the borrows are
+subtracted as one integer.  CPython's subquadratic big int product then
+gives all convolution coefficients at once.  To unpack, a constant whose
+every digit is the offset 2^(8k-1) is added, which makes every digit
+nonnegative and carry-free; ``to_bytes`` of the sum is sliced into k-byte
+digits and the offset taken off each.  A square (``mul(p, p)``) packs once.
+
+``split_cube`` writes a polynomial whose support lies in one residue class
+of degrees mod 3 as x^r g(x^3).
 """
 
 from __future__ import annotations
@@ -77,34 +87,40 @@ def mul(p, q):
 
 
 def _mul_kronecker(p, q):
-    # bits per digit: every convolution coefficient plus sign headroom
-    mp = max(abs(c) for c in p)
-    mq = max(abs(c) for c in q)
-    bound = mp * mq * min(len(p), len(q)) * 2 + 1
-    B = bound.bit_length() + 1
-    P = 0
-    for c in reversed(p):
-        P = (P << B) + c
-    Q = 0
-    for c in reversed(q):
-        Q = (Q << B) + c
-    R = P * Q
-    out = []
-    half = 1 << (B - 1)
-    mask = (1 << B) - 1
-    carry = 0
-    for _ in range(len(p) + len(q) - 1):
-        d = (R & mask) + carry
-        R >>= B
-        # digits at or past the half range are borrows from a negative coeff;
-        # d can land exactly on 1<<B when a borrow rolls a zero digit over
-        if d >= half:
-            d -= 1 << B
-            carry = 1
-        else:
-            carry = 0
-        out.append(d)
-    return trim(out)
+    # k bytes per digit: every convolution coefficient plus a sign bit
+    bound = max(map(abs, p)) * max(map(abs, q)) * min(len(p), len(q))
+    k = (bound.bit_length() + 8) // 8
+    n = len(p) + len(q) - 1
+    P = _pack(p, k)
+    R = P * P if q is p else P * _pack(q, k)
+    offset = (b"\0" * (k - 1) + b"\x80") * n     # every digit 2^(8k-1)
+    raw = (R + int.from_bytes(offset, "little")).to_bytes(n * k, "little")
+    half = 1 << (8 * k - 1)
+    return trim([int.from_bytes(raw[i:i + k], "little") - half
+                 for i in range(0, n * k, k)])
+
+
+def _pack(p, k):
+    """sum p[i] 2^(8ki) as one integer, for digits |p[i]| < 2^(8k-1)."""
+    digits = b"".join(c.to_bytes(k, "little", signed=True) for c in p)
+    borrows = bytearray(len(digits) + k)    # a negative digit borrows 1 from the next
+    borrows[k::k] = bytes(c < 0 for c in p)
+    return int.from_bytes(digits, "little") - int.from_bytes(borrows, "little")
+
+
+def split_cube(p):
+    """(r, g) with p(x) = x^r g(x^3), r the lowest degree of p.
+
+    Raises StructureViolation unless every nonzero coefficient sits in one
+    residue class of degrees mod 3.
+    """
+    support = [j for j, c in enumerate(p) if c]
+    if len({j % 3 for j in support}) != 1:
+        from .errors import StructureViolation
+
+        raise StructureViolation("coefficient support spans several classes mod 3")
+    r = support[0]
+    return r, p[r::3]
 
 
 def deriv(p):

@@ -44,7 +44,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .errors import NonConvergence, StructureViolation
+from . import intpoly
+from .errors import NonConvergence
 
 DEFAULT_SCHEDULE = ((50, 90), (120, 20), (250, 8))
 
@@ -291,11 +292,8 @@ def threefold_roots(coeffs):
     StructureViolation unless every nonzero coefficient sits in one residue
     class of degrees mod 3.
     """
-    support = [j for j, c in enumerate(coeffs) if c]
-    if len({j % 3 for j in support}) != 1:
-        raise StructureViolation("coefficient support spans several classes mod 3")
-    s = support[0]
-    xi = aberth_roots(coeffs[s::3])
+    s, g = intpoly.split_cube(coeffs)
+    xi = aberth_roots(g)
     cube = np.abs(xi) ** (1 / 3) * np.exp(1j * np.angle(xi) / 3)
     turns = np.exp(2j * np.pi * np.arange(3) / 3)
     return np.concatenate([np.zeros(s, complex), (cube[:, None] * turns).ravel()])

@@ -10,6 +10,16 @@ a failed division would falsify the adopted recursion).  deg YV_n is the
 triangular number n(n+1)/2 and the coefficient support sits in degrees
 congruent to it mod 3, which is what pins the zero locus onto a threefold
 symmetric triangular pattern.
+
+The recursion runs on that structure.  With YV_n = t^r g(t^3) and the
+identity Y Y'' - Y'^2 = (Y^2)''/2 - 2 Y'^2, the numerator is
+
+    t Y^2 - 2 (Y^2)'' + 8 Y'^2 = t^(2r-2) m(t^3),
+
+where Y^2 = t^(2r) g(t^3)^2 and Y' = t^(r-1) h(t^3), h_k = (r + 3k) g_k.  A
+step thus costs the two squarings g^2 and h^2, a third of the length of
+YV_n each, and one exact division of m by the g of YV_{n-1} through
+``intpoly.div_exact``.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intpoly, rootfind
-from .errors import NonConvergence, TooClose
+from .errors import NonConvergence, NotDivisible, TooClose
 from .exactpoly import ExactPoly
 from .pointset import PointSet
 
@@ -52,14 +62,22 @@ _YV = [(1,), (0, 1)]   # YV_0, YV_1, ...: each built once per process, kept
 def _yv_int_coeffs(N: int):
     """Coefficient tuples of YV_0..YV_N, extending _YV as far as N."""
     while len(_YV) <= N:
-        Y, prev = list(_YV[-1]), list(_YV[-2])
-        tYY = intpoly.mul([0, 1], intpoly.mul(Y, Y))
-        wron = intpoly.sub(
-            intpoly.mul(Y, intpoly.deriv(intpoly.deriv(Y))),
-            intpoly.mul(intpoly.deriv(Y), intpoly.deriv(Y)),
-        )
-        num = intpoly.sub(tYY, intpoly.scale(wron, 4))
-        _YV.append(tuple(intpoly.div_exact(num, prev)))
+        r, g = intpoly.split_cube(_YV[-1])
+        rp, gp = intpoly.split_cube(_YV[-2])
+        S = intpoly.mul(g, g)
+        h = [(r + 3 * k) * c for k, c in enumerate(g)]
+        m = [0] + S                                   # t Y^2
+        for k, (s, hh) in enumerate(zip(S, intpoly.mul(h, h))):
+            j = 2 * r + 3 * k                         # -2 (Y^2)'' + 8 Y'^2
+            m[k] += 8 * hh - 2 * j * (j - 1) * s
+        q = intpoly.div_exact(m, gp)
+        e = 2 * r - 2 - rp                            # YV_{n+1} = t^e q(t^3)
+        y = [0] * (3 * len(q) - 2)
+        y[::3] = q
+        lo = max(-e, 0)
+        if any(y[:lo]):
+            raise NotDivisible("quotient has a pole at t = 0")
+        _YV.append(tuple([0] * e + y[lo:]))
     return tuple(_YV[: N + 1])
 
 

@@ -3,7 +3,9 @@
 Nothing here shares an algorithm with the package paths it checks: the
 Sylvester determinant is expanded by hand-style elimination over Fractions,
 determinants come from permutation-free cofactor recursion on dense lists,
-products are schoolbook convolutions, the resultant over Z[a] is one
+products are schoolbook convolutions, the Yablonskii-Vorob'ev recursion runs
+on full polynomials in t (the package runs it on the cube-structure factor),
+the resultant over Z[a] is one
 fraction-free elimination on a Sylvester matrix of polynomials (the package
 interpolates it modulo primes instead), root counting falls back to numpy
 with wide margins, and polynomial arithmetic, evaluation and the frozen
@@ -92,6 +94,23 @@ def schoolbook_mul(p, q):
     while r and r[-1] == 0:
         r.pop()
     return r
+
+
+def yv_tform(N):
+    """YV_0..YV_N as ascending int tuples, by the recursion on full polynomials
+    in t, YV_(n+1) = (t YV_n^2 - 4 (YV_n YV_n'' - YV_n'^2)) / YV_(n-1), with
+    schoolbook products (the package squares the cube-structure factor g of
+    YV_n = t^r g(t^3) instead)."""
+    ys = [[1], [0, 1]]
+    while len(ys) <= N:
+        Y, prev = ys[-1], ys[-2]
+        d1 = intpoly.deriv(Y)
+        d2 = intpoly.deriv(d1)
+        wron = intpoly.sub(schoolbook_mul(Y, d2), schoolbook_mul(d1, d1))
+        num = intpoly.sub(schoolbook_mul([0, 1], schoolbook_mul(Y, Y)),
+                          intpoly.scale(wron, 4))
+        ys.append(intpoly.div_exact(num, prev))
+    return [tuple(y) for y in ys[: N + 1]]
 
 
 def numpy_real_root_count(coeffs, lo, hi, imag_tol=1e-7):

@@ -256,6 +256,37 @@ class TestParameterBinding:
         assert "a" not in json.loads((o2 / "manifest.json").read_text())
 
 
+class TestConfigFile:
+    def _conf(self, tmp_path, values):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(values))
+        return str(conf)
+
+    def test_numeric_a_parsed_like_the_flag(self, tmp_path, tmp_cache):
+        rc = cli.main(["figure", "figA3", "--config", self._conf(tmp_path, {"a": 3}),
+                       "--out", str(tmp_path / "a3"), "--cache-dir", tmp_cache])
+        assert rc == 0
+        rep = json.loads((tmp_path / "a3" / "interval.json").read_text())
+        assert rep["a"] == 3.0
+
+    def test_string_n_reaches_figure_as_int(self, tmp_path, tmp_cache):
+        out = tmp_path / "t10"
+        rc = cli.main(["figure", "triangle10",
+                       "--config", self._conf(tmp_path, {"n": "10"}),
+                       "--out", str(out), "--cache-dir", tmp_cache])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == {"n": 10}
+
+    @pytest.mark.parametrize("value", [3.7, "ten", [10]])
+    def test_unparsable_value_refused(self, value, tmp_path, tmp_cache):
+        out = tmp_path / "t10"
+        with pytest.raises(ValueError, match="'n'"):
+            cli.main(["figure", "triangle10",
+                      "--config", self._conf(tmp_path, {"n": value}),
+                      "--out", str(out), "--cache-dir", tmp_cache])
+        assert not out.exists()
+
+
 class TestCacheDirConfinesWrites:
     def test_triangle_writes_only_under_cache_dir(self, tmp_path, monkeypatch):
         home, env_cache, target = (tmp_path / d for d in ("home", "env", "target"))

@@ -216,8 +216,48 @@ class TestKroneckerMultiplication:
             assert intpoly.mul(p, q) == schoolbook_mul(p, q)
 
     def test_borrow_rollover(self):
-        # sparse structured products exercise the digit-rollover path
+        # sparse structured products: negative digits next to runs of zeros
         p = [-80, 0, 0, 20, 0, 0, 1] * 7
+        assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
+
+    def test_square_matches_schoolbook(self):
+        rng = random.Random(5)
+        p = [rng.randint(-10**9, 10**9) for _ in range(61)]
+        assert intpoly.mul(p, p) == schoolbook_mul(p, p)
+        assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
+
+    def test_all_negative_inputs(self):
+        rng = random.Random(6)
+        p = [-rng.randint(1, 10**5) for _ in range(40)]
+        q = [-rng.randint(1, 10**12) for _ in range(35)]
+        assert intpoly._mul_kronecker(p, q) == schoolbook_mul(p, q)
+        assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
+
+    def test_negative_leading_coefficient(self):
+        rng = random.Random(7)
+        p = [rng.randint(-999, 999) for _ in range(40)] + [-3]
+        q = [rng.randint(-999, 999) for _ in range(40)] + [7]
+        prod = intpoly._mul_kronecker(p, q)
+        assert prod == schoolbook_mul(p, q)
+        assert prod[-1] == -21
+
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    @pytest.mark.parametrize("length", [32, 128, 256])
+    def test_byte_boundary_coefficients(self, bits, length):
+        # coefficients of bit length 8j; |c| = 2^bits - 1 everywhere puts the
+        # middle product coefficient on the digit bound length (2^bits - 1)^2,
+        # of bit length 2 bits + 5, 2 bits + 7 = 8k - 1 and 2 bits + 8 = 8k
+        m = (1 << bits) - 1
+        for p, q in (([m] * length, [m] * length),
+                     ([m] * length, [-m] * length),
+                     ([m, -m] * (length // 2), [-m, m] * (length // 2)),
+                     ([-(1 << (bits - 1))] * length, [1 << (bits - 1)] * length)):
+            assert intpoly._mul_kronecker(p, q) == schoolbook_mul(p, q)
+
+    def test_interior_zero_runs(self):
+        p = [3, -1] + [0] * 50 + [-7, 0, 0, 2]
+        q = [0] * 5 + [1] + [0] * 30 + [-1, 4]
+        assert intpoly._mul_kronecker(p, q) == schoolbook_mul(p, q)
         assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
 
     @settings(max_examples=100)

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qesquartic import verify, yv
-from qesquartic.errors import TooClose
+from qesquartic.errors import NotDivisible, StructureViolation, TooClose
 from qesquartic.exactpoly import ExactPoly
+
+from oracles import yv_tform
 
 
 class TestGeneration:
@@ -41,6 +45,31 @@ class TestGeneration:
                             lambda p, q: built.append(q) or div_exact(p, q))
         assert yv._yv_int_coeffs(30) == first
         assert built == []
+
+    def test_matches_t_form_oracle(self):
+        assert yv._yv_int_coeffs(15) == tuple(yv_tform(15))
+
+    def test_members_0_to_40_bit_identical(self):
+        # SHA-256 of YV_0..YV_40: each poly's ascending decimal coefficients
+        # joined by ",", the polys joined by ";"
+        enc = ";".join(",".join(str(c) for c in cs)
+                       for cs in yv._yv_int_coeffs(40)[:41])
+        assert hashlib.sha256(enc.encode()).hexdigest() == (
+            "c5b81706ab379aa75137890fe6ef1ec17779c54cc78e08b4207e9f808dc3d655")
+
+    @pytest.mark.parametrize("start, n", [
+        ([(1,), (0, 1), (5, 0, 0, 1)], 4),   # t^3 + 5 does not divide numerator 4
+        ([(0, 0, 1), (1, 0, 0, 1)], 2),      # t^2 does not: a pole at t = 0
+    ], ids=["g", "power-of-t"])
+    def test_non_exact_step_raises(self, start, n, monkeypatch):
+        monkeypatch.setattr(yv, "_YV", start)
+        with pytest.raises(NotDivisible):
+            yv._yv_int_coeffs(n)
+
+    def test_mixed_support_refused(self, monkeypatch):
+        monkeypatch.setattr(yv, "_YV", [(1,), (0, 1), (5, 1, 0, 1)])
+        with pytest.raises(StructureViolation):
+            yv._yv_int_coeffs(3)
 
 
 class TestZeros:
