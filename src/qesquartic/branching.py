@@ -2,27 +2,32 @@
 
 The discriminant-in-x of the characteristic polynomial is an integer
 polynomial in a of degree D = n(n+1)/2; its zero locus is the branching set.
-It is computed exactly by one CRT-modular route: for each 31-bit prime the
-resultant of the polynomial and its x-derivative is evaluated at the
-integers 1..D+1 (vectorized mod-p Euclid over all points at once - the
-x-leading coefficients are +-1 and +-(n+1), so every prime above n+1 is
-good), interpolated through Newton divided differences mod p, and the
-coefficients are lifted by CRT until they stabilize over two extra primes.
-The node a = 0 is left out on purpose: there the polynomial is supported on
-every third power of x and the remainder degrees drop at every prime.  A
-prime at which some node still breaks the generic remainder-degree sequence
-is skipped, and three such primes in a row raise NonConvergence.
+It has the form a^r h(a^3) with r = D mod 3 and deg h = m = D // 3, and it
+is computed exactly through h by one CRT-modular route.  Only primes
+p = 2 (mod 3) above 2^30 are used: cubing is a bijection mod such a p, so
+the nodes xi = 1..m+1 have the cube roots a = xi^((2p-1)/3).  At those a
+the resultant of the polynomial and its x-derivative is evaluated by a
+vectorized mod-p Euclid (the x-leading coefficients are +-1 and +-(n+1), so
+every prime above n+1 is good) and divided by a^r, which gives h at the
+consecutive nodes xi; Newton divided differences interpolate h mod p, and
+its coefficients are lifted by CRT, prime by prime in prime order, until
+they stabilize over two extra primes.  Primes come in batches: the grid
+evaluation, the Euclid and the interpolation run on (primes x nodes) arrays
+with p as a column.  A prime at which some node breaks the generic
+remainder-degree sequence is skipped, and three such primes in a row raise
+NonConvergence.
 
 Exactness is cross-checked, not assumed: the computed polynomial must have
-degree exactly n(n+1)/2, and its value at random integer points outside the
-nodes must equal the fraction-free Sylvester determinant computed
-independently by Bareiss elimination.  Results are disk-cached
-({kind}-{n}.json) since large-n resultants are the most expensive objects
-in the package.
+degree exactly n(n+1)/2, and its value at two distinct seeded integer
+points above D+1 (which also tests the a^r h(a^3) form) must equal
+the fraction-free Sylvester determinant computed independently by Bareiss
+elimination.  Results are disk-cached ({kind}-{n}.json) since large-n
+resultants are the most expensive objects in the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -60,6 +65,7 @@ class BranchSet:
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_SKIPPED_PRIMES = 3
+_PRIME_BATCH = 8
 
 
 def _is_prime(n: int) -> bool:
@@ -86,111 +92,168 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_from(start: int):
-    p = start | 1
+def _primes_2mod3(n: int):
+    """Primes p = 2 (mod 3) above both 2^30 and n + 1, ascending."""
+    p = max(1 << 30, n + 1) + 1
+    p += (5 - p) % 6                     # p = 5 (mod 6): odd and 2 (mod 3)
     while True:
         if _is_prime(p):
             yield p
-        p += 2
+        p += 6
 
 
 def _modpow_vec(b, e, p):
-    r = np.ones_like(b)
+    """b^e mod p elementwise; e and p are ints or columns (one per prime row)."""
     b = b % p
-    while e:
-        if e & 1:
-            r = (r * b) % p
-        b = (b * b) % p
-        e >>= 1
+    r = np.ones_like(b)
+    e = np.asarray(e)
+    for _ in range(int(e.max()).bit_length()):
+        r = np.where(e & 1, r * b % p, r)
+        b = b * b % p
+        e = e >> 1
     return r
 
 
 def _resultants_vector_mod(F, G, p):
-    """Resultants of many pairs at once mod p; returns (values, ok_mask).
+    """Res_x(F, G) at many points at once mod p; returns (values, ok_mask).
 
-    Points where the generic degree sequence breaks (leading coefficient of
-    a remainder vanishing mod p) are flagged; their values are not resultants.
+    F and G hold the x-coefficients, ascending and reduced mod p, along
+    their first axis; the remaining axes are (primes, points) with p a
+    column of primes.  Each step takes the pseudo-remainder lg^(d+1) f mod g
+    (lg the leading coefficient of g, d = deg f - deg g), so it only
+    multiplies; the powers of lg this adds are collected in one denominator
+    per point and inverted once at the end.  Points where the generic degree
+    sequence breaks (leading coefficient of a remainder vanishing mod p) are
+    flagged; their values are not resultants.
+
+    The primes lie just above 2^30, far below 2^30.5, so a sum of three
+    products of residues stays inside int64 and the generic step (d = 1)
+    reduces once per coefficient.
     """
-    m = F[0].shape[0]
-    f = [c % p for c in F]
-    g = [c % p for c in G]
-    res = np.ones(m, dtype=np.int64)
-    ok = np.ones(m, dtype=bool)
+    f, g = F, G
+    sign = 1
+    ok = np.ones(f.shape[1:], dtype=bool)
+    den = np.ones(f.shape[1:], dtype=np.int64)
     while True:
         df, dg = len(f) - 1, len(g) - 1
+        d = df - dg
         lg = g[-1]
         ok &= lg != 0
         if dg == 0:
-            res = (res * _modpow_vec(g[0], df, p)) % p
-            return res, ok
-        inv = _modpow_vec(lg, p - 2, p)
-        r = [c.copy() for c in f]
-        for i in range(df, dg - 1, -1):
-            q = (r[i] * inv) % p
-            for j in range(dg + 1):
-                r[i - dg + j] = (r[i - dg + j] - q * g[j]) % p
-        r = r[:dg]
+            res = sign * _modpow_vec(g[0], df, p) % p
+            return res * _modpow_vec(den, p - 2, p) % p, ok
+        # pseudo-quotient q: lg^(d+1) f = q g + r (Knuth 4.6.1, Algorithm R)
+        lgk = [np.ones_like(lg)]
+        for _ in range(d + 1):
+            lgk.append(lgk[-1] * lg % p)
+        top = f[dg:].copy()
+        q = [None] * (d + 1)
+        for k in range(d, -1, -1):
+            q[k] = top[k] * lgk[k] % p
+            top[:k] = (lg * top[:k] - top[k] * g[dg - k : dg]) % p
+        r = lgk[d + 1] * f[:dg]
+        for k in range(d + 1):
+            r[k:] -= q[k] * g[: dg - k]
+            if k % 2 or k == d:
+                r %= p
         dr = dg - 1
         while dr > 0 and not r[dr].any():
             dr -= 1
         r = r[: dr + 1]
         if dr == 0 and not r[0].any():
             ok &= False
-            return res, ok
+            return r[0], ok
+        # Res(f, g) = (-1)^(df dg) lg^(df - dr) Res(g, r) and
+        # Res(g, lg^(d+1) r) = lg^((d+1) dg) Res(g, r)
         if (df * dg) % 2:
-            res = (-res) % p
-        res = (res * _modpow_vec(lg, df - dr, p)) % p
+            sign = -sign
+        den = den * _modpow_vec(lg, (d + 1) * dg - (df - dr), p) % p
         f, g = g, r
 
 
-def _eval_grid_mod(rows, pts, p):
-    """Evaluate each Z[a] coefficient row at all points, mod p."""
-    out = []
-    for row in rows:
-        acc = np.zeros(len(pts), dtype=np.int64)
-        for c in reversed(row or [0]):
-            acc = (acc * pts + c % p) % p
-        out.append(acc)
-    return out
+def _eval_grid_mod(rows, xi, a, primes):
+    """Evaluate each Z[a] coefficient row at the points a, mod each prime.
+
+    a has shape (primes, points) and a^3 = xi at every prime.  The terms of
+    a row are grouped by exponent mod 3, a^s P(a^3) = a^s P(xi), so Horner
+    runs in xi over a third of the a-degree.  The rows are stacked on a
+    first axis.
+    """
+    p = np.array(primes, dtype=np.int64)[:, None]
+    out = np.zeros((len(rows),) + a.shape, dtype=np.int64)
+    a_s = np.ones_like(a)
+    for s in range(3):
+        parts = [row[s::3] for row in rows]
+        idx = [j for j, part in enumerate(parts) if any(part)]
+        if idx:
+            width = max(len(parts[j]) for j in idx)
+            grid = np.array([parts[j] + [0] * (width - len(parts[j])) for j in idx],
+                            dtype=object)
+            coef = np.stack([(grid % q).astype(np.int64) for q in primes], axis=-1)
+            acc = np.zeros((len(idx),) + a.shape, dtype=np.int64)
+            for k in range(width - 1, -1, -1):
+                acc = (acc * xi + coef[:, k, :, None]) % p
+            out[idx] += acc * a_s % p
+        a_s = a_s * a % p
+    return out % p
 
 
 def _interpolate_mod(vals, p):
     """Monomial coefficients of the degree <= D interpolant mod p through
-    the points (j + 1, vals[j]), j = 0..D.
+    the points (j + 1, vals[..., j]), j = 0..D, with p an int or a column.
 
     The nodes are consecutive integers, so level j of the divided
     differences divides by the scalar j.
     """
-    D = len(vals) - 1
+    D = vals.shape[-1] - 1
+    inv = _modpow_vec(np.arange(1, D + 1, dtype=np.int64), p - 2, p)
     dd = vals % p
     for j in range(1, D + 1):
-        dd[j:] = (dd[j:] - dd[j - 1 : -1]) * pow(j, -1, p) % p
-    coeffs = np.zeros(D + 1, dtype=np.int64)
+        dd[..., j:] = (dd[..., j:] - dd[..., j - 1 : -1]) * inv[..., j - 1 : j] % p
+    coeffs = np.zeros_like(dd)
     for j in range(D, -1, -1):
         # coeffs <- coeffs * (a - (j + 1)) + dd[j]
-        coeffs[1:] = (coeffs[:-1] - (j + 1) * coeffs[1:]) % p
-        coeffs[0] = (dd[j] - (j + 1) * coeffs[0]) % p
+        coeffs[..., 1:] = (coeffs[..., :-1] - (j + 1) * coeffs[..., 1:]) % p
+        coeffs[..., :1] = (dd[..., j : j + 1] - (j + 1) * coeffs[..., :1]) % p
     return coeffs
+
+
+def _cube_images(n: int):
+    """Yield (p, h mod p) in prime order, where Res_x(Sp, dSp/dx) = a^r h(a^3).
+
+    h mod p is None at a prime that some node takes off the generic
+    remainder-degree sequence.  Primes come in batches of _PRIME_BATCH.
+    """
+    biv = charpoly_bivariate(n)
+    D = n * (n + 1) // 2
+    r = D % 3
+    xi = np.arange(1, D // 3 + 2, dtype=np.int64)
+    dx = np.arange(1, len(biv.grid), dtype=np.int64)[:, None, None]  # dSp/dx rows: j F_j
+    primes = _primes_2mod3(n)
+    while True:
+        batch = list(itertools.islice(primes, _PRIME_BATCH))
+        p = np.array(batch, dtype=np.int64)[:, None]
+        a = _modpow_vec(xi, (2 * p - 1) // 3, p)      # the cube roots of xi
+        F = _eval_grid_mod(biv.grid, xi, a, batch)
+        vals, ok = _resultants_vector_mod(F, dx * F[1:] % p, p)
+        if r:
+            vals = vals * _modpow_vec(a, p - 1 - r, p) % p
+        coeffs = _interpolate_mod(vals, p)
+        for q, good, c in zip(batch, ok.all(axis=1), coeffs):
+            yield q, c if good else None
 
 
 def discriminant_resultant_exact(n: int):
     """Raw integer coefficients (ascending in a) of Res_x(Sp, dSp/dx)."""
-    biv = charpoly_bivariate(n)
-    dbiv = biv.derivative_x()
     D = n * (n + 1) // 2
-    pts = np.arange(1, D + 2, dtype=np.int64)
+    r = D % 3
     crt_mod = 1
-    crt_val = [0] * (D + 1)
+    crt_val = [0] * (D // 3 + 1)
     sym = None
     stable = 0
     skipped = 0
-    for p in _primes_from((1 << 30) + 1):
-        if p <= n + 1:
-            continue
-        F = _eval_grid_mod(biv.grid, pts, p)
-        G = _eval_grid_mod(dbiv.grid, pts, p)
-        vals, ok = _resultants_vector_mod(F, G, p)
-        if not ok.all():
+    for p, coeffs in _cube_images(n):
+        if coeffs is None:
             skipped += 1
             if skipped >= _MAX_SKIPPED_PRIMES:
                 raise NonConvergence(
@@ -199,30 +262,36 @@ def discriminant_resultant_exact(n: int):
                 )
             continue
         skipped = 0
-        coeffs = _interpolate_mod(vals, p)
         inv = pow(crt_mod % p, p - 2, p)
         crt_val = [
-            r + crt_mod * (((int(c) - r) * inv) % p)
-            for r, c in zip(crt_val, coeffs)
+            v + crt_mod * ((int(c) - v % p) * inv % p)
+            for v, c in zip(crt_val, coeffs)
         ]
         crt_mod *= p
         new_sym = [v - crt_mod if v > crt_mod // 2 else v for v in crt_val]
         if sym is not None and new_sym == sym:
             stable += 1
             if stable >= 2:
-                return new_sym
+                raw = [0] * (D + 1)
+                raw[r::3] = new_sym
+                return raw
         else:
             stable = 0
         sym = new_sym
 
 
+def _spot_points(n: int):
+    """The spot check's two points: distinct, seeded, drawn from D+2..D+49."""
+    D = n * (n + 1) // 2
+    rng = np.random.RandomState(n)
+    return rng.choice(np.arange(D + 2, D + 50), size=2, replace=False).tolist()
+
+
 def _spot_check(n: int, coeffs):
-    """Exact verification at random integer points against Sylvester-Bareiss."""
+    """Exact verification at the two spot points against Sylvester-Bareiss."""
     biv = charpoly_bivariate(n)
     dbiv = biv.derivative_x()
-    rng = np.random.RandomState(n)
-    D = n * (n + 1) // 2
-    for a0 in rng.randint(D + 2, D + 50, size=2).tolist():
+    for a0 in _spot_points(n):
         p_at = [intpoly.eval_int(row, a0) for row in biv.grid]
         q_at = [intpoly.eval_int(row, a0) for row in dbiv.grid]
         expected = intpoly.sylvester_resultant(intpoly.trim(p_at), intpoly.trim(q_at))

@@ -397,12 +397,14 @@ def _build_parser():
     return ap
 
 
-def _merge_config(args, parser):
-    """Fill options left unset from the ``--config`` JSON file.
+def _merge_config(args, parser, argv):
+    """Fill every option not given on the command line from ``--config``.
 
-    Each value goes through its option's argparse ``type`` as ``str(value)``,
-    as if it had been given on the command line; a value that type refuses
-    is a ValueError naming the key.
+    The JSON values become the command's defaults and the command line
+    ``argv`` is parsed again, so an option given there still wins.  Each value goes
+    through its option's argparse ``type`` as ``str(value)``, as if it had
+    been given on the command line; a value that type refuses, or a key
+    that names no option of the command, is a ValueError naming the key.
     """
     if not args.config:
         return args
@@ -410,24 +412,29 @@ def _merge_config(args, parser):
         conf = json.load(fh)
     sub = next(act for act in parser._actions
                if isinstance(act, argparse._SubParsersAction))
-    types = {act.dest: act.type for act in sub.choices[args.command]._actions}
+    command = sub.choices[args.command]
+    options = {act.dest: act for act in command._actions
+               if act.option_strings and act.dest not in ("help", "config")}
+    defaults = {}
     for key, val in conf.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            if types.get(attr) is not None:
-                try:
-                    val = types[attr](str(val))
-                except ValueError:
-                    raise ValueError(f"--config {args.config}: {key!r} = {val!r} "
-                                     f"does not parse as {types[attr].__name__}"
-                                     ) from None
-            setattr(args, attr, val)
-    return args
+        act = options.get(key.replace("-", "_"))
+        if act is None:
+            raise ValueError(f"--config {args.config}: {key!r} is not an option "
+                             f"of {args.command}")
+        if act.type is not None:
+            try:
+                val = act.type(str(val))
+            except ValueError:
+                raise ValueError(f"--config {args.config}: {key!r} = {val!r} "
+                                 f"does not parse as {act.type.__name__}") from None
+        defaults[act.dest] = val
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = _merge_config(parser.parse_args(argv), parser)
+    args = _merge_config(parser.parse_args(argv), parser, argv)
     if args.command == "figure":
         overrides = {key: getattr(args, key) for key in ("n", "a", "tol")
                      if getattr(args, key) is not None}

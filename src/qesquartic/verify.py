@@ -20,13 +20,13 @@ from .exactpoly import ExactPoly
 
 
 def _check(name, fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         passed, detail = fn()
     except Exception as exc:  # a crash is a failure with the exception as detail
         passed, detail = False, f"{type(exc).__name__}: {exc}"
     return {"name": name, "passed": bool(passed), "detail": detail,
-            "seconds": round(time.time() - t0, 3)}
+            "seconds": round(time.perf_counter() - t0, 3)}
 
 
 # ---------------------------------------------------------------------------

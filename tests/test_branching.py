@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,23 +40,66 @@ class TestSigmaPolynomial:
 
     def test_non_generic_nodes_raise(self, monkeypatch):
         # a node that breaks the remainder-degree sequence at every prime
-        # must end the prime loop, not spin it forever
+        # must end the prime loop, not spin it forever; the kernel sees a
+        # batch of primes as rows, so flag the first node of every row
         real = branching._resultants_vector_mod
 
         def flag_first_node(F, G, p):
             vals, ok = real(F, G, p)
-            ok[0] = False
+            ok[:, 0] = False
             return vals, ok
 
         monkeypatch.setattr(branching, "_resultants_vector_mod", flag_first_node)
         with pytest.raises(NonConvergence):
             branching.discriminant_resultant_exact(3)
 
+    def test_flagged_prime_mid_batch_is_skipped_alone(self, monkeypatch):
+        want = branching.discriminant_resultant_exact(6)
+        real = branching._resultants_vector_mod
+        flagged = 3
+        assert 0 < flagged < branching._PRIME_BATCH - 1
+        calls = []
+
+        def flag_one_prime(F, G, p):
+            vals, ok = real(F, G, p)
+            if not calls:
+                ok[flagged, -1] = False
+            calls.append(p[:, 0].tolist())
+            return vals, ok
+
+        monkeypatch.setattr(branching, "_resultants_vector_mod", flag_one_prime)
+        first = list(itertools.islice(branching._cube_images(6), branching._PRIME_BATCH))
+        assert [p for p, _ in first] == calls[0]
+        assert [c is None for _, c in first] == [
+            k == flagged for k in range(branching._PRIME_BATCH)]
+        calls.clear()
+        assert branching.discriminant_resultant_exact(6) == want
+
     def test_mod3_support(self, tmp_cache):
-        for n in (4, 7, 9):
+        # sigma_n(a) = a^r h(a^3) with r = D mod 3, D = n(n+1)/2
+        for n in range(1, 17):
             p = branching.sigma_polynomial(n, cache_dir=tmp_cache)
             nz = [j for j, c in enumerate(p.coeffs) if c != 0]
-            assert len({j % 3 for j in nz}) == 1
+            r = n * (n + 1) // 2 % 3
+            assert {j % 3 for j in nz} == {r}
+            assert nz[0] == r
+
+    def test_members_1_to_25_bit_identical(self, tmp_cache):
+        # SHA-256 of sigma_1..sigma_25: each poly's ascending primitive
+        # integer coefficients joined by ",", the polys joined by ";"
+        enc = ";".join(
+            ",".join(str(c) for c in branching.sigma_polynomial(
+                n, cache_dir=tmp_cache)._int_form()[0])
+            for n in range(1, 26))
+        assert hashlib.sha256(enc.encode()).hexdigest() == (
+            "005ede9ca4e2f2fb030354ff3c9100625c7e36582e1b0371a5507d2ccb803f0f")
+
+    def test_spot_points_distinct(self):
+        for n in range(1, branching.SIGMA_CAP_DEFAULT + 1):
+            D = n * (n + 1) // 2
+            pts = branching._spot_points(n)
+            assert len(set(pts)) == 2
+            assert all(D + 2 <= a < D + 50 for a in pts)
 
     def test_conjugation_symmetry_exact(self, tmp_cache):
         for n in (3, 6, 9):

@@ -287,6 +287,28 @@ class TestConfigFile:
         assert not out.exists()
 
 
+    def _merged(self, argv):
+        parser = cli._build_parser()
+        return cli._merge_config(parser.parse_args(argv), parser, argv)
+
+    def test_option_with_default_filled(self, tmp_path):
+        conf = self._conf(tmp_path, {"jobs": 2})
+        args = self._merged(["sweep", "yv-zeros", "--n", "3", "--config", conf])
+        assert args.jobs == 2
+
+    def test_command_line_wins_over_config(self, tmp_path):
+        conf = self._conf(tmp_path, {"jobs": 2, "out": "from-config"})
+        args = self._merged(["sweep", "yv-zeros", "--n", "3", "--jobs", "1",
+                             "--config", conf])
+        assert args.jobs == 1
+        assert args.out == "from-config"
+
+    @pytest.mark.parametrize("key", ["nn", "op", "help"])
+    def test_unknown_key_refused(self, key, tmp_path):
+        conf = self._conf(tmp_path, {key: 10})
+        with pytest.raises(ValueError, match=repr(key)):
+            self._merged(["sweep", "yv-zeros", "--n", "3", "--config", conf])
+
 class TestCacheDirConfinesWrites:
     def test_triangle_writes_only_under_cache_dir(self, tmp_path, monkeypatch):
         home, env_cache, target = (tmp_path / d for d in ("home", "env", "target"))
