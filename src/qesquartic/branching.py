@@ -114,6 +114,17 @@ def _modpow_vec(b, e, p):
     return r
 
 
+def _modprod_pow(bases, exps, p):
+    """prod_k bases[k]^exps[k] mod p for small int exponents, squarings shared."""
+    out = np.ones_like(bases[0])
+    for bit in range(max(exps).bit_length() - 1, -1, -1):
+        out = out * out % p
+        for b, e in zip(bases, exps):
+            if e >> bit & 1:
+                out = out * b % p
+    return out
+
+
 def _resultants_vector_mod(F, G, p):
     """Res_x(F, G) at many points at once mod p; returns (values, ok_mask).
 
@@ -121,10 +132,10 @@ def _resultants_vector_mod(F, G, p):
     their first axis; the remaining axes are (primes, points) with p a
     column of primes.  Each step takes the pseudo-remainder lg^(d+1) f mod g
     (lg the leading coefficient of g, d = deg f - deg g), so it only
-    multiplies; the powers of lg this adds are collected in one denominator
-    per point and inverted once at the end.  Points where the generic degree
-    sequence breaks (leading coefficient of a remainder vanishing mod p) are
-    flagged; their values are not resultants.
+    multiplies; the powers of lg this adds make one denominator per point,
+    evaluated with shared squarings and inverted once at the end.  Points
+    where the generic degree sequence breaks (leading coefficient of a
+    remainder vanishing mod p) are flagged; their values are not resultants.
 
     The primes lie just above 2^30, far below 2^30.5, so a sum of three
     products of residues stays inside int64 and the generic step (d = 1)
@@ -133,7 +144,7 @@ def _resultants_vector_mod(F, G, p):
     f, g = F, G
     sign = 1
     ok = np.ones(f.shape[1:], dtype=bool)
-    den = np.ones(f.shape[1:], dtype=np.int64)
+    lgs, exps = [], []                  # the denominator is prod lgs^exps
     while True:
         df, dg = len(f) - 1, len(g) - 1
         d = df - dg
@@ -141,7 +152,9 @@ def _resultants_vector_mod(F, G, p):
         ok &= lg != 0
         if dg == 0:
             res = sign * _modpow_vec(g[0], df, p) % p
-            return res * _modpow_vec(den, p - 2, p) % p, ok
+            if not lgs:
+                return res, ok
+            return res * _modpow_vec(_modprod_pow(lgs, exps, p), p - 2, p) % p, ok
         # pseudo-quotient q: lg^(d+1) f = q g + r (Knuth 4.6.1, Algorithm R)
         lgk = [np.ones_like(lg)]
         for _ in range(d + 1):
@@ -167,7 +180,8 @@ def _resultants_vector_mod(F, G, p):
         # Res(g, lg^(d+1) r) = lg^((d+1) dg) Res(g, r)
         if (df * dg) % 2:
             sign = -sign
-        den = den * _modpow_vec(lg, (d + 1) * dg - (df - dr), p) % p
+        lgs.append(lg.copy())           # a view would keep every remainder alive
+        exps.append((d + 1) * dg - (df - dr))
         f, g = g, r
 
 
@@ -268,7 +282,8 @@ def discriminant_resultant_exact(n: int):
             for v, c in zip(crt_val, coeffs)
         ]
         crt_mod *= p
-        new_sym = [v - crt_mod if v > crt_mod // 2 else v for v in crt_val]
+        half = crt_mod // 2
+        new_sym = [v - crt_mod if v > half else v for v in crt_val]
         if sym is not None and new_sym == sym:
             stable += 1
             if stable >= 2:
