@@ -114,17 +114,6 @@ def _modpow_vec(b, e, p):
     return r
 
 
-def _modprod_pow(bases, exps, p):
-    """prod_k bases[k]^exps[k] mod p for small int exponents, squarings shared."""
-    out = np.ones_like(bases[0])
-    for bit in range(max(exps).bit_length() - 1, -1, -1):
-        out = out * out % p
-        for b, e in zip(bases, exps):
-            if e >> bit & 1:
-                out = out * b % p
-    return out
-
-
 def _resultants_vector_mod(F, G, p):
     """Res_x(F, G) at many points at once mod p; returns (values, ok_mask).
 
@@ -152,9 +141,13 @@ def _resultants_vector_mod(F, G, p):
         ok &= lg != 0
         if dg == 0:
             res = sign * _modpow_vec(g[0], df, p) % p
-            if not lgs:
-                return res, ok
-            return res * _modpow_vec(_modprod_pow(lgs, exps, p), p - 2, p) % p, ok
+            den = np.ones_like(res)
+            for bit in range(max(exps, default=0).bit_length() - 1, -1, -1):
+                den = den * den % p
+                for b, e in zip(lgs, exps):
+                    if e >> bit & 1:
+                        den = den * b % p
+            return res * _modpow_vec(den, p - 2, p) % p, ok
         # pseudo-quotient q: lg^(d+1) f = q g + r (Knuth 4.6.1, Algorithm R)
         lgk = [np.ones_like(lg)]
         for _ in range(d + 1):
