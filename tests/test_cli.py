@@ -286,7 +286,6 @@ class TestConfigFile:
                       "--out", str(out), "--cache-dir", tmp_cache])
         assert not out.exists()
 
-
     def _merged(self, argv):
         parser = cli._build_parser()
         return cli._merge_config(parser.parse_args(argv), parser, argv)
@@ -308,6 +307,7 @@ class TestConfigFile:
         conf = self._conf(tmp_path, {key: 10})
         with pytest.raises(ValueError, match=repr(key)):
             self._merged(["sweep", "yv-zeros", "--n", "3", "--config", conf])
+
 
 class TestCacheDirConfinesWrites:
     def test_triangle_writes_only_under_cache_dir(self, tmp_path, monkeypatch):
