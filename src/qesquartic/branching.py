@@ -126,9 +126,11 @@ def _resultants_vector_mod(F, G, p):
     where the generic degree sequence breaks (leading coefficient of a
     remainder vanishing mod p) are flagged; their values are not resultants.
 
+    The remainders are reduced with the truncating np.fmod, which is far
+    faster than % on negative numbers, so their residues lie in (-p, p).
     The primes lie just above 2^30, far below 2^30.5, so a sum of three
-    products of residues stays inside int64 and the generic step (d = 1)
-    reduces once per coefficient.
+    products of such residues stays inside int64 and the generic step
+    (d = 1) reduces once per coefficient.
     """
     f, g = F, G
     sign = 1
@@ -161,7 +163,7 @@ def _resultants_vector_mod(F, G, p):
         for k in range(d + 1):
             r[k:] -= q[k] * g[: dg - k]
             if k % 2 or k == d:
-                r %= p
+                np.fmod(r, p, out=r)
         dr = dg - 1
         while dr > 0 and not r[dr].any():
             dr -= 1
