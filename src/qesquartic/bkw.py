@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss   # loaded with the package, not on first use
 
 from . import intpoly
 from .errors import BranchCollision, InsideSupport, NonConvergence
@@ -236,7 +237,7 @@ def cauchy_nu(beta, a=0.0, quadrature_order=64, tol=1e-10, membership_tol=EQUIMO
     order = quadrature_order
     prev = None
     for _ in range(5):
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = leggauss(order)
         taus = 0.5 * (nodes + 1.0)
         ws = 0.5 * weights
         # membership precheck on the quadrature grid

@@ -15,7 +15,9 @@ they stabilize over two extra primes.  Primes come in batches: the grid
 evaluation, the Euclid and the interpolation run on (primes x nodes) arrays
 with p as a column.  A prime at which some node breaks the generic
 remainder-degree sequence is skipped, and three such primes in a row raise
-NonConvergence.
+NonConvergence.  A Hadamard bound on the coefficients caps the prime
+count: images still unstable two primes after the modulus passes twice
+the bound raise NonConvergence as well.
 
 Exactness is cross-checked, not assumed: the computed polynomial must have
 degree exactly n(n+1)/2, and its value at two distinct seeded integer
@@ -32,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import RandomState   # loaded with the package, not on first use
 
 from . import cache, intpoly, rootfind
 from .errors import DegreeMismatch, IndexingAmbiguity, NonConvergence
@@ -252,10 +255,33 @@ def _cube_images(n: int):
             yield q, c if good else None
 
 
+def _resultant_bound(grid) -> int:
+    """An integer above every |coefficient| of Res_x(F, dF/dx), F in Z[a][x]
+    given by its x-coefficient rows.
+
+    On |a| = 1 each Sylvester entry is at most the 1-norm of its
+    a-polynomial, so Hadamard's bound on the matrix of those norms bounds
+    |Res(a)| there, and with it every coefficient (Cauchy's estimate).
+    """
+    norms = [sum(abs(c) for c in row) for row in grid]
+    s_f = sum(v * v for v in norms)
+    s_df = sum((j * v) ** 2 for j, v in enumerate(norms))
+    deg = len(grid) - 1
+    return math.isqrt(s_f ** (deg - 1) * s_df ** deg) + 1
+
+
 def discriminant_resultant_exact(n: int):
-    """Raw integer coefficients (ascending in a) of Res_x(Sp, dSp/dx)."""
+    """Raw integer coefficients (ascending in a) of Res_x(Sp, dSp/dx).
+
+    The CRT stops when the lift is unchanged over two more primes.  Once
+    the modulus exceeds twice the coefficient bound of `_resultant_bound`
+    the lift of consistent images cannot change, so two further primes
+    without that stop raise NonConvergence.
+    """
     D = n * (n + 1) // 2
     r = D % 3
+    limit = 2 * _resultant_bound(charpoly_bivariate(n).grid)
+    beyond = 0
     crt_mod = 1
     crt_val = [0] * (D // 3 + 1)
     sym = None
@@ -271,6 +297,8 @@ def discriminant_resultant_exact(n: int):
                 )
             continue
         skipped = 0
+        if crt_mod > limit:
+            beyond += 1
         inv = pow(crt_mod % p, p - 2, p)
         crt_val = [
             v + crt_mod * ((int(c) - v % p) * inv % p)
@@ -287,13 +315,18 @@ def discriminant_resultant_exact(n: int):
                 return raw
         else:
             stable = 0
+        if beyond >= 2:
+            raise NonConvergence(
+                f"CRT lift unstable two primes past the coefficient bound "
+                f"({limit.bit_length()} bits) for n={n}"
+            )
         sym = new_sym
 
 
 def _spot_points(n: int):
     """The spot check's two points: distinct, seeded, drawn from D+2..D+49."""
     D = n * (n + 1) // 2
-    rng = np.random.RandomState(n)
+    rng = RandomState(n)
     return rng.choice(np.arange(D + 2, D + 50), size=2, replace=False).tolist()
 
 
@@ -422,9 +455,18 @@ def scaled_sigma(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> PointS
 
 def compare_sets(A: PointSet, B: PointSet) -> dict:
     """Cardinalities, Hausdorff distance, mean nearest-neighbor distance,
-    and the optimal-assignment total cost between two point sets."""
-    from scipy.optimize import linear_sum_assignment
+    and the optimal-assignment total cost between two point sets.
 
+    The assignment is the nearest-neighbour map from A to B, certified
+    optimal: with delta its largest distance and g the smallest gap between
+    points of B, a map that is a permutation with delta < g/2 is the unique
+    optimal assignment, since any other one costs at least g - 2 delta more
+    on each reassigned point.  For equal nonzero cardinalities,
+    ``assignment_certificate`` reports delta (``max_nn``), g/2
+    (``half_gap``), whether the map is a permutation and whether the
+    certificate holds; ``assignment_cost`` is the sum of the matched
+    distances when it holds and None when it does not.
+    """
     pa = np.asarray(A.points if isinstance(A, PointSet) else A, dtype=complex)
     pb = np.asarray(B.points if isinstance(B, PointSet) else B, dtype=complex)
     out = {"card_a": len(pa), "card_b": len(pb)}
@@ -436,11 +478,20 @@ def compare_sets(A: PointSet, B: PointSet) -> dict:
     d_ba = D.min(axis=0)
     out["hausdorff"] = float(max(d_ab.max(), d_ba.max()))
     out["mean_nn"] = float((d_ab.mean() + d_ba.mean()) / 2)
-    if len(pa) == len(pb):
-        ri, ci = linear_sum_assignment(D)
-        out["assignment_cost"] = float(D[ri, ci].sum())
-    else:
+    if len(pa) != len(pb):
         out["assignment_cost"] = None
+        return out
+    G = np.abs(pb[:, None] - pb[None, :])
+    np.fill_diagonal(G, math.inf)
+    delta = float(d_ab.max())
+    half_gap = float(G.min()) / 2
+    nn = D.argmin(axis=1)
+    is_perm = len(set(nn.tolist())) == len(nn)
+    certified = is_perm and delta < half_gap
+    out["assignment_cost"] = float(d_ab.sum()) if certified else None
+    out["assignment_certificate"] = {"max_nn": delta, "half_gap": half_gap,
+                                     "permutation": is_perm,
+                                     "certified": certified}
     return out
 
 

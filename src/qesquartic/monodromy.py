@@ -4,9 +4,14 @@ A standard path ("vertical hook") drops from a large positive base point B
 to the height of a chosen branching point, runs horizontally left until just
 short of it, circles it counterclockwise, and retraces itself back.  The
 spectrum at B is real and simple; tracking the eigenvalues frame by frame
-along the path (optimal assignment between consecutive frames, step halving
-whenever the motion is not small against the intra-frame gap) produces a
-permutation of the sorted-at-B spectrum.
+along the path produces a permutation of the sorted-at-B spectrum.
+
+Consecutive frames are matched by nearest neighbours: each old eigenvalue
+goes to the closest new one.  A step is accepted only when that map is a
+permutation and its largest motion is at most 0.3 times the smallest gap
+of the new frame; every other new eigenvalue then lies at least 0.7 gaps
+away, so the map is the unique optimal assignment.  Otherwise the step is
+halved.
 
 The columns of the branching triangle are numbered from the right (the
 rightmost point is column 1, and column j holds j points); the measured
@@ -25,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .branching import sigma_points
 from .errors import ClearanceViolation, CollisionUnresolved
@@ -210,15 +214,54 @@ def circle_path(center, radius_or_start, full_turns=1) -> APath:
                  base=center + R, label=f"circle R={R}")
 
 
+def _nearest(D):
+    """Row-wise nearest neighbours in a distance matrix: (cols, largest of
+    the row minima, whether cols is a permutation)."""
+    ci = D.argmin(axis=1)
+    return ci, float(D.min(axis=1).max()), len(set(ci.tolist())) == len(ci)
+
+
+def _match_frames(cur, new, refine_factor):
+    """Match the frame cur to the next frame new: (ci, gap), where new[ci]
+    continues cur and gap is the smallest gap of new; ci is None when the
+    step must be halved.
+
+    The step is accepted when the nearest-neighbour map is a permutation
+    moving no eigenvalue by more than refine_factor * gap, or when the
+    motion is below rounding (1e-13 of the spectral scale).  In that
+    tiny-motion case a map that is not a permutation (coincident
+    eigenvalues) cannot be resolved and raises CollisionUnresolved.
+    """
+    ci, moved, is_perm = _nearest(np.abs(cur[:, None] - new[None, :]))
+    E = np.abs(new[:, None] - new[None, :])
+    np.fill_diagonal(E, math.inf)
+    gap = float(E.min())
+    if moved <= refine_factor * gap and is_perm:
+        return ci, gap
+    if moved > 1e-13 * (1 + np.abs(new).max()):
+        return None, gap
+    if not is_perm:
+        raise CollisionUnresolved(
+            f"coincident eigenvalues match ambiguously (gap {gap:.2e})"
+        )
+    return ci, gap
+
+
 def track_path(n: int, path, steps: int = 256, keep_traces: bool = False,
                refine_factor: float = 0.3, max_frames: int = 200_000) -> MonodromyResult:
     """Track all eigenvalues around a closed path; the end-to-start matching
     expressed against the ascending-real order of the spectrum at the base.
 
-    Consecutive frames are matched by optimal assignment on |dLambda|; a step
-    is halved whenever the maximal motion exceeds refine_factor times the
-    minimal intra-frame gap.  Raises CollisionUnresolved at the refinement
-    floor (the path runs too close to a branching point).
+    Consecutive frames are matched by nearest neighbours (`_match_frames`):
+    a step is accepted when that map is a permutation whose largest motion
+    is at most refine_factor times the smallest gap of the new frame, and
+    halved otherwise.  With refine_factor < 0.5 every other candidate is
+    then at least (1 - refine_factor) gaps away, so the map is the unique
+    optimal assignment.  The end frame is matched to the start the same
+    way; a closing map that is not a permutation, or moves an eigenvalue by
+    more than 1e-6 of the spectral scale, is a closure failure.  Raises
+    CollisionUnresolved at the refinement floor (the path runs too close to
+    a branching point) and on a failed closure.
     """
     func = path.func if isinstance(path, APath) else path
     ts = list(np.linspace(0.0, 1.0, steps + 1))
@@ -232,12 +275,8 @@ def track_path(n: int, path, steps: int = 256, keep_traces: bool = False,
         if len(ts) > max_frames:
             raise CollisionUnresolved("frame budget exhausted")
         new = np.linalg.eigvals(build_matrix(n, func(ts[i])).matrix)
-        D = np.abs(cur[:, None] - new[None, :])
-        ri, ci = linear_sum_assignment(D)
-        moved = float(D[ri, ci].max())
-        E = np.abs(new[:, None] - new[None, :]) + np.diag([math.inf] * len(new))
-        gap = float(E.min())
-        if moved > refine_factor * gap and moved > 1e-13 * (1 + np.abs(new).max()):
+        ci, gap = _match_frames(cur, new, refine_factor)
+        if ci is None:
             if ts[i] - ts[i - 1] < 1e-12:
                 raise CollisionUnresolved(
                     f"refinement floor at t={ts[i]:.6f} (gap {gap:.2e})"
@@ -250,11 +289,9 @@ def track_path(n: int, path, steps: int = 256, keep_traces: bool = False,
         if keep_traces:
             traces.append(cur.copy())
         i += 1
-    D = np.abs(start[:, None] - cur[None, :])
-    ri, ci = linear_sum_assignment(D)
-    closure = float(D[ri, ci].max())
+    ci, closure, is_perm = _nearest(np.abs(start[:, None] - cur[None, :]))
     scale = 1 + float(np.abs(start).max())
-    if closure > 1e-6 * scale:
+    if closure > 1e-6 * scale or not is_perm:
         raise CollisionUnresolved(f"trace closure failed: {closure:.2e}")
     perm = tuple(int(c) for c in ci)
     return MonodromyResult(permutation=perm, min_gap=min_gap, frames=frames,

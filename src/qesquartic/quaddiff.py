@@ -251,12 +251,29 @@ def critical_graph(a, L, h0=4e-3) -> TrajectoryGraph:
 # ---------------------------------------------------------------------------
 
 def _mst_adjacency(pts):
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
+    """Minimum spanning tree of the complete distance graph, by Prim's
+    algorithm on the dense matrix: (boolean adjacency, distance matrix).
 
+    Zero-length edges (duplicate points) are kept, so the tree always spans
+    every point.
+    """
     D = np.abs(pts[:, None] - pts[None, :])
-    mst = minimum_spanning_tree(csr_matrix(D)).toarray()
-    return (mst > 0) | (mst.T > 0), D
+    m = len(pts)
+    adj = np.zeros((m, m), dtype=bool)
+    outside = np.ones(m, dtype=bool)
+    outside[0] = False
+    best = D[0].copy()                  # distance to the tree; inf inside it
+    best[0] = np.inf
+    parent = np.zeros(m, dtype=int)
+    for _ in range(m - 1):
+        j = int(np.argmin(best))
+        adj[j, parent[j]] = adj[parent[j], j] = True
+        outside[j] = False
+        best[j] = np.inf
+        closer = outside & (D[j] < best)
+        best[closer] = D[j, closer]
+        parent[closer] = j
+    return adj, D
 
 
 def _prune_skeleton(adj, D, prune_len):

@@ -43,6 +43,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from numpy.random import RandomState   # loaded with the package, not on first use
 
 from . import intpoly
 from .errors import NonConvergence
@@ -231,7 +232,7 @@ def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
     last_step = math.inf
     for dps, max_sweeps in schedule:
         cfix, _ = _fixed_coeffs(coeffs, dps, s)
-        rng = np.random.RandomState(12345)
+        rng = RandomState(12345)
         active = np.arange(d)
         for _ in range(max_sweeps):
             za = z[active]

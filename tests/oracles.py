@@ -10,15 +10,23 @@ fraction-free elimination on a Sylvester matrix of polynomials (the package
 interpolates it modulo primes instead), root counting falls back to numpy
 with wide margins, and polynomial arithmetic, evaluation and the frozen
 recurrence run per coefficient over Fractions (the package keeps integer
-numerators over one denominator).
+numerators over one denominator), and eigenvalue tracking and set matching
+use scipy's optimal assignment solver (the package matches nearest
+neighbours and certifies that the match is the optimal one), as does the
+minimum spanning tree (the package runs Prim's algorithm).
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from qesquartic import intpoly
+from qesquartic.errors import CollisionUnresolved
+from qesquartic.spectral import build_matrix
 
 
 def dense_det_fraction(M):
@@ -173,3 +181,62 @@ def frozen_recurrence_fraction(tau, k):
     for c in p1:
         den = den * c.denominator // math.gcd(den, c.denominator)
     return intpoly.primitive([int(c * den) for c in p1])[0]
+
+
+# ---------------------------------------------------------------------------
+# matching by the optimal assignment solver
+# ---------------------------------------------------------------------------
+
+def track_path_lsa(n, func, steps=256, refine_factor=0.3, max_frames=200_000):
+    """Eigenvalue tracking matched by optimal assignment between frames:
+    (permutation, frames, min_gap) with the package's step rule, halving a
+    step whose assignment moves an eigenvalue by more than refine_factor
+    times the smallest gap of the new frame (unless below 1e-13 of the
+    spectral scale)."""
+    ts = list(np.linspace(0.0, 1.0, steps + 1))
+    start = np.sort_complex(np.linalg.eigvals(build_matrix(n, func(0.0)).matrix))
+    cur = start.copy()
+    min_gap = math.inf
+    frames = 1
+    i = 1
+    while i < len(ts):
+        if len(ts) > max_frames:
+            raise CollisionUnresolved("frame budget exhausted")
+        new = np.linalg.eigvals(build_matrix(n, func(ts[i])).matrix)
+        D = np.abs(cur[:, None] - new[None, :])
+        ri, ci = linear_sum_assignment(D)
+        moved = float(D[ri, ci].max())
+        E = np.abs(new[:, None] - new[None, :]) + np.diag([math.inf] * len(new))
+        gap = float(E.min())
+        if moved > refine_factor * gap and moved > 1e-13 * (1 + np.abs(new).max()):
+            if ts[i] - ts[i - 1] < 1e-12:
+                raise CollisionUnresolved(f"refinement floor at t={ts[i]:.6f}")
+            ts.insert(i, 0.5 * (ts[i - 1] + ts[i]))
+            continue
+        min_gap = min(min_gap, gap)
+        cur = new[ci]
+        frames += 1
+        i += 1
+    D = np.abs(start[:, None] - cur[None, :])
+    ri, ci = linear_sum_assignment(D)
+    if float(D[ri, ci].max()) > 1e-6 * (1 + float(np.abs(start).max())):
+        raise CollisionUnresolved("trace closure failed")
+    return tuple(int(c) for c in ci), frames, min_gap
+
+
+def assignment_cost_lsa(pa, pb):
+    """Total distance of the optimal assignment between equal-size sets."""
+    D = np.abs(np.asarray(pa)[:, None] - np.asarray(pb)[None, :])
+    ri, ci = linear_sum_assignment(D)
+    return float(D[ri, ci].sum())
+
+
+def mst_scipy(pts):
+    """scipy's minimum spanning tree of the complete distance graph:
+    (set of edges (i, j) with i < j, total weight).  csr_matrix drops zero
+    distances, so duplicate points are left unjoined."""
+    D = np.abs(pts[:, None] - pts[None, :])
+    T = minimum_spanning_tree(csr_matrix(D)).toarray()
+    i, j = np.nonzero(T)
+    edges = {(int(min(a, b)), int(max(a, b))) for a, b in zip(i, j)}
+    return edges, float(T.sum())

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qesquartic import branching, intpoly
 from qesquartic.errors import NonConvergence
@@ -10,7 +12,7 @@ from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import PointSet
 from qesquartic.spectral import charpoly_bivariate, spectral_polynomial
 
-from oracles import sylvester_resultant_poly
+from oracles import assignment_cost_lsa, sylvester_resultant_poly
 
 
 class TestSigmaPolynomial:
@@ -74,6 +76,33 @@ class TestSigmaPolynomial:
             k == flagged for k in range(branching._PRIME_BATCH)]
         calls.clear()
         assert branching.discriminant_resultant_exact(6) == want
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_resultant_bound_covers_coefficients(self, n):
+        raw = branching.discriminant_resultant_exact(n)
+        bound = branching._resultant_bound(charpoly_bivariate(n).grid)
+        assert max(abs(c) for c in raw) < bound
+
+    def test_inconsistent_images_raise_past_the_bound(self, monkeypatch):
+        # images from no integer polynomial never stabilize; the loop must
+        # stop two primes after the modulus passes twice the bound
+        n = 6
+        width = n * (n + 1) // 2 // 3 + 1
+        bits = (2 * branching._resultant_bound(charpoly_bivariate(n).grid)).bit_length()
+        max_primes = bits // 30 + 3          # every prime exceeds 2^30
+        rng = np.random.RandomState(0)
+        used = []
+
+        def random_images(m):
+            for p in branching._primes_2mod3(m):
+                used.append(p)
+                assert len(used) <= max_primes, "prime loop ran past its bound"
+                yield p, rng.randint(0, p, size=width)
+
+        monkeypatch.setattr(branching, "_cube_images", random_images)
+        with pytest.raises(NonConvergence):
+            branching.discriminant_resultant_exact(n)
+        assert len(used) <= max_primes
 
     def test_mod3_support(self, tmp_cache):
         # sigma_n(a) = a^r h(a^3) with r = D mod 3, D = n(n+1)/2
@@ -202,6 +231,48 @@ class TestCompareSets:
         )
         assert rep["card_a"] == 2 and rep["card_b"] == 1
         assert rep["assignment_cost"] is None
+
+
+class TestCertifiedAssignment:
+    def test_near_copy_certified_equals_lsa(self):
+        rng = np.random.RandomState(3)
+        pb = rng.randn(30) + 1j * rng.randn(30)
+        pa = rng.permutation(pb) + 1e-3 * (rng.randn(30) + 1j * rng.randn(30))
+        rep = branching.compare_sets(pa, pb)
+        assert rep["assignment_certificate"]["certified"]
+        assert rep["assignment_cost"] == assignment_cost_lsa(pa, pb)
+
+    def test_shared_neighbour_not_certified(self):
+        rep = branching.compare_sets(np.array([0.4 + 0j, 0.45]), np.array([0j, 1]))
+        assert rep["assignment_cost"] is None
+        assert rep["assignment_certificate"] == {
+            "max_nn": 0.45, "half_gap": 0.5, "permutation": False,
+            "certified": False}
+
+    def test_far_permutation_not_certified(self):
+        rep = branching.compare_sets(np.array([-0.6 + 0j, 1.6]), np.array([0j, 1]))
+        cert = rep["assignment_certificate"]
+        assert cert["permutation"] and not cert["certified"]
+        assert cert["max_nn"] == pytest.approx(0.6) and cert["half_gap"] == 0.5
+        assert rep["assignment_cost"] is None
+
+    @settings(max_examples=60)
+    @given(data=st.data(), m=st.integers(1, 12), spread=st.floats(1e-3, 2.0))
+    def test_cost_is_lsa_when_certified(self, data, m, spread):
+        coords = st.floats(-3, 3, allow_nan=False)
+        pb = np.array([complex(x, y) for x, y in data.draw(
+            st.lists(st.tuples(coords, coords), min_size=m, max_size=m, unique=True))])
+        noise = np.array(data.draw(st.lists(
+            st.floats(-1, 1), min_size=2 * m, max_size=2 * m)))
+        pa = pb[::-1] + spread * (noise[:m] + 1j * noise[m:])
+        rep = branching.compare_sets(pa, pb)
+        cert = rep["assignment_certificate"]
+        assert cert["certified"] == (cert["permutation"]
+                                     and cert["max_nn"] < cert["half_gap"])
+        if cert["certified"]:
+            assert rep["assignment_cost"] == assignment_cost_lsa(pa, pb)
+        else:
+            assert rep["assignment_cost"] is None
 
 
 class TestLatticeProbe:

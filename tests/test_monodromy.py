@@ -3,6 +3,9 @@ import pytest
 
 from qesquartic import monodromy
 from qesquartic.branching import sigma_points
+from qesquartic.errors import CollisionUnresolved
+
+from oracles import track_path_lsa
 
 
 class TestKacMatrix:
@@ -62,6 +65,37 @@ class TestTrackPath:
     def test_closure(self):
         res = monodromy.track_path(5, monodromy.circle_path(0, 40.0))
         assert res.min_gap > 0
+
+
+class TestNearestMatching:
+    def test_doubled_eigenvalue_in_tiny_motion_raises(self):
+        # both copies of a doubled eigenvalue find the same nearest new one
+        cur = np.array([1.0, 1.0, 2.0], dtype=complex)
+        new = np.array([1.0, 1.0 + 1e-15, 2.0], dtype=complex)
+        with pytest.raises(CollisionUnresolved):
+            monodromy._match_frames(cur, new, 0.3)
+
+    def test_shared_neighbour_halves_the_step(self):
+        cur = np.array([0.0, 0.1, 5.0], dtype=complex)
+        new = np.array([0.02, 1.0, 5.0], dtype=complex)
+        ci, gap = monodromy._match_frames(cur, new, 0.3)
+        assert ci is None and gap == pytest.approx(0.98)
+
+    def test_small_motion_accepted(self):
+        cur = np.array([0.0, 1.0, 2.0], dtype=complex)
+        new = np.array([2.01, 0.01j, 1.01], dtype=complex)
+        ci, gap = monodromy._match_frames(cur, new, 0.3)
+        assert ci.tolist() == [1, 2, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_standard_paths_match_assignment_oracle(n, tmp_cache):
+    bs = sigma_points(n, cache_dir=tmp_cache)
+    for idx in range(len(bs.points.points)):
+        path = monodromy.path_around_index(n, idx, branch_set=bs)
+        res = monodromy.track_path(n, path)
+        assert (res.permutation, res.frames, res.min_gap) == \
+            track_path_lsa(n, path.func), (n, idx)
 
 
 class TestStandardPaths:

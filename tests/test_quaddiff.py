@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qesquartic import quaddiff
 from qesquartic.errors import AmbiguousTopology
+
+from oracles import mst_scipy
 
 
 class TestTurningPoints:
@@ -141,3 +145,51 @@ class TestClassifier:
         verdict, det = quaddiff.support_topology((1 - 1j) / 2, n_probe=60)
         assert verdict == "three-legs"
         assert det["n_probe"] == 60
+
+
+def _tree_edges(adj):
+    i, j = np.nonzero(np.triu(adj))
+    return {(int(a), int(b)) for a, b in zip(i, j)}
+
+
+def _is_spanning_tree(adj):
+    m = len(adj)
+    seen, todo = {0}, [0]
+    while todo:
+        k = todo.pop()
+        for j in np.nonzero(adj[k])[0]:
+            if int(j) not in seen:
+                seen.add(int(j))
+                todo.append(int(j))
+    return len(seen) == m and len(_tree_edges(adj)) == m - 1
+
+
+class TestMinimumSpanningTree:
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                    min_size=2, max_size=40, unique=True))
+    def test_matches_scipy(self, xy):
+        pts = np.array([complex(x, y) for x, y in xy])
+        adj, D = quaddiff._mst_adjacency(pts)
+        assert _is_spanning_tree(adj)
+        want_edges, want_weight = mst_scipy(pts)
+        assert D[np.triu(adj)].sum() == pytest.approx(want_weight, rel=1e-12)
+        d = D[np.triu_indices(len(pts), 1)]
+        if len(np.unique(d)) == len(d):
+            assert _tree_edges(adj) == want_edges
+
+    @pytest.mark.parametrize("cloud", [_leg_cloud(), _arc_cloud(),
+                                       _arc_cloud(corner=True)])
+    def test_synthetic_clouds_match_scipy(self, cloud):
+        adj, _ = quaddiff._mst_adjacency(cloud)
+        assert _tree_edges(adj) == mst_scipy(cloud)[0]
+
+    def test_duplicate_point_joined_by_zero_edge(self):
+        # scipy's sparse input drops zero distances; the dense Prim tree
+        # keeps them, so a duplicated point hangs off its twin
+        base = _leg_cloud()[:40]
+        pts = np.concatenate([base, base[7:8]])
+        adj, D = quaddiff._mst_adjacency(pts)
+        assert _is_spanning_tree(adj)
+        assert adj[7, 40]
+        assert D[np.triu(adj)].sum() == pytest.approx(mst_scipy(base)[1], rel=1e-12)
