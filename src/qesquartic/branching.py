@@ -22,9 +22,10 @@ the bound raise NonConvergence as well.
 Exactness is cross-checked, not assumed: the computed polynomial must have
 degree exactly n(n+1)/2, and its value at two distinct seeded integer
 points above D+1 (which also tests the a^r h(a^3) form) must equal
-the fraction-free Sylvester determinant computed independently by Bareiss
-elimination.  Results are disk-cached ({kind}-{n}.json) since large-n
-resultants are the most expensive objects in the package.
+the Sylvester determinant computed independently over the integers by a
+subresultant PRS (``intpoly.sylvester_resultant``).  Results are
+disk-cached ({kind}-{n}.json) since large-n resultants are the most
+expensive objects in the package.
 """
 
 from __future__ import annotations
@@ -331,7 +332,9 @@ def _spot_points(n: int):
 
 
 def _spot_check(n: int, coeffs):
-    """Exact verification at the two spot points against Sylvester-Bareiss."""
+    """Exact verification at the two spot points against the Sylvester
+    determinant of the specialised pair, by the integer subresultant PRS
+    (no modular arithmetic, so nothing shared with the CRT route)."""
     biv = charpoly_bivariate(n)
     dbiv = biv.derivative_x()
     for a0 in _spot_points(n):

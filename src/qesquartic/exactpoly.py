@@ -16,9 +16,9 @@ Conventions (fixed so results are reproducible bit for bit):
   gcd(content(num), den) = 1, and the zero polynomial is ([], 1); so two
   polynomials are equal iff their (num, den) pairs are.
 * ``resultant`` is the determinant of the Sylvester matrix of two ExactPoly
-  with the first polynomial's coefficients in the top rows, computed by
-  fraction-free (Bareiss) elimination.  No normalization by leading
-  coefficients.
+  with the first polynomial's coefficients in the top rows, computed by a
+  subresultant pseudo-remainder sequence over the integers.  No
+  normalization by leading coefficients.
 * ``discriminant`` is ``resultant(p, dp/dx)`` with no further division; only
   its zero locus is ever used downstream.
 """

@@ -221,17 +221,16 @@ def gcd(p, q):
     return a
 
 
-def _prem_even(p, q):
-    """Pseudo-remainder of p by q, scaled by a positive factor only.
+def _prem(p, q):
+    """(r, e): r = lc(q)^e p minus a multiple of q, deg r < deg q.
 
-    Each elimination multiplies the remainder by lc(q); when that happened an
-    odd number of times and lc(q) < 0, one extra multiplication makes the
-    total factor an even power, so signs are preserved (needed for Sturm).
+    Each elimination multiplies by lc(q) and cancels the leading term; a
+    step that cancels more than one term leaves e < deg p - deg q + 1.
     """
     dq = len(q) - 1
     lc = q[-1]
     r = list(p)
-    mult = 0
+    e = 0
     while r and len(r) - 1 >= dq:
         dr = len(r) - 1
         top = r[-1]
@@ -240,9 +239,20 @@ def _prem_even(p, q):
         for j in range(dq):
             new[sh + j] -= top * q[j]
         r = trim(new)
-        mult += 1
-    if mult % 2 == 1 and lc < 0:
-        r = [lc * c for c in r]
+        e += 1
+    return r, e
+
+
+def _prem_even(p, q):
+    """Pseudo-remainder of p by q, scaled by a positive factor only.
+
+    When lc(q) < 0 and ``_prem`` eliminated an odd number of times, one extra
+    multiplication makes the total factor an even power, so signs are
+    preserved (needed for Sturm).
+    """
+    r, e = _prem(p, q)
+    if e % 2 == 1 and q[-1] < 0:
+        r = [q[-1] * c for c in r]
     return r
 
 
@@ -344,55 +354,40 @@ def isolate_real_roots(p, lo=None, hi=None, seq=None):
 
 
 # ---------------------------------------------------------------------------
-# Sylvester resultant (fraction-free)
+# Sylvester resultant (subresultant PRS)
 # ---------------------------------------------------------------------------
 
 def sylvester_resultant(p, q):
     """det of the Sylvester matrix of p, q (p's coefficients in the top rows).
 
-    Fraction-free Bareiss elimination over the integers; the exact
-    determinant, including its sign.
+    Subresultant pseudo-remainder sequence over the integers (Collins 1967,
+    Brown & Traub 1971, in the form of Cohen's Alg. 3.3.7): each remainder
+    is divided exactly by g h^delta, which keeps its coefficients the size of
+    a subresultant.  The exact determinant, including its sign.
     """
     dp, dq = len(p) - 1, len(q) - 1
     if dp < 0 or dq < 0:
         return 0
-    if dp == 0:
-        return p[0] ** dq if dq >= 0 else 1
-    if dq == 0:
-        return q[0] ** dp
-    n = dp + dq
-    M = [[0] * n for _ in range(n)]
-    prow = list(reversed(p))
-    qrow = list(reversed(q))
-    for i in range(dq):
-        for j, c in enumerate(prow):
-            M[i][i + j] = c
-    for i in range(dp):
-        for j, c in enumerate(qrow):
-            M[dq + i][i + j] = c
-    return _bareiss_det(M)
-
-
-def _bareiss_det(M):
-    n = len(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            row_k = M[k]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pk - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * M[n - 1][n - 1]
+    if dp == 0 or dq == 0:
+        return p[0] ** dq * q[0] ** dp
+    if dp < dq:
+        return (-1) ** (dp * dq) * sylvester_resultant(q, p)
+    a, b = content(p), content(q)
+    A, B = [c // a for c in p], [c // b for c in q]
+    s = g = h = 1
+    while len(B) > 1:
+        da, db = len(A) - 1, len(B) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r, e = _prem(A, B)
+        if not r:
+            return 0
+        f = B[-1] ** (delta + 1 - e)
+        den = g * h ** delta
+        A, B = B, [c * f // den for c in r]
+        g = A[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+    da = len(A) - 1
+    return s * a ** dq * b ** dp * B[0] ** da // h ** (da - 1)

@@ -7,7 +7,8 @@ products are schoolbook convolutions, the Yablonskii-Vorob'ev recursion runs
 on full polynomials in t (the package runs it on the cube-structure factor),
 the resultant over Z[a] is one
 fraction-free elimination on a Sylvester matrix of polynomials (the package
-interpolates it modulo primes instead), root counting falls back to numpy
+interpolates it modulo primes instead; on constant rows it checks the
+package's integer subresultant PRS), root counting falls back to numpy
 with wide margins, and polynomial arithmetic, evaluation and the frozen
 recurrence run per coefficient over Fractions (the package keeps integer
 numerators over one denominator), and eigenvalue tracking and set matching
@@ -32,6 +33,8 @@ from qesquartic.spectral import build_matrix
 def dense_det_fraction(M):
     """Cofactor-expansion determinant of a small matrix of Fractions."""
     m = len(M)
+    if m == 0:
+        return Fraction(1)   # the empty 0x0 matrix (two constants)
     if m == 1:
         return M[0][0]
     total = Fraction(0)
@@ -75,6 +78,8 @@ def sylvester_resultant_poly(p_rows, q_rows):
     """
     M = sylvester_matrix(p_rows, q_rows, [])
     n = len(M)
+    if n == 0:
+        return [1]           # the empty 0x0 matrix (two constants)
     sign, prev = 1, [1]
     for k in range(n - 1):
         if not M[k][k]:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,30 @@ class TestSigmaPolynomial:
             for n in range(1, 26))
         assert hashlib.sha256(enc.encode()).hexdigest() == (
             "005ede9ca4e2f2fb030354ff3c9100625c7e36582e1b0371a5507d2ccb803f0f")
+
+    def test_spot_check_rejects_a_bad_sigma(self, monkeypatch, tmp_cache):
+        real = branching.discriminant_resultant_exact
+
+        def one_off(n):
+            raw = list(real(n))
+            raw[n * (n + 1) // 2 % 3] += 1     # lowest coefficient; degree kept
+            return raw
+
+        monkeypatch.setattr(branching, "discriminant_resultant_exact", one_off)
+        with pytest.raises(NonConvergence, match="spot check"):
+            branching.sigma_polynomial(5, cache_dir=tmp_cache)
+        assert not list(Path(tmp_cache).rglob("sigma-poly*"))
+
+    def test_spot_point_resultant_matches_oracle(self):
+        # the spot check's integer resultant at n = 12 against the Z[a]
+        # Bareiss oracle on constant rows
+        biv = charpoly_bivariate(12)
+        a0 = branching._spot_points(12)[0]
+        p, q = ([intpoly.eval_int(row, a0) for row in g.grid]
+                for g in (biv, biv.derivative_x()))
+        want = sylvester_resultant_poly([[c] if c else [] for c in p],
+                                        [[c] if c else [] for c in q])
+        assert want and intpoly.sylvester_resultant(p, q) == want[0]
 
     def test_spot_points_distinct(self):
         for n in range(1, branching.SIGMA_CAP_DEFAULT + 1):

@@ -80,7 +80,7 @@ _INTERVAL = st.lists(st.one_of(st.integers(-24, 23).map(lambda k: Fraction(2 * k
                      min_size=2, max_size=2, unique=True).map(sorted)
 
 
-_SMALL_POLY = st.lists(st.fractions(-9, 9, max_denominator=4), min_size=2,
+_SMALL_POLY = st.lists(st.fractions(-9, 9, max_denominator=4), min_size=1,
                        max_size=6).filter(lambda cs: cs[-1] != 0)
 
 
@@ -279,6 +279,56 @@ class TestIntDivExact:
         r = data.draw(_int_polys(1, len(q) - 1))
         with pytest.raises(NotDivisible):
             intpoly.div_exact(intpoly.add(prod, r), q)
+
+
+def _prs_polys(max_deg):
+    """Degree 0..max_deg, sparse, leading coefficient of either sign, times
+    a content."""
+    return st.builds(lambda cs, lc, k: [k * c for c in cs + [lc]],
+                     st.lists(st.one_of(st.just(0), st.integers(-30, 30)),
+                              max_size=max_deg),
+                     st.integers(-30, 30).filter(bool),
+                     st.sampled_from([1, -1, 2, -6, 35]))
+
+
+def _res_oracle(p, q):
+    """Sylvester determinant of two integer polys by the Z[a] Bareiss oracle,
+    fed constant rows."""
+    r = sylvester_resultant_poly([[c] if c else [] for c in p],
+                                 [[c] if c else [] for c in q])
+    return r[0] if r else 0
+
+
+class TestSylvesterResultant:
+    @settings(max_examples=150)
+    @given(_prs_polys(10), _prs_polys(10))
+    def test_matches_bareiss_oracle_both_orders(self, p, q):
+        res = intpoly.sylvester_resultant(p, q)
+        assert res == _res_oracle(p, q)
+        assert intpoly.sylvester_resultant(q, p) == _res_oracle(q, p)
+        # Res(q, p) = (-1)^(deg p deg q) Res(p, q)
+        sign = (-1) ** ((len(p) - 1) * (len(q) - 1))
+        assert intpoly.sylvester_resultant(q, p) == sign * res
+
+    @settings(max_examples=60)
+    @given(_prs_polys(3).filter(lambda f: len(f) > 1), _prs_polys(7), _prs_polys(7))
+    def test_shared_factor_gives_zero(self, f, u, v):
+        p, q = intpoly.mul(f, u), intpoly.mul(f, v)
+        assert intpoly.sylvester_resultant(p, q) == 0 == _res_oracle(p, q)
+
+    @given(_prs_polys(10))
+    def test_zero_polynomial_gives_zero(self, p):
+        assert intpoly.sylvester_resultant(p, []) == 0
+        assert intpoly.sylvester_resultant([], p) == 0
+
+    def test_constants_and_abnormal_sequence(self):
+        # two constants: the empty 0x0 determinant
+        assert intpoly.sylvester_resultant([3], [5]) == 1 == _res_oracle([3], [5])
+        # x^4 + 1 against x^2 + 1 (remainder degree drops by two), and a
+        # negative leading coefficient on a non-primitive pair
+        for p, q in (([1, 0, 0, 0, 1], [1, 0, 1]),
+                     ([6, 0, -4, 0, 0, -2], [0, 9, 0, -3])):
+            assert intpoly.sylvester_resultant(p, q) == _res_oracle(p, q)
 
 
 def test_degree_cap():
