@@ -64,6 +64,8 @@ def sylvester_matrix(p, q, zero):
 
 def sylvester_det_by_hand(p, q):
     """Resultant as the cofactor determinant of the Sylvester matrix."""
+    if not (p and q):
+        return Fraction(0)   # a zero polynomial
     return dense_det_fraction(sylvester_matrix(
         [Fraction(c) for c in p], [Fraction(c) for c in q], Fraction(0)))
 
@@ -76,6 +78,8 @@ def sylvester_resultant_poly(p_rows, q_rows):
     fraction-free (Bareiss) with exact divisions in Z[a]; returns the
     ascending int coefficients in a.
     """
+    if not (p_rows and q_rows):
+        return []            # a zero polynomial
     M = sylvester_matrix(p_rows, q_rows, [])
     n = len(M)
     if n == 0:
