@@ -25,7 +25,6 @@ polynomials are scaled to integer ones at the rational tau and built in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,6 +38,8 @@ from .pointset import PointSet
 from .rootfind import cubic_roots, threefold_roots
 
 EQUIMODULAR_TOL = 1e-4
+MAX_HALVINGS = 48        # step halvings each continuation lane may ask for
+SUPPORT_GRID_SIZE = 61   # raster side of union_support
 
 
 @dataclass
@@ -102,11 +103,10 @@ def _gap(mods):
         return np.where(top > 0, (top - mods[..., 1]) / top, np.inf)
 
 
-def support_membership(beta, a=0.0, tau=0.5, tol=EQUIMODULAR_TOL) -> bool:
-    """True iff the two largest-modulus cubic roots are equimodular to tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bool(_dominance_gap(beta, a, tau) < tol)
+def support_membership(beta, a=0.0, tau=0.5) -> bool:
+    """True iff the two largest-modulus cubic roots are equimodular to
+    EQUIMODULAR_TOL."""
+    return bool(_dominance_gap(beta, a, tau) < EQUIMODULAR_TOL)
 
 
 def branch_points(a=0.0, tau=0.5):
@@ -170,20 +170,16 @@ def support_endpoints(a=0.0):
     return cubic_roots(a * a / 4, -9 * a / 8, (-(a**3) - 27 / 16) / 4)
 
 
-def psi_branch(beta, a, tau, start_radius=None, steps=48, max_halvings=48):
-    """Psi~ at beta and one tau: the single lane of ``_psi_branches``."""
-    return _psi_branches(beta, a, [tau], start_radius, steps, max_halvings)[0]
-
-
-def _psi_branches(beta, a, taus, start_radius=None, steps=48, max_halvings=48):
+def _psi_branches(beta, a, taus):
     """Psi~ at beta for every tau in taus: the cubic root with Psi/beta -> -1,
     continued inward.
 
     Continuation runs along the straight ray arg(z) = arg(beta) from
-    |z| = 10(1+|a|) down to |beta|, all taus in lockstep: at each radius
-    every lane takes the root nearest its previous value.  Whenever some
-    lane's nearest and next-nearest roots are not cleanly separated, the
-    step is halved for all lanes; each lane may ask for max_halvings halvings.
+    |z| = max(10(1+|a|), 2|beta|) down to |beta| in 48 geometric steps, all
+    taus in lockstep: at each radius every lane takes the root nearest its
+    previous value.  Whenever some lane's nearest and next-nearest roots are
+    not cleanly separated, the step is halved for all lanes; each lane may
+    ask for MAX_HALVINGS halvings.
     """
     beta = complex(beta)
     a = complex(a)
@@ -191,9 +187,8 @@ def _psi_branches(beta, a, taus, start_radius=None, steps=48, max_halvings=48):
     T = taus * (1 - taus)
     c, d = a * T, -(T * T)
     phase = beta / abs(beta)
-    R0 = start_radius if start_radius is not None else 10.0 * (1 + abs(a))
-    R0 = max(R0, 2 * abs(beta))
-    radii = list(np.geomspace(R0, abs(beta), steps))
+    R0 = max(10.0 * (1 + abs(a)), 2 * abs(beta))
+    radii = list(np.geomspace(R0, abs(beta), 48))
     lanes = np.arange(len(T))
     roots = cubic_roots(radii[0] * phase, c, d)
     psi = roots[lanes, np.argmin(np.abs(roots + radii[0] * phase), axis=-1)]
@@ -207,7 +202,7 @@ def _psi_branches(beta, a, taus, start_radius=None, steps=48, max_halvings=48):
         near = np.sort(dist, axis=-1)
         ambiguous = near[:, 0] > 0.5 * near[:, 1]
         if ambiguous.any():
-            floor = np.flatnonzero(ambiguous & (halvings >= max_halvings))
+            floor = np.flatnonzero(ambiguous & (halvings >= MAX_HALVINGS))
             if len(floor):
                 raise BranchCollision(
                     f"refinement floor at |beta|={rad:.4g} (tau={taus[floor[0]]:.4f})"
@@ -221,20 +216,20 @@ def _psi_branches(beta, a, taus, start_radius=None, steps=48, max_halvings=48):
     return psi
 
 
-def cauchy_nu(beta, a=0.0, quadrature_order=64, tol=1e-10, membership_tol=EQUIMODULAR_TOL):
+def cauchy_nu(beta, a=0.0):
     """tau-averaged Cauchy transform at beta, outside the union support.
 
     Gauss-Legendre quadrature over tau in (0,1) of dPsi/dbeta / Psi, with the
     branch fixed by Psi/beta -> -1 at infinity and followed by straight-ray
-    continuation; the order doubles until two successive values agree to tol.
+    continuation; the order starts at 64 and doubles until two successive
+    values agree to 1e-10.  Raises InsideSupport when a probe of the
+    quadrature taus finds beta on a support (to EQUIMODULAR_TOL).
     """
     beta = complex(beta)
     a = complex(a)
-    if membership_tol <= 0:
-        raise ValueError("membership_tol must be positive")
     if beta == 0:
         raise InsideSupport("beta = 0 lies on every support")
-    order = quadrature_order
+    order = 64
     prev = None
     for _ in range(5):
         nodes, weights = leggauss(order)
@@ -242,26 +237,26 @@ def cauchy_nu(beta, a=0.0, quadrature_order=64, tol=1e-10, membership_tol=EQUIMO
         ws = 0.5 * weights
         # membership precheck on the quadrature grid
         probe = taus[:: max(1, order // 16)]
-        inside = probe[_dominance_gap(beta, a, probe) < membership_tol]
+        inside = probe[_dominance_gap(beta, a, probe) < EQUIMODULAR_TOL]
         if len(inside):
             raise InsideSupport(f"beta={beta} is on the tau={inside[0]:.3f} support")
         T = taus * (1 - taus)
         psi = _psi_branches(beta, a, taus)
         dpsi = -(psi * psi) / (3 * psi * psi + 2 * beta * psi + a * T)
         total = complex(np.sum(ws * dpsi / psi))
-        if prev is not None and abs(total - prev) < tol:
+        if prev is not None and abs(total - prev) < 1e-10:
             return total
         prev = total
         order *= 2
     raise NonConvergence("quadrature did not stabilize for cauchy_nu")
 
 
-def _chain_polylines(pts, break_factor=4.0):
+def _chain_polylines(pts):
     """Order curve-sample points into connected polylines.
 
     Near-duplicates are collapsed first (raster hits and refined edge points
     can land on top of each other), then a nearest-neighbor chain is split
-    wherever a hop exceeds break_factor times the median hop.  A chain may
+    wherever a hop exceeds 4 times the median hop.  A chain may
     legitimately run through a junction (two legs traversed as one V-shaped
     polyline); consumers get connected curves rather than scatter.
     """
@@ -295,7 +290,7 @@ def _chain_polylines(pts, break_factor=4.0):
     legs = []
     leg = [chain[0]]
     for k, h in enumerate(hops):
-        if med > 0 and h > break_factor * med:
+        if med > 0 and h > 4.0 * med:
             legs.append(leg)
             leg = []
         leg.append(chain[k + 1])
@@ -303,9 +298,9 @@ def _chain_polylines(pts, break_factor=4.0):
     return [l for l in legs if l]
 
 
-def _refine_edges(b0, b1, a, tau, steps=36):
+def _refine_edges(b0, b1, a, tau):
     """Bisect the equimodular-curve crossing on every segment [b0[k], b1[k]]
-    at once.
+    at once, in 36 steps.
 
     The curve is where the largest-modulus root hands over to another root;
     the handover flips the sign of |r_i| - |r_j| for the continued pair.  The
@@ -324,7 +319,7 @@ def _refine_edges(b0, b1, a, tau, steps=36):
 
     positive = top_two_gap(r0) > 0
     lo, hi = b0, np.asarray(b1, dtype=complex)
-    for _ in range(steps):
+    for _ in range(36):
         mid = 0.5 * (lo + hi)
         same = (top_two_gap(_char_roots(mid, a, tau)) > 0) == positive
         lo = np.where(same, mid, lo)
@@ -332,16 +327,16 @@ def _refine_edges(b0, b1, a, tau, steps=36):
     return 0.5 * (lo + hi)
 
 
-def union_support(a=0.0, tau_grid=None, beta_grid=None, tol=EQUIMODULAR_TOL,
-                  grid_size=61) -> SupportSample:
+def union_support(a=0.0, tau_grid=None, tol=EQUIMODULAR_TOL) -> SupportSample:
     """Per-tau equimodular supports refined onto the actual curves.
 
-    A coarse raster only straddles the (one-dimensional) supports, so grid
-    edges where the dominant cubic root hands over are bisected transversely
-    until the curve point is located; every refined point then passes the
-    membership test at ``tol``.  Raster points that already pass membership
-    are kept too, and the per-tau branch points ride along as endpoint
-    markers.
+    A coarse SUPPORT_GRID_SIZE-square raster of |Re beta|, |Im beta| <=
+    1 + 0.75 max(1, |a|)^1.5 only straddles the (one-dimensional) supports,
+    so grid edges where the dominant cubic root hands over are bisected
+    transversely until the curve point is located; every refined point then
+    passes the membership test at ``tol``.  Raster points that already pass
+    membership are kept too, and the per-tau branch points ride along as
+    endpoint markers.
     """
     a = complex(a)
     if tau_grid is None:
@@ -349,14 +344,9 @@ def union_support(a=0.0, tau_grid=None, beta_grid=None, tol=EQUIMODULAR_TOL,
         if 0.5 not in tau_grid:
             tau_grid.append(0.5)
         tau_grid.sort()
-    if beta_grid is None:
-        R = 1.0 + 0.75 * max(1.0, abs(a)) ** 1.5
-        side = np.linspace(-R, R, grid_size)
-        beta_grid = side[:, None] + 1j * side[None, :]
-    grid = np.asarray(beta_grid, dtype=complex)
-    if grid.ndim == 1:
-        m = int(math.isqrt(len(grid)))
-        grid = grid.reshape(m, m) if m * m == len(grid) else grid[:, None]
+    R = 1.0 + 0.75 * max(1.0, abs(a)) ** 1.5
+    side = np.linspace(-R, R, SUPPORT_GRID_SIZE)
+    grid = side[:, None] + 1j * side[None, :]
     sample = SupportSample(a=a, tau_grid=list(tau_grid))
     union = []
     for t in tau_grid:

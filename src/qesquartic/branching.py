@@ -348,15 +348,16 @@ def _spot_check(n: int, coeffs):
             )
 
 
-def sigma_polynomial(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> ExactPoly:
+def sigma_polynomial(n: int, cache_dir=None) -> ExactPoly:
     """Exact branching polynomial in a: content-free, positive leading.
 
-    Degree must come out to exactly n(n+1)/2 (DegreeMismatch otherwise).
+    Degree must come out to exactly n(n+1)/2 (DegreeMismatch otherwise); n is
+    capped at SIGMA_CAP_DEFAULT.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the configured cap {cap}")
+    if n > SIGMA_CAP_DEFAULT:
+        raise ValueError(f"n={n} exceeds the cap {SIGMA_CAP_DEFAULT}")
     D = n * (n + 1) // 2
     coeffs = cache.decode_int_poly(cache.load("sigma-poly", n, cache_dir), D)
     if coeffs is not None:
@@ -378,7 +379,7 @@ def sigma_polynomial(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> Ex
 # numeric roots and indexing
 # ---------------------------------------------------------------------------
 
-def sigma_points(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> BranchSet:
+def sigma_points(n: int, cache_dir=None) -> BranchSet:
     """Numeric branching points with (row, column) grid indices.
 
     Columns are real-part bands counted from the RIGHT (j = 1 is the single
@@ -388,7 +389,7 @@ def sigma_points(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> Branch
     n); the points themselves are always returned, and the indexing failure
     is carried on the result for callers that actually need the grid.
     """
-    poly = sigma_polynomial(n, cap=cap, cache_dir=cache_dir)
+    poly = sigma_polynomial(n, cache_dir=cache_dir)
     ip = poly.num
     pts = rootfind.threefold_roots(ip)
     pts = np.asarray(sorted(pts, key=lambda z: (z.real, z.imag)), dtype=complex)
@@ -443,9 +444,9 @@ def _grid_index(n, pts):
     return rows, cols
 
 
-def scaled_sigma(n: int, cap: int = SIGMA_CAP_DEFAULT, cache_dir=None) -> PointSet:
+def scaled_sigma(n: int, cache_dir=None) -> PointSet:
     """Branching points divided by (27/4)^(1/3) n^(2/3)."""
-    bs = sigma_points(n, cap=cap, cache_dir=cache_dir)
+    bs = sigma_points(n, cache_dir=cache_dir)
     factor = SCALE_CONSTANT * n ** (2.0 / 3.0)
     out = bs.points.scaled(factor, label=f"scaled branching points n={n}")
     out.meta = {"n": n, "scaling": "(27/4)^(1/3) n^(2/3)"}
@@ -538,12 +539,14 @@ def _local_spacing(pts):
     return float(np.median(D.min(axis=1)))
 
 
-def distinct_imag_report(n: int, tol: float = 1e-9, cache_dir=None) -> dict:
+def distinct_imag_report(n: int, cache_dir=None) -> dict:
     """Are the imaginary parts of the nonreal branching points all distinct?
 
     The standard-path construction relies on this numerically observed fact;
-    it is verified per n and violations are reported, never assumed.
+    it is verified per n and violations are reported, never assumed.  Both
+    "nonreal" and "distinct" are taken to 1e-9.
     """
+    tol = 1e-9
     pts = sigma_points(n, cache_dir=cache_dir).points.points
     nonreal = pts[np.abs(pts.imag) > tol]
     ims = np.sort(nonreal.imag)

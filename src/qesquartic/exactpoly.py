@@ -239,6 +239,8 @@ def resultant(p: ExactPoly, q: ExactPoly) -> Fraction:
         raise TypeError("resultant expects two ExactPoly")
     ip, dp_ = p._int_form()
     iq, dq_ = q._int_form()
+    if not ip or not iq:
+        return Fraction(0)
     det = intpoly.sylvester_resultant(ip, iq)
     return Fraction(det, dp_ ** (len(iq) - 1) * dq_ ** (len(ip) - 1))
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import DegreeCapExceeded, NotDivisible, StructureViolation
+
 KRONECKER_MIN_LEN = 32
 DEGREE_CAP = 100_000
 
@@ -71,8 +73,6 @@ def mul(p, q):
     if not p or not q:
         return []
     if len(p) + len(q) - 1 > DEGREE_CAP:
-        from .errors import DegreeCapExceeded
-
         raise DegreeCapExceeded(
             f"product degree {len(p) + len(q) - 2} exceeds cap {DEGREE_CAP}"
         )
@@ -116,8 +116,6 @@ def split_cube(p):
     """
     support = [j for j, c in enumerate(p) if c]
     if len({j % 3 for j in support}) != 1:
-        from .errors import StructureViolation
-
         raise StructureViolation("coefficient support spans several classes mod 3")
     r = support[0]
     return r, p[r::3]
@@ -129,8 +127,6 @@ def deriv(p):
 
 def div_exact(p, q):
     """Exact quotient p/q over the integers; raises NotDivisible otherwise."""
-    from .errors import NotDivisible
-
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
     if not p:

@@ -106,16 +106,10 @@ def _eig_sorted_real(n, a):
     return np.sort_complex(lam)
 
 
-def standard_path(n: int, i: int, j: int, B=None, radius_factor=0.3,
-                  clearance_factor=0.05, bump=None, cache_dir=None,
+def standard_path(n: int, i: int, j: int, cache_dir=None,
                   branch_set=None) -> APath:
-    """The vertical hook around the branching point with grid label (i, j).
-
-    B defaults to 2 max|branch points| + 1.  The circle radius is
-    radius_factor times the distance to the nearest other branching point;
-    hooks around real branching points get their horizontal run bumped off
-    the axis.  Raises ClearanceViolation if no shrink keeps the path clear.
-    """
+    """The vertical hook of ``path_around_index`` around the branching point
+    with grid label (i, j)."""
     bs = branch_set if branch_set is not None else sigma_points(n, cache_dir=cache_dir)
     bs.require_grid()
     pts = bs.points.points
@@ -124,28 +118,32 @@ def standard_path(n: int, i: int, j: int, B=None, radius_factor=0.3,
                    if bs.rows[k] == i and bs.cols[k] == j)
     except StopIteration:
         raise ValueError(f"no branching point with grid label ({i}, {j})")
-    return path_around_index(n, idx, B=B, radius_factor=radius_factor,
-                             clearance_factor=clearance_factor, bump=bump,
-                             branch_set=bs)
+    return path_around_index(n, idx, branch_set=bs)
 
 
-def path_around_index(n: int, idx: int, B=None, radius_factor=0.3,
-                      clearance_factor=0.05, bump=None,
+def path_around_index(n: int, idx: int, bump=None,
                       cache_dir=None, branch_set=None) -> APath:
-    """Vertical hook around the idx-th branching point (sorted order)."""
+    """Vertical hook around the idx-th branching point (sorted order).
+
+    The base point is B = 2 max|branch points| + 1.  With near the distance
+    to the nearest other branching point, the circle radius is 0.3 near and
+    the path must keep 0.05 near clear of every other branching point;
+    hooks around real branching points get their horizontal run bumped off
+    the axis by ``bump`` (default min(near/2, 0.35)).  Each failed try
+    shrinks radius, bump and clearance by 0.6; raises ClearanceViolation if
+    no shrink keeps the path clear.
+    """
     bs = branch_set if branch_set is not None else sigma_points(n, cache_dir=cache_dir)
     pts = bs.points.points
     sigma = complex(pts[idx])
     others = np.delete(pts, idx)
-    if B is None:
-        B = 2.0 * float(np.abs(pts).max()) + 1.0
-    B = float(B)
+    B = 2.0 * float(np.abs(pts).max()) + 1.0
     if others.size:
         near = float(np.abs(others - sigma).min())
     else:
         near = 1.0
-    radius = radius_factor * near
-    clearance = clearance_factor * near
+    radius = 0.3 * near
+    clearance = 0.05 * near
     is_real = abs(sigma.imag) < 1e-9
     if bump is None:
         bump = 0.0 if not is_real else min(0.5 * near, 0.35)
@@ -197,10 +195,10 @@ def _hook_func(B, sigma, radius, bump):
     return func
 
 
-def _path_min_distance(func, pts, samples=600):
+def _path_min_distance(func, pts):
     if pts.size == 0:
         return math.inf
-    ts = np.linspace(0, 1, samples)
+    ts = np.linspace(0, 1, 600)
     zs = np.array([func(t) for t in ts])
     return float(np.abs(zs[:, None] - pts[None, :]).min())
 
@@ -247,21 +245,21 @@ def _match_frames(cur, new, refine_factor):
     return ci, gap
 
 
-def track_path(n: int, path, steps: int = 256, keep_traces: bool = False,
-               refine_factor: float = 0.3, max_frames: int = 200_000) -> MonodromyResult:
+def track_path(n: int, path, steps: int = 256,
+               keep_traces: bool = False) -> MonodromyResult:
     """Track all eigenvalues around a closed path; the end-to-start matching
     expressed against the ascending-real order of the spectrum at the base.
 
     Consecutive frames are matched by nearest neighbours (`_match_frames`):
     a step is accepted when that map is a permutation whose largest motion
-    is at most refine_factor times the smallest gap of the new frame, and
-    halved otherwise.  With refine_factor < 0.5 every other candidate is
-    then at least (1 - refine_factor) gaps away, so the map is the unique
-    optimal assignment.  The end frame is matched to the start the same
+    is at most 0.3 times the smallest gap of the new frame, and halved
+    otherwise.  Every other candidate is then at least 0.7 gaps away, so
+    the map is the unique optimal assignment (this needs a factor below
+    0.5).  The end frame is matched to the start the same
     way; a closing map that is not a permutation, or moves an eigenvalue by
     more than 1e-6 of the spectral scale, is a closure failure.  Raises
     CollisionUnresolved at the refinement floor (the path runs too close to
-    a branching point) and on a failed closure.
+    a branching point), past 200,000 frames and on a failed closure.
     """
     func = path.func if isinstance(path, APath) else path
     ts = list(np.linspace(0.0, 1.0, steps + 1))
@@ -272,10 +270,10 @@ def track_path(n: int, path, steps: int = 256, keep_traces: bool = False,
     frames = 1
     i = 1
     while i < len(ts):
-        if len(ts) > max_frames:
+        if len(ts) > 200_000:
             raise CollisionUnresolved("frame budget exhausted")
         new = np.linalg.eigvals(build_matrix(n, func(ts[i])).matrix)
-        ci, gap = _match_frames(cur, new, refine_factor)
+        ci, gap = _match_frames(cur, new, 0.3)
         if ci is None:
             if ts[i] - ts[i - 1] < 1e-12:
                 raise CollisionUnresolved(
@@ -310,14 +308,15 @@ def compose(perms):
     return tuple(out)
 
 
-def monodromy_table(n: int, B=None, steps: int = 192, cache_dir=None) -> dict:
-    """Permutation of every standard path, keyed by the (row, col) label."""
+def monodromy_table(n: int, cache_dir=None) -> dict:
+    """Permutation of every standard path, keyed by the (row, col) label,
+    each tracked in 192 steps."""
     bs = sigma_points(n, cache_dir=cache_dir)
     bs.require_grid()
     out = {}
     for idx in range(len(bs.points.points)):
-        path = path_around_index(n, idx, B=B, branch_set=bs)
-        res = track_path(n, path, steps=steps)
+        path = path_around_index(n, idx, branch_set=bs)
+        res = track_path(n, path, steps=192)
         out[(bs.rows[idx], bs.cols[idx])] = res
     return out
 

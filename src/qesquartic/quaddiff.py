@@ -31,6 +31,7 @@ from .errors import AmbiguousTopology, StallNearTurningPoint
 MERGE_TOL = 1e-7
 CORNER_DEG_THRESHOLD = 18.0
 PRUNE_FRAC = 0.05
+H0 = 4e-3                # largest RK4 arc-length step of trace_horizontal
 
 
 @dataclass
@@ -90,10 +91,10 @@ def quartic_derivative(T, a):
     return 4 * (T**3 - a * T - 1)
 
 
-def turning_points(a, L, merge_tol: float = MERGE_TOL):
+def turning_points(a, L):
     """The four roots of P with multiplicity merging.
 
-    Roots closer than merge_tol (on the normalized quartic scale) collapse
+    Roots closer than MERGE_TOL (on the normalized quartic scale) collapse
     into one point whose multiplicity is the cluster size.
     """
     a = complex(a)
@@ -108,7 +109,7 @@ def turning_points(a, L, merge_tol: float = MERGE_TOL):
         group = [raw[i]]
         used[i] = True
         for j in range(i + 1, len(raw)):
-            if not used[j] and abs(raw[i] - raw[j]) < merge_tol * scale:
+            if not used[j] and abs(raw[i] - raw[j]) < MERGE_TOL * scale:
                 group.append(raw[j])
                 used[j] = True
         out.append((complex(np.mean(group)), len(group)))
@@ -132,15 +133,16 @@ def _local_ray_angles(a, L, tp, mult):
 
 
 def trace_horizontal(a, L, start, direction, capture_radius=None,
-                     escape_radius=None, max_length=None, h0=4e-3,
                      turning=None):
     """Trace one horizontal trajectory of -P dT^2 from ``start``.
 
     Integration is arc-length RK4 on the unit direction field
-    arg(T') = -arg(-P(T))/2 with the sign chosen for continuity.  Returns
-    (result, hit_index, path) where result is "capture", "escape" or
-    "maxlen".  Raises StallNearTurningPoint when the adaptive step collapses
-    without reaching the capture radius.
+    arg(T') = -arg(-P(T))/2 with the sign chosen for continuity, at steps of
+    at most H0.  Returns (result, hit_index, path) where result is "capture"
+    (within capture_radius of a turning point), "escape" (beyond
+    10 sqrt(1 + |a| + |L|) + max |turning point|) or "maxlen" (arc length
+    12 times that escape radius).  Raises StallNearTurningPoint when the
+    adaptive step collapses without reaching the capture radius.
     """
     a = complex(a)
     L = complex(L)
@@ -150,10 +152,8 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
     tps = [complex(z) for z, _ in turning]
     diam = max(max(abs(z - w) for z in tps for w in tps), 1e-3)
     cap_r = capture_radius if capture_radius is not None else 1e-3 * diam
-    esc_r = escape_radius if escape_radius is not None else (
-        10 * math.sqrt(1 + abs(a) + abs(L)) + max(abs(z) for z in tps)
-    )
-    max_len = max_length if max_length is not None else 12 * esc_r
+    esc_r = 10 * math.sqrt(1 + abs(a) + abs(L)) + max(abs(z) for z in tps)
+    max_len = 12 * esc_r
     T = complex(start)
     d = complex(direction)
     d /= abs(d)
@@ -167,7 +167,7 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
 
     path = [T]
     slen = 0.0
-    h = h0
+    h = H0
     stall = 0
     while slen < max_len:
         dists = [abs(z - T) for z in tps]
@@ -195,7 +195,7 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
         d = field(T, k4)
         path.append(T)
         slen += abs(step)
-        h = min(h0, 0.2 * dmin + 1e-4)
+        h = min(H0, 0.2 * dmin + 1e-4)
     return "maxlen", None, np.asarray(path)
 
 
@@ -213,7 +213,7 @@ def horizontality_residual(path, a, L):
     return float(np.max(np.abs(v[good].imag) / np.abs(v[good])))
 
 
-def critical_graph(a, L, h0=4e-3) -> TrajectoryGraph:
+def critical_graph(a, L) -> TrajectoryGraph:
     """Trace every ray from every turning point; test the existence criterion.
 
     A turning point is on the critical set when one of its rays captures at
@@ -234,7 +234,7 @@ def critical_graph(a, L, h0=4e-3) -> TrajectoryGraph:
             start = tp + delta * np.exp(1j * th)
             result, j, path = trace_horizontal(
                 a, L, start, np.exp(1j * th), capture_radius=cap_r,
-                h0=h0, turning=turning,
+                turning=turning,
             )
             graph.trajectories.append(
                 {"from": i, "ray": k, "result": result, "to": j, "path": path}
@@ -333,8 +333,10 @@ def _arc_order(pts, adj, removed):
     return pts[order]
 
 
-def max_corner_angle(pts, adj, removed, win: int = 6) -> float:
-    """Windowed turning angle (degrees) along the arc skeleton."""
+def max_corner_angle(pts, adj, removed) -> float:
+    """Windowed turning angle (degrees) along the arc skeleton, smoothed
+    over 6 points and summed over 12 turns."""
+    win = 6
     path = _arc_order(pts, adj, removed)
     if len(path) < 3 * win:
         return 0.0
@@ -346,19 +348,20 @@ def max_corner_angle(pts, adj, removed, win: int = 6) -> float:
     return float(np.degrees(cum.max()))
 
 
-def classify_cloud(points, prune_frac: float = PRUNE_FRAC,
-                   corner_threshold: float = CORNER_DEG_THRESHOLD):
+def classify_cloud(points):
     """Classification of a support-shaped point cloud.
 
-    Returns (verdict, details) with verdict in {"three-legs", "one-arc",
-    "singular"}; raises AmbiguousTopology when the skeleton counts fit no
-    known pattern.
+    Leaves shorter than PRUNE_FRAC of the largest distance are pruned from
+    the skeleton, and a two-leaf arc whose corner exceeds
+    CORNER_DEG_THRESHOLD degrees is "singular".  Returns (verdict, details)
+    with verdict in {"three-legs", "one-arc", "singular"}; raises
+    AmbiguousTopology when the skeleton counts fit no known pattern.
     """
     pts = np.asarray(points, dtype=complex)
     if len(pts) < 12:
         raise AmbiguousTopology("too few points to classify")
     adj, D = _mst_adjacency(pts)
-    removed = _prune_skeleton(adj, D, prune_frac * D.max())
+    removed = _prune_skeleton(adj, D, PRUNE_FRAC * D.max())
     deg = np.array([int((adj[i] & ~removed).sum()) if not removed[i] else 0
                     for i in range(len(pts))])
     leaves = int((deg == 1).sum())
@@ -369,7 +372,7 @@ def classify_cloud(points, prune_frac: float = PRUNE_FRAC,
     if leaves == 2 and junctions == 0:
         corner = max_corner_angle(pts, adj, removed)
         details["corner_deg"] = corner
-        if corner > corner_threshold:
+        if corner > CORNER_DEG_THRESHOLD:
             return "singular", details
         return "one-arc", details
     raise AmbiguousTopology(
@@ -378,14 +381,12 @@ def classify_cloud(points, prune_frac: float = PRUNE_FRAC,
     )
 
 
-def support_topology(a, n_probe: int = 200, prune_frac: float = PRUNE_FRAC,
-                     corner_threshold: float = CORNER_DEG_THRESHOLD,
-                     cache_dir=None):
+def support_topology(a, n_probe: int = 200, cache_dir=None):
     """Shape of the limiting support at this a, probed by the scaled
     spectrum at n_probe with the a_n = a n^(2/3) regime."""
     from .spectral import scaled_spectrum
 
     cloud = scaled_spectrum(n_probe, a, rule="n23", cache_dir=cache_dir)
-    verdict, details = classify_cloud(cloud.points, prune_frac, corner_threshold)
+    verdict, details = classify_cloud(cloud.points)
     details["n_probe"] = n_probe
     return verdict, details

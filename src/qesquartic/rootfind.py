@@ -23,7 +23,7 @@ multiplying by it costs a big-by-small integer product.
 Everything is rescaled to the dominant root radius before iterating; without
 that, evaluation near roots of a polynomial whose coefficients span hundreds
 of digits cancels catastrophically at any fixed precision.  A root whose
-correction falls below ``tol`` is frozen for the rest of its stage, as in
+correction falls below 1e-15 is frozen for the rest of its stage, as in
 MPSolve (Bini & Fiorentino 2000; Bini & Robol 2014): it still repels the
 others but is no longer evaluated.  On convergence every root z_i gets the
 Newton inclusion radius d |p(z_i)/p'(z_i)|, the radius of a disk about z_i
@@ -201,17 +201,17 @@ def _inclusion_radii(cfix, z):
     return d * np.abs([_newton_ratio(*v) for v in vals])
 
 
-def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
-                 check_sum=True):
+def aberth_roots(coeffs, init=None, check_sum=True):
     """All roots of sum coeffs[k] z^k (ascending; exact or mp coefficients).
 
-    Returns a complex ndarray of the d roots.  Raises NonConvergence when the
-    final sweep still moves by more than sqrt(tol) at root scale, when the
-    exact sum-of-roots identity fails beyond tolerance, or when the Newton
-    inclusion disks of the returned roots are not pairwise disjoint.
+    Runs the (dps, max_sweeps) stages of DEFAULT_SCHEDULE; a root whose
+    correction falls below tol = 1e-15 is frozen.  Returns a complex ndarray
+    of the d roots.  Raises NonConvergence when the final sweep still moves
+    by more than sqrt(tol) at root scale, when the exact sum-of-roots
+    identity fails beyond tolerance, or when the Newton inclusion disks of
+    the returned roots are not pairwise disjoint.
     """
-    if schedule is None:
-        schedule = DEFAULT_SCHEDULE
+    tol = 1e-15
     d = len(coeffs) - 1
     if d >= 0 and coeffs[d] == 0:
         raise ValueError("leading coefficient must be nonzero")
@@ -230,7 +230,7 @@ def aberth_roots(coeffs, init=None, schedule=None, tol=1e-15,
     else:
         z = np.asarray(init, dtype=complex) / s
     last_step = math.inf
-    for dps, max_sweeps in schedule:
+    for dps, max_sweeps in DEFAULT_SCHEDULE:
         cfix, _ = _fixed_coeffs(coeffs, dps, s)
         rng = RandomState(12345)
         active = np.arange(d)
@@ -341,10 +341,11 @@ def newton_polish(coeffs, roots, dps=50, steps=3):
         return [mp.mpc(mp.mpf((zr, -e)), mp.mpf((zi, -e))) for zr, zi, e in pts]
 
 
-def residual_scale_aware(coeffs, z, dps=60):
-    """|p(z)| / sum_k |c_k||z|^k   (backward-stable residual normalization)."""
+def residual_scale_aware(coeffs, z):
+    """|p(z)| / sum_k |c_k||z|^k   (backward-stable residual normalization),
+    with p(z) evaluated at 60 digits."""
     z = complex(z)
-    cfix, shift = _fixed_coeffs(coeffs, dps)
+    cfix, shift = _fixed_coeffs(coeffs, 60)
     pr, pi, _, _ = _horner(cfix, [_exact_point(z)])[0]
     if pr == 0 and pi == 0:
         return 0.0

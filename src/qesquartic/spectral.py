@@ -28,8 +28,8 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from . import rootfind
-from .errors import NonConvergence, TooClose
+from . import cache, intpoly, rootfind
+from .errors import NonConvergence, StructureViolation, TooClose
 from .exactpoly import BivariatePoly
 from .pointset import PointSet, sort_points
 
@@ -135,21 +135,15 @@ def zero_a_structure(n: int):
     """(r, q_int) with det(M - x I)|_{a=0} = (-1)^(n+1) x^r q(x^3), q monic.
 
     The integer list q_int is ascending in xi = x^3; raises StructureViolation
-    if any coefficient sits outside the x^(3j+r) support.
+    if any coefficient sits outside the x^(3j+r) support, r = (n+1) mod 3.
     """
-    from .errors import StructureViolation
-
-    p = spectral_polynomial(n, 0)
-    cs = p.num
-    r = (n + 1) % 3
-    for j, c in enumerate(cs):
-        if c != 0 and j % 3 != r:
-            raise StructureViolation(
-                f"nonzero coefficient at degree {j} for n={n} (expected {r} mod 3)"
-            )
+    r, g = intpoly.split_cube(spectral_polynomial(n, 0).num)
+    if r != (n + 1) % 3:
+        raise StructureViolation(
+            f"lowest degree {r} for n={n} (expected {(n + 1) % 3} mod 3)"
+        )
     sign = (-1) ** (n + 1)
-    q = [sign * c for c in cs[r::3]]
-    return r, q
+    return r, [sign * c for c in g]
 
 
 def _eigs_dense(n, a):
@@ -180,24 +174,22 @@ def _a_token(a: complex) -> str:
     return s.replace("-", "m").replace(".", "p").replace("+", "")
 
 
-def eigenvalues(n: int, a=0.0, cap: int = EIG_CAP_DEFAULT, cache_dir=None) -> PointSet:
+def eigenvalues(n: int, a=0.0, cache_dir=None) -> PointSet:
     """All n+1 eigenvalues, sorted lexicographically by (Re, Im).
 
     Above the dense-precision threshold the multiprecision polynomial route
     runs; those spectra are disk-cached (keyed by n and a) because they cost
-    tens of seconds each.
+    tens of seconds each.  n is capped at EIG_CAP_DEFAULT.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the configured cap {cap}")
+    if n > EIG_CAP_DEFAULT:
+        raise ValueError(f"n={n} exceeds the cap {EIG_CAP_DEFAULT}")
     ac = complex(a)
     meta = {"n": n, "a": [ac.real, ac.imag]}
     if n <= DENSE_EIG_MAX_N:
         lam = _eigs_dense(n, ac)
         return PointSet(sort_points(lam), label=f"spectrum n={n}", meta=meta)
-    from . import cache
-
     kind = f"eigs-{_a_token(ac)}"
     lam = cache.decode_points(cache.load(kind, n, cache_dir), n + 1)
     if lam is not None:
@@ -212,8 +204,7 @@ def eigenvalues(n: int, a=0.0, cap: int = EIG_CAP_DEFAULT, cache_dir=None) -> Po
     return PointSet(lam, label=f"spectrum n={n}", meta=meta)
 
 
-def scaled_spectrum(n: int, a=0.0, rule="const", cap: int = EIG_CAP_DEFAULT,
-                    cache_dir=None) -> PointSet:
+def scaled_spectrum(n: int, a=0.0, rule="const", cache_dir=None) -> PointSet:
     """Eigenvalues of M at a_n, divided by n^(4/3).
 
     rule: "const" (a_n = a), "n23" (a_n = a n^(2/3)), or a callable n -> a_n.
@@ -226,7 +217,7 @@ def scaled_spectrum(n: int, a=0.0, rule="const", cap: int = EIG_CAP_DEFAULT,
         an = complex(a) * n ** (2.0 / 3.0)
     else:
         raise ValueError(f"unknown scaling rule {rule!r}")
-    ps = eigenvalues(n, an, cap=cap, cache_dir=cache_dir)
+    ps = eigenvalues(n, an, cache_dir=cache_dir)
     factor = n ** (4.0 / 3.0)
     out = ps.scaled(factor, label=f"scaled spectrum n={n}")
     out.meta = {"n": n, "a_n": [an.real, an.imag], "rule": rule if isinstance(rule, str) else "callable",
@@ -234,14 +225,15 @@ def scaled_spectrum(n: int, a=0.0, rule="const", cap: int = EIG_CAP_DEFAULT,
     return out
 
 
-def empirical_cauchy(sample: PointSet, z, tol: float = 1e-8) -> complex:
-    """(1/|S|) sum 1/(z - xi) over the point set; z must stay off the points."""
+def empirical_cauchy(sample: PointSet, z) -> complex:
+    """(1/|S|) sum 1/(z - xi) over the point set; z must stay more than 1e-8
+    off the points."""
     pts = np.asarray(sample.points if isinstance(sample, PointSet) else sample,
                      dtype=complex)
     if len(pts) == 0:
         raise ValueError("empty point set")
     zc = complex(z)
     d = np.abs(zc - pts)
-    if d.min() <= tol:
-        raise TooClose(f"z within {d.min():.2e} of a sample point (tol {tol:.1e})")
+    if d.min() <= 1e-8:
+        raise TooClose(f"z within {d.min():.2e} of a sample point (tol 1e-8)")
     return complex(np.mean(1.0 / (zc - pts)))

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import intpoly, rootfind
+from . import cache, intpoly, rootfind
 from .errors import NonConvergence, NotDivisible, TooClose
 from .exactpoly import ExactPoly
-from .pointset import PointSet
+from .pointset import PointSet, sort_points
 
 ZERO_CAP_DEFAULT = 60
 SCALE_CONSTANT = (9 / 2) ** (2 / 3)
@@ -109,36 +109,31 @@ def coefficient_support_mod3_ok(n: int) -> bool:
     return all(c == 0 or j % 3 == d % 3 for j, c in enumerate(cs))
 
 
-def yv_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, residual_tol: float = RESIDUAL_TOL,
-             cache_dir=None) -> PointSet:
+def yv_zeros(n: int, cache_dir=None) -> PointSet:
     """All n(n+1)/2 zeros of YV_n, multiplicity included.
 
     Roots come from the exact cubic-structure factor g (YV_n = t^r g(t^3))
     through rootfind.threefold_roots: Aberth roots of g, each in its own
     Newton inclusion disk, mapped back by cube roots.  Each returned zero
     passes the scale-aware residual test |YV_n(z)| / sum_k |c_k||z|^k <
-    residual_tol.  Large-n zero sets are disk-cached.
+    RESIDUAL_TOL.  n is capped at ZERO_CAP_DEFAULT.  Large-n zero sets are
+    disk-cached.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the configured cap {cap}")
+    if n > ZERO_CAP_DEFAULT:
+        raise ValueError(f"n={n} exceeds the cap {ZERO_CAP_DEFAULT}")
     if n == 0:
         return PointSet(np.empty(0, complex), label="YV_0 zeros", meta={"n": 0})
     if n >= 25:
-        from . import cache
-
         pts = cache.decode_points(cache.load("yv-zeros", n, cache_dir),
                                   n * (n + 1) // 2)
         if pts is not None:
             return PointSet(pts, label=f"YV_{n} zeros", meta={"n": n})
     cs = list(_yv_int_coeffs(n)[n])
     pts = rootfind.threefold_roots(cs)
-    _check_residuals(cs, pts, residual_tol)
+    _check_residuals(cs, pts)
     if n >= 25:
-        from . import cache
-        from .pointset import sort_points
-
         pts = sort_points(pts)
         cache.store("yv-zeros", n,
                     {"n": n, "points": cache.encode_points(pts)},
@@ -146,7 +141,7 @@ def yv_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, residual_tol: float = RESIDUAL
     return PointSet(pts, label=f"YV_{n} zeros", meta={"n": n})
 
 
-def _check_residuals(cs, pts, tol):
+def _check_residuals(cs, pts):
     stride = max(1, len(pts) // 40)
     worst = 0.0
     worst_z = None
@@ -157,29 +152,29 @@ def _check_residuals(cs, pts, tol):
             res = rootfind.residual_scale_aware(cs, z)
         if res > worst:
             worst, worst_z = res, z
-    if worst > tol:
+    if worst > RESIDUAL_TOL:
         raise NonConvergence(
-            f"zero residual {worst:.2e} at {worst_z} exceeds {tol:.1e}"
+            f"zero residual {worst:.2e} at {worst_z} exceeds {RESIDUAL_TOL:.1e}"
         )
 
 
-def scaled_zeros(n: int, cap: int = ZERO_CAP_DEFAULT, cache_dir=None) -> PointSet:
+def scaled_zeros(n: int, cache_dir=None) -> PointSet:
     """Zero locus divided by (9/2)^(2/3) n^(2/3).
 
     The scaled corner modulus tends to CORNER_CONSTANT / SCALE_CONSTANT =
     (2/3)^(1/3) ~ 0.8736, not to 1.
     """
-    ps = yv_zeros(n, cap=cap, cache_dir=cache_dir)
+    ps = yv_zeros(n, cache_dir=cache_dir)
     factor = SCALE_CONSTANT * n ** (2.0 / 3.0)
     out = ps.scaled(factor, label=f"scaled YV_{n} zeros")
     out.meta = {"n": n, "scaling": "(9/2)^(2/3) n^(2/3)"}
     return out
 
 
-def painleve_rational(n: int, t_samples, pole_tol: float = 1e-6, cache_dir=None):
+def painleve_rational(n: int, t_samples, cache_dir=None):
     """u(t; n) = YV_{n-1}'/YV_{n-1} - YV_n'/YV_n at each sample.
 
-    Raises TooClose when a sample sits within pole_tol of a zero of either
+    Raises TooClose when a sample sits within 1e-6 of a zero of either
     polynomial (a pole of u).
     """
     if n < 1:
@@ -197,7 +192,7 @@ def painleve_rational(n: int, t_samples, pole_tol: float = 1e-6, cache_dir=None)
             (np.abs(tc - zp).min() if len(zp) else math.inf),
             (np.abs(tc - zq).min() if len(zq) else math.inf),
         )
-        if dmin < pole_tol:
+        if dmin < 1e-6:
             raise TooClose(f"sample {tc} within {dmin:.2e} of a pole")
         pv, qv = p(tc), q(tc)
         out.append(dp(tc) / pv - dq(tc) / qv)

@@ -52,10 +52,6 @@ class TestSupportMembership:
     def test_tau_zero_never(self):
         assert not bkw.support_membership(0.7, 0, 0.0)
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            bkw.support_membership(0.5, 0, 0.5, tol=0)
-
 
 class TestBranchPoints:
     def test_zero_parameter(self):
@@ -160,7 +156,7 @@ class TestCauchyNu:
         for tau in (0.21, 0.5, 0.83):
             T = tau * (1 - tau)
             for beta in (2.0 + 0.5j, -1.5 + 1.2j):
-                psi = bkw.psi_branch(beta, 0.7, tau)
+                psi = bkw._psi_branches(beta, 0.7, [tau])[0]
                 val = psi**3 + beta * psi**2 + 0.7 * T * psi - T * T
                 assert abs(val) < 1e-12
 
@@ -175,21 +171,24 @@ class TestBatchedContinuation:
         # that of a ray continued alone
         lanes = bkw._psi_branches(beta, a, self.TAUS)
         for t, psi in zip(self.TAUS, lanes):
-            assert bkw.psi_branch(beta, a, t) == psi
+            assert bkw._psi_branches(beta, a, [t])[0] == psi
 
-    def test_no_halvings_left_raises(self):
+    def test_no_halvings_left_raises(self, monkeypatch):
         # this ray needs one halving at tau = 1/2
         beta = 0.74 + 0.01j
-        assert np.isfinite(bkw.psi_branch(beta, 0, 0.5, max_halvings=1))
+        monkeypatch.setattr(bkw, "MAX_HALVINGS", 1)
+        assert np.isfinite(bkw._psi_branches(beta, 0, [0.5])[0])
+        monkeypatch.setattr(bkw, "MAX_HALVINGS", 0)
         with pytest.raises(BranchCollision):
-            bkw.psi_branch(beta, 0, 0.5, max_halvings=0)
+            bkw._psi_branches(beta, 0, [0.5])
         with pytest.raises(BranchCollision):
-            bkw._psi_branches(beta, 0, [0.1, 0.5], max_halvings=0)
+            bkw._psi_branches(beta, 0, [0.1, 0.5])
 
 
 class TestUnionSupport:
-    def test_zero_parameter_legs(self):
-        sup = bkw.union_support(0, tau_grid=[0.2, 0.35, 0.5], grid_size=31)
+    def test_zero_parameter_legs(self, monkeypatch):
+        monkeypatch.setattr(bkw, "SUPPORT_GRID_SIZE", 31)
+        sup = bkw.union_support(0, tau_grid=[0.2, 0.35, 0.5])
         pts = sup.union
         assert len(pts) > 30
         args = np.angle(pts[np.abs(pts) > 1e-6])
@@ -198,15 +197,17 @@ class TestUnionSupport:
         assert np.abs(args - k * 2 * np.pi / 3).max() < 1e-6
         assert np.abs(pts).max() < 0.75 + 1e-6
 
-    def test_refined_points_pass_membership(self):
+    def test_refined_points_pass_membership(self, monkeypatch):
         a = 1 + 1j
-        sup = bkw.union_support(a, tau_grid=[0.3, 0.5], grid_size=25)
+        monkeypatch.setattr(bkw, "SUPPORT_GRID_SIZE", 25)
+        sup = bkw.union_support(a, tau_grid=[0.3, 0.5])
         for t, pts in sup.per_tau.items():
             for b in pts[:12]:
                 assert bkw.support_membership(b, a, t)
 
-    def test_endpoint_markers(self):
-        sup = bkw.union_support(0, tau_grid=[0.5], grid_size=21)
+    def test_endpoint_markers(self, monkeypatch):
+        monkeypatch.setattr(bkw, "SUPPORT_GRID_SIZE", 21)
+        sup = bkw.union_support(0, tau_grid=[0.5])
         ep = sup.endpoints[0.5]
         assert np.abs(np.abs(ep) - 0.75).max() < 1e-9
 

@@ -118,6 +118,15 @@ class TestResultant:
     def test_univariate_matches_hand_oracle(self, p, q):
         assert resultant(ExactPoly(p), ExactPoly(q)) == sylvester_det_by_hand(p, q)
 
+    @pytest.mark.parametrize("p, q", [([], [1, 2]), ([1, 2], []), ([], [])])
+    def test_zero_polynomial_gives_zero(self, p, q):
+        res = resultant(ExactPoly(p), ExactPoly(q))
+        assert res == 0 and isinstance(res, Fraction)
+
+    def test_discriminant_of_zero_is_zero(self):
+        res = discriminant(ExactPoly([]))
+        assert res == 0 and isinstance(res, Fraction)
+
     def test_discriminant_detects_multiple_roots(self):
         rng = random.Random(5)
         for _ in range(25):

@@ -10,8 +10,9 @@ from qesquartic import bkw, branching, monodromy, quaddiff, yv, zerocase
 
 
 class TestSupportSampleExport:
-    def test_legs_json(self):
-        sup = bkw.union_support(0, tau_grid=[0.5], grid_size=31)
+    def test_legs_json(self, monkeypatch):
+        monkeypatch.setattr(bkw, "SUPPORT_GRID_SIZE", 31)
+        sup = bkw.union_support(0, tau_grid=[0.5])
         d = sup.to_json_dict()
         assert set(d) == {"a", "tau_grid", "legs", "endpoints"}
         legs = d["legs"]["0.500000"]

@@ -51,19 +51,21 @@ class TestTracing:
         assert len(quaddiff._local_ray_angles(0, 0, 0 + 0j, 1)) == 3
         assert len(quaddiff._local_ray_angles(0, 0.75, 1 + 0j, 2)) == 4
 
-    def test_horizontality_residual(self):
+    def test_horizontality_residual(self, monkeypatch):
         # the secant residual of the polylines converges at O(h^2); at the
         # fine step it must sit below the stated fidelity tolerance
-        g = quaddiff.critical_graph(0, 0, h0=2.5e-4)
+        monkeypatch.setattr(quaddiff, "H0", 2.5e-4)
+        g = quaddiff.critical_graph(0, 0)
         worst = max(
             quaddiff.horizontality_residual(tr["path"], 0, 0)
             for tr in g.trajectories if len(tr["path"]) > 10
         )
         assert worst < 1e-6
 
-    def test_residual_converges_quadratically(self):
+    def test_residual_converges_quadratically(self, monkeypatch):
         def worst_at(h):
-            g = quaddiff.critical_graph(0, 0, h0=h)
+            monkeypatch.setattr(quaddiff, "H0", h)
+            g = quaddiff.critical_graph(0, 0)
             return max(quaddiff.horizontality_residual(tr["path"], 0, 0)
                        for tr in g.trajectories if len(tr["path"]) > 10)
 

@@ -138,9 +138,10 @@ def test_leading_zero_rejected():
         rootfind.aberth_roots([1, 2, 0])
 
 
-def test_one_sweep_does_not_converge():
+def test_one_sweep_does_not_converge(monkeypatch):
+    monkeypatch.setattr(rootfind, "DEFAULT_SCHEDULE", ((50, 1),))
     with pytest.raises(NonConvergence):
-        rootfind.aberth_roots(list(range(1, 12)), schedule=((50, 1),))
+        rootfind.aberth_roots(list(range(1, 12)))
 
 
 def test_double_root_refused():
