@@ -11,7 +11,12 @@ goes to the closest new one.  A step is accepted only when that map is a
 permutation and its largest motion is at most 0.3 times the smallest gap
 of the new frame; every other new eigenvalue then lies at least 0.7 gaps
 away, so the map is the unique optimal assignment.  Otherwise the step is
-halved.
+halved.  That test reads only the two spectra at the ends of a step, as
+sets, so the tracker refines one bisection level at a time: it judges all
+pending steps together on stacked distance arrays, solves all midpoints of
+a level in one stacked eigensolve, and composes the accepted steps' maps
+in one pass along the path.  The grid and the result are those of a walk
+that halves each step in place.
 
 The columns of the branching triangle are numbered from the right (the
 rightmost point is column 1, and column j holds j points); the measured
@@ -33,7 +38,10 @@ import numpy as np
 
 from .branching import sigma_points
 from .errors import ClearanceViolation, CollisionUnresolved
-from .spectral import build_matrix
+from .spectral import build_matrices, build_matrix
+
+MAX_FRAMES = 200000     # grid points one tracked path may use
+STACK_ENTRIES = 1 << 18  # matrix entries per stacked batch
 
 
 @dataclass
@@ -99,11 +107,6 @@ def kac_matrix(n: int, a=1.0) -> np.ndarray:
         M[i + 1, i] = (n - i) / n
         M[i, i + 1] = (i + 1) * ac / n
     return M
-
-
-def _eig_sorted_real(n, a):
-    lam = np.linalg.eigvals(build_matrix(n, a).matrix)
-    return np.sort_complex(lam)
 
 
 def standard_path(n: int, i: int, j: int, cache_dir=None,
@@ -212,37 +215,69 @@ def circle_path(center, radius_or_start, full_turns=1) -> APath:
                  base=center + R, label=f"circle R={R}")
 
 
-def _nearest(D):
-    """Row-wise nearest neighbours in a distance matrix: (cols, largest of
-    the row minima, whether cols is a permutation)."""
-    ci = D.argmin(axis=1)
-    return ci, float(D.min(axis=1).max()), len(set(ci.tolist())) == len(ci)
+def _nearest(L, R):
+    """Row-wise nearest neighbours from each row of L (m, k) into the same
+    row of R: (ci, largest row minimum, whether ci is a permutation), one
+    entry per row, with R[j][ci[j]] the neighbours of L[j]."""
+    D = np.abs(L[:, :, None] - R[:, None, :])
+    ci = D.argmin(axis=2)
+    perm = (np.sort(ci, axis=1) == np.arange(L.shape[1])).all(axis=1)
+    return ci, D.min(axis=2).max(axis=1), perm
+
+
+def _judge(L, R, refine_factor):
+    """Stacked step test for the intervals with end spectra L[j] -> R[j]:
+    (ci, gap, accept, collide), one entry per interval.
+
+    gap[j] is the smallest gap of R[j].  A step is accepted when the
+    nearest-neighbour map ci[j] is a permutation moving no eigenvalue by
+    more than refine_factor * gap[j], or when the motion is below rounding
+    (1e-13 of the spectral scale).  In that tiny-motion case a map that is
+    not a permutation (coincident eigenvalues) cannot be resolved: collide.
+    Every other step must be halved.  Only the two spectra as sets decide,
+    not the order of their rows.
+    """
+    ci, moved, perm = _nearest(L, R)
+    k = R.shape[1]
+    E = np.abs(R[:, :, None] - R[:, None, :])
+    E[:, np.arange(k), np.arange(k)] = math.inf
+    gap = E.min(axis=(1, 2))
+    tiny = ~(moved > 1e-13 * (1 + np.abs(R).max(axis=1)))
+    return ci, gap, perm & ((moved <= refine_factor * gap) | tiny), tiny & ~perm
+
+
+def _ambiguous(gap):
+    return CollisionUnresolved(
+        f"coincident eigenvalues match ambiguously (gap {gap:.2e})"
+    )
 
 
 def _match_frames(cur, new, refine_factor):
     """Match the frame cur to the next frame new: (ci, gap), where new[ci]
     continues cur and gap is the smallest gap of new; ci is None when the
-    step must be halved.
-
-    The step is accepted when the nearest-neighbour map is a permutation
-    moving no eigenvalue by more than refine_factor * gap, or when the
-    motion is below rounding (1e-13 of the spectral scale).  In that
-    tiny-motion case a map that is not a permutation (coincident
-    eigenvalues) cannot be resolved and raises CollisionUnresolved.
+    step must be halved.  The one-interval case of ``_judge``; raises
+    CollisionUnresolved where it reports a collision.
     """
-    ci, moved, is_perm = _nearest(np.abs(cur[:, None] - new[None, :]))
-    E = np.abs(new[:, None] - new[None, :])
-    np.fill_diagonal(E, math.inf)
-    gap = float(E.min())
-    if moved <= refine_factor * gap and is_perm:
-        return ci, gap
-    if moved > 1e-13 * (1 + np.abs(new).max()):
-        return None, gap
-    if not is_perm:
-        raise CollisionUnresolved(
-            f"coincident eigenvalues match ambiguously (gap {gap:.2e})"
-        )
-    return ci, gap
+    ci, gap, accept, collide = _judge(cur[None], new[None], refine_factor)
+    gap = float(gap[0])
+    if collide[0]:
+        raise _ambiguous(gap)
+    return (ci[0] if accept[0] else None), gap
+
+
+def _batches(m, k):
+    """Slices of range(m) holding at most about STACK_ENTRIES / k^2 stacked
+    k x k problems each, so a batch stays a few MB whatever m is."""
+    step = max(1, STACK_ENTRIES // (k * k))
+    return [slice(s, s + step) for s in range(0, m, step)]
+
+
+def _spectra(n, ts, func):
+    """Unsorted eigenvalues at a = func(t) for each t in ts, (len(ts), n+1):
+    stacked eigensolves, equal bit for bit to one call per matrix."""
+    avals = [func(t) for t in ts]
+    return np.concatenate([np.linalg.eigvals(build_matrices(n, avals[s]))
+                           for s in _batches(len(avals), n + 1)])
 
 
 def track_path(n: int, path, steps: int = 256,
@@ -250,50 +285,81 @@ def track_path(n: int, path, steps: int = 256,
     """Track all eigenvalues around a closed path; the end-to-start matching
     expressed against the ascending-real order of the spectrum at the base.
 
-    Consecutive frames are matched by nearest neighbours (`_match_frames`):
-    a step is accepted when that map is a permutation whose largest motion
-    is at most 0.3 times the smallest gap of the new frame, and halved
-    otherwise.  Every other candidate is then at least 0.7 gaps away, so
-    the map is the unique optimal assignment (this needs a factor below
-    0.5).  The end frame is matched to the start the same
-    way; a closing map that is not a permutation, or moves an eigenvalue by
-    more than 1e-6 of the spectral scale, is a closure failure.  Raises
-    CollisionUnresolved at the refinement floor (the path runs too close to
-    a branching point), past 200,000 frames and on a failed closure.
+    The path starts on ``steps`` equal intervals of t in [0, 1].  An
+    interval is accepted when the nearest-neighbour map from the spectrum
+    at its left end to the one at its right end is a permutation whose
+    largest motion is at most 0.3 times the smallest gap of the right-end
+    spectrum (`_judge`); every other candidate is then at least 0.7 gaps
+    away, so the map is the unique optimal assignment (this needs a factor
+    below 0.5).  Rejected intervals are halved.  The test reads only the
+    two end spectra, so the intervals are refined one bisection level at a
+    time: all pending intervals are judged together and all midpoints of a
+    level are solved in one stacked eigensolve.  The accepted grid is the
+    one a frame-by-frame walk builds.  One pass over the accepted intervals
+    in t order then composes their maps.  The end frame is matched to the
+    start the same way; a closing map that is not a permutation, or moves
+    an eigenvalue by more than 1e-6 of the spectral scale, is a closure
+    failure.
+
+    Raises ValueError for steps < 1, and CollisionUnresolved at the
+    refinement floor (an interval shorter than 1e-12 is rejected: the path
+    runs too close to a branching point), on coincident eigenvalues in a
+    tiny motion, past MAX_FRAMES grid points and on a failed closure.  Of
+    several failed intervals the one with the smallest t is reported, as a
+    walk along the path meets it first.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if steps + 1 > MAX_FRAMES:
+        raise CollisionUnresolved("frame budget exhausted")
     func = path.func if isinstance(path, APath) else path
-    ts = list(np.linspace(0.0, 1.0, steps + 1))
-    start = _eig_sorted_real(n, func(0.0))
-    cur = start.copy()
-    traces = [cur.copy()] if keep_traces else None
-    min_gap = math.inf
-    frames = 1
-    i = 1
-    while i < len(ts):
-        if len(ts) > 200_000:
+    t = np.linspace(0.0, 1.0, steps + 1)
+    S = _spectra(n, t, func)
+    left = np.arange(steps)
+    right = left + 1
+    done = []           # (left, right, ci, gap) of the accepted intervals
+    failure = None      # (t, error) of the leftmost failed interval
+    while left.size:
+        parts = [_judge(S[left[s]], S[right[s]], 0.3)
+                 for s in _batches(left.size, n + 1)]
+        ci, gap, accept, collide = (np.concatenate(x) for x in zip(*parts))
+        done.append((left[accept], right[accept], ci[accept], gap[accept]))
+        reject = ~(accept | collide)
+        floor = reject & (t[right] - t[left] < 1e-12)
+        bad = np.flatnonzero(collide | floor)
+        if bad.size:
+            j = bad[np.argmin(t[left[bad]])]
+            if failure is None or t[left[j]] < failure[0]:
+                err = _ambiguous(gap[j]) if collide[j] else CollisionUnresolved(
+                    f"refinement floor at t={t[right[j]]:.6f} (gap {gap[j]:.2e})")
+                failure = (t[left[j]], err)
+            reject &= t[left] < failure[0]     # a walk never gets past it
+        left, right = left[reject], right[reject]
+        if not left.size:
+            break
+        if t.size + left.size > MAX_FRAMES:
             raise CollisionUnresolved("frame budget exhausted")
-        new = np.linalg.eigvals(build_matrix(n, func(ts[i])).matrix)
-        ci, gap = _match_frames(cur, new, 0.3)
-        if ci is None:
-            if ts[i] - ts[i - 1] < 1e-12:
-                raise CollisionUnresolved(
-                    f"refinement floor at t={ts[i]:.6f} (gap {gap:.2e})"
-                )
-            ts.insert(i, 0.5 * (ts[i - 1] + ts[i]))
-            continue
-        min_gap = min(min_gap, gap)
-        cur = new[ci]
-        frames += 1
-        if keep_traces:
-            traces.append(cur.copy())
-        i += 1
-    ci, closure, is_perm = _nearest(np.abs(start[:, None] - cur[None, :]))
+        mid = np.arange(t.size, t.size + left.size)
+        t = np.concatenate([t, 0.5 * (t[left] + t[right])])
+        S = np.concatenate([S, _spectra(n, t[mid], func)])
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+    if failure is not None:
+        raise failure[1]
+    left, right, ci, gap = (np.concatenate(x) for x in zip(*done))
+    order = np.argsort(t[left])
+    idx = [np.argsort(S[0])]            # ascending (Re, Im) at the base
+    for c in ci[order]:
+        idx.append(c[idx[-1]])
+    traces = np.take_along_axis(S[np.r_[0, right[order]]], np.array(idx), axis=1)
+    start, cur = traces[0], traces[-1]
+    ci, closure, is_perm = _nearest(start[None], cur[None])
+    closure = float(closure[0])
     scale = 1 + float(np.abs(start).max())
-    if closure > 1e-6 * scale or not is_perm:
+    if closure > 1e-6 * scale or not is_perm[0]:
         raise CollisionUnresolved(f"trace closure failed: {closure:.2e}")
-    perm = tuple(int(c) for c in ci)
-    return MonodromyResult(permutation=perm, min_gap=min_gap, frames=frames,
-                           traces=np.array(traces) if keep_traces else None)
+    return MonodromyResult(permutation=tuple(int(c) for c in ci[0]),
+                           min_gap=float(gap.min()), frames=len(traces),
+                           traces=traces if keep_traces else None)
 
 
 def compose(perms):

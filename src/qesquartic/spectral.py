@@ -50,18 +50,26 @@ class SpectralMatrix:
         return self.matrix.shape
 
 
-def build_matrix(n: int, a=0.0) -> SpectralMatrix:
-    """Dense (n+1)x(n+1) matrix of the family; n >= 1."""
+def build_matrices(n: int, avals) -> np.ndarray:
+    """The family's dense matrices at each a in ``avals``, stacked into an
+    (m, n+1, n+1) complex array; n >= 1.  Entry (i, i+1) is (i+1) * a as a
+    complex product, so signed zeros come out as in scalar arithmetic."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    av = np.asarray(avals, dtype=complex).reshape(-1)
+    i = np.arange(n)
+    M = np.zeros((len(av), n + 1, n + 1), dtype=complex)
+    M[:, i + 1, i] = n - i
+    M[:, i, i + 1] = (i + 1) * av[:, None]
+    M[:, i[:-1], i[:-1] + 2] = (i[:-1] + 1) * (i[:-1] + 2)
+    return M
+
+
+def build_matrix(n: int, a=0.0) -> SpectralMatrix:
+    """Dense (n+1)x(n+1) matrix of the family: the one-element case of
+    ``build_matrices``; n >= 1."""
     ac = complex(a)
-    M = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(n):
-        M[i + 1, i] = n - i
-        M[i, i + 1] = (i + 1) * ac
-    for i in range(n - 1):
-        M[i, i + 2] = (i + 1) * (i + 2)
-    return SpectralMatrix(n, ac, M)
+    return SpectralMatrix(n, ac, build_matrices(n, [ac])[0])
 
 
 def _minor_step_coeffs(n, k):

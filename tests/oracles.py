@@ -14,7 +14,9 @@ recurrence run per coefficient over Fractions (the package keeps integer
 numerators over one denominator), and eigenvalue tracking and set matching
 use scipy's optimal assignment solver (the package matches nearest
 neighbours and certifies that the match is the optimal one), as does the
-minimum spanning tree (the package runs Prim's algorithm).
+minimum spanning tree (the package runs Prim's algorithm).  Tracking also
+runs as a walk along the path, one frame and one eigensolve at a time (the
+package refines all intervals of a bisection level together).
 """
 
 import math
@@ -231,6 +233,55 @@ def track_path_lsa(n, func, steps=256, refine_factor=0.3, max_frames=200_000):
     if float(D[ri, ci].max()) > 1e-6 * (1 + float(np.abs(start).max())):
         raise CollisionUnresolved("trace closure failed")
     return tuple(int(c) for c in ci), frames, min_gap
+
+
+# ---------------------------------------------------------------------------
+# frame-by-frame tracking
+# ---------------------------------------------------------------------------
+
+def track_path_sequential(n, func, steps=256, keep_traces=False):
+    """Nearest-neighbour tracking one frame at a time, halving a step in
+    place and walking on: (permutation, frames, min_gap, traces).  The
+    step rule is the package's (0.3 gaps, 1e-13 tiny motion, 1e-12 floor,
+    200,000 frames, 1e-6 closure) with the same error messages; the
+    package judges all intervals of one bisection level together."""
+    def nearest(D):
+        ci = D.argmin(axis=1)
+        return ci, float(D.min(axis=1).max()), len(set(ci.tolist())) == len(ci)
+
+    ts = list(np.linspace(0.0, 1.0, steps + 1))
+    start = np.sort_complex(np.linalg.eigvals(build_matrix(n, func(0.0)).matrix))
+    cur = start.copy()
+    traces = [cur.copy()]
+    min_gap = math.inf
+    i = 1
+    while i < len(ts):
+        if len(ts) > 200_000:
+            raise CollisionUnresolved("frame budget exhausted")
+        new = np.linalg.eigvals(build_matrix(n, func(ts[i])).matrix)
+        ci, moved, is_perm = nearest(np.abs(cur[:, None] - new[None, :]))
+        E = np.abs(new[:, None] - new[None, :])
+        np.fill_diagonal(E, math.inf)
+        gap = float(E.min())
+        if not (moved <= 0.3 * gap and is_perm):
+            if moved > 1e-13 * (1 + np.abs(new).max()):
+                if ts[i] - ts[i - 1] < 1e-12:
+                    raise CollisionUnresolved(
+                        f"refinement floor at t={ts[i]:.6f} (gap {gap:.2e})")
+                ts.insert(i, 0.5 * (ts[i - 1] + ts[i]))
+                continue
+            if not is_perm:
+                raise CollisionUnresolved(
+                    f"coincident eigenvalues match ambiguously (gap {gap:.2e})")
+        min_gap = min(min_gap, gap)
+        cur = new[ci]
+        traces.append(cur.copy())
+        i += 1
+    ci, closure, is_perm = nearest(np.abs(start[:, None] - cur[None, :]))
+    if closure > 1e-6 * (1 + float(np.abs(start).max())) or not is_perm:
+        raise CollisionUnresolved(f"trace closure failed: {closure:.2e}")
+    return (tuple(int(c) for c in ci), len(traces), min_gap,
+            np.array(traces) if keep_traces else None)
 
 
 def assignment_cost_lsa(pa, pb):

@@ -10,6 +10,7 @@ from qesquartic.errors import TooClose
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.spectral import (
     DENSE_EIG_MAX_N,
+    build_matrices,
     build_matrix,
     charpoly_bivariate,
     empirical_cauchy,
@@ -44,6 +45,28 @@ class TestMatrix:
     def test_trace_zero(self):
         for n in (1, 5, 17):
             assert abs(np.trace(build_matrix(n, 2 - 1j).matrix)) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 80, 84])
+    def test_stacked_builder_bitwise(self, n):
+        # each slice of the stacked build is the matrix entry by entry in
+        # scalar complex arithmetic, signed zeros included
+        rng = np.random.default_rng(n)
+        avals = [0, -0.0, complex(-0.0, -2.0), -2j, 3, 0.5 - 0.5j] + list(
+            rng.normal(size=4) + 1j * rng.normal(size=4))
+        stack = build_matrices(n, [complex(a) for a in avals])
+        assert stack.shape == (len(avals), n + 1, n + 1)
+        for a, S in zip(avals, stack):
+            ref = np.zeros((n + 1, n + 1), dtype=complex)
+            for i in range(n):
+                ref[i + 1, i] = n - i
+                ref[i, i + 1] = (i + 1) * complex(a)
+            for i in range(n - 1):
+                ref[i, i + 2] = (i + 1) * (i + 2)
+            M = build_matrix(n, a).matrix
+            for X in (M, S):
+                assert np.array_equal(X, ref)
+                assert np.array_equal(np.signbit(X.real), np.signbit(ref.real))
+                assert np.array_equal(np.signbit(X.imag), np.signbit(ref.imag))
 
 
 class TestSpectralPolynomial:
