@@ -302,9 +302,9 @@ def track_path(n: int, path, steps: int = 256,
     failure.
 
     Raises ValueError for steps < 1, and CollisionUnresolved at the
-    refinement floor (an interval shorter than 1e-12 is rejected: the path
-    runs too close to a branching point), on coincident eigenvalues in a
-    tiny motion, past MAX_FRAMES grid points and on a failed closure.  Of
+    refinement floor (a rejected interval shorter than 1e-12: the path runs
+    too close to a branching point), on coincident eigenvalues in a tiny
+    motion, past MAX_FRAMES grid points and on a failed closure.  Of
     several failed intervals the one with the smallest t is reported, as a
     walk along the path meets it first.
     """
