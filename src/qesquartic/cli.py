@@ -45,32 +45,8 @@ FIGURE_NAMES = ("fig1", "figTau", "figA1", "triangle", "figA3", "figAtau",
 
 def parse_complex(text: str) -> complex:
     """Parse "re+imi" style values: "3", "0.5-0.5i", "-2i", "1+1j"."""
-    s = text.strip().replace(" ", "").replace("j", "i").replace("I", "i")
-    if not s:
-        raise ValueError("empty complex literal")
     try:
-        if "i" not in s:
-            return complex(float(s), 0.0)
-        if not s.endswith("i"):
-            raise ValueError
-        body = s[:-1]
-        # split at the last sign that is not an exponent sign and not leading
-        split = None
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-                break
-        if split is None:
-            re_part, im_part = "", body
-        else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im = 1.0
-        elif im_part == "-":
-            im = -1.0
-        else:
-            im = float(im_part)
-        return complex(float(re_part) if re_part else 0.0, im)
+        return complex(text.replace(" ", "").replace("i", "j").replace("I", "j"))
     except ValueError:
         raise ValueError(f"cannot parse complex value {text!r}") from None
 

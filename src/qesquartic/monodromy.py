@@ -4,7 +4,9 @@ A standard path ("vertical hook") drops from a large positive base point B
 to the height of a chosen branching point, runs horizontally left until just
 short of it, circles it counterclockwise, and retraces itself back.  The
 spectrum at B is real and simple; tracking the eigenvalues frame by frame
-along the path produces a permutation of the sorted-at-B spectrum.
+along the path produces a permutation of the sorted-at-B spectrum.  A path
+is a plain function that maps an array of t in [0, 1] to the array of a(t)
+in one numpy pass (a scalar t gives a scalar).
 
 Consecutive frames are matched by nearest neighbours: each old eigenvalue
 goes to the closest new one.  A step is accepted only when that map is a
@@ -42,20 +44,6 @@ from .spectral import build_matrices, build_matrix
 
 MAX_FRAMES = 200000     # grid points one tracked path may use
 STACK_ENTRIES = 1 << 18  # matrix entries per stacked batch
-
-
-@dataclass
-class APath:
-    """Closed piecewise path t in [0,1] -> a(t) with clearance metadata."""
-
-    func: object
-    base: complex
-    target: complex | None = None
-    clearance: float = math.inf
-    label: str = ""
-
-    def __call__(self, t: float) -> complex:
-        return self.func(t)
 
 
 @dataclass
@@ -110,7 +98,7 @@ def kac_matrix(n: int, a=1.0) -> np.ndarray:
 
 
 def standard_path(n: int, i: int, j: int, cache_dir=None,
-                  branch_set=None) -> APath:
+                  branch_set=None):
     """The vertical hook of ``path_around_index`` around the branching point
     with grid label (i, j)."""
     bs = branch_set if branch_set is not None else sigma_points(n, cache_dir=cache_dir)
@@ -125,8 +113,9 @@ def standard_path(n: int, i: int, j: int, cache_dir=None,
 
 
 def path_around_index(n: int, idx: int, bump=None,
-                      cache_dir=None, branch_set=None) -> APath:
-    """Vertical hook around the idx-th branching point (sorted order).
+                      cache_dir=None, branch_set=None):
+    """Vertical hook t -> a(t) around the idx-th branching point (sorted
+    order), taking an array (or a scalar) of t.
 
     The base point is B = 2 max|branch points| + 1.  With near the distance
     to the nearest other branching point, the circle radius is 0.3 near and
@@ -151,12 +140,9 @@ def path_around_index(n: int, idx: int, bump=None,
     if bump is None:
         bump = 0.0 if not is_real else min(0.5 * near, 0.35)
     for attempt in range(8):
-        func = _hook_func(B, sigma, radius, bump)
-        dmin = _path_min_distance(func, others)
-        if dmin > clearance:
-            p = APath(func=func, base=complex(B), target=sigma,
-                      clearance=dmin, label=f"hook idx={idx}")
-            return p
+        path = _hook(B, sigma, radius, bump)
+        if _path_min_distance(path, others) > clearance:
+            return path
         radius *= 0.6
         bump *= 0.6
         clearance *= 0.6
@@ -165,54 +151,46 @@ def path_around_index(n: int, idx: int, bump=None,
     )
 
 
-def _hook_func(B, sigma, radius, bump):
+def _hook(B, sigma, radius, bump):
     """Closed path: vertical drop, horizontal (bumped) approach, ccw circle,
-    and the reverse run home."""
+    and the reverse run home, as a function of an array (or a scalar) of t."""
     y = sigma.imag
     approach_from = B + 0j
     p0 = complex(B, y)                 # after vertical segment
     p1 = sigma + radius                # approach point, right of sigma
-    # outbound: 0..0.15 vertical, 0.15..0.45 horizontal (with bump),
-    # 0.45..0.55 circle, then mirror back
+
     def horizontal(s):
         z = p0 + (p1 - p0) * s
-        return z + 1j * bump * math.sin(math.pi * min(max(s, 0.0), 1.0))
+        return z + 1j * bump * np.sin(np.pi * np.clip(s, 0.0, 1.0))
 
-    def func(t):
-        t = t % 1.0
-        if t < 0.15:
-            s = t / 0.15
-            return approach_from + 1j * y * s
-        if t < 0.45:
-            s = (t - 0.15) / 0.30
-            return horizontal(s)
-        if t < 0.55:
-            s = (t - 0.45) / 0.10
-            return sigma + radius * np.exp(2j * np.pi * s)
-        if t < 0.85:
-            s = (t - 0.55) / 0.30
-            return horizontal(1 - s)
-        s = (t - 0.85) / 0.15
-        return approach_from + 1j * y * (1 - s)
+    # outbound: 0..0.15 vertical, 0.15..0.45 horizontal (with bump),
+    # 0.45..0.55 circle, then mirror back
+    def path(t):
+        t = np.asarray(t, dtype=float) % 1.0
+        return np.select(
+            [t < 0.15, t < 0.45, t < 0.55, t < 0.85],
+            [approach_from + 1j * y * (t / 0.15),
+             horizontal((t - 0.15) / 0.30),
+             sigma + radius * np.exp(2j * np.pi * ((t - 0.45) / 0.10)),
+             horizontal(1 - (t - 0.55) / 0.30)],
+            approach_from + 1j * y * (1 - (t - 0.85) / 0.15))[()]
 
-    return func
+    return path
 
 
-def _path_min_distance(func, pts):
+def _path_min_distance(path, pts):
     if pts.size == 0:
         return math.inf
-    ts = np.linspace(0, 1, 600)
-    zs = np.array([func(t) for t in ts])
+    zs = path(np.linspace(0, 1, 600))
     return float(np.abs(zs[:, None] - pts[None, :]).min())
 
 
-def circle_path(center, radius_or_start, full_turns=1) -> APath:
+def circle_path(center, radius_or_start, full_turns=1):
     """a(t) = center + R e^(2 pi i t); R from a scalar or a start point."""
     center = complex(center)
     R = float(abs(radius_or_start)) if not isinstance(radius_or_start, complex) \
         else abs(radius_or_start - center)
-    return APath(func=lambda t: center + R * np.exp(2j * np.pi * t * full_turns),
-                 base=center + R, label=f"circle R={R}")
+    return lambda t: center + R * np.exp(2j * np.pi * t * full_turns)
 
 
 def _nearest(L, R):
@@ -246,25 +224,6 @@ def _judge(L, R, refine_factor):
     return ci, gap, perm & ((moved <= refine_factor * gap) | tiny), tiny & ~perm
 
 
-def _ambiguous(gap):
-    return CollisionUnresolved(
-        f"coincident eigenvalues match ambiguously (gap {gap:.2e})"
-    )
-
-
-def _match_frames(cur, new, refine_factor):
-    """Match the frame cur to the next frame new: (ci, gap), where new[ci]
-    continues cur and gap is the smallest gap of new; ci is None when the
-    step must be halved.  The one-interval case of ``_judge``; raises
-    CollisionUnresolved where it reports a collision.
-    """
-    ci, gap, accept, collide = _judge(cur[None], new[None], refine_factor)
-    gap = float(gap[0])
-    if collide[0]:
-        raise _ambiguous(gap)
-    return (ci[0] if accept[0] else None), gap
-
-
 def _batches(m, k):
     """Slices of range(m) holding at most about STACK_ENTRIES / k^2 stacked
     k x k problems each, so a batch stays a few MB whatever m is."""
@@ -272,18 +231,22 @@ def _batches(m, k):
     return [slice(s, s + step) for s in range(0, m, step)]
 
 
-def _spectra(n, ts, func):
-    """Unsorted eigenvalues at a = func(t) for each t in ts, (len(ts), n+1):
-    stacked eigensolves, equal bit for bit to one call per matrix."""
-    avals = [func(t) for t in ts]
+def _spectra(n, ts, path):
+    """Unsorted eigenvalues at a = path(t) for each t in ts, (len(ts), n+1):
+    one call of the path, a scalar result standing for every t, and stacked
+    eigensolves, equal bit for bit to one call per matrix."""
+    avals = np.broadcast_to(path(ts), ts.shape)
     return np.concatenate([np.linalg.eigvals(build_matrices(n, avals[s]))
-                           for s in _batches(len(avals), n + 1)])
+                           for s in _batches(len(ts), n + 1)])
 
 
 def track_path(n: int, path, steps: int = 256,
                keep_traces: bool = False) -> MonodromyResult:
     """Track all eigenvalues around a closed path; the end-to-start matching
     expressed against the ascending-real order of the spectrum at the base.
+
+    ``path`` maps an array of t to the array of a(t); a scalar result is
+    taken as constant in t.
 
     The path starts on ``steps`` equal intervals of t in [0, 1].  An
     interval is accepted when the nearest-neighbour map from the spectrum
@@ -312,9 +275,8 @@ def track_path(n: int, path, steps: int = 256,
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps + 1 > MAX_FRAMES:
         raise CollisionUnresolved("frame budget exhausted")
-    func = path.func if isinstance(path, APath) else path
     t = np.linspace(0.0, 1.0, steps + 1)
-    S = _spectra(n, t, func)
+    S = _spectra(n, t, path)
     left = np.arange(steps)
     right = left + 1
     done = []           # (left, right, ci, gap) of the accepted intervals
@@ -330,9 +292,10 @@ def track_path(n: int, path, steps: int = 256,
         if bad.size:
             j = bad[np.argmin(t[left[bad]])]
             if failure is None or t[left[j]] < failure[0]:
-                err = _ambiguous(gap[j]) if collide[j] else CollisionUnresolved(
-                    f"refinement floor at t={t[right[j]]:.6f} (gap {gap[j]:.2e})")
-                failure = (t[left[j]], err)
+                what = ("coincident eigenvalues match ambiguously" if collide[j]
+                        else f"refinement floor at t={t[right[j]]:.6f}")
+                failure = (t[left[j]],
+                           CollisionUnresolved(f"{what} (gap {gap[j]:.2e})"))
             reject &= t[left] < failure[0]     # a walk never gets past it
         left, right = left[reject], right[reject]
         if not left.size:
@@ -341,7 +304,7 @@ def track_path(n: int, path, steps: int = 256,
             raise CollisionUnresolved("frame budget exhausted")
         mid = np.arange(t.size, t.size + left.size)
         t = np.concatenate([t, 0.5 * (t[left] + t[right])])
-        S = np.concatenate([S, _spectra(n, t[mid], func)])
+        S = np.concatenate([S, _spectra(n, t[mid], path)])
         left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
     if failure is not None:
         raise failure[1]
@@ -397,7 +360,7 @@ def kac_limit_check(n: int, a) -> dict:
     a = complex(a)
     if a == 0:
         raise ValueError("a must be nonzero")
-    lam = np.linalg.eigvals(build_matrix(n, a).matrix)
+    lam = np.linalg.eigvals(build_matrix(n, a))
     gamma = lam / (n * np.sqrt(a))
     gamma = gamma[np.argsort(gamma.real)]
     grid = np.array([-1 + 2 * k / n for k in range(n + 1)])

@@ -21,7 +21,6 @@ the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,19 +34,6 @@ from .pointset import PointSet, sort_points
 
 DENSE_EIG_MAX_N = 80
 EIG_CAP_DEFAULT = 400
-
-
-@dataclass
-class SpectralMatrix:
-    """The banded matrix for a given (n, a); entries exact when a is rational."""
-
-    n: int
-    a: complex
-    matrix: np.ndarray
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 def build_matrices(n: int, avals) -> np.ndarray:
@@ -65,11 +51,10 @@ def build_matrices(n: int, avals) -> np.ndarray:
     return M
 
 
-def build_matrix(n: int, a=0.0) -> SpectralMatrix:
+def build_matrix(n: int, a=0.0) -> np.ndarray:
     """Dense (n+1)x(n+1) matrix of the family: the one-element case of
     ``build_matrices``; n >= 1."""
-    ac = complex(a)
-    return SpectralMatrix(n, ac, build_matrices(n, [ac])[0])
+    return build_matrices(n, [a])[0]
 
 
 def _minor_step_coeffs(n, k):
@@ -156,10 +141,10 @@ def zero_a_structure(n: int):
 
 def _eigs_dense(n, a):
     M = build_matrix(n, a)
-    lam, vecs = np.linalg.eig(M.matrix)
+    lam, vecs = np.linalg.eig(M)
     # per-pair residual ||(M - lam I) v|| / ||M||
-    Mnorm = np.linalg.norm(M.matrix, ord=np.inf)
-    R = M.matrix @ vecs - vecs * lam[None, :]
+    Mnorm = np.linalg.norm(M, ord=np.inf)
+    R = M @ vecs - vecs * lam[None, :]
     res = np.linalg.norm(R, axis=0) / Mnorm
     worst = int(np.argmax(res))
     if res[worst] > 1e-10:

@@ -16,7 +16,9 @@ use scipy's optimal assignment solver (the package matches nearest
 neighbours and certifies that the match is the optimal one), as does the
 minimum spanning tree (the package runs Prim's algorithm).  Tracking also
 runs as a walk along the path, one frame and one eigensolve at a time (the
-package refines all intervals of a bisection level together).
+package refines all intervals of a bisection level together), and the
+standard hook is evaluated one scalar t at a time by Python branches (the
+package selects among its segments over an array of t).
 """
 
 import math
@@ -205,7 +207,7 @@ def track_path_lsa(n, func, steps=256, refine_factor=0.3, max_frames=200_000):
     times the smallest gap of the new frame (unless below 1e-13 of the
     spectral scale)."""
     ts = list(np.linspace(0.0, 1.0, steps + 1))
-    start = np.sort_complex(np.linalg.eigvals(build_matrix(n, func(0.0)).matrix))
+    start = np.sort_complex(np.linalg.eigvals(build_matrix(n, func(0.0))))
     cur = start.copy()
     min_gap = math.inf
     frames = 1
@@ -213,7 +215,7 @@ def track_path_lsa(n, func, steps=256, refine_factor=0.3, max_frames=200_000):
     while i < len(ts):
         if len(ts) > max_frames:
             raise CollisionUnresolved("frame budget exhausted")
-        new = np.linalg.eigvals(build_matrix(n, func(ts[i])).matrix)
+        new = np.linalg.eigvals(build_matrix(n, func(ts[i])))
         D = np.abs(cur[:, None] - new[None, :])
         ri, ci = linear_sum_assignment(D)
         moved = float(D[ri, ci].max())
@@ -250,7 +252,7 @@ def track_path_sequential(n, func, steps=256, keep_traces=False):
         return ci, float(D.min(axis=1).max()), len(set(ci.tolist())) == len(ci)
 
     ts = list(np.linspace(0.0, 1.0, steps + 1))
-    start = np.sort_complex(np.linalg.eigvals(build_matrix(n, func(0.0)).matrix))
+    start = np.sort_complex(np.linalg.eigvals(build_matrix(n, func(0.0))))
     cur = start.copy()
     traces = [cur.copy()]
     min_gap = math.inf
@@ -258,7 +260,7 @@ def track_path_sequential(n, func, steps=256, keep_traces=False):
     while i < len(ts):
         if len(ts) > 200_000:
             raise CollisionUnresolved("frame budget exhausted")
-        new = np.linalg.eigvals(build_matrix(n, func(ts[i])).matrix)
+        new = np.linalg.eigvals(build_matrix(n, func(ts[i])))
         ci, moved, is_perm = nearest(np.abs(cur[:, None] - new[None, :]))
         E = np.abs(new[:, None] - new[None, :])
         np.fill_diagonal(E, math.inf)
@@ -282,6 +284,43 @@ def track_path_sequential(n, func, steps=256, keep_traces=False):
         raise CollisionUnresolved(f"trace closure failed: {closure:.2e}")
     return (tuple(int(c) for c in ci), len(traces), min_gap,
             np.array(traces) if keep_traces else None)
+
+
+# ---------------------------------------------------------------------------
+# the standard hook, one scalar t at a time
+# ---------------------------------------------------------------------------
+
+def hook_scalar(B, sigma, radius, bump):
+    """The package's vertical hook with the same parameters, as a function
+    of one scalar t: vertical drop, horizontal (bumped) approach, ccw
+    circle, and the reverse run home."""
+    y = sigma.imag
+    approach_from = B + 0j
+    p0 = complex(B, y)                 # after vertical segment
+    p1 = sigma + radius                # approach point, right of sigma
+
+    def horizontal(s):
+        z = p0 + (p1 - p0) * s
+        return z + 1j * bump * math.sin(math.pi * min(max(s, 0.0), 1.0))
+
+    def func(t):
+        t = t % 1.0
+        if t < 0.15:
+            s = t / 0.15
+            return approach_from + 1j * y * s
+        if t < 0.45:
+            s = (t - 0.15) / 0.30
+            return horizontal(s)
+        if t < 0.55:
+            s = (t - 0.45) / 0.10
+            return sigma + radius * np.exp(2j * np.pi * s)
+        if t < 0.85:
+            s = (t - 0.55) / 0.30
+            return horizontal(1 - s)
+        s = (t - 0.85) / 0.15
+        return approach_from + 1j * y * (1 - s)
+
+    return func
 
 
 def assignment_cost_lsa(pa, pb):

@@ -3,9 +3,8 @@ import pytest
 
 from qesquartic import monodromy
 from qesquartic.branching import sigma_points
-from qesquartic.errors import CollisionUnresolved
 
-from oracles import track_path_lsa
+from oracles import hook_scalar, track_path_lsa
 
 
 class TestKacMatrix:
@@ -72,20 +71,21 @@ class TestNearestMatching:
         # both copies of a doubled eigenvalue find the same nearest new one
         cur = np.array([1.0, 1.0, 2.0], dtype=complex)
         new = np.array([1.0, 1.0 + 1e-15, 2.0], dtype=complex)
-        with pytest.raises(CollisionUnresolved):
-            monodromy._match_frames(cur, new, 0.3)
+        ci, gap, accept, collide = monodromy._judge(cur[None], new[None], 0.3)
+        assert collide[0] and not accept[0]
 
     def test_shared_neighbour_halves_the_step(self):
         cur = np.array([0.0, 0.1, 5.0], dtype=complex)
         new = np.array([0.02, 1.0, 5.0], dtype=complex)
-        ci, gap = monodromy._match_frames(cur, new, 0.3)
-        assert ci is None and gap == pytest.approx(0.98)
+        ci, gap, accept, collide = monodromy._judge(cur[None], new[None], 0.3)
+        assert not accept[0] and not collide[0]
+        assert gap[0] == pytest.approx(0.98)
 
     def test_small_motion_accepted(self):
         cur = np.array([0.0, 1.0, 2.0], dtype=complex)
         new = np.array([2.01, 0.01j, 1.01], dtype=complex)
-        ci, gap = monodromy._match_frames(cur, new, 0.3)
-        assert ci.tolist() == [1, 2, 0]
+        ci, gap, accept, collide = monodromy._judge(cur[None], new[None], 0.3)
+        assert accept[0] and ci[0].tolist() == [1, 2, 0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -95,7 +95,39 @@ def test_standard_paths_match_assignment_oracle(n, tmp_cache):
         path = monodromy.path_around_index(n, idx, branch_set=bs)
         res = monodromy.track_path(n, path)
         assert (res.permutation, res.frames, res.min_gap) == \
-            track_path_lsa(n, path.func), (n, idx)
+            track_path_lsa(n, path), (n, idx)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("bump", [None, 0.17])
+def test_array_hook_matches_scalar_hook(n, bump, monkeypatch):
+    # bit for bit, signed zeros included, on the segment ends, points just
+    # beside them and t outside [0, 1) (the hook takes t mod 1); a scalar t
+    # gives the same value as the array
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return hook(*args)
+
+    hook = monodromy._hook
+    monkeypatch.setattr(monodromy, "_hook", spy)
+    ends = np.array([0.0, 0.15, 0.45, 0.55, 0.85, 1.0])
+    ts = np.concatenate([
+        np.linspace(0.0, 1.0, 1201), ends,
+        np.nextafter(ends, -1.0), np.nextafter(ends, 2.0),
+        [-1e-20, -0.3, -1.0, 1.25, 2.55, 7.0]])
+    bs = sigma_points(n)
+    for idx in range(len(bs.points.points)):
+        path = monodromy.path_around_index(n, idx, bump=bump, branch_set=bs)
+        ref = hook_scalar(*built[-1])
+        want = np.array([complex(ref(t)) for t in ts])
+        got = path(ts)
+        assert got.dtype == complex and got.shape == ts.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, idx)
+        for t in ends:
+            assert np.array_equal(np.array([path(t)]).view(np.int64),
+                                  np.array([ref(t)]).view(np.int64))
 
 
 class TestStandardPaths:
@@ -109,7 +141,9 @@ class TestStandardPaths:
         bs = sigma_points(2, cache_dir=tmp_cache)
         lbl = (bs.rows[0], bs.cols[0])
         path = monodromy.standard_path(2, *lbl, branch_set=bs)
-        assert path.clearance > 0
+        others = np.delete(bs.points.points, 0)
+        zs = path(np.linspace(0, 1, 600))
+        assert np.abs(zs[:, None] - others[None, :]).min() > 0
         with pytest.raises(ValueError):
             monodromy.standard_path(2, 99, 99, branch_set=bs)
 

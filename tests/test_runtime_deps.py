@@ -15,6 +15,8 @@ SCRIPT = textwrap.dedent("""
     import qesquartic
     for info in pkgutil.iter_modules(qesquartic.__path__):
         importlib.import_module("qesquartic." + info.name)
+    # perfbench/worker.py reads sys.modules["mpmath"] right after this import
+    assert "mpmath" in sys.modules
     from qesquartic import branching, monodromy, quaddiff
 
     rng = np.random.RandomState(0)

@@ -18,10 +18,10 @@ def _outcome(track):
         return str(exc)
 
 
-def assert_matches_walk(n, func, steps=256):
-    got = _outcome(lambda: monodromy.track_path(n, func, steps=steps,
+def assert_matches_walk(n, path, steps=256):
+    got = _outcome(lambda: monodromy.track_path(n, path, steps=steps,
                                                 keep_traces=True))
-    want = _outcome(lambda: track_path_sequential(n, func, steps, True))
+    want = _outcome(lambda: track_path_sequential(n, path, steps, True))
     if isinstance(want, str):
         assert got == want
         return
@@ -35,12 +35,12 @@ def test_standard_paths_match_walk(n, steps):
     bs = sigma_points(n)
     for idx in range(len(bs.points.points)):
         path = monodromy.path_around_index(n, idx, branch_set=bs)
-        assert_matches_walk(n, path.func, steps)
+        assert_matches_walk(n, path, steps)
 
 
 @pytest.mark.parametrize("n, R", [(3, 30.0), (5, 40.0), (8, 500.0)])
 def test_circles_match_walk(n, R):
-    assert_matches_walk(n, monodromy.circle_path(0, R).func)
+    assert_matches_walk(n, monodromy.circle_path(0, R))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -51,19 +51,19 @@ def test_paths_through_branching_points_fail_as_walk(n):
         sigma = complex(sigma)
 
         def segment(t, s=sigma):
-            return s + 1 - 4 * t if t <= 0.5 else s - 1 + 4 * (t - 0.5)
+            return np.where(t <= 0.5, s + 1 - 4 * t, s - 1 + 4 * (t - 0.5))
 
-        for func in (monodromy.circle_path(0, abs(sigma)).func, segment):
+        for path in (monodromy.circle_path(0, abs(sigma)), segment):
             with pytest.raises(CollisionUnresolved):
-                track_path_sequential(n, func, 256)
-            assert_matches_walk(n, func)
+                track_path_sequential(n, path, 256)
+            assert_matches_walk(n, path)
 
 
 def test_one_problem_per_batch_matches_walk(monkeypatch):
     # every stacked eigensolve and every judge runs one element at a time
     monkeypatch.setattr(monodromy, "STACK_ENTRIES", 1)
     path = monodromy.path_around_index(3, 0, branch_set=sigma_points(3))
-    assert_matches_walk(3, path.func, 32)
+    assert_matches_walk(3, path, 32)
 
 
 @pytest.mark.parametrize("steps", [0, -1])
