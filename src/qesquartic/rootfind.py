@@ -204,7 +204,9 @@ def _inclusion_radii(cfix, z):
 def aberth_roots(coeffs, init=None, check_sum=True):
     """All roots of sum coeffs[k] z^k (ascending; exact or mp coefficients).
 
-    Runs the (dps, max_sweeps) stages of DEFAULT_SCHEDULE; a root whose
+    ``init``, when given, holds d finite starting points (ValueError
+    otherwise); by default they come from the Newton polygon.  Runs the
+    (dps, max_sweeps) stages of DEFAULT_SCHEDULE; a root whose
     correction falls below tol = 1e-15 is frozen.  Returns a complex ndarray
     of the d roots.  Raises NonConvergence when the final sweep still moves
     by more than sqrt(tol) at root scale, when the exact sum-of-roots
@@ -217,6 +219,10 @@ def aberth_roots(coeffs, init=None, check_sum=True):
         raise ValueError("leading coefficient must be nonzero")
     if d < 1:
         return np.empty(0, dtype=complex)
+    if init is not None:
+        init = np.asarray(init, dtype=complex)
+        if init.shape != (d,) or not np.isfinite(init).all():
+            raise ValueError(f"init must hold {d} finite starting points")
     if d == 1:
         with mp.workdps(40):
             return np.array([complex(-_to_mp(coeffs[0]) / _to_mp(coeffs[1]))])
@@ -228,7 +234,7 @@ def aberth_roots(coeffs, init=None, check_sum=True):
         ang = 2 * np.pi * ((np.arange(d) * 0.38196601125010515) % 1.0) + 0.31
         z = (np.maximum(radii, 1e-12 * s) / s) * np.exp(1j * ang)
     else:
-        z = np.asarray(init, dtype=complex) / s
+        z = init / s
     last_step = math.inf
     for dps, max_sweeps in DEFAULT_SCHEDULE:
         cfix, _ = _fixed_coeffs(coeffs, dps, s)
@@ -361,6 +367,7 @@ def residual_scale_aware(coeffs, z):
 
 
 _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3) ** np.arange(3)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def cubic_roots(b, c, d):
@@ -372,7 +379,8 @@ def cubic_roots(b, c, d):
     form takes the cube-root argument -q/2 +- sqrt(disc) of larger modulus
     (the other one cancels); one Newton step then removes most of the
     rounding that form leaves, and is kept wherever it does not increase
-    |p(z)|.  The roots lie along a last axis of length 3, so scalar
+    |p(z)| and moves z by less than half the distance to the nearest other
+    Cardano root.  The roots lie along a last axis of length 3, so scalar
     coefficients give an array of shape (3,).
     """
     # contiguous copies at the common shape: numpy may round a broadcast
@@ -389,6 +397,12 @@ def cubic_roots(b, c, d):
     with np.errstate(all="ignore"):          # bad steps are dropped below
         z = np.where(u == 0, -b3, u - p3 / u - b3)
         f = ((z + b) * z + c) * z + d
-        newton = z - f / ((3 * z + 2 * b) * z + c)
+        step = f / ((3 * z + 2 * b) * z + c)
+        newton = z - step
         f_newton = ((newton + b) * newton + c) * newton + d
-    return np.where(np.isfinite(newton) & (np.abs(f_newton) <= np.abs(f)), newton, z)
+    # next to a double root p' ~ 0, and the step can land on another root
+    gap = np.abs(z - z.take(_NEXT, axis=-1))          # |z_i - z_(i+1)|
+    nearest = np.minimum(gap, gap.take(_PREV, axis=-1))
+    keep = (np.isfinite(newton) & (np.abs(f_newton) <= np.abs(f))
+            & (2 * np.abs(step) < nearest))
+    return np.where(keep, newton, z)

@@ -18,7 +18,9 @@ minimum spanning tree (the package runs Prim's algorithm).  Tracking also
 runs as a walk along the path, one frame and one eigensolve at a time (the
 package refines all intervals of a bisection level together), and the
 standard hook is evaluated one scalar t at a time by Python branches (the
-package selects among its segments over an array of t).
+package selects among its segments over an array of t).  Spectra at complex
+a start Aberth from Newton-polygon guesses (the package seeds it with the
+dense eigenvalues).
 """
 
 import math
@@ -31,7 +33,8 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from qesquartic import intpoly
 from qesquartic.errors import CollisionUnresolved
-from qesquartic.spectral import build_matrix
+from qesquartic.rootfind import aberth_roots
+from qesquartic.spectral import build_matrix, charpoly_coeffs_mp
 
 
 def dense_det_fraction(M):
@@ -339,3 +342,10 @@ def mst_scipy(pts):
     i, j = np.nonzero(T)
     edges = {(int(min(a, b)), int(max(a, b))) for a, b in zip(i, j)}
     return edges, float(T.sum())
+
+
+def eigs_poly_unseeded(n, a):
+    """The charpoly roots at complex a from Newton-polygon starts, at the
+    package's 40 + 0.6 n digits."""
+    cs = charpoly_coeffs_mp(n, a, dps=40 + int(0.6 * n))
+    return aberth_roots(cs, check_sum=False)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qesquartic import rootfind
@@ -138,6 +138,19 @@ def test_leading_zero_rejected():
         rootfind.aberth_roots([1, 2, 0])
 
 
+@pytest.mark.parametrize("init", [[1, 2], [1, 2, 3, 4], [[1, 2, 3]],
+                                  [1, np.nan, 3], [1, 2, np.inf]])
+def test_bad_init_rejected(init):
+    with pytest.raises(ValueError, match="init"):
+        rootfind.aberth_roots([-6, 11, -6, 1], init=init)
+
+
+def test_init_seeds_the_same_roots():
+    coeffs = [-6, 11, -6, 1]
+    got = np.sort_complex(rootfind.aberth_roots(coeffs, init=[0.9, 2.2j, 3.1]))
+    assert np.abs(got - [1, 2, 3]).max() < 1e-14
+
+
 def test_one_sweep_does_not_converge(monkeypatch):
     monkeypatch.setattr(rootfind, "DEFAULT_SCHEDULE", ((50, 1),))
     with pytest.raises(NonConvergence):
@@ -221,6 +234,9 @@ def _monic_from_roots(r):
 
 @settings(max_examples=300)
 @given(_known_cubic_roots())
+# a Newton step from the double root landed exactly on the root at 0
+@example([0j, 0.529503421618355 + 0.43008940437204624j,
+          0.529503421618355 + 0.43008940437204624j])
 def test_cubic_roots_recovered(roots):
     """Each root within 8 eps sum_k |c_k| s^k / |p'(r)| (s the largest root
     modulus): the rounding of the coefficients over the root's condition;

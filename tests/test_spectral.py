@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from oracles import eigs_poly_unseeded
+from qesquartic import rootfind, spectral
 from qesquartic.errors import TooClose
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.spectral import (
@@ -98,6 +100,15 @@ class TestSpectralPolynomial:
             a = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
             assert spectral_polynomial(n, a) == charpoly_cofactor(n, a)
 
+    @pytest.mark.parametrize("a", [0, 1, -2, 7, Fraction(3, 7), Fraction(-5, 3),
+                                   Fraction(1, 2), Fraction(40, 11)])
+    def test_fixed_a_recurrence_equals_bivariate_grid(self, a):
+        # the univariate route at a rational a is what criterion 2 checks
+        # against the cofactor oracle; this keeps sigma's bivariate grid
+        # checked against it
+        for n in range(1, 31):
+            assert spectral_polynomial(n, a) == charpoly_bivariate(n).eval_a(a)
+
 
 class TestEigenvalues:
     def test_n1(self):
@@ -164,6 +175,40 @@ class TestEigenvalues:
         names = [p.name for p in Path(tmp_cache).glob("eigs-*.json")]
         assert names == [f"eigs-0_m2-{n}.json"]
         assert np.array_equal(first, again)
+
+
+class TestDenseSeed:
+    @pytest.mark.parametrize("a0", [(1 - 1j) / 2, 2 / 3 - 1j, 4 / 5 - 2j / 3])
+    def test_seeded_roots_equal_unseeded(self, a0):
+        # the criterion-11 parameters at the smallest n above the threshold
+        n = DENSE_EIG_MAX_N + 4
+        a = a0 * n ** (2 / 3)
+        got = np.sort_complex(spectral._eigs_poly_general(n, a))
+        ref = np.sort_complex(eigs_poly_unseeded(n, a))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("eigvals", ["raises", "nan"])
+    def test_failed_eigensolve_falls_back_to_newton_polygon(self, monkeypatch,
+                                                           eigvals):
+        def broken(M):
+            if eigvals == "raises":
+                raise np.linalg.LinAlgError("no convergence")
+            return np.full(len(M), np.nan, dtype=complex)
+
+        seen = []
+        aberth = rootfind.aberth_roots
+
+        def spy(coeffs, init=None, check_sum=True):
+            seen.append(init)
+            return aberth(coeffs, init=init, check_sum=check_sum)
+
+        n, a = 12, 1.5 - 0.5j
+        ref = np.sort_complex(eigs_poly_unseeded(n, a))
+        monkeypatch.setattr(spectral.np.linalg, "eigvals", broken)
+        monkeypatch.setattr(spectral.rootfind, "aberth_roots", spy)
+        got = np.sort_complex(spectral._eigs_poly_general(n, a))
+        assert seen == [None]
+        assert np.array_equal(got, ref)
 
 
 class TestZeroAStructure:
