@@ -40,7 +40,7 @@ from numpy.random import RandomState   # loaded with the package, not on first u
 from . import cache, intpoly, rootfind
 from .errors import DegreeMismatch, IndexingAmbiguity, NonConvergence
 from .exactpoly import ExactPoly
-from .pointset import PointSet
+from .pointset import PointSet, sort_points
 from .spectral import charpoly_bivariate
 
 SIGMA_CAP_DEFAULT = 40
@@ -379,8 +379,44 @@ def sigma_polynomial(n: int, cache_dir=None) -> ExactPoly:
 # numeric roots and indexing
 # ---------------------------------------------------------------------------
 
-def sigma_points(n: int, cache_dir=None) -> BranchSet:
+# The paper's conjecture gives the branching points and the zeros of YV_n one
+# asymptotic shape; point by point, sigma_n's zeros lie near -2^(-1/3) times
+# YV_n's.  In the cube variable xi = a^3 that is xi_sigma ~ YV_CUBE_FACTOR xi_YV
+# (seed error 3.6e-2 of max|xi| at n = 25).
+YV_CUBE_FACTOR = -0.5
+
+
+def _yv_seeds(near, m):
+    """Aberth starts for the m roots of g, sigma_n = a^s g(a^3), from the
+    unscaled YV_n zeros: YV_CUBE_FACTOR z^3 for one z of each cube triple,
+    the zeros at the origin dropped.  None when the zeros do not give m
+    finite, distinct starts.
+
+    Members of a triple share z^3 up to rounding, so they are grouped by
+    z^3 rounded to 1e-8 of the largest |z^3|; a group that is not exactly a
+    triple means no seed.  (Picking one sector of arg z instead is fragile:
+    the cube roots of a negative real xi tie on the sector boundary.)
+    """
+    z = np.asarray(near, dtype=complex)
+    if not np.isfinite(z).all():
+        return None
+    w = z[z != 0] ** 3
+    if len(w) != 3 * m or not m:
+        return None
+    key = np.round(w / np.abs(w).max(), 8)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    if len(first) != m or (counts != 3).any():
+        return None
+    return YV_CUBE_FACTOR * w[np.sort(first)]
+
+
+def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
     """Numeric branching points with (row, column) grid indices.
+
+    ``near``, when given, holds the unscaled zeros of YV_n; Aberth then
+    starts from the seeds of `_yv_seeds` in place of Newton-polygon guesses,
+    or from those guesses when the zeros give no seed.  Either way the
+    roots agree to rounding and pass the same certificates.
 
     Columns are real-part bands counted from the RIGHT (j = 1 is the single
     rightmost point; column j holds exactly j points); rows are imaginary
@@ -391,8 +427,11 @@ def sigma_points(n: int, cache_dir=None) -> BranchSet:
     """
     poly = sigma_polynomial(n, cache_dir=cache_dir)
     ip = poly.num
-    pts = rootfind.threefold_roots(ip)
-    pts = np.asarray(sorted(pts, key=lambda z: (z.real, z.imag)), dtype=complex)
+    init = None
+    if near is not None:
+        _, g = intpoly.split_cube(ip)
+        init = _yv_seeds(near, len(g) - 1)
+    pts = sort_points(rootfind.threefold_roots(ip, init=init))
     ps = PointSet(pts, label=f"branching points n={n}", meta={"n": n})
     try:
         rows, cols = _grid_index(n, pts)
@@ -444,9 +483,10 @@ def _grid_index(n, pts):
     return rows, cols
 
 
-def scaled_sigma(n: int, cache_dir=None) -> PointSet:
-    """Branching points divided by (27/4)^(1/3) n^(2/3)."""
-    bs = sigma_points(n, cache_dir=cache_dir)
+def scaled_sigma(n: int, cache_dir=None, near=None) -> PointSet:
+    """Branching points divided by (27/4)^(1/3) n^(2/3); ``near`` as for
+    `sigma_points`."""
+    bs = sigma_points(n, cache_dir=cache_dir, near=near)
     factor = SCALE_CONSTANT * n ** (2.0 / 3.0)
     out = bs.points.scaled(factor, label=f"scaled branching points n={n}")
     out.meta = {"n": n, "scaling": "(27/4)^(1/3) n^(2/3)"}

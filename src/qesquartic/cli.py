@@ -201,8 +201,9 @@ def _figure_triangle(emit, cache_dir, n=40):
     from .branching import compare_sets, scaled_sigma
     from .yv import scaled_zeros
 
-    A = scaled_sigma(n, cache_dir=cache_dir)
     B = scaled_zeros(n, cache_dir=cache_dir)
+    # the unscaled zeros, up to rounding, seed sigma's Aberth
+    A = scaled_sigma(n, cache_dir=cache_dir, near=B.points * B.scale)
     emit("scaled_branching.csv", A)
     emit("scaled_zeros.csv", B)
     emit("comparison.json", compare_sets(A, B))

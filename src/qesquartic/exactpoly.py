@@ -292,15 +292,6 @@ class BivariatePoly:
             self.a_name,
         )
 
-    def eval_a(self, a) -> ExactPoly:
-        """Substitute a rational value for a; ExactPoly in x remains."""
-        a = Fraction(a)
-        top = max(self.a_degree, 0)
-        # row j of a-degree d_j times den^(top - d_j): all over den^top
-        num = [intpoly.eval_at(row, a.numerator, a.denominator)
-               * a.denominator ** (top + 1 - len(row)) for row in self.grid]
-        return ExactPoly._make(num, a.denominator ** top, self.x_name)
-
     def eval_a_numeric(self, a):
         """Substitute a float/complex a; plain coefficient list in x."""
         out = []

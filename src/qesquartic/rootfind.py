@@ -291,16 +291,17 @@ def aberth_roots(coeffs, init=None, check_sum=True):
     return roots
 
 
-def threefold_roots(coeffs):
+def threefold_roots(coeffs, init=None):
     """All roots of x^s g(x^3) (ascending coefficients), multiplicity included.
 
     The s zeros come first, then the three cube roots of each root of g, which
-    aberth_roots finds; the threefold symmetry is thus exact.  Raises
+    aberth_roots finds, starting from ``init`` (deg g points in the cube
+    variable) when given; the threefold symmetry is thus exact.  Raises
     StructureViolation unless every nonzero coefficient sits in one residue
     class of degrees mod 3.
     """
     s, g = intpoly.split_cube(coeffs)
-    xi = aberth_roots(g)
+    xi = aberth_roots(g, init=init)
     cube = np.abs(xi) ** (1 / 3) * np.exp(1j * np.angle(xi) / 3)
     turns = np.exp(2j * np.pi * np.arange(3) / 3)
     return np.concatenate([np.zeros(s, complex), (cube[:, None] * turns).ravel()])
@@ -349,21 +350,30 @@ def newton_polish(coeffs, roots, dps=50, steps=3):
 
 def residual_scale_aware(coeffs, z):
     """|p(z)| / sum_k |c_k||z|^k   (backward-stable residual normalization),
-    with p(z) evaluated at 60 digits."""
-    z = complex(z)
+    with p(z) evaluated at 60 digits.
+
+    z is one point (a float comes back) or an array of points (an array of
+    the same shape comes back); the coefficients are converted once per call.
+    """
+    zs = np.asarray(z, dtype=complex)
     cfix, shift = _fixed_coeffs(coeffs, 60)
-    pr, pi, _, _ = _horner(cfix, [_exact_point(z)])[0]
-    if pr == 0 and pi == 0:
-        return 0.0
-    lz = math.log(abs(z)) if z else -math.inf
-    terms = [L + k * lz if k else L
-             for k, L in enumerate(map(_log_abs, coeffs)) if L is not None]
-    top = max(terms)
-    if top == -math.inf:
-        return math.inf
-    log_den = top + math.log(sum(math.exp(t - top) for t in terms))
-    log_p = 0.5 * _log_abs_int(pr * pr + pi * pi) - shift * _LN2
-    return math.exp(log_p - log_den)
+    logs = [(k, L) for k, L in enumerate(map(_log_abs, coeffs)) if L is not None]
+    pts = [complex(w) for w in zs.flat]
+    out = []
+    for w, (pr, pi, _, _) in zip(pts, _horner(cfix, map(_exact_point, pts))):
+        if pr == 0 and pi == 0:
+            out.append(0.0)
+            continue
+        lz = math.log(abs(w)) if w else -math.inf
+        terms = [L + k * lz if k else L for k, L in logs]
+        top = max(terms)
+        if top == -math.inf:
+            out.append(math.inf)
+            continue
+        log_den = top + math.log(sum(math.exp(t - top) for t in terms))
+        log_p = 0.5 * _log_abs_int(pr * pr + pi * pi) - shift * _LN2
+        out.append(math.exp(log_p - log_den))
+    return out[0] if zs.ndim == 0 else np.reshape(out, zs.shape)
 
 
 _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3) ** np.arange(3)

@@ -260,8 +260,9 @@ def criterion_fig2_trend(ns=(10, 20), cache_dir=None):
     def run():
         dists = []
         for n in ns:
-            A = branching.scaled_sigma(n, cache_dir=cache_dir)
             B = yv.scaled_zeros(n, cache_dir=cache_dir)
+            A = branching.scaled_sigma(n, cache_dir=cache_dir,
+                                       near=B.points * B.scale)
             rep = branching.compare_sets(A, B)
             if rep["card_a"] != rep["card_b"]:
                 return False, f"cardinality mismatch at n={n}: {rep}"

@@ -142,19 +142,12 @@ def yv_zeros(n: int, cache_dir=None) -> PointSet:
 
 
 def _check_residuals(cs, pts):
-    stride = max(1, len(pts) // 40)
-    worst = 0.0
-    worst_z = None
-    for z in pts[::stride]:
-        if z == 0:
-            res = 0.0 if cs[0] == 0 else math.inf
-        else:
-            res = rootfind.residual_scale_aware(cs, z)
-        if res > worst:
-            worst, worst_z = res, z
-    if worst > RESIDUAL_TOL:
+    sample = np.asarray(pts)[:: max(1, len(pts) // 40)]
+    res = rootfind.residual_scale_aware(cs, sample)
+    if len(res) and res.max() > RESIDUAL_TOL:
+        k = int(res.argmax())
         raise NonConvergence(
-            f"zero residual {worst:.2e} at {worst_z} exceeds {RESIDUAL_TOL:.1e}"
+            f"zero residual {res[k]:.2e} at {sample[k]} exceeds {RESIDUAL_TOL:.1e}"
         )
 
 

@@ -181,6 +181,12 @@ def frac_horner(p, x):
     return acc
 
 
+def bivariate_at(grid, a):
+    """Fraction x-coefficients of a bivariate grid (row j: the a-polynomial
+    of x^j, ascending) at a rational a, row by row."""
+    return frac_trim([frac_horner(row, Fraction(a)) for row in grid])
+
+
 def frozen_recurrence_fraction(tau, k):
     """Primitive integer form of D_k from D_k = -beta D_(k-1) + T^2 D_(k-3),
     T = tau(1-tau), D_0 = 1, run over Fractions and cleared by the LCM of

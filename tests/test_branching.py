@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesquartic import branching, intpoly
+from qesquartic import branching, intpoly, yv
 from qesquartic.errors import NonConvergence
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import PointSet
@@ -221,6 +221,30 @@ class TestSigmaPoints:
             )
             D = np.abs(lam[:, None] - lam[None, :]) + np.diag([np.inf] * len(lam))
             assert D.min() < 1e-4
+
+    @pytest.mark.parametrize("n", [6, 10, 16, 20, 25])
+    def test_yv_seed_gives_the_same_roots(self, n, tmp_cache):
+        zeros = yv.yv_zeros(n, cache_dir=tmp_cache).points
+        _, g = intpoly.split_cube(branching.sigma_polynomial(n, cache_dir=tmp_cache).num)
+        assert branching._yv_seeds(zeros, len(g) - 1) is not None
+        plain = branching.sigma_points(n, cache_dir=tmp_cache).points.points
+        seeded = branching.sigma_points(n, cache_dir=tmp_cache, near=zeros).points.points
+        dist = np.abs(seeded[:, None] - plain[None, :])
+        assert sorted(dist.argmin(axis=1)) == list(range(len(plain)))
+        assert dist.min(axis=1).max() < 1e-12 * np.abs(plain).max()
+
+    @pytest.mark.parametrize("bad", ["one short", "nan", "none"])
+    def test_unusable_yv_seed_falls_back(self, bad, tmp_cache):
+        n = 10
+        zeros = yv.yv_zeros(n, cache_dir=tmp_cache).points
+        near = {"one short": zeros[:-1],
+                "nan": np.where(np.arange(len(zeros)) == 3, np.nan, zeros),
+                "none": None}[bad]
+        if near is not None:
+            assert branching._yv_seeds(near, len(zeros) // 3) is None
+        plain = branching.sigma_points(n, cache_dir=tmp_cache).points.points
+        got = branching.sigma_points(n, cache_dir=tmp_cache, near=near).points.points
+        assert np.array_equal(got, plain)
 
 
 class TestScaledSigma:

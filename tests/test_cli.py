@@ -56,6 +56,37 @@ class TestFigureCommands:
         rep = json.loads((out / "comparison.json").read_text())
         assert rep["card_a"] == rep["card_b"] == 21
 
+    def test_triangle_cold_pass_computes_each_set_once(self, tmp_path, tmp_cache,
+                                                       monkeypatch):
+        # perfbench fails a cold pass that reads the cache: the YV zeros that
+        # seed sigma must come from the one yv_zeros call, not a reload
+        from qesquartic import verify, yv
+
+        hits, calls = [], []
+        load, yv_zeros = cache.load, yv.yv_zeros
+
+        def counting_load(kind, n, directory=None):
+            got = load(kind, n, directory)
+            if got is not None:
+                hits.append((kind, n))
+            return got
+
+        def counting_yv_zeros(n, cache_dir=None):
+            calls.append(n)
+            return yv_zeros(n, cache_dir=cache_dir)
+
+        monkeypatch.setattr(cache, "load", counting_load)
+        monkeypatch.setattr(yv, "yv_zeros", counting_yv_zeros)
+        cli.cmd_figure("triangle", out_dir=tmp_path / "tri",
+                       cache_dir=tmp_cache, overrides={"n": 25})
+        assert hits == []
+        assert calls == [25]
+        calls.clear()
+        rep = verify.criterion_fig2_trend((10, 20), cache_dir=tmp_cache)
+        assert rep["passed"], rep["detail"]
+        assert hits == []
+        assert calls == [10, 20]
+
     def test_figslopes(self, tmp_path, tmp_cache):
         out = cli.cmd_figure("figslopes", out_dir=tmp_path / "fs",
                              cache_dir=tmp_cache)

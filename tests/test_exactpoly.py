@@ -184,20 +184,6 @@ class TestBivariate:
         assert b.a_degree == 1
         assert b.total_degree == 3
 
-    def test_eval_matches_grid(self):
-        b = BivariatePoly([[4], [0, 4], [], [-1]])
-        p = b.eval_a(Fraction(3, 2))
-        assert p == ExactPoly([4, 6, 0, -1])
-
-    @settings(max_examples=60)
-    @given(grid=st.lists(st.lists(st.integers(-10**6, 10**6), max_size=6),
-                         max_size=6),
-           a=st.fractions(-30, 30, max_denominator=40))
-    def test_eval_a_matches_fraction_horner(self, grid, a):
-        p = BivariatePoly(grid).eval_a(a)
-        assert p.coeffs == frac_trim([frac_horner(row, a) for row in grid])
-        _assert_canonical(p)
-
 
 # coefficients at the sign and borrow edges: +-2^k and +-(2^k - 1), zero runs
 _POWERS = st.builds(lambda k, sign, off: sign * (2**k - off),

@@ -178,6 +178,31 @@ def test_polish_and_residual_at_roots():
     assert rootfind.residual_scale_aware([0, 1], 0) == 0.0
 
 
+def test_residual_scale_aware_batch_equals_pointwise():
+    coeffs = _from_roots([Fraction(-3, 2), Fraction(7, 3)], [(Fraction(1, 2), 2)])
+    z = np.array([[0, 1.5, -1.5 + 1e-9j], [0.5 + 2j, 3 - 1j, 1e-300]])
+    got = rootfind.residual_scale_aware(coeffs, z)
+    assert got.shape == z.shape
+    assert all(g == rootfind.residual_scale_aware(coeffs, w)
+               for g, w in zip(got.flat, z.flat))
+    assert rootfind.residual_scale_aware(coeffs, []).shape == (0,)
+
+
+def test_threefold_roots_init():
+    g_roots = [Fraction(-3, 2), Fraction(7, 3), Fraction(5)]
+    g = _from_roots(g_roots, [(Fraction(1, 2), 2)])
+    coeffs = [0] + [c for cg in g for c in (cg, 0, 0)][:-2]      # x g(x^3)
+    xi = np.array([complex(r) for r in g_roots] + [0.5 + 2j, 0.5 - 2j])
+    want = rootfind.threefold_roots(coeffs)
+    got = rootfind.threefold_roots(coeffs, init=xi * (1 + 0.05j))
+    assert got[0] == 0
+    dist = np.abs(got[:, None] - want[None, :])
+    assert sorted(dist.argmin(axis=1)) == list(range(len(want)))
+    assert dist.min(axis=1).max() < 1e-12 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        rootfind.threefold_roots(coeffs, init=xi[:-1])
+
+
 def test_threefold_roots_refuses_mixed_classes():
     # x^4 + x^3 + 1: degrees 4, 3 and 0 sit in two classes mod 3
     with pytest.raises(StructureViolation):
