@@ -16,7 +16,9 @@ Every cubic here goes through the one vectorized helper
 ``rootfind.cubic_roots``, and the hot loops call it on whole batches: the
 support raster of one tau, the bisection of all its flagged raster edges
 (one solve per bisection step), the 2001-point scan of the real axis, and
-the branch continuation of all quadrature taus in lockstep.
+the branch continuation of all quadrature taus in lockstep, whose planned
+radii are solved several at a time.  The Gauss-Legendre rule of each
+quadrature order is computed once per process.
 
 The frozen recurrence itself is solved exactly at a = 0: its solution
 polynomials are scaled to integer ones at the rational tau and built in
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss   # loaded with the package, not on first use
@@ -39,6 +42,7 @@ from .rootfind import cubic_roots, threefold_roots
 
 EQUIMODULAR_TOL = 1e-4
 MAX_HALVINGS = 48        # step halvings each continuation lane may ask for
+PSI_BATCH_CUBICS = 1536  # cubics per cubic_roots call of the planned radii
 SUPPORT_GRID_SIZE = 61   # raster side of union_support
 
 
@@ -177,9 +181,12 @@ def _psi_branches(beta, a, taus):
     Continuation runs along the straight ray arg(z) = arg(beta) from
     |z| = max(10(1+|a|), 2|beta|) down to |beta| in 48 geometric steps, all
     taus in lockstep: at each radius every lane takes the root nearest its
-    previous value.  Whenever some lane's nearest and next-nearest roots are
-    not cleanly separated, the step is halved for all lanes; each lane may
-    ask for MAX_HALVINGS halvings.
+    previous value.  The planned radii are solved ahead, in batches of at
+    most PSI_BATCH_CUBICS cubics per ``cubic_roots`` call (a row does not
+    depend on its batch); only the matching runs radius by radius.  Whenever
+    some lane's nearest and next-nearest roots are not cleanly separated, a
+    midpoint radius is inserted for all lanes and solved on its own; each
+    lane may ask for MAX_HALVINGS halvings.
     """
     beta = complex(beta)
     a = complex(a)
@@ -188,32 +195,48 @@ def _psi_branches(beta, a, taus):
     c, d = a * T, -(T * T)
     phase = beta / abs(beta)
     R0 = max(10.0 * (1 + abs(a)), 2 * abs(beta))
-    radii = list(np.geomspace(R0, abs(beta), 48))
+    radii = np.geomspace(R0, abs(beta), 48)
     lanes = np.arange(len(T))
     roots = cubic_roots(radii[0] * phase, c, d)
     psi = roots[lanes, np.argmin(np.abs(roots + radii[0] * phase), axis=-1)]
     halvings = np.zeros(len(T), dtype=int)
     prev_rad = radii[0]
-    i = 1
-    while i < len(radii):
-        rad = radii[i]
-        roots = cubic_roots(rad * phase, c, d)
-        dist = np.abs(roots - psi[:, None])
-        near = np.sort(dist, axis=-1)
-        ambiguous = near[:, 0] > 0.5 * near[:, 1]
-        if ambiguous.any():
-            floor = np.flatnonzero(ambiguous & (halvings >= MAX_HALVINGS))
-            if len(floor):
-                raise BranchCollision(
-                    f"refinement floor at |beta|={rad:.4g} (tau={taus[floor[0]]:.4f})"
-                )
-            radii.insert(i, 0.5 * (prev_rad + rad))
-            halvings += ambiguous
-            continue
-        psi = roots[lanes, np.argmin(dist, axis=-1)]
-        prev_rad = rad
-        i += 1
+    batch = max(1, PSI_BATCH_CUBICS // len(T))
+    for k in range(1, len(radii), batch):
+        block = radii[k:k + batch]
+        for rad, roots in zip(block, cubic_roots((block * phase)[:, None], c, d)):
+            pending = [(rad, roots)]            # the planned radius, then midpoints
+            while pending:
+                rad, roots = pending[-1]
+                dist = np.abs(roots - psi[:, None])
+                near = np.sort(dist, axis=-1)
+                ambiguous = near[:, 0] > 0.5 * near[:, 1]
+                if ambiguous.any():
+                    floor = np.flatnonzero(ambiguous & (halvings >= MAX_HALVINGS))
+                    if len(floor):
+                        raise BranchCollision(
+                            f"refinement floor at |beta|={rad:.4g} (tau={taus[floor[0]]:.4f})"
+                        )
+                    mid = 0.5 * (prev_rad + rad)
+                    pending.append((mid, cubic_roots(mid * phase, c, d)))
+                    halvings += ambiguous
+                    continue
+                psi = roots[lanes, np.argmin(dist, axis=-1)]
+                prev_rad = rad
+                pending.pop()
     return psi
+
+
+@lru_cache(maxsize=8)   # cauchy_nu asks for at most five orders
+def _gauss_rule(order):
+    """Read-only Gauss-Legendre nodes mapped to tau in (0, 1), and their
+    weights, for one order; each order is computed once per process."""
+    nodes, weights = leggauss(order)
+    taus = 0.5 * (nodes + 1.0)
+    ws = 0.5 * weights
+    taus.flags.writeable = False
+    ws.flags.writeable = False
+    return taus, ws
 
 
 def cauchy_nu(beta, a=0.0):
@@ -222,8 +245,9 @@ def cauchy_nu(beta, a=0.0):
     Gauss-Legendre quadrature over tau in (0,1) of dPsi/dbeta / Psi, with the
     branch fixed by Psi/beta -> -1 at infinity and followed by straight-ray
     continuation; the order starts at 64 and doubles until two successive
-    values agree to 1e-10.  Raises InsideSupport when a probe of the
-    quadrature taus finds beta on a support (to EQUIMODULAR_TOL).
+    values agree to 1e-10, and each order's rule comes from ``_gauss_rule``.
+    Raises InsideSupport when a probe of the quadrature taus finds beta on a
+    support (to EQUIMODULAR_TOL).
     """
     beta = complex(beta)
     a = complex(a)
@@ -232,9 +256,7 @@ def cauchy_nu(beta, a=0.0):
     order = 64
     prev = None
     for _ in range(5):
-        nodes, weights = leggauss(order)
-        taus = 0.5 * (nodes + 1.0)
-        ws = 0.5 * weights
+        taus, ws = _gauss_rule(order)
         # membership precheck on the quadrature grid
         probe = taus[:: max(1, order // 16)]
         inside = probe[_dominance_gap(beta, a, probe) < EQUIMODULAR_TOL]

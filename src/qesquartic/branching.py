@@ -539,15 +539,15 @@ def compare_sets(A: PointSet, B: PointSet) -> dict:
     return out
 
 
-def lattice_probe(n: int, window, cache_dir=None) -> dict:
+def lattice_probe(n: int, window, sets) -> dict:
     """Drift of the unscaled branching lattice between n and n+3.
 
-    window is (re_min, re_max, im_min, im_max); points of both sets inside
-    are matched by nearest neighbor and the per-pair drift reported.
+    sets holds the branching point arrays at n and at n+3, and window is
+    (re_min, re_max, im_min, im_max); points of both sets inside are matched
+    by nearest neighbor and the per-pair drift reported.
     """
     re0, re1, im0, im1 = window
-    A = sigma_points(n, cache_dir=cache_dir).points.points
-    B = sigma_points(n + 3, cache_dir=cache_dir).points.points
+    A, B = sets
 
     def clip(pts):
         return pts[(pts.real >= re0) & (pts.real <= re1)

@@ -242,9 +242,12 @@ def _figure_figslopes(emit, cache_dir, n=8, modulus=500.0,
 def _figure_lattice(emit, cache_dir, n=34, window=(-3.0, 3.0, -3.0, 3.0)):
     from .branching import lattice_probe, sigma_points
 
+    sets = []
     for m in (n, n + 3):
-        emit(f"branching_n{m}.csv", sigma_points(m, cache_dir=cache_dir).points)
-    emit("drift.json", lattice_probe(n, window, cache_dir=cache_dir))
+        ps = sigma_points(m, cache_dir=cache_dir).points
+        emit(f"branching_n{m}.csv", ps)
+        sets.append(ps.points)
+    emit("drift.json", lattice_probe(n, window, sets))
     return [f"lattice_probe({n}, {window})"]
 
 

@@ -132,17 +132,30 @@ def _local_ray_angles(a, L, tp, mult):
     return [(2 * np.pi * k - np.angle(c)) / nray for k in range(nray)]
 
 
-def trace_horizontal(a, L, start, direction, capture_radius=None,
-                     turning=None):
+def _capture_radius(turning):
+    """1e-3 times the turning-point diameter, the diameter taken as at
+    least 1e-3.
+
+    ``critical_graph`` offsets its ray starts by three times this radius and
+    ``trace_horizontal`` captures within it; both take it from here, so the
+    two agree to the bit.
+    """
+    tps = np.array([z for z, _ in turning])
+    return float(1e-3 * max(np.abs(tps[:, None] - tps[None, :]).max(), 1e-3))
+
+
+def trace_horizontal(a, L, start, direction, turning=None):
     """Trace one horizontal trajectory of -P dT^2 from ``start``.
 
     Integration is arc-length RK4 on the unit direction field
     arg(T') = -arg(-P(T))/2 with the sign chosen for continuity, at steps of
-    at most H0.  Returns (result, hit_index, path) where result is "capture"
-    (within capture_radius of a turning point), "escape" (beyond
-    10 sqrt(1 + |a| + |L|) + max |turning point|) or "maxlen" (arc length
-    12 times that escape radius).  Raises StallNearTurningPoint when the
-    adaptive step collapses without reaching the capture radius.
+    at most H0.  A step's last field value is the next step's first one (the
+    field at the same T, continued from itself), so each step evaluates the
+    field four times.  Returns (result, hit_index, path) where result is
+    "capture" (within ``_capture_radius`` of a turning point), "escape"
+    (beyond 10 sqrt(1 + |a| + |L|) + max |turning point|) or "maxlen" (arc
+    length 12 times that escape radius).  Raises StallNearTurningPoint when
+    the adaptive step collapses without reaching the capture radius.
     """
     a = complex(a)
     L = complex(L)
@@ -150,8 +163,7 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
         turning = turning_points(a, L)
     # plain complex scalars: the step loop below scans them every RK4 step
     tps = [complex(z) for z, _ in turning]
-    diam = max(max(abs(z - w) for z in tps for w in tps), 1e-3)
-    cap_r = capture_radius if capture_radius is not None else 1e-3 * diam
+    cap_r = _capture_radius(turning)
     esc_r = 10 * math.sqrt(1 + abs(a) + abs(L)) + max(abs(z) for z in tps)
     max_len = 12 * esc_r
     T = complex(start)
@@ -169,6 +181,7 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
     slen = 0.0
     h = H0
     stall = 0
+    d = field(T, d)          # k1 of every step: the field at T, continued
     while slen < max_len:
         dists = [abs(z - T) for z in tps]
         dmin = min(dists)
@@ -178,7 +191,7 @@ def trace_horizontal(a, L, start, direction, capture_radius=None,
             return "capture", k, np.asarray(path)
         if abs(T) > esc_r:
             return "escape", None, np.asarray(path)
-        k1 = field(T, d)
+        k1 = d
         k2 = field(T + 0.5 * h * k1, k1)
         k3 = field(T + 0.5 * h * k2, k2)
         k4 = field(T + h * k3, k3)
@@ -223,9 +236,7 @@ def critical_graph(a, L) -> TrajectoryGraph:
     a = complex(a)
     L = complex(L)
     turning = turning_points(a, L)
-    tps = np.array([z for z, _ in turning])
-    diam = max(np.abs(tps[:, None] - tps[None, :]).max(), 1e-3)
-    cap_r = 1e-3 * diam
+    cap_r = _capture_radius(turning)
     graph = TrajectoryGraph(a=a, L=L, turning_points=turning)
     on_critical = [m >= 2 for _, m in turning]
     for i, (tp, m) in enumerate(turning):
@@ -233,8 +244,7 @@ def critical_graph(a, L) -> TrajectoryGraph:
         for k, th in enumerate(_local_ray_angles(a, L, tp, m)):
             start = tp + delta * np.exp(1j * th)
             result, j, path = trace_horizontal(
-                a, L, start, np.exp(1j * th), capture_radius=cap_r,
-                turning=turning,
+                a, L, start, np.exp(1j * th), turning=turning,
             )
             graph.trajectories.append(
                 {"from": i, "ray": k, "result": result, "to": j, "path": path}

@@ -20,9 +20,14 @@ package refines all intervals of a bisection level together), and the
 standard hook is evaluated one scalar t at a time by Python branches (the
 package selects among its segments over an array of t).  Spectra at complex
 a start Aberth from Newton-polygon guesses (the package seeds it with the
-dense eigenvalues).
+dense eigenvalues).  Horizontal trajectories evaluate the direction field
+five times per RK4 step (the package carries a step's last value into the
+next step), and the branch continuation of the characteristic cubic solves
+one radius per ``cubic_roots`` call (the package solves its planned radii
+in batches).
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -31,9 +36,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from qesquartic import intpoly
-from qesquartic.errors import CollisionUnresolved
-from qesquartic.rootfind import aberth_roots
+from qesquartic import intpoly, quaddiff
+from qesquartic.errors import BranchCollision, CollisionUnresolved, StallNearTurningPoint
+from qesquartic.rootfind import aberth_roots, cubic_roots
 from qesquartic.spectral import build_matrix, charpoly_coeffs_mp
 
 
@@ -330,6 +335,121 @@ def hook_scalar(B, sigma, radius, bump):
         return approach_from + 1j * y * (1 - s)
 
     return func
+
+
+# ---------------------------------------------------------------------------
+# horizontal trajectories, five field evaluations per RK4 step
+# ---------------------------------------------------------------------------
+
+def trace_horizontal_five_eval(a, L, start, direction, capture_radius, turning):
+    """Arc-length RK4 along the horizontal direction field of -P dT^2 that
+    evaluates the field afresh at the start of every step."""
+    a = complex(a)
+    L = complex(L)
+    tps = [complex(z) for z, _ in turning]
+    cap_r = capture_radius
+    esc_r = 10 * math.sqrt(1 + abs(a) + abs(L)) + max(abs(z) for z in tps)
+    max_len = 12 * esc_r
+    T = complex(start)
+    d = complex(direction)
+    d /= abs(d)
+
+    def field(Tc, dprev):
+        Q = -quaddiff.quartic_value(Tc, a, L)
+        if Q == 0:
+            return dprev
+        u = cmath.exp(-0.5j * cmath.phase(Q))
+        return u if (u / dprev).real >= 0 else -u
+
+    path = [T]
+    slen = 0.0
+    h = quaddiff.H0
+    stall = 0
+    while slen < max_len:
+        dists = [abs(z - T) for z in tps]
+        dmin = min(dists)
+        if dmin < cap_r and slen > 3 * cap_r:
+            k = dists.index(dmin)
+            path.append(tps[k])
+            return "capture", k, np.asarray(path)
+        if abs(T) > esc_r:
+            return "escape", None, np.asarray(path)
+        k1 = field(T, d)
+        k2 = field(T + 0.5 * h * k1, k1)
+        k3 = field(T + 0.5 * h * k2, k2)
+        k4 = field(T + h * k3, k3)
+        step = (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if abs(step) < 1e-14:
+            stall += 1
+            if stall > 50:
+                raise StallNearTurningPoint(f"step collapsed at {T} without capture")
+        else:
+            stall = 0
+        T = T + step
+        d = field(T, k4)
+        path.append(T)
+        slen += abs(step)
+        h = min(quaddiff.H0, 0.2 * dmin + 1e-4)
+    return "maxlen", None, np.asarray(path)
+
+
+def critical_graph_five_eval(a, L):
+    """Every ray of ``quaddiff.critical_graph`` traced by
+    ``trace_horizontal_five_eval``: a list of (result, target, path)."""
+    a = complex(a)
+    L = complex(L)
+    turning = quaddiff.turning_points(a, L)
+    tps = np.array([z for z, _ in turning])
+    cap_r = 1e-3 * max(np.abs(tps[:, None] - tps[None, :]).max(), 1e-3)
+    out = []
+    for tp, m in turning:
+        for th in quaddiff._local_ray_angles(a, L, tp, m):
+            start = tp + 3 * cap_r * np.exp(1j * th)
+            out.append(trace_horizontal_five_eval(a, L, start, np.exp(1j * th),
+                                                  cap_r, turning))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# branch continuation, one radius per cubic solve
+# ---------------------------------------------------------------------------
+
+def psi_branches_per_radius(beta, a, taus, max_halvings=48):
+    """The continued cubic root with Psi/beta -> -1 for every tau, solving
+    each radius, planned or inserted, in its own ``cubic_roots`` call."""
+    beta = complex(beta)
+    a = complex(a)
+    taus = np.asarray(taus, dtype=float)
+    T = taus * (1 - taus)
+    c, d = a * T, -(T * T)
+    phase = beta / abs(beta)
+    R0 = max(10.0 * (1 + abs(a)), 2 * abs(beta))
+    radii = list(np.geomspace(R0, abs(beta), 48))
+    lanes = np.arange(len(T))
+    roots = cubic_roots(radii[0] * phase, c, d)
+    psi = roots[lanes, np.argmin(np.abs(roots + radii[0] * phase), axis=-1)]
+    halvings = np.zeros(len(T), dtype=int)
+    prev_rad = radii[0]
+    i = 1
+    while i < len(radii):
+        rad = radii[i]
+        roots = cubic_roots(rad * phase, c, d)
+        dist = np.abs(roots - psi[:, None])
+        near = np.sort(dist, axis=-1)
+        ambiguous = near[:, 0] > 0.5 * near[:, 1]
+        if ambiguous.any():
+            floor = np.flatnonzero(ambiguous & (halvings >= max_halvings))
+            if len(floor):
+                raise BranchCollision(
+                    f"refinement floor at |beta|={rad:.4g} (tau={taus[floor[0]]:.4f})"
+                )
+            radii.insert(i, 0.5 * (prev_rad + rad))
+            halvings += ambiguous
+            continue
+        psi = roots[lanes, np.argmin(dist, axis=-1)]
+        prev_rad = rad
+        i += 1
+    return psi
 
 
 def assignment_cost_lsa(pa, pb):

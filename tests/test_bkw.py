@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesquartic import bkw
+from qesquartic import bkw, rootfind
 from qesquartic.errors import BranchCollision, InsideSupport
 from qesquartic.rootfind import threefold_roots
 
-from oracles import frozen_recurrence_fraction
+from oracles import frozen_recurrence_fraction, psi_branches_per_radius
 
 
 class TestCharacteristicRoots:
@@ -183,6 +183,63 @@ class TestBatchedContinuation:
             bkw._psi_branches(beta, 0, [0.5])
         with pytest.raises(BranchCollision):
             bkw._psi_branches(beta, 0, [0.1, 0.5])
+
+
+def _count_cubic_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(np.broadcast_shapes(*map(np.shape, args)))
+        return rootfind.cubic_roots(*args)
+
+    monkeypatch.setattr(bkw, "cubic_roots", counted)
+    return calls
+
+
+class TestBatchedRadii:
+    @pytest.mark.parametrize("beta, a, taus, solves", [
+        (0.74 + 0.01j, 0, [0.5], 3),                            # 1 + 1 batch + 1 halving
+        (0.74 + 0.01j, 0, (np.arange(64) + 0.5) / 64, 4),       # 1 + 2 batches + 1 halving
+        (0.9 + 0.1j, 0.5 - 0.5j, (np.arange(128) + 0.5) / 128, 5),  # 1 + 4 batches
+    ])
+    def test_equals_per_radius_oracle(self, monkeypatch, beta, a, taus, solves):
+        expected = psi_branches_per_radius(beta, a, taus)
+        calls = _count_cubic_calls(monkeypatch)
+        got = bkw._psi_branches(beta, a, taus)
+        assert np.array_equal(got, expected)
+        assert len(calls) == solves
+        assert max(np.prod(s) for s in calls) <= bkw.PSI_BATCH_CUBICS
+
+    def test_collision_message_unchanged(self, monkeypatch):
+        monkeypatch.setattr(bkw, "MAX_HALVINGS", 0)
+        for taus in ([0.5], (np.arange(64) + 0.5) / 64):
+            with pytest.raises(BranchCollision) as want:
+                psi_branches_per_radius(0.74 + 0.01j, 0, taus, max_halvings=0)
+            with pytest.raises(BranchCollision) as got:
+                bkw._psi_branches(0.74 + 0.01j, 0, taus)
+            assert str(got.value) == str(want.value)
+
+    def test_cubic_solves_per_cauchy_nu(self, monkeypatch):
+        # two membership probes and, at orders 64 and 128, one start solve
+        # plus 2 and 4 batches of planned radii; one solve per radius took 98
+        calls = _count_cubic_calls(monkeypatch)
+        bkw.cauchy_nu(2 * np.exp(2j * np.pi * 0.35 / 10), 0)
+        assert len(calls) == 10
+
+    def test_cubic_roots_binding_kept(self):
+        # the continuation and its bench span both go through this name
+        assert bkw.cubic_roots is rootfind.cubic_roots
+
+
+def test_gauss_rule_cached_read_only():
+    taus, ws = bkw._gauss_rule(64)
+    assert bkw._gauss_rule(64)[0] is taus and bkw._gauss_rule(64)[1] is ws
+    assert not taus.flags.writeable and not ws.flags.writeable
+    with pytest.raises(ValueError):
+        taus[0] = 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(taus, 0.5 * (nodes + 1.0))
+    assert np.array_equal(ws, 0.5 * weights)
 
 
 class TestUnionSupport:

@@ -325,15 +325,21 @@ class TestCertifiedAssignment:
 
 
 class TestLatticeProbe:
+    @staticmethod
+    def probe(n, window, cache_dir):
+        sets = [branching.sigma_points(m, cache_dir=cache_dir).points.points
+                for m in (n, n + 3)]
+        return branching.lattice_probe(n, window, sets)
+
     def test_empty_window(self, tmp_cache):
-        rep = branching.lattice_probe(4, (100, 101, 100, 101), cache_dir=tmp_cache)
+        rep = self.probe(4, (100, 101, 100, 101), tmp_cache)
         assert rep["count_a"] == 0
 
     def test_drift_shrinks(self, tmp_cache):
         # stabilization trend: drift near the origin shrinks as n grows
         w = (-1.5, 1.5, -1.5, 1.5)
-        r_small = branching.lattice_probe(5, w, cache_dir=tmp_cache)
-        r_big = branching.lattice_probe(10, w, cache_dir=tmp_cache)
+        r_small = self.probe(5, w, tmp_cache)
+        r_big = self.probe(10, w, tmp_cache)
         assert r_small["count_a"] > 0 and r_big["count_a"] > 0
         assert r_big["mean_drift"] < r_small["mean_drift"]
 

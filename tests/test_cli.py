@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qesquartic import cache, cli
+from qesquartic import cache, cli, rootfind
 
 
 class TestParseComplex:
@@ -131,6 +131,23 @@ class TestFigureCommands:
         rep = json.loads((out / "drift.json").read_text())
         assert rep["count_a"] > 0
         assert rep["mean_drift"] < rep["local_spacing"]
+
+    def test_lattice_solves_each_set_once(self, tmp_path, tmp_cache, monkeypatch):
+        # the drift probe reuses the two sets the figure emits
+        degrees = []
+        solve = rootfind.threefold_roots
+
+        def counted(coeffs, init=None):
+            degrees.append(len(coeffs) - 1)
+            return solve(coeffs, init=init)
+
+        monkeypatch.setattr(rootfind, "threefold_roots", counted)
+        out = cli.cmd_figure("lattice", out_dir=tmp_path / "lat",
+                             cache_dir=tmp_cache, overrides={"n": 12})
+        assert degrees == [78, 120]
+        rep = json.loads((out / "drift.json").read_text())
+        assert (rep["n"], rep["m"]) == (12, 15)
+        assert rep["count_a"] > 0
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

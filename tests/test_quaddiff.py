@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qesquartic import quaddiff
 from qesquartic.errors import AmbiguousTopology
 
-from oracles import mst_scipy
+from oracles import critical_graph_five_eval, mst_scipy
 
 
 class TestTurningPoints:
@@ -89,10 +89,7 @@ class TestTracing:
     def test_real_axis_case(self):
         # rightmost endpoint parameter for a=3: double point plus a connected
         # conjugate pair
-        from qesquartic import bkw
-
-        L = max(bkw.support_endpoints(3.0), key=lambda z: z.real).real
-        g = quaddiff.critical_graph(3.0, L)
+        g = quaddiff.critical_graph(3.0, _real_axis_endpoint())
         assert g.all_on_critical
 
     def test_json_export_shape(self):
@@ -101,6 +98,40 @@ class TestTracing:
         assert d["criterion"] is True
         assert len(d["turning_points"]) == 4
         assert all(len(tr["points"]) >= 1 for tr in d["trajectories"])
+
+
+def _real_axis_endpoint():
+    from qesquartic import bkw
+
+    return max(bkw.support_endpoints(3.0), key=lambda z: z.real).real
+
+
+class TestFourEvaluationStep:
+    @pytest.mark.parametrize("a, L", [(0.5 - 0.5j, 1.0), (0, 0), (0, 0.75),
+                                      (0, 5 + 5j), (3.0, None)])
+    def test_paths_equal_five_evaluation_oracle(self, a, L):
+        # a step's last field value is exactly the next step's first one
+        if L is None:
+            L = _real_axis_endpoint()
+        g = quaddiff.critical_graph(a, L)
+        want = critical_graph_five_eval(a, L)
+        assert len(g.trajectories) == len(want)
+        for tr, (result, to, path) in zip(g.trajectories, want):
+            assert (tr["result"], tr["to"]) == (result, to)
+            assert np.array_equal(tr["path"], path)
+
+    def test_direct_trace_uses_the_graph_capture_radius(self):
+        # a ray traced on its own captures within the radius critical_graph
+        # offsets its starts by, so it reproduces the graph's path
+        a, L = 0.5 - 0.5j, 1.0
+        g = quaddiff.critical_graph(a, L)
+        tp, m = g.turning_points[0]
+        th = quaddiff._local_ray_angles(a, L, tp, m)[0]
+        start = tp + 3 * quaddiff._capture_radius(g.turning_points) * np.exp(1j * th)
+        result, to, path = quaddiff.trace_horizontal(a, L, start, np.exp(1j * th))
+        tr = g.trajectories[0]
+        assert (result, to) == (tr["result"], tr["to"])
+        assert np.array_equal(path, tr["path"])
 
 
 def _leg_cloud(seed=0, jitter=5e-4):
