@@ -26,9 +26,23 @@ of digits cancels catastrophically at any fixed precision.  A root whose
 correction falls below 1e-15 is frozen for the rest of its stage, as in
 MPSolve (Bini & Fiorentino 2000; Bini & Robol 2014): it still repels the
 others but is no longer evaluated.  On convergence every root z_i gets the
-Newton inclusion radius d |p(z_i)/p'(z_i)|, the radius of a disk about z_i
-that holds a root; the disks must be pairwise disjoint, so each holds
-exactly one.
+Newton inclusion radius d |p(z_i)/p'(z_i)|, widened by the rounding bound
+of the fixed-point evaluation, the radius of a disk about z_i that holds a
+root; the disks must be pairwise disjoint, so each holds exactly one.
+
+Ahead of the multiprecision stages runs one double-precision stage, MPSolve's
+"double plus exponent" phase: the same iteration with each rescaled
+coefficient held as a complex double mantissa and an int64 binary exponent,
+and one numpy Horner pass for (p, p') over all unfrozen roots at once, each
+root carrying one running exponent.  Coefficient spans far beyond the double
+range (over 2000 bits for YV_40) thus neither underflow nor overflow.  A
+root is frozen there when its correction falls below 1e-15 or when |p| is
+within the rounding noise d eps sum_k |c_k||z|^k of the double pass, so the
+stage stops where double precision stops telling anything.  Its points,
+or the caller's starts if any came out non-finite, start the multiprecision
+stages, whose freezing rule and certificates are those above; it only saves
+them sweeps (yv_zeros(25) makes about a third of the multiprecision
+evaluations it made without it).
 
 ``threefold_roots`` is the one route for polynomials x^s g(x^3) (the a = 0
 spectra, the YV zeros, the branching points and the frozen recurrence at
@@ -48,7 +62,8 @@ from numpy.random import RandomState   # loaded with the package, not on first u
 from . import intpoly
 from .errors import NonConvergence
 
-DEFAULT_SCHEDULE = ((50, 90), (120, 20), (250, 8))
+# (dps, max_sweeps) per stage; dps None is the double-precision stage
+DEFAULT_SCHEDULE = ((None, 100), (50, 90), (120, 20), (250, 8))
 
 
 def _log_abs(c):
@@ -87,7 +102,7 @@ def newton_polygon_radii(coeffs):
             else:
                 break
         hull.append(k)
-    radii = np.empty(d, dtype=float)
+    radii = np.zeros(d, dtype=float)     # roots at the origin below hull[0]
     for t in range(len(hull) - 1):
         i, j = hull[t], hull[t + 1]
         radii[i:j] = math.exp((logs[i] - logs[j]) / (j - i))
@@ -192,13 +207,101 @@ def _newton_ratio(pr, pi, qr, qi):
 
 
 def _inclusion_radii(cfix, z):
-    """Newton inclusion radii d |p(z_i) / p'(z_i)| (inf where p' vanishes).
+    """Newton inclusion radii d |p(z_i)| / |p'(z_i)| (inf where p' may vanish).
 
-    The disk of that radius about z_i holds at least one root of p.
+    The disk of that radius about z_i holds at least one root of p, the
+    polynomial of the exact coefficients: each floor of the fixed-point
+    Horner pass and of the coefficients errs by under one unit per part, so
+    |p| is taken 2 sqrt 2 sum_k |z|^k units larger and |p'|
+    2 sqrt 2 (sum_k |z|^k + sum_k k |z|^(k-1)) units smaller than computed.
     """
     d = len(cfix) - 1
-    vals = _horner(cfix, map(_exact_point, z))
-    return d * np.abs([_newton_ratio(*v) for v in vals])
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore"):
+        powers = np.abs(z)[:, None] ** np.arange(d + 1)
+        err_p = 2 * math.sqrt(2) * powers.sum(axis=1)
+        err_q = err_p + 2 * math.sqrt(2) * (np.arange(1, d + 1)
+                                            * powers[:, :-1]).sum(axis=1)
+    out = []
+    for (pr, pi, qr, qi), ep, eq in zip(_horner(cfix, map(_exact_point, z)),
+                                        err_p, err_q):
+        try:                    # an infinite bound, or a radius past floats
+            top = math.isqrt(pr * pr + pi * pi) + 1 + math.ceil(ep)
+            bottom = math.isqrt(qr * qr + qi * qi) - math.ceil(eq)
+            out.append(d * top / bottom if bottom > 0 else math.inf)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+# the double-precision stage: coefficients as (mantissa, binary exponent)
+_EPS = float(np.finfo(float).eps)
+_ZERO_EXP = np.iinfo(np.int64).min // 4     # exponent of a zero coefficient
+_DPE_BITS = 64                              # integer bits kept per mantissa
+
+
+def _dpe_coeffs(coeffs, scale):
+    """The coefficients of p(scale w) / scale^d as (mantissa, exponent) pairs.
+
+    Returns (man, exp): man[k] complex, exp[k] int64, with coefficient k
+    equal to man[k] 2^exp[k] to double precision and the larger of
+    |Re man[k]|, |Im man[k]| in [1/2, 1).  A zero coefficient gets mantissa
+    0 and exponent _ZERO_EXP.  Built from _fixed_coeffs, so no coefficient
+    underflows or overflows however wide its span.
+    """
+    cfix, shift = _fixed_coeffs(coeffs, 16, scale)   # >= 86 bits each
+    man = np.zeros(len(cfix), dtype=complex)
+    exp = np.full(len(cfix), _ZERO_EXP, dtype=np.int64)
+    for k, (re, im) in enumerate(cfix):
+        bits = max(abs(re).bit_length(), abs(im).bit_length())
+        if not bits:
+            continue
+        t = max(bits - _DPE_BITS, 0)
+        mr, mi = float(re >> t), float(im >> t)
+        _, x = math.frexp(max(abs(mr), abs(mi)))
+        man[k] = complex(math.ldexp(mr, -x), math.ldexp(mi, -x))
+        exp[k] = t + x - shift
+    return man, exp
+
+
+def _dpe_horner(man, exp, z):
+    """p(z), p'(z) and sum_k |c_k||z|^k at every point of z, all at once.
+
+    One Horner pass over the (mantissa, exponent) coefficients of
+    _dpe_coeffs.  Each point carries one running binary exponent shared by
+    its three values.  Every step rescales them with frexp/ldexp so that
+    the bound, which dominates |p| and |p'| |z| / d, lies between 1/2 and
+    3, and aligns the next coefficient to that exponent: p and the bound
+    never underflow or overflow, nor does p' unless |z| < d 2^-1000.
+    Returns the three mantissa rows, shape (3, len(z)); the exponent
+    cancels from the ratios the caller takes.
+    """
+    d = len(man) - 1
+    zz = np.stack([z, z, np.abs(z)])
+    cb = np.stack([man, np.abs(man)], axis=1)[:, :, None]
+    acc = np.zeros((3, len(z)), dtype=complex)
+    acc[0::2] = cb[d]
+    e = np.full(len(z), exp[d])
+    for k in range(d - 1, -1, -1):
+        nxt = acc * zz
+        nxt[1] += acc[0]
+        e_next = np.maximum(e + np.frexp(nxt[2].real)[1], exp[k])
+        nxt *= np.ldexp(1.0, e - e_next)
+        nxt[0::2] += cb[k] * np.ldexp(1.0, exp[k] - e_next)
+        acc, e = nxt, e_next
+    return acc
+
+
+def _dpe_newton(man, exp, z):
+    """Newton ratios p/p' at z in double precision (not finite where p'
+    vanishes), and 0, which freezes the point, where |p| is within the
+    rounding noise d eps sum_k |c_k||z|^k of the Horner pass: there the
+    ratio means nothing."""
+    p, q, bound = _dpe_horner(man, exp, z)
+    d = len(man) - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N = p / q
+    return np.where(np.abs(p) <= d * _EPS * bound.real, 0j, N)
 
 
 def aberth_roots(coeffs, init=None, check_sum=True):
@@ -207,7 +310,11 @@ def aberth_roots(coeffs, init=None, check_sum=True):
     ``init``, when given, holds d finite starting points (ValueError
     otherwise); by default they come from the Newton polygon.  Runs the
     (dps, max_sweeps) stages of DEFAULT_SCHEDULE; a root whose
-    correction falls below tol = 1e-15 is frozen.  Returns a complex ndarray
+    correction falls below tol = 1e-15 is frozen.  The first stage (dps
+    None) runs in double precision with a binary exponent per value and
+    also freezes a root whose |p| is at its rounding noise; the stages
+    after it start from its points (from the starts if any is not finite)
+    and stop once all roots are frozen.  Returns a complex ndarray
     of the d roots.  Raises NonConvergence when the final sweep still moves
     by more than sqrt(tol) at root scale, when the exact sum-of-roots
     identity fails beyond tolerance, or when the Newton inclusion disks of
@@ -237,13 +344,20 @@ def aberth_roots(coeffs, init=None, check_sum=True):
         z = init / s
     last_step = math.inf
     for dps, max_sweeps in DEFAULT_SCHEDULE:
-        cfix, _ = _fixed_coeffs(coeffs, dps, s)
+        if dps is None:
+            man, exp = _dpe_coeffs(coeffs, s)
+            starts = z.copy()
+        else:
+            cfix, _ = _fixed_coeffs(coeffs, dps, s)
         rng = RandomState(12345)
         active = np.arange(d)
         for _ in range(max_sweeps):
             za = z[active]
-            N = np.array([_newton_ratio(*v) for v in
-                          _horner(cfix, map(_exact_point, za))])
+            if dps is None:
+                N = _dpe_newton(man, exp, za)
+            else:
+                N = np.array([_newton_ratio(*v) for v in
+                              _horner(cfix, map(_exact_point, za))])
             stuck = ~np.isfinite(N)
             N[stuck] = 1e-3 * (1 + np.abs(za[stuck]))
             diff = za[:, None] - z[None, :]
@@ -263,7 +377,10 @@ def aberth_roots(coeffs, init=None, check_sum=True):
             active = active[aw >= tol]
             if not len(active):
                 break
-        if not len(active):
+        if dps is None:
+            if not np.isfinite(z).all():
+                z = starts
+        elif not len(active):
             break
     roots = z * s
     if last_step > math.sqrt(tol):

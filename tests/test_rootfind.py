@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from qesquartic import rootfind
+from qesquartic import branching, intpoly, rootfind, spectral, yv
 from qesquartic.errors import NonConvergence, StructureViolation
 
 SPAN_DIGITS = 320       # decimal digits between the smallest and largest |c_k|
@@ -119,10 +120,31 @@ def test_known_roots_with_cluster():
 
 
 @settings(max_examples=15)
-@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=64),
-                min_size=2, max_size=14, unique=True))
+@given(real=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=64),
+                     min_size=2, max_size=14, unique=True))
+# a root at the origin; the double stage once handed back 1 + 4.3e-81 i
+@example(real=[0, 1, Fraction(-3, 2)])
 def test_known_real_roots(real):
     _assert_certified(_from_roots(real, []), [complex(r) for r in real])
+
+
+def test_inclusion_radius_covers_the_evaluation_rounding():
+    # p(z) of z (z - 1)(z + 3/2) rounds to exactly 0 in fixed point at
+    # z = 1 + 4.3e-81 i, yet the root 1 lies 4.3e-81 away
+    cfix, _ = rootfind._fixed_coeffs(_from_roots([0, 1, Fraction(-3, 2)], []), 50)
+    z = 1 + 4.3e-81j
+    assert rootfind._horner(cfix, [rootfind._exact_point(z)])[0][:2] == (0, 0)
+    assert rootfind._inclusion_radii(cfix, [z])[0] >= 4.3e-81
+
+
+def test_newton_polygon_radii_of_roots_at_origin():
+    # freed blocks of the same size: memory that np.empty hands back holds junk
+    for _ in range(3):
+        junk = np.full(5, 1e300)
+        del junk
+    radii = rootfind.newton_polygon_radii([0, 0, -6, 11, -6, 1])
+    assert np.array_equal(radii[:2], [0, 0])
+    assert np.all(radii[2:] > 0)
 
 
 def test_degree_one():
@@ -155,6 +177,78 @@ def test_one_sweep_does_not_converge(monkeypatch):
     monkeypatch.setattr(rootfind, "DEFAULT_SCHEDULE", ((50, 1),))
     with pytest.raises(NonConvergence):
         rootfind.aberth_roots(list(range(1, 12)))
+
+
+# ---------------------------------------------------------------------------
+# the double-precision first stage
+# ---------------------------------------------------------------------------
+
+def _sigma_seeded(n):
+    def solve(cache_dir):
+        near = yv.yv_zeros(n).points
+        return branching.sigma_points(n, cache_dir=cache_dir, near=near).points.points
+    return solve
+
+
+STAGE_CASES = {
+    **{f"yv_zeros({n})": (lambda d, n=n: yv.yv_zeros(n, cache_dir=d).points)
+       for n in (10, 16, 25, 30)},
+    **{f"eigenvalues({n}, 0)":
+       (lambda d, n=n: spectral.eigenvalues(n, 0, cache_dir=d).points)
+       for n in (120, 200)},
+    **{f"YV-seeded sigma_points({n})": _sigma_seeded(n) for n in (16, 25)},
+    # criterion 11 at its first parameter and the smallest probe above the
+    # dense threshold
+    "eigenvalues(84, (1 - i)/2 84^(2/3))": lambda d: spectral.eigenvalues(
+        84, (1 - 1j) / 2 * 84 ** (2 / 3), cache_dir=d).points,
+}
+
+
+@pytest.mark.parametrize("case", list(STAGE_CASES))
+def test_double_stage_keeps_the_multiprecision_roots(case, tmp_path, monkeypatch):
+    """With the double stage, the roots equal those of the multiprecision
+    stages alone to 1e-12 relative (separate caches, so neither side reads
+    the other's points)."""
+    solve = STAGE_CASES[case]
+    got = solve(str(tmp_path / "with-stage"))
+    monkeypatch.setattr(rootfind, "DEFAULT_SCHEDULE", rootfind.DEFAULT_SCHEDULE[1:])
+    want = solve(str(tmp_path / "multiprecision-only"))
+    D = np.abs(got[:, None] - want[None, :])
+    assert D[linear_sum_assignment(D)].max() <= 1e-12 * np.abs(want).max()
+
+
+def test_double_stage_cuts_multiprecision_evaluations(tmp_path, monkeypatch):
+    # 1157 point evaluations from the multiprecision stages alone
+    points = []
+    horner = rootfind._horner
+
+    def counted(cfix, pts):
+        pts = list(pts)
+        points.append(len(pts))
+        return horner(cfix, pts)
+
+    monkeypatch.setattr(rootfind, "_horner", counted)
+    yv.yv_zeros(25, cache_dir=str(tmp_path))
+    assert sum(points) <= 600
+
+
+def test_double_stage_coefficients_keep_their_exponents():
+    """The rescaled coefficients of YV_30's g span more than the double
+    range, and each nonzero one keeps its value to 2^-50 relative."""
+    _, g = intpoly.split_cube(yv._yv_int_coeffs(30)[30])
+    d = len(g) - 1
+    s = float(rootfind.newton_polygon_radii(g).max())
+    man, exp = rootfind._dpe_coeffs(g, s)
+    nonzero = [k for k, c in enumerate(g) if c]
+    assert exp[nonzero].max() - exp[nonzero].min() > 1100
+    assert not man.imag.any()
+    for k, c in enumerate(g):
+        if not c:
+            assert man[k] == 0
+            continue
+        value = Fraction(c) * Fraction(s) ** (k - d)
+        got = Fraction(man[k].real) * Fraction(2) ** int(exp[k])
+        assert abs(got - value) <= abs(value) * Fraction(1, 2**50)
 
 
 def test_double_root_refused():
