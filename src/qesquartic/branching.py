@@ -41,7 +41,7 @@ from . import cache, intpoly, rootfind
 from .errors import DegreeMismatch, IndexingAmbiguity, NonConvergence
 from .exactpoly import ExactPoly
 from .pointset import PointSet, sort_points
-from .spectral import charpoly_bivariate
+from .spectral import charpoly_bivariate, spectral_polynomial
 
 SIGMA_CAP_DEFAULT = 40
 SCALE_CONSTANT = (27 / 4) ** (1 / 3)   # equals 3/4^(1/3)
@@ -333,14 +333,11 @@ def _spot_points(n: int):
 
 def _spot_check(n: int, coeffs):
     """Exact verification at the two spot points against the Sylvester
-    determinant of the specialised pair, by the integer subresultant PRS
-    (no modular arithmetic, so nothing shared with the CRT route)."""
-    biv = charpoly_bivariate(n)
-    dbiv = biv.derivative_x()
+    determinant of the fixed-a charpoly and its x-derivative, by the integer
+    subresultant PRS (nothing shared with the CRT route or its grid)."""
     for a0 in _spot_points(n):
-        p_at = [intpoly.eval_int(row, a0) for row in biv.grid]
-        q_at = [intpoly.eval_int(row, a0) for row in dbiv.grid]
-        expected = intpoly.sylvester_resultant(intpoly.trim(p_at), intpoly.trim(q_at))
+        p_at = spectral_polynomial(n, a0).num
+        expected = intpoly.sylvester_resultant(p_at, intpoly.deriv(p_at))
         got = intpoly.eval_int(coeffs, a0)
         if expected != got:
             raise NonConvergence(
@@ -359,20 +356,19 @@ def sigma_polynomial(n: int, cache_dir=None) -> ExactPoly:
     if n > SIGMA_CAP_DEFAULT:
         raise ValueError(f"n={n} exceeds the cap {SIGMA_CAP_DEFAULT}")
     D = n * (n + 1) // 2
-    coeffs = cache.decode_int_poly(cache.load("sigma-poly", n, cache_dir), D)
-    if coeffs is not None:
-        return ExactPoly.from_int_coeffs(coeffs, "a")
-    raw = discriminant_resultant_exact(n)
-    raw = intpoly.trim(list(raw))
-    _spot_check(n, raw)
-    prim, _ = intpoly.primitive(raw)
-    if len(prim) - 1 != D:
-        raise DegreeMismatch(
-            f"discriminant degree {len(prim) - 1} != {D} for n={n}"
-        )
-    cache.store("sigma-poly", n, {"n": n, "coeffs": cache.encode_int_poly(prim)},
-                cache_dir)
-    return ExactPoly.from_int_coeffs(prim, "a")
+
+    def compute():
+        raw = intpoly.trim(list(discriminant_resultant_exact(n)))
+        _spot_check(n, raw)
+        prim, _ = intpoly.primitive(raw)
+        if len(prim) - 1 != D:
+            raise DegreeMismatch(
+                f"discriminant degree {len(prim) - 1} != {D} for n={n}"
+            )
+        return prim
+
+    coeffs = cache.cached("sigma-poly", n, {}, compute, cache.IntPoly(D), cache_dir)
+    return ExactPoly.from_int_coeffs(coeffs, "a")
 
 
 # ---------------------------------------------------------------------------

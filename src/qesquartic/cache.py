@@ -1,37 +1,40 @@
-"""Disk cache for expensive exact artifacts (one JSON file per artifact).
+"""Disk cache for expensive artifacts (one JSON file per artifact).
 
 Files are named {kind}-{n}.json inside the cache directory, which resolves
 from, in order: an explicit argument, the QESQUARTIC_CACHE environment
-variable, and ~/.cache/qesquartic.  Writes go through a temp file and an
-atomic rename, so concurrent duplicate computation is wasteful but safe.
-Big integers are serialized as decimal strings and point sets as lists of
-[re, im] pairs.  A damaged entry (unreadable JSON, a point list of the
-wrong length or with non-finite values, or an integer polynomial of the
-wrong degree or with a coefficient that is not a decimal string) reads as a
-miss.
+variable, and ~/.cache/qesquartic; only ``store`` creates it.  Writes go
+through a temp file and an atomic rename, so concurrent duplicate
+computation is wasteful but safe.
+
+``cached`` is the one read-compute-write path.  An entry holds the format
+VERSION, the key (n plus whatever else fixes the result: the parameter, the
+precision schedule, the working precision), the encoded body and the
+SHA-256 of that body.  An entry that is unreadable, of another version or
+key, whose digest does not match or whose body its codec rejects is a miss:
+it is recomputed and overwritten.  Nothing is re-certified on load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 ENV_VAR = "QESQUARTIC_CACHE"
+VERSION = 2   # the unversioned layout before it is version 1
 
 
 def cache_dir(explicit=None) -> Path:
     if explicit:
-        d = Path(explicit)
-    elif os.environ.get(ENV_VAR):
-        d = Path(os.environ[ENV_VAR])
-    else:
-        d = Path.home() / ".cache" / "qesquartic"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+        return Path(explicit)
+    if os.environ.get(ENV_VAR):
+        return Path(os.environ[ENV_VAR])
+    return Path.home() / ".cache" / "qesquartic"
 
 
 def artifact_path(kind: str, n: int, directory=None) -> Path:
@@ -39,18 +42,16 @@ def artifact_path(kind: str, n: int, directory=None) -> Path:
 
 
 def load(kind: str, n: int, directory=None):
-    path = artifact_path(kind, n, directory)
-    if not path.exists():
-        return None
     try:
-        with open(path) as fh:
+        with open(artifact_path(kind, n, directory)) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError):
+    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
         return None
 
 
 def store(kind: str, n: int, payload: dict, directory=None) -> Path:
     path = artifact_path(kind, n, directory)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -62,48 +63,66 @@ def store(kind: str, n: int, payload: dict, directory=None) -> Path:
     return path
 
 
-def encode_int_poly(coeffs) -> list:
-    return [str(int(c)) for c in coeffs]
+def _entry(key: dict, body) -> dict:
+    digest = hashlib.sha256(json.dumps(body).encode()).hexdigest()
+    return {"version": VERSION, "key": key, "body": body, "sha256": digest}
 
 
-def decode_int_poly(payload, degree: int):
-    """The int list stored under payload["coeffs"], or None unless it holds
-    exactly degree + 1 decimal strings with a nonzero last one."""
-    cs = payload.get("coeffs") if isinstance(payload, dict) else None
-    if not isinstance(cs, list) or len(cs) != degree + 1:
-        return None
-    try:
-        out = [int(c) for c in cs if isinstance(c, str)]
-    except ValueError:
-        return None
-    return out if len(out) == len(cs) and out[-1] else None
+def cached(kind: str, n: int, key: dict, compute, codec, directory=None):
+    """The value stored as (kind, n) under {"n": n, **key}; on a miss, the
+    value of compute(), stored first.  ``codec`` is a Points or an IntPoly."""
+    key = json.loads(json.dumps({"n": n, **key}))   # tuples read back as lists
+    entry = load(kind, n, directory)
+    if isinstance(entry, dict) and entry == _entry(key, entry.get("body")):
+        value = codec.decode(entry["body"])
+        if value is not None:
+            return value
+    value = compute()
+    store(kind, n, _entry(key, codec.encode(value)), directory)
+    return value
 
 
-def encode_points(points) -> list:
-    return [[z.real, z.imag] for z in map(complex, points)]
+class Points(NamedTuple):
+    """Codec of a complex point set: exactly ``count`` finite [re, im] pairs."""
+
+    count: int
+
+    def encode(self, points) -> list:
+        return [[z.real, z.imag] for z in map(complex, points)]
+
+    def decode(self, body):
+        try:
+            out = np.array([complex(re, im) for re, im in body], dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return out if len(out) == self.count and np.isfinite(out).all() else None
 
 
-def decode_points(payload, count: int):
-    """The complex ndarray stored under payload["points"], or None unless it
-    holds exactly ``count`` finite [re, im] pairs."""
-    pts = payload.get("points") if isinstance(payload, dict) else None
-    if not isinstance(pts, list) or len(pts) != count:
-        return None
-    try:
-        out = np.array([complex(re, im) for re, im in pts])
-    except (TypeError, ValueError):
-        return None
-    return out if np.isfinite(out).all() else None
+class IntPoly(NamedTuple):
+    """Codec of an integer polynomial of exact ``degree``: degree + 1 decimal
+    strings (big integers survive JSON), ascending, the last one nonzero."""
+
+    degree: int
+
+    def encode(self, coeffs) -> list:
+        return [str(int(c)) for c in coeffs]
+
+    def decode(self, body):
+        if not isinstance(body, list) or len(body) != self.degree + 1:
+            return None
+        try:
+            out = [int(c) for c in body if isinstance(c, str)]
+        except ValueError:
+            return None
+        return out if len(out) == len(body) and out[-1] else None
 
 
 def list_entries(directory=None):
-    d = cache_dir(directory)
-    return sorted(p.name for p in d.glob("*.json"))
+    return sorted(p.name for p in cache_dir(directory).glob("*.json"))
 
 
 def clear(directory=None) -> int:
-    d = cache_dir(directory)
-    files = list(d.glob("*.json"))
+    files = list(cache_dir(directory).glob("*.json"))
     for p in files:
         p.unlink()
     return len(files)

@@ -292,16 +292,6 @@ class BivariatePoly:
             self.a_name,
         )
 
-    def eval_a_numeric(self, a):
-        """Substitute a float/complex a; plain coefficient list in x."""
-        out = []
-        for row in self.grid:
-            acc = 0j if isinstance(a, complex) else 0.0
-            for c in reversed(row):
-                acc = acc * a + c
-            out.append(acc)
-        return out
-
     def __repr__(self):
         return (
             f"BivariatePoly({self.x_name}-deg {self.x_degree}, "

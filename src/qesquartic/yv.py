@@ -102,13 +102,6 @@ def coefficients_json(N: int) -> dict:
     }
 
 
-def coefficient_support_mod3_ok(n: int) -> bool:
-    """Exact check: supp(YV_n) lies in degrees == deg YV_n (mod 3)."""
-    cs = _yv_int_coeffs(max(n, 1))[n]
-    d = len(cs) - 1
-    return all(c == 0 or j % 3 == d % 3 for j, c in enumerate(cs))
-
-
 def yv_zeros(n: int, cache_dir=None) -> PointSet:
     """All n(n+1)/2 zeros of YV_n, multiplicity included.
 
@@ -125,19 +118,19 @@ def yv_zeros(n: int, cache_dir=None) -> PointSet:
         raise ValueError(f"n={n} exceeds the cap {ZERO_CAP_DEFAULT}")
     if n == 0:
         return PointSet(np.empty(0, complex), label="YV_0 zeros", meta={"n": 0})
+
+    def compute():
+        cs = list(_yv_int_coeffs(n)[n])
+        pts = rootfind.threefold_roots(cs)
+        _check_residuals(cs, pts)
+        return pts
+
     if n >= 25:
-        pts = cache.decode_points(cache.load("yv-zeros", n, cache_dir),
-                                  n * (n + 1) // 2)
-        if pts is not None:
-            return PointSet(pts, label=f"YV_{n} zeros", meta={"n": n})
-    cs = list(_yv_int_coeffs(n)[n])
-    pts = rootfind.threefold_roots(cs)
-    _check_residuals(cs, pts)
-    if n >= 25:
-        pts = sort_points(pts)
-        cache.store("yv-zeros", n,
-                    {"n": n, "points": cache.encode_points(pts)},
-                    cache_dir)
+        pts = cache.cached("yv-zeros", n, {"schedule": rootfind.DEFAULT_SCHEDULE},
+                           lambda: sort_points(compute()),
+                           cache.Points(n * (n + 1) // 2), cache_dir)
+    else:
+        pts = compute()
     return PointSet(pts, label=f"YV_{n} zeros", meta={"n": n})
 
 

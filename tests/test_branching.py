@@ -11,7 +11,7 @@ from qesquartic import branching, intpoly, yv
 from qesquartic.errors import NonConvergence
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import PointSet
-from qesquartic.spectral import charpoly_bivariate, spectral_polynomial
+from qesquartic.spectral import charpoly_bivariate, charpoly_coeffs_mp
 
 from oracles import assignment_cost_lsa, sylvester_resultant_poly
 
@@ -173,8 +173,13 @@ class TestSigmaPolynomial:
         from qesquartic import cache
 
         want = branching.sigma_polynomial(3, cache_dir=tmp_cache)
-        cache.store("sigma-poly", 3, payload, tmp_cache)
+        path = Path(tmp_cache) / "sigma-poly-3.json"
+        good = path.read_text()
+        # the payload's coefficients as the body of an otherwise valid entry
+        cache.store("sigma-poly", 3, cache._entry({"n": 3}, payload.get("coeffs")),
+                    tmp_cache)
         assert branching.sigma_polynomial(3, cache_dir=tmp_cache) == want
+        assert path.read_text() == good
 
 
 class TestSigmaPoints:
@@ -217,7 +222,7 @@ class TestSigmaPoints:
         bs = branching.sigma_points(4, cache_dir=tmp_cache)
         for a0 in bs.points.points[:5]:
             lam = np.roots(
-                [complex(c) for c in spectral_polynomial(4, None).eval_a_numeric(complex(a0))][::-1]
+                [complex(c) for c in charpoly_coeffs_mp(4, a0)][::-1]
             )
             D = np.abs(lam[:, None] - lam[None, :]) + np.diag([np.inf] * len(lam))
             assert D.min() < 1e-4

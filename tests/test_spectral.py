@@ -150,6 +150,13 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(401, 0.0)
 
+    @pytest.mark.parametrize("n, a", [(10, float("nan")),
+                                      (84, complex(0.5, float("inf")))])
+    def test_non_finite_a_refused(self, tmp_cache, n, a):
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues(n, a, cache_dir=tmp_cache)
+        assert list(Path(tmp_cache).iterdir()) == []
+
     def test_damaged_cache_entry_is_recomputed(self, tmp_cache):
         a = 0.5 - 0.5j
         first = eigenvalues(81, a, cache_dir=tmp_cache).points

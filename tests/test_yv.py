@@ -33,7 +33,10 @@ class TestGeneration:
 
     @pytest.mark.parametrize("n", [5, 9, 14, 20])
     def test_coefficient_support_mod3(self, n):
-        assert yv.coefficient_support_mod3_ok(n)
+        # supp(YV_n) lies in degrees == deg YV_n (mod 3)
+        cs = yv._yv_int_coeffs(n)[n]
+        d = len(cs) - 1
+        assert all(c == 0 or j % 3 == d % 3 for j, c in enumerate(cs))
 
     def test_members_built_once(self, monkeypatch):
         first = yv._yv_int_coeffs(30)
