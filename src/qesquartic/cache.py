@@ -4,14 +4,15 @@ Files are named {kind}-{n}.json inside the cache directory, which resolves
 from, in order: an explicit argument, the QESQUARTIC_CACHE environment
 variable, and ~/.cache/qesquartic; only ``store`` creates it.  Writes go
 through a temp file and an atomic rename, so concurrent duplicate
-computation is wasteful but safe.
+computation is wasteful but safe.  A path that cannot be read is a miss,
+and a write that fails is skipped: the cache never fails a computation.
 
 ``cached`` is the one read-compute-write path.  An entry holds the format
-VERSION, the key (n plus whatever else fixes the result: the parameter, the
-precision schedule, the working precision), the encoded body and the
-SHA-256 of that body.  An entry that is unreadable, of another version or
-key, whose digest does not match or whose body its codec rejects is a miss:
-it is recomputed and overwritten.  Nothing is re-certified on load.
+VERSION, which a change that moves an output raises (a test pins one output
+per kind and VERSION), the key (n, the parameter, the precision schedule),
+the encoded body and its SHA-256.  An entry that is unreadable, of another
+version or key, whose digest does not match or whose body its codec rejects
+is a miss: it is recomputed and overwritten.  Nothing is re-certified on load.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 ENV_VAR = "QESQUARTIC_CACHE"
-VERSION = 2   # the unversioned layout before it is version 1
+VERSION = 3   # the unversioned layout before it is version 1
 
 
 def cache_dir(explicit=None) -> Path:
@@ -45,20 +46,23 @@ def load(kind: str, n: int, directory=None):
     try:
         with open(artifact_path(kind, n, directory)) as fh:
             return json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
+    except (OSError, ValueError):      # JSON and decoding errors are ValueErrors
         return None
 
 
-def store(kind: str, n: int, payload: dict, directory=None) -> Path:
-    path = artifact_path(kind, n, directory)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+def store(kind: str, n: int, payload: dict, directory=None) -> Path | None:
+    """Write the entry; its path, or None (nothing written) if a step fails."""
+    path, tmp = artifact_path(kind, n, directory), None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
         with os.fdopen(fd, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
         os.replace(tmp, path)
+    except OSError:
+        return None
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
     return path
 
@@ -118,11 +122,11 @@ class IntPoly(NamedTuple):
 
 
 def list_entries(directory=None):
-    return sorted(p.name for p in cache_dir(directory).glob("*.json"))
+    return sorted(p.name for p in cache_dir(directory).glob("*.json") if p.is_file())
 
 
 def clear(directory=None) -> int:
-    files = list(cache_dir(directory).glob("*.json"))
+    files = [p for p in cache_dir(directory).glob("*.json") if p.is_file()]
     for p in files:
         p.unlink()
     return len(files)

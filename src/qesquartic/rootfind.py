@@ -11,14 +11,14 @@ caller supplies better ones.
 Evaluation is one kernel, shared by the solver, Newton polishing and the
 scale-aware residual: a simultaneous Horner pass for (p, p') in complex
 fixed-point Python integers.  Coefficients (int, Fraction, float, complex,
-mpf or mpc) are converted exactly, once per precision stage, to integers at
-scale 2^-shift with ceil(dps log2 10) + span_bits + GUARD_BITS fractional
-bits, where span_bits is log2 of the ratio of the largest to the smallest
-nonzero rescaled coefficient modulus.  Every coefficient thus carries at
-least the stage precision, and the error of p(z) stays within the stage
-precision of sum_k |c_k||z|^k, as a floating evaluation's would.  A root
-estimate enters exactly, as the dyadic rational its double is, so
-multiplying by it costs a big-by-small integer product.
+mpf, mpc or a Gaussian-integer pair (re, im)) are converted exactly, once
+per precision stage, to integers at scale 2^-shift with ceil(dps log2 10) +
+span_bits + GUARD_BITS fractional bits, where span_bits is log2 of the ratio
+of the largest to the smallest nonzero rescaled coefficient modulus.  Every
+coefficient thus carries at least the stage precision, and the error of
+p(z) stays within the stage precision of sum_k |c_k||z|^k, as a floating
+evaluation's would.  A root estimate enters exactly, as the dyadic rational
+its double is, so multiplying by it costs a big-by-small integer product.
 
 Everything is rescaled to the dominant root radius before iterating; without
 that, evaluation near roots of a polynomial whose coefficients span hundreds
@@ -67,7 +67,9 @@ DEFAULT_SCHEDULE = ((None, 100), (50, 90), (120, 20), (250, 8))
 
 
 def _log_abs(c):
-    """Natural log of |c| for int/Fraction/mpf/mpc/complex; None for zero."""
+    """Natural log of |c| for int/Fraction/mpf/mpc/complex/(re, im); None for 0."""
+    if isinstance(c, tuple):                      # a Gaussian integer (re, im)
+        return 0.5 * _log_abs_int(c[0] ** 2 + c[1] ** 2) if any(c) else None
     if c == 0:
         return None
     if isinstance(c, int):
@@ -131,6 +133,8 @@ def _ratio(x):
 
 def _parts(c):
     """Exact (num, den) pairs of the real and imaginary parts of c."""
+    if isinstance(c, tuple):                      # a Gaussian integer (re, im)
+        return (c[0], 1), (c[1], 1)
     if isinstance(c, (mp.mpc, complex)):
         return _ratio(c.real), _ratio(c.imag)
     return _ratio(c), (0, 1)
@@ -305,7 +309,7 @@ def _dpe_newton(man, exp, z):
 
 
 def aberth_roots(coeffs, init=None, check_sum=True):
-    """All roots of sum coeffs[k] z^k (ascending; exact or mp coefficients).
+    """All roots of sum coeffs[k] z^k (ascending; exact, mp or (re, im) pairs).
 
     ``init``, when given, holds d finite starting points (ValueError
     otherwise); by default they come from the Newton polygon.  Runs the

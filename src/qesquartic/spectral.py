@@ -9,20 +9,17 @@ through the 4-term principal-minor recurrence
             + (n-k+2)(n-k+3)(k-1)(k-2) D^(k-3),
 
 with D^(-2) = D^(-1) = 0, D^(0) = 1, never by determinant expansion.  At a
-rational a it runs on one coefficient list in x; only the symbolic charpoly
-(the branching points, the mpc coefficients at complex a) builds the (x, a)
-grid.
+given a = (u + i v)/q (a rational, or a double as the dyadic rational it
+is) it runs on Gaussian-integer lists in x; only the branching points build
+the (x, a) grid.
 
 Spectra: the dense LAPACK eigensolve serves n <= DENSE_EIG_MAX_N = 80.  For
-this nonnormal family it is backward stable but not forward accurate:
-against the certified polynomial roots its relative error is <= 1e-13
-through n = 74, but up to 1.2e-1 at n = 75..80 for a = (0.5 - 0.5i) n^(2/3),
-and it passes the residual check all the same.  Seeding Aberth with the
-dense eigenvalues at every n is the pending fix.  Above the threshold,
-eigenvalues are the roots of the exact characteristic polynomial by the
-staged multiprecision Aberth solver, started from the dense eigenvalues; at
-a = 0 the exact cubic factor structure x^r q(x^3) is used, which is both
-faster and immune to the multiple root at the origin.
+this nonnormal family it is backward stable but not forward accurate: its
+relative error reaches 1.2e-1 at n = 75..80, a = (0.5 - 0.5i) n^(2/3), with
+the residual check passed.  Above that, eigenvalues are the certified Aberth
+roots of the exact charpoly, seeded by the eigenvalues of its balanced
+similar matrix; at a = 0 the cubic factor structure x^r q(x^3) serves,
+immune to the multiple root at the origin.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from . import cache, intpoly, rootfind
@@ -69,6 +65,13 @@ def _minor_step_coeffs(n, k):
     return c2, c3
 
 
+def _add_row(cur, row, m, shift):
+    """cur[j + shift] += m row[j], cur grown with zeros as needed."""
+    cur.extend([0] * (len(row) + shift - len(cur)))
+    for j, c in enumerate(row):
+        cur[j + shift] += m * c
+
+
 @lru_cache(maxsize=32)
 def charpoly_bivariate(n: int) -> BivariatePoly:
     """det(M - x I) as an integer polynomial in (x, a), via the recurrence."""
@@ -77,25 +80,11 @@ def charpoly_bivariate(n: int) -> BivariatePoly:
         c2, c3 = _minor_step_coeffs(n, k)
         new = [[0] for _ in range(len(p1) + 1)]
         for i, row in enumerate(p1):  # -x * D^(k-1)
-            cur = new[i + 1]
-            while len(cur) < len(row):
-                cur.append(0)
-            for j, c in enumerate(row):
-                cur[j] -= c
-        if p2 is not None and c2:  # -c2 a * D^(k-2)
-            for i, row in enumerate(p2):
-                cur = new[i]
-                while len(cur) < len(row) + 1:
-                    cur.append(0)
-                for j, c in enumerate(row):
-                    cur[j + 1] -= c2 * c
-        if p3 is not None and c3:  # +c3 * D^(k-3)
-            for i, row in enumerate(p3):
-                cur = new[i]
-                while len(cur) < len(row):
-                    cur.append(0)
-                for j, c in enumerate(row):
-                    cur[j] += c3 * c
+            _add_row(new[i + 1], row, -1, 0)
+        for i, row in enumerate(p2 if c2 else ()):  # -c2 a * D^(k-2)
+            _add_row(new[i], row, -c2, 1)
+        for i, row in enumerate(p3 if c3 else ()):  # +c3 * D^(k-3)
+            _add_row(new[i], row, c3, 0)
         p3, p2, p1 = p2, p1, new
     return BivariatePoly(p1, x_name="lambda", a_name="a")
 
@@ -104,58 +93,56 @@ def spectral_polynomial(n: int, a=None):
     """Characteristic polynomial det(M - x I).
 
     With ``a=None`` returns the exact BivariatePoly in (x, a); with a rational
-    (int/Fraction) ``a`` returns the exact ExactPoly in x, from the same
-    recurrence run on one integer coefficient list at that a (no bivariate
-    grid is built).
+    (int/Fraction) ``a`` returns the exact ExactPoly in x, from the fixed-a
+    recurrence at that a (no bivariate grid is built).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if a is None:
         return charpoly_bivariate(n)
     if isinstance(a, (int, Fraction)):
-        return _charpoly_at(n, Fraction(a))
+        u, q = a.as_integer_ratio()
+        return ExactPoly._make(_charpoly_at(n, u, 0, q)[0], q ** ((n + 1) // 2), "lambda")
     raise TypeError("a must be None (symbolic) or an exact rational")
 
 
-def _charpoly_at(n, a):
-    """det(M - x I) at the rational a, as an ExactPoly in x.
+def _charpoly_at(n, u, v, q):
+    """Gaussian-integer lists (re, im) of the x-coefficients of
+    q^floor((n+1)/2) det(M - x I) at a = (u + i v)/q, q > 0.
 
-    With a = p/q the recurrence runs on the integer lists
-    E^(k) = q^floor(k/2) D^(k): a D^(k-2) enters as p E^(k-2), x D^(k-1) as
-    s x E^(k-1) with s = q^(floor(k/2) - floor((k-1)/2)), and D^(k-3) as
-    s q E^(k-3).  At an integer a every power of q is 1, and at a = 0 the
-    a-term drops out.
+    The recurrence runs on E^(k) = q^floor(k/2) D^(k): a D^(k-2) enters as
+    (u + i v) E^(k-2), x D^(k-1) as s x E^(k-1) with
+    s = q^(floor(k/2) - floor((k-1)/2)), and D^(k-3) as s q E^(k-3).  At a
+    real a the imaginary lists are not carried; at a = 0 the a-term drops out.
     """
-    p, q = a.numerator, a.denominator
-    e3, e2, e1 = None, None, [1]
+    r3 = i3 = r2 = i2 = None
+    r1, i1 = [1], [0]
     for k in range(1, n + 2):
         c2, c3 = _minor_step_coeffs(n, k)
         s = q if k % 2 == 0 else 1
-        new = [0] + [-s * c for c in e1]  # -x * D^(k-1)
-        if e2 is not None and c2 and p:  # -c2 a * D^(k-2)
-            m = c2 * p
-            for i, c in enumerate(e2):
-                new[i] -= m * c
-        if e3 is not None and c3:  # +c3 * D^(k-3)
-            m = c3 * q * s
-            for i, c in enumerate(e3):
-                new[i] += m * c
-        e3, e2, e1 = e2, e1, new
-    return ExactPoly._make(e1, q ** ((n + 1) // 2), "lambda")
+        nr = [0] + [-s * c for c in r1]  # -x * D^(k-1)
+        ni = [0] + [-s * c for c in i1] if v else [0]
+        if c2 and v:  # -c2 a * D^(k-2) (c2 = 0 at k = 1)
+            mu, mv = c2 * u, c2 * v
+            for j, (x, y) in enumerate(zip(r2, i2)):
+                nr[j] -= mu * x - mv * y
+                ni[j] -= mu * y + mv * x
+        elif c2 and u:  # the same at a real a
+            _add_row(nr, r2, -c2 * u, 0)
+        if c3:  # +c3 * D^(k-3) (c3 = 0 at k <= 2)
+            _add_row(nr, r3, c3 * q * s, 0)
+            _add_row(ni, i3, c3 * q * s, 0)
+        r3, i3, r2, i2, r1, i1 = r2, i2, r1, i1, nr, ni
+    return r1, i1 + [0] * (len(r1) - len(i1))
 
 
-def charpoly_coeffs_mp(n: int, a, dps: int = 60):
-    """x-coefficients at a complex a, as exact-int-combination mpc values."""
-    biv = charpoly_bivariate(n)
-    with mp.workdps(dps + 10):
-        av = mp.mpc(complex(a))
-        out = []
-        for row in biv.grid:
-            acc = mp.mpc(0)
-            for c in reversed(row):
-                acc = acc * av + c
-            out.append(acc)
-    return out
+def charpoly_coeffs_mp(n: int, a):
+    """Exact x-coefficients, ascending, at a (complex) double a = (u + i v)/q,
+    q = 2^e: the Gaussian-integer pairs (re, im) of q^floor((n+1)/2)
+    det(M - x I), which has the same roots.  The benchmark's traced pass
+    wraps it by this name; ROADMAP item 5's in-package spans rename it."""
+    u, v, e = rootfind._exact_point(a)
+    return list(zip(*_charpoly_at(n, u, v, 1 << e)))
 
 
 def zero_a_structure(n: int):
@@ -188,32 +175,37 @@ def _eigs_dense(n, a):
     return lam
 
 
-def _mp_dps(n):
-    return 40 + int(0.6 * n)
+def _seed_matrix(n, a):
+    """M's balanced form D M D^(-1), d_(i+1)/d_i = r_i = sqrt((i+1)t/(n-i)),
+    built from the r_i alone (D's range reaches 1e289 at n = 400).  At
+    t = |a| the sub- and first superdiagonal have equal moduli; below
+    t = (n/2)^(2/3) the second superdiagonal, growing as 1/t, outgrows them
+    at mid-band (to overflow at a tiny |a|), so t = max(|a|, (n/2)^(2/3))."""
+    M, i = build_matrix(n, a), np.arange(n)
+    r = np.sqrt((i + 1) * max(abs(a), (n / 2) ** (2 / 3)) / (n - i))
+    M[i + 1, i] *= r
+    M[i, i + 1] /= r
+    M[i[:-1], i[:-1] + 2] /= r[:-1] * r[1:]
+    return M
 
 
 def _eigs_poly_general(n, a):
-    """Roots of the charpoly at complex a by Aberth at 40 + 0.6 n digits.
-
-    At a = 0 the roots come from the exact cubic factor structure instead.
-    The dense eigenvalues seed the iteration.  Above the dense threshold they
-    can be far off (3e-2 to 1.4 of max|lambda| at n = 84..200), yet from
-    them Aberth makes 21-39% of the polynomial evaluations that it makes
-    from Newton-polygon starts (n = 84 and 200 at the three criterion-11
-    parameters).  Newton-polygon starts remain the fallback when the
-    eigensolve fails or returns non-finite values.  The roots carry the
-    disjoint-inclusion-disk certificate either way.
-    """
+    """Certified Aberth roots of the exact charpoly at complex a (at a = 0,
+    of its cubic factor), from the eigenvalues of _seed_matrix, or from
+    Newton-polygon starts when those fail or are not finite.  Multiprecision
+    Horner points, eigenvalues of M -> of _seed_matrix: n = 84, a = 0.05i,
+    i, 2i 235/244/249 -> 184/189/188, criterion 11 314/330/317 ->
+    219/171/194; n = 200, a = 0.05i, i, 10i 1465/1572/2172 -> 547/553/561,
+    criterion 11 2738/2597/2707 -> 599/574/594.  With t = |a| throughout,
+    a = 1e-200i fails to converge at n = 84."""
     if a == 0:
         return rootfind.threefold_roots(spectral_polynomial(n, 0).num)
-    cs = charpoly_coeffs_mp(n, a, dps=_mp_dps(n))
     try:
-        seed = np.linalg.eigvals(build_matrix(n, a))
+        seed = np.linalg.eigvals(_seed_matrix(n, a))
     except np.linalg.LinAlgError:
-        seed = None
-    if seed is not None and not np.isfinite(seed).all():
-        seed = None
-    return rootfind.aberth_roots(cs, init=seed, check_sum=False)
+        seed = np.full(1, np.nan)
+    return rootfind.aberth_roots(charpoly_coeffs_mp(n, a), check_sum=False,
+                                 init=seed if np.isfinite(seed).all() else None)
 
 
 def _a_token(a: complex) -> str:
@@ -227,7 +219,7 @@ def eigenvalues(n: int, a=0.0, cache_dir=None) -> PointSet:
     """All n+1 eigenvalues, sorted lexicographically by (Re, Im).
 
     Above the dense-precision threshold the multiprecision polynomial route
-    runs; those spectra (0.07-0.09 s at n = 84, 1-2.4 s at n = 200) are
+    runs; those spectra (0.05-0.06 s at n = 84, 0.4-0.6 s at n = 200) are
     disk-cached.  a must be finite; n is capped at EIG_CAP_DEFAULT.
     """
     if n < 1:
@@ -241,7 +233,7 @@ def eigenvalues(n: int, a=0.0, cache_dir=None) -> PointSet:
     if n <= DENSE_EIG_MAX_N:
         lam = sort_points(_eigs_dense(n, ac))
     else:
-        key = {"a": a_pair, "dps": _mp_dps(n), "schedule": rootfind.DEFAULT_SCHEDULE}
+        key = {"a": a_pair, "schedule": rootfind.DEFAULT_SCHEDULE}
         lam = cache.cached(f"eigs-{_a_token(ac)}", n, key,
                            lambda: sort_points(_eigs_poly_general(n, ac)),
                            cache.Points(n + 1), cache_dir)

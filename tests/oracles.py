@@ -19,18 +19,20 @@ runs as a walk along the path, one frame and one eigensolve at a time (the
 package refines all intervals of a bisection level together), and the
 standard hook is evaluated one scalar t at a time by Python branches (the
 package selects among its segments over an array of t).  Spectra at complex
-a start Aberth from Newton-polygon guesses (the package seeds it with the
-dense eigenvalues).  Horizontal trajectories evaluate the direction field
-five times per RK4 step (the package carries a step's last value into the
-next step), and the branch continuation of the characteristic cubic solves
-one radius per ``cubic_roots`` call (the package solves its planned radii
-in batches).
+a start Aberth from Newton-polygon guesses on the mpc values of the
+bivariate grid at that a (the package seeds it with the eigenvalues of the
+balanced matrix and runs the recurrence on Gaussian integers).
+Horizontal trajectories evaluate the direction field five times per RK4
+step (the package carries a step's last value into the next step), and the
+branch continuation of the characteristic cubic solves one radius per
+``cubic_roots`` call (the package solves its planned radii in batches).
 """
 
 import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
@@ -39,7 +41,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from qesquartic import intpoly, quaddiff
 from qesquartic.errors import BranchCollision, CollisionUnresolved, StallNearTurningPoint
 from qesquartic.rootfind import aberth_roots, cubic_roots
-from qesquartic.spectral import build_matrix, charpoly_coeffs_mp
+from qesquartic.spectral import build_matrix, charpoly_bivariate
 
 
 def dense_det_fraction(M):
@@ -190,6 +192,18 @@ def bivariate_at(grid, a):
     """Fraction x-coefficients of a bivariate grid (row j: the a-polynomial
     of x^j, ascending) at a rational a, row by row."""
     return frac_trim([frac_horner(row, Fraction(a)) for row in grid])
+
+
+def gaussian_at(grid, re, im):
+    """(Re, Im) Fraction pairs of a bivariate grid's x-coefficients at the
+    Gaussian rational a = re + i im, row by row, untrimmed."""
+    out = []
+    for row in grid:
+        x, y = Fraction(0), Fraction(0)
+        for c in reversed(row):
+            x, y = x * re - y * im + c, x * im + y * re
+        out.append((x, y))
+    return out
 
 
 def frozen_recurrence_fraction(tau, k):
@@ -470,8 +484,24 @@ def mst_scipy(pts):
     return edges, float(T.sum())
 
 
+def charpoly_coeffs_grid_mp(n, a, dps=60):
+    """x-coefficients of det(M - x I) at a complex a, as mpc values: each row
+    of the bivariate (x, a) grid evaluated by Horner's rule in mpmath at
+    dps + 10 digits (the package runs the recurrence at that a on Gaussian
+    integers)."""
+    with mp.workdps(dps + 10):
+        av = mp.mpc(complex(a))
+        out = []
+        for row in charpoly_bivariate(n).grid:
+            acc = mp.mpc(0)
+            for c in reversed(row):
+                acc = acc * av + c
+            out.append(acc)
+    return out
+
+
 def eigs_poly_unseeded(n, a):
-    """The charpoly roots at complex a from Newton-polygon starts, at the
-    package's 40 + 0.6 n digits."""
-    cs = charpoly_coeffs_mp(n, a, dps=40 + int(0.6 * n))
+    """The charpoly roots at complex a from Newton-polygon starts, on the
+    grid's mpc coefficients at 40 + 0.6 n digits."""
+    cs = charpoly_coeffs_grid_mp(n, a, dps=40 + int(0.6 * n))
     return aberth_roots(cs, check_sum=False)

@@ -11,9 +11,9 @@ from qesquartic import branching, intpoly, yv
 from qesquartic.errors import NonConvergence
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import PointSet
-from qesquartic.spectral import charpoly_bivariate, charpoly_coeffs_mp
+from qesquartic.spectral import charpoly_bivariate
 
-from oracles import assignment_cost_lsa, sylvester_resultant_poly
+from oracles import assignment_cost_lsa, charpoly_coeffs_grid_mp, sylvester_resultant_poly
 
 
 class TestSigmaPolynomial:
@@ -222,7 +222,7 @@ class TestSigmaPoints:
         bs = branching.sigma_points(4, cache_dir=tmp_cache)
         for a0 in bs.points.points[:5]:
             lam = np.roots(
-                [complex(c) for c in charpoly_coeffs_mp(4, a0)][::-1]
+                [complex(c) for c in charpoly_coeffs_grid_mp(4, a0)][::-1]
             )
             D = np.abs(lam[:, None] - lam[None, :]) + np.diag([np.inf] * len(lam))
             assert D.min() < 1e-4

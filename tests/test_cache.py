@@ -102,7 +102,7 @@ class TestEntryChecks:
         assert np.array_equal(got, PTS)
 
     @pytest.mark.parametrize("field, value", [
-        ("version", cache.VERSION - 1),
+        pytest.param("version", cache.VERSION - 1, id="version-previous"),
         ("version", None),
         ("key", {"n": 3}),                       # another n
         ("key", {"n": 2, "a": [0.5, 0.0]}),      # another input
@@ -180,3 +180,74 @@ def test_missing_directory_is_not_created(tmp_path, capsys):
     assert not d.exists()
     cache.store("k", 2, {}, str(d / "sub"))
     assert cache.list_entries(str(d / "sub")) == ["k-2.json"]
+
+
+# SHA-256 of the encoded body (the exact bits) of one cheap output per kind,
+# for each cache.VERSION.  A change that moves one of these outputs must
+# raise VERSION, so that entries written by the old code are misses, and add
+# its row here.  sigma-points are not stored themselves; they pin Aberth's
+# threefold route on the exact sigma polynomial.  sigma-poly is integers and
+# holds anywhere.  The three point kinds are the last multiprecision iterates
+# rounded to doubles, from seeds that come from numpy's double stage and
+# LAPACK; their hashes hold for x86-64 Linux, CPython 3.11, numpy 2.4.6 on
+# OpenBLAS 0.3.31, where they were recorded.  On another platform other
+# seeds may end a root one rounding away, and a point hash may differ with
+# no change to the algorithm.
+PINNED_OUTPUTS = {
+    2: {"eigs": "d10f211037fa0798f04a40753d3c1105a003f682a934175d8182baa752e99d8d",
+        "yv-zeros": "09d8cb5c5fed15722a48ae78ce1a18f95dda6f196be70d482aec4501b8011d8a",
+        "sigma-poly": "fec13fb321102a3805e24e6c9f9f003fe811d3cfe334e77c36d651bb83fc9469",
+        "sigma-points": "e7c27fa74a8f6874b186aeb326287b390970be3ac3acf8de949f8183808873e6"},
+    # spectra from the exact Gaussian-integer charpoly: eigs moves by an ulp
+    3: {"eigs": "d94d21b0452a1ffebafabd634d9cc3f0693cf7ea771891dfb06c2e1a440fe320",
+        "yv-zeros": "09d8cb5c5fed15722a48ae78ce1a18f95dda6f196be70d482aec4501b8011d8a",
+        "sigma-poly": "fec13fb321102a3805e24e6c9f9f003fe811d3cfe334e77c36d651bb83fc9469",
+        "sigma-points": "e7c27fa74a8f6874b186aeb326287b390970be3ac3acf8de949f8183808873e6"},
+}
+PINNED = {
+    "eigs": (lambda d: spectral.eigenvalues(81, 0.5 - 0.5j, cache_dir=d).points,
+             cache.Points(82)),
+    "yv-zeros": (lambda d: yv.yv_zeros(25, cache_dir=d).points, cache.Points(325)),
+    "sigma-poly": (lambda d: branching.sigma_polynomial(6, cache_dir=d).num,
+                   cache.IntPoly(21)),
+    "sigma-points": (lambda d: branching.sigma_points(6, cache_dir=d).points.points,
+                     cache.Points(21)),
+}
+
+
+def test_version_pins_outputs(tmp_cache):
+    got = {kind: cache._entry({}, codec.encode(run(tmp_cache)))["sha256"]
+           for kind, (run, codec) in PINNED.items()}
+    assert got == PINNED_OUTPUTS.get(cache.VERSION)
+
+
+@pytest.mark.parametrize("name, run", [
+    ("sigma-poly-3.json", lambda d: branching.sigma_polynomial(3, cache_dir=d).num),
+    ("eigs-0p5_m0p5-81.json",
+     lambda d: spectral.eigenvalues(81, 0.5 - 0.5j, cache_dir=d).points),
+], ids=["sigma-poly", "eigs"])
+def test_directory_at_entry_path_is_a_miss(tmp_cache, name, run):
+    # a directory where the entry belongs is neither served nor replaced,
+    # and no call crashes on it: store skips the write
+    want = run(None)
+    (Path(tmp_cache) / name / "inner").mkdir(parents=True)
+    for _ in range(2):
+        assert list(run(tmp_cache)) == list(want)
+    assert (Path(tmp_cache) / name / "inner").is_dir()
+    assert [p.name for p in Path(tmp_cache).iterdir()] == [name]
+    assert cache.list_entries(tmp_cache) == [] and cache.clear(tmp_cache) == 0
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file-is-dir", "dir-under-file"])
+def test_unwritable_cache_dir_returns_the_value(tmp_path, sub):
+    # a plain file where the cache directory (or a parent of it) belongs:
+    # making the directory fails, every read is a miss, every write is
+    # skipped, and the computed value comes back all the same
+    (tmp_path / "cache").write_text("not a directory")
+    d = str(tmp_path / "cache" / sub)
+    assert cache.store("k", 2, {}, d) is None
+    want = branching.sigma_polynomial(3, cache_dir=None).num
+    for _ in range(2):
+        assert branching.sigma_polynomial(3, cache_dir=d).num == want
+    assert (tmp_path / "cache").read_text() == "not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["cache"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from oracles import bivariate_at, eigs_poly_unseeded
+from oracles import bivariate_at, eigs_poly_unseeded, gaussian_at
 from qesquartic import rootfind, spectral
 from qesquartic.errors import TooClose
 from qesquartic.exactpoly import ExactPoly
@@ -101,14 +101,23 @@ class TestSpectralPolynomial:
             assert spectral_polynomial(n, a) == charpoly_cofactor(n, a)
 
     @pytest.mark.parametrize("a", [0, 1, -2, 7, Fraction(3, 7), Fraction(-5, 3),
-                                   Fraction(1, 2), Fraction(40, 11)])
+                                   Fraction(1, 2), Fraction(40, 11), 3 / 8 - 5j / 4,
+                                   -2j, (0.5 - 0.5j) * 84 ** (2 / 3)])
     def test_fixed_a_recurrence_equals_bivariate_grid(self, a):
         # the univariate route at a rational a is what criterion 2 checks
         # against the cofactor oracle; this keeps sigma's bivariate grid
-        # checked against it
+        # checked against it.  A complex double is the Gaussian rational
+        # (u + iv)/q, q = 2^e, and the spectra's pairs are the grid's values
+        # there times q^floor((n+1)/2)
         for n in range(1, 31):
-            assert spectral_polynomial(n, a).coeffs == bivariate_at(
-                charpoly_bivariate(n).grid, a)
+            grid = charpoly_bivariate(n).grid
+            if not isinstance(a, complex):
+                assert spectral_polynomial(n, a).coeffs == bivariate_at(grid, a)
+                continue
+            re, im = Fraction(a.real), Fraction(a.imag)
+            scale = max(re.denominator, im.denominator) ** ((n + 1) // 2)
+            assert spectral.charpoly_coeffs_mp(n, a) == [
+                (scale * x, scale * y) for x, y in gaussian_at(grid, re, im)]
 
 
 class TestEigenvalues:
@@ -185,15 +194,33 @@ class TestEigenvalues:
         assert np.array_equal(first, again)
 
 
+N_SEED = DENSE_EIG_MAX_N + 4     # the smallest n above the threshold
+
+
 class TestDenseSeed:
-    @pytest.mark.parametrize("a0", [(1 - 1j) / 2, 2 / 3 - 1j, 4 / 5 - 2j / 3])
-    def test_seeded_roots_equal_unseeded(self, a0):
-        # the criterion-11 parameters at the smallest n above the threshold
-        n = DENSE_EIG_MAX_N + 4
-        a = a0 * n ** (2 / 3)
+    # the criterion-11 parameters a0 n^(2/3), balanced at t = |a|; a small
+    # and a unit |a|, balanced at t = (n/2)^(2/3); and a tiny |a|, where
+    # balancing at t = |a| would not converge
+    @pytest.mark.parametrize("a", [
+        *(pytest.param(a0 * N_SEED ** (2 / 3), id=str(a0))
+          for a0 in ((1 - 1j) / 2, 2 / 3 - 1j, 4 / 5 - 2j / 3)),
+        0.05j, (1 + 1j) / 2 ** 0.5, 1e-200j])
+    def test_seeded_roots_equal_unseeded(self, a):
+        n = N_SEED
         got = np.sort_complex(spectral._eigs_poly_general(n, a))
         ref = np.sort_complex(eigs_poly_unseeded(n, a))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_no_bivariate_grid(self, tmp_cache, monkeypatch):
+        # the spectra run the recurrence at the given a; only the branching
+        # points need the (x, a) grid
+        calls = []
+        grid = spectral.charpoly_bivariate
+        monkeypatch.setattr(spectral, "charpoly_bivariate",
+                            lambda n: calls.append(n) or grid(n))
+        eigenvalues(N_SEED, 0.5 - 0.5j, cache_dir=tmp_cache)
+        assert len(list(Path(tmp_cache).glob("eigs-*.json"))) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("eigvals", ["raises", "nan"])
     def test_failed_eigensolve_falls_back_to_newton_polygon(self, monkeypatch,
@@ -210,8 +237,10 @@ class TestDenseSeed:
             seen.append(init)
             return aberth(coeffs, init=init, check_sum=check_sum)
 
+        # the same exact coefficients from Newton-polygon starts, bit for bit
         n, a = 12, 1.5 - 0.5j
-        ref = np.sort_complex(eigs_poly_unseeded(n, a))
+        ref = np.sort_complex(rootfind.aberth_roots(
+            spectral.charpoly_coeffs_mp(n, a), check_sum=False))
         monkeypatch.setattr(spectral.np.linalg, "eigvals", broken)
         monkeypatch.setattr(spectral.rootfind, "aberth_roots", spy)
         got = np.sort_complex(spectral._eigs_poly_general(n, a))
