@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 ENV_VAR = "QESQUARTIC_CACHE"
-VERSION = 3   # the unversioned layout before it is version 1
+VERSION = 4   # the unversioned layout before it is version 1
 
 
 def cache_dir(explicit=None) -> Path:

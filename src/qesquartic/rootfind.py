@@ -25,10 +25,13 @@ that, evaluation near roots of a polynomial whose coefficients span hundreds
 of digits cancels catastrophically at any fixed precision.  A root whose
 correction falls below 1e-15 is frozen for the rest of its stage, as in
 MPSolve (Bini & Fiorentino 2000; Bini & Robol 2014): it still repels the
-others but is no longer evaluated.  On convergence every root z_i gets the
-Newton inclusion radius d |p(z_i)/p'(z_i)|, widened by the rounding bound
-of the fixed-point evaluation, the radius of a disk about z_i that holds a
-root; the disks must be pairwise disjoint, so each holds exactly one.
+others but is no longer evaluated.  Its inclusion radius comes from the
+sweep that freezes it: the disk of radius d |p(z_a)/p'(z_a)| about the
+evaluated point z_a, widened by the rounding bound of the fixed-point
+evaluation, holds a root, and widened by the step |z - z_a| the root then
+takes it is a disk about the returned z.  So no pass re-evaluates the
+roots; only those still active when the last stage ends get one of their
+own.  The disks must be pairwise disjoint, so each holds exactly one.
 
 Ahead of the multiprecision stages runs one double-precision stage, MPSolve's
 "double plus exponent" phase: the same iteration with each rescaled
@@ -42,7 +45,11 @@ stage stops where double precision stops telling anything.  Its points,
 or the caller's starts if any came out non-finite, start the multiprecision
 stages, whose freezing rule and certificates are those above; it only saves
 them sweeps (yv_zeros(25) makes about a third of the multiprecision
-evaluations it made without it).
+evaluations it made without it).  When it ends with a root still active
+from the caller's starts, it runs once more from the Newton polygon:
+finite but useless starts (at n = 84, a = 1e-50i, the eigenvalues of the
+matrix balanced at |a|) otherwise cost the multiprecision stages over a
+hundred sweeps, and then fail.
 
 ``threefold_roots`` is the one route for polynomials x^s g(x^3) (the a = 0
 spectra, the YV zeros, the branching points and the frozen recurrence at
@@ -210,7 +217,7 @@ def _newton_ratio(pr, pi, qr, qi):
         return complex(math.inf, 0.0)
 
 
-def _inclusion_radii(cfix, z):
+def _inclusion_radii(cfix, z, values=None):
     """Newton inclusion radii d |p(z_i)| / |p'(z_i)| (inf where p' may vanish).
 
     The disk of that radius about z_i holds at least one root of p, the
@@ -218,6 +225,8 @@ def _inclusion_radii(cfix, z):
     Horner pass and of the coefficients errs by under one unit per part, so
     |p| is taken 2 sqrt 2 sum_k |z|^k units larger and |p'|
     2 sqrt 2 (sum_k |z|^k + sum_k k |z|^(k-1)) units smaller than computed.
+    ``values``, when given, holds the _horner output at z, which is then
+    not evaluated again.
     """
     d = len(cfix) - 1
     z = np.asarray(z, dtype=complex)
@@ -227,8 +236,9 @@ def _inclusion_radii(cfix, z):
         err_q = err_p + 2 * math.sqrt(2) * (np.arange(1, d + 1)
                                             * powers[:, :-1]).sum(axis=1)
     out = []
-    for (pr, pi, qr, qi), ep, eq in zip(_horner(cfix, map(_exact_point, z)),
-                                        err_p, err_q):
+    if values is None:
+        values = _horner(cfix, map(_exact_point, z))
+    for (pr, pi, qr, qi), ep, eq in zip(values, err_p, err_q):
         try:                    # an infinite bound, or a radius past floats
             top = math.isqrt(pr * pr + pi * pi) + 1 + math.ceil(ep)
             bottom = math.isqrt(qr * qr + qi * qi) - math.ceil(eq)
@@ -236,6 +246,13 @@ def _inclusion_radii(cfix, z):
         except OverflowError:
             out.append(math.inf)
     return np.array(out)
+
+
+def _frozen_radii(cfix, za, z, values):
+    """Inclusion radii about the points z of roots frozen at the evaluated
+    points za, from the _horner values there: the disk about za holds a
+    root, and z lies |z - za| from za (4 eps covers the float sums)."""
+    return (_inclusion_radii(cfix, za, values) + np.abs(z - za)) * (1 + 4 * _EPS)
 
 
 # the double-precision stage: coefficients as (mantissa, binary exponent)
@@ -308,6 +325,48 @@ def _dpe_newton(man, exp, z):
     return np.where(np.abs(p) <= d * _EPS * bound.real, 0j, N)
 
 
+def _polygon_starts(radii, s):
+    """Starts on the Newton-polygon circles (over s), at golden-angle turns."""
+    ang = 2 * np.pi * ((np.arange(len(radii)) * 0.38196601125010515) % 1.0) + 0.31
+    return (np.maximum(radii, 1e-12 * s) / s) * np.exp(1j * ang)
+
+
+def _aberth_sweep(z, active, N, rng):
+    """One Aberth sweep over the active roots of z, in place, from their
+    Newton ratios N; returns the step moduli |w|."""
+    za = z[active]
+    stuck = ~np.isfinite(N)
+    N[stuck] = 1e-3 * (1 + np.abs(za[stuck]))
+    diff = za[:, None] - z[None, :]
+    diff[np.arange(len(active)), active] = np.inf
+    with np.errstate(all="ignore"):
+        S = np.sum(1.0 / diff, axis=1)
+        w = N / (1 - N * S)
+    bad = ~np.isfinite(w)
+    if bad.any():
+        w[bad] = 1e-3 * np.exp(2j * np.pi * rng.rand(int(bad.sum())))
+    aw = np.abs(w)
+    cap = 0.2 + 0.5 * np.abs(za)
+    w = np.where(aw > cap, w / np.maximum(aw, 1e-300) * cap, w)
+    z[active] = za - w
+    return np.abs(w)
+
+
+def _double_stage(man, exp, starts, max_sweeps, tol):
+    """Up to max_sweeps double-precision sweeps from the starts; returns the
+    points (the starts if any came out non-finite) and the indices of the
+    roots still active."""
+    z = starts.copy()
+    rng = RandomState(12345)
+    active = np.arange(len(z))
+    for _ in range(max_sweeps):
+        aw = _aberth_sweep(z, active, _dpe_newton(man, exp, z[active]), rng)
+        active = active[aw >= tol]
+        if not len(active):
+            break
+    return (z if np.isfinite(z).all() else starts), active
+
+
 def aberth_roots(coeffs, init=None, check_sum=True):
     """All roots of sum coeffs[k] z^k (ascending; exact, mp or (re, im) pairs).
 
@@ -316,13 +375,15 @@ def aberth_roots(coeffs, init=None, check_sum=True):
     (dps, max_sweeps) stages of DEFAULT_SCHEDULE; a root whose
     correction falls below tol = 1e-15 is frozen.  The first stage (dps
     None) runs in double precision with a binary exponent per value and
-    also freezes a root whose |p| is at its rounding noise; the stages
-    after it start from its points (from the starts if any is not finite)
-    and stop once all roots are frozen.  Returns a complex ndarray
-    of the d roots.  Raises NonConvergence when the final sweep still moves
-    by more than sqrt(tol) at root scale, when the exact sum-of-roots
-    identity fails beyond tolerance, or when the Newton inclusion disks of
-    the returned roots are not pairwise disjoint.
+    also freezes a root whose |p| is at its rounding noise; when it ends
+    with a root of ``init``'s still active it runs once more from the
+    Newton polygon.  The stages after it start from its points (from its
+    starts if any is not finite) and stop once all roots are frozen; a
+    root's inclusion radius comes from the sweep that froze it.  Returns a
+    complex ndarray of the d roots.  Raises NonConvergence when the final
+    sweep still moves by more than sqrt(tol) at root scale, when the exact
+    sum-of-roots identity fails beyond tolerance, or when the Newton
+    inclusion disks of the returned roots are not pairwise disjoint.
     """
     tol = 1e-15
     d = len(coeffs) - 1
@@ -341,50 +402,34 @@ def aberth_roots(coeffs, init=None, check_sum=True):
     s = float(radii.max())
     if s == 0 or not math.isfinite(s):
         s = 1.0
-    if init is None:
-        ang = 2 * np.pi * ((np.arange(d) * 0.38196601125010515) % 1.0) + 0.31
-        z = (np.maximum(radii, 1e-12 * s) / s) * np.exp(1j * ang)
-    else:
-        z = init / s
+    z = _polygon_starts(radii, s) if init is None else init / s
     last_step = math.inf
     for dps, max_sweeps in DEFAULT_SCHEDULE:
         if dps is None:
             man, exp = _dpe_coeffs(coeffs, s)
-            starts = z.copy()
-        else:
-            cfix, _ = _fixed_coeffs(coeffs, dps, s)
+            z, active = _double_stage(man, exp, z, max_sweeps, tol)
+            if len(active) and init is not None:
+                z, active = _double_stage(man, exp, _polygon_starts(radii, s),
+                                          max_sweeps, tol)
+            continue
+        cfix, _ = _fixed_coeffs(coeffs, dps, s)
         rng = RandomState(12345)
         active = np.arange(d)
+        rad = np.empty(d)
         for _ in range(max_sweeps):
             za = z[active]
-            if dps is None:
-                N = _dpe_newton(man, exp, za)
-            else:
-                N = np.array([_newton_ratio(*v) for v in
-                              _horner(cfix, map(_exact_point, za))])
-            stuck = ~np.isfinite(N)
-            N[stuck] = 1e-3 * (1 + np.abs(za[stuck]))
-            diff = za[:, None] - z[None, :]
-            diff[np.arange(len(active)), active] = np.inf
-            with np.errstate(all="ignore"):
-                S = np.sum(1.0 / diff, axis=1)
-                w = N / (1 - N * S)
-            bad = ~np.isfinite(w)
-            if bad.any():
-                w[bad] = 1e-3 * np.exp(2j * np.pi * rng.rand(int(bad.sum())))
-            aw = np.abs(w)
-            cap = 0.2 + 0.5 * np.abs(za)
-            w = np.where(aw > cap, w / np.maximum(aw, 1e-300) * cap, w)
-            z[active] = za - w
-            aw = np.abs(w)
+            values = _horner(cfix, map(_exact_point, za))
+            aw = _aberth_sweep(
+                z, active, np.array([_newton_ratio(*v) for v in values]), rng)
             last_step = float(aw.max())
+            done = np.flatnonzero(aw < tol)
+            if len(done):
+                rad[active[done]] = _frozen_radii(cfix, za[done], z[active[done]],
+                                                  [values[i] for i in done])
             active = active[aw >= tol]
             if not len(active):
                 break
-        if dps is None:
-            if not np.isfinite(z).all():
-                z = starts
-        elif not len(active):
+        if not len(active):
             break
     roots = z * s
     if last_step > math.sqrt(tol):
@@ -399,7 +444,8 @@ def aberth_roots(coeffs, init=None, check_sum=True):
             raise NonConvergence(
                 f"sum-of-roots check failed: relative error {err:.2e}"
             )
-    rad = _inclusion_radii(cfix, z)
+    if len(active):
+        rad[active] = _inclusion_radii(cfix, z[active])
     dist = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(dist, np.inf)
     overlap = dist <= rad[:, None] + rad[None, :]

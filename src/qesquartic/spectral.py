@@ -18,8 +18,9 @@ this nonnormal family it is backward stable but not forward accurate: its
 relative error reaches 1.2e-1 at n = 75..80, a = (0.5 - 0.5i) n^(2/3), with
 the residual check passed.  Above that, eigenvalues are the certified Aberth
 roots of the exact charpoly, seeded by the eigenvalues of its balanced
-similar matrix; at a = 0 the cubic factor structure x^r q(x^3) serves,
-immune to the multiple root at the origin.
+similar matrix; at a = 0 the cubic factor structure x^r g(x^3) serves,
+immune to the multiple root at the origin, and Aberth on g starts from the
+eigenvalues of one residue-class block of the balanced matrix's cube.
 """
 
 from __future__ import annotations
@@ -189,23 +190,47 @@ def _seed_matrix(n, a):
     return M
 
 
+def _cube_seed_matrix(n):
+    """The deg g x deg g block of _seed_matrix(n, 0)^3 on the indices
+    i = r mod 3, r = (n+1) mod 3, whose eigenvalues are the roots xi of the
+    cubic factor g.  At a = 0 both bands of M raise the index by 1 mod 3
+    (sub: i -> i+1, second super: i+2 -> i), so M^3 keeps each residue
+    class, and the class of deg g = floor((n+1)/3) indices carries each xi
+    once."""
+    M = _seed_matrix(n, 0)
+    r = (n + 1) % 3
+    c0, c1, c2 = (np.arange((r + j) % 3, n + 1, 3) for j in range(3))
+    return M[np.ix_(c0, c2)] @ M[np.ix_(c2, c1)] @ M[np.ix_(c1, c0)]
+
+
+def _seeds(matrix, d):
+    """Its eigenvalues as Aberth starts, or None (Newton-polygon starts) when
+    the eigensolve raises or returns a non-finite value or not d values."""
+    try:
+        lam = np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError:
+        return None
+    return lam if lam.shape == (d,) and np.isfinite(lam).all() else None
+
+
 def _eigs_poly_general(n, a):
     """Certified Aberth roots of the exact charpoly at complex a (at a = 0,
-    of its cubic factor), from the eigenvalues of _seed_matrix, or from
-    Newton-polygon starts when those fail or are not finite.  Multiprecision
-    Horner points, eigenvalues of M -> of _seed_matrix: n = 84, a = 0.05i,
-    i, 2i 235/244/249 -> 184/189/188, criterion 11 314/330/317 ->
+    of its cubic factor g), from the eigenvalues of _seed_matrix (at a = 0,
+    of _cube_seed_matrix), or from Newton-polygon starts when those fail.
+    Multiprecision Horner points, eigenvalues of M -> of _seed_matrix: n = 84,
+    a = 0.05i, i, 2i 235/244/249 -> 184/189/188, criterion 11 314/330/317 ->
     219/171/194; n = 200, a = 0.05i, i, 10i 1465/1572/2172 -> 547/553/561,
     criterion 11 2738/2597/2707 -> 599/574/594.  With t = |a| throughout,
-    a = 1e-200i fails to converge at n = 84."""
+    a = 1e-200i fails to converge at n = 84.  Taking each root's inclusion
+    radius from the sweep that freezes it then cuts criterion 11 to
+    134/86/109 at n = 84 and 398/373/393 at n = 200.  At a = 0, Newton
+    polygon -> _cube_seed_matrix: n = 81 48 -> 27, n = 200 707 -> 67,
+    n = 400 3837 -> 226 (774 and 3970 before the radii change)."""
     if a == 0:
-        return rootfind.threefold_roots(spectral_polynomial(n, 0).num)
-    try:
-        seed = np.linalg.eigvals(_seed_matrix(n, a))
-    except np.linalg.LinAlgError:
-        seed = np.full(1, np.nan)
+        return rootfind.threefold_roots(spectral_polynomial(n, 0).num,
+                                        init=_seeds(_cube_seed_matrix(n), (n + 1) // 3))
     return rootfind.aberth_roots(charpoly_coeffs_mp(n, a), check_sum=False,
-                                 init=seed if np.isfinite(seed).all() else None)
+                                 init=_seeds(_seed_matrix(n, a), n + 1))
 
 
 def _a_token(a: complex) -> str:

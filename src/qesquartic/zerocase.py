@@ -130,19 +130,32 @@ def certify_interlacing(p: ExactPoly, q: ExactPoly) -> str:
     signed remainder sequence of (p, q): no root is isolated, and nothing is
     computed in floating point.  Raises MultipleRoot if either polynomial is
     not squarefree.
+
+    The squarefree checks run only when the index falls short, because a
+    pair that meets it is squarefree.  Only the real poles of q/p add to
+    |Ind(q/p)|, at most 1 each, and they lie among the distinct real roots
+    of p; so |Ind| = deg p leaves p deg p simple real roots, each a pole,
+    hence none a root of q.  The jumps of q/p at them then all have one
+    sign, so q/p, and with it q, changes sign in each of the deg p - 1 gaps
+    between them: q has roots of odd total multiplicity in each gap.  That
+    takes deg p - 1 of q's at most deg p roots, one simple root per gap,
+    and for deg q = deg p the one left over is real and lies outside the
+    gaps (inside one it would make that gap's multiplicity even), hence is
+    simple too.
     """
     if not (p.degree - q.degree in (0, 1)):
         raise ValueError("degrees must differ by 0 or 1 (p the larger)")
     ip = p.num
     iq = q.num
-    for u, name in ((ip, "p"), (iq, "q")):
-        if len(u) > 1 and len(intpoly.gcd(u, intpoly.deriv(u))) > 1:
-            raise MultipleRoot(f"{name} is not squarefree")
     index = intpoly.sturm_count(intpoly.signed_remainders(ip, iq),
                                 -math.inf, math.inf)
     sign = intpoly.sign_at_inf(ip, True) * intpoly.sign_at_inf(iq, True)
-    ok = index == (len(ip) - 1) * sign
-    return "interlacing-with-largest-in-p" if ok else "not-interlacing"
+    if index == (len(ip) - 1) * sign:
+        return "interlacing-with-largest-in-p"
+    for u, name in ((ip, "p"), (iq, "q")):
+        if len(u) > 1 and len(intpoly.gcd(u, intpoly.deriv(u))) > 1:
+            raise MultipleRoot(f"{name} is not squarefree")
+    return "not-interlacing"
 
 
 def certify_all(n: int):

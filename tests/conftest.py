@@ -31,3 +31,21 @@ def tmp_cache(tmp_path):
     d = tmp_path / "cache"
     d.mkdir()
     return str(d)
+
+
+@pytest.fixture()
+def horner_points(monkeypatch):
+    """A list that gets the number of points of each multiprecision Horner
+    pass of rootfind during the test."""
+    from qesquartic import rootfind
+
+    points = []
+    horner = rootfind._horner
+
+    def counted(cfix, pts):
+        pts = list(pts)
+        points.append(len(pts))
+        return horner(cfix, pts)
+
+    monkeypatch.setattr(rootfind, "_horner", counted)
+    return points

@@ -137,6 +137,17 @@ def test_inclusion_radius_covers_the_evaluation_rounding():
     assert rootfind._inclusion_radii(cfix, [z])[0] >= 4.3e-81
 
 
+def test_frozen_radius_covers_the_last_step():
+    # the disk about the evaluated point 1 + 1e-10 holds the root 1; the
+    # root returned lies a step of 5e-10 further out, 6e-10 from it
+    cfix, _ = rootfind._fixed_coeffs([-2, 1, 1], 50)
+    za = np.array([1 + 1e-10])
+    z = za + 5e-10
+    values = rootfind._horner(cfix, map(rootfind._exact_point, za))
+    assert rootfind._inclusion_radii(cfix, za, values)[0] < abs(z[0] - 1)
+    assert rootfind._frozen_radii(cfix, za, z, values)[0] >= abs(z[0] - 1)
+
+
 def test_newton_polygon_radii_of_roots_at_origin():
     # freed blocks of the same size: memory that np.empty hands back holds junk
     for _ in range(3):
@@ -217,19 +228,40 @@ def test_double_stage_keeps_the_multiprecision_roots(case, tmp_path, monkeypatch
     assert D[linear_sum_assignment(D)].max() <= 1e-12 * np.abs(want).max()
 
 
-def test_double_stage_cuts_multiprecision_evaluations(tmp_path, monkeypatch):
+def test_double_stage_cuts_multiprecision_evaluations(tmp_path, horner_points):
     # 1157 point evaluations from the multiprecision stages alone
-    points = []
-    horner = rootfind._horner
-
-    def counted(cfix, pts):
-        pts = list(pts)
-        points.append(len(pts))
-        return horner(cfix, pts)
-
-    monkeypatch.setattr(rootfind, "_horner", counted)
     yv.yv_zeros(25, cache_dir=str(tmp_path))
-    assert sum(points) <= 600
+    assert sum(horner_points) <= 600
+
+
+def test_radii_come_from_the_freezing_sweep(horner_points):
+    # starts at the roots freeze in one multiprecision sweep, whose values
+    # also give the inclusion radii: no second pass over the roots
+    got = rootfind.aberth_roots([-6, 11, -6, 1], init=[1, 2, 3])
+    assert np.abs(np.sort_complex(got) - [1, 2, 3]).max() < 1e-14
+    assert horner_points == [3]
+
+
+def test_useless_seeds_restart_from_the_newton_polygon(monkeypatch):
+    # at n = 84, a = 1e-50 i, M balanced at t = |a| has finite eigenvalues
+    # that leave roots active after the double stage; run on from there,
+    # Aberth gave up after 118 multiprecision sweeps
+    n, a = 84, 1e-50j
+    M, i = spectral.build_matrix(n, a), np.arange(n)
+    r = np.sqrt((i + 1) * abs(a) / (n - i))
+    M[i + 1, i] *= r
+    M[i, i + 1] /= r
+    M[i[:-1], i[:-1] + 2] /= r[:-1] * r[1:]
+    coeffs = spectral.charpoly_coeffs_mp(n, a)
+    want = rootfind.aberth_roots(coeffs, check_sum=False)
+    stages = []
+    double_stage = rootfind._double_stage
+    monkeypatch.setattr(rootfind, "_double_stage",
+                        lambda *args: stages.append(1) or double_stage(*args))
+    got = rootfind.aberth_roots(coeffs, init=np.linalg.eigvals(M), check_sum=False)
+    assert len(stages) == 2
+    D = np.abs(got[:, None] - want[None, :])
+    assert D[linear_sum_assignment(D)].max() <= 1e-12 * np.abs(want).max()
 
 
 def test_double_stage_coefficients_keep_their_exponents():

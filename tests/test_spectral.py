@@ -222,13 +222,15 @@ class TestDenseSeed:
         assert len(list(Path(tmp_cache).glob("eigs-*.json"))) == 1
         assert calls == []
 
-    @pytest.mark.parametrize("eigvals", ["raises", "nan"])
+    @pytest.mark.parametrize("eigvals", ["raises", "nan", "count"])
     def test_failed_eigensolve_falls_back_to_newton_polygon(self, monkeypatch,
                                                            eigvals):
         def broken(M):
             if eigvals == "raises":
                 raise np.linalg.LinAlgError("no convergence")
-            return np.full(len(M), np.nan, dtype=complex)
+            if eigvals == "nan":
+                return np.full(len(M), np.nan, dtype=complex)
+            return np.ones(len(M) - 1, dtype=complex)
 
         seen = []
         aberth = rootfind.aberth_roots
@@ -237,15 +239,35 @@ class TestDenseSeed:
             seen.append(init)
             return aberth(coeffs, init=init, check_sum=check_sum)
 
-        # the same exact coefficients from Newton-polygon starts, bit for bit
+        # the same exact coefficients from Newton-polygon starts, bit for bit;
+        # at a = 0 those of the cubic factor
         n, a = 12, 1.5 - 0.5j
-        ref = np.sort_complex(rootfind.aberth_roots(
-            spectral.charpoly_coeffs_mp(n, a), check_sum=False))
+        refs = [rootfind.aberth_roots(spectral.charpoly_coeffs_mp(n, a),
+                                      check_sum=False),
+                rootfind.threefold_roots(spectral_polynomial(n, 0).num)]
         monkeypatch.setattr(spectral.np.linalg, "eigvals", broken)
         monkeypatch.setattr(spectral.rootfind, "aberth_roots", spy)
-        got = np.sort_complex(spectral._eigs_poly_general(n, a))
-        assert seen == [None]
-        assert np.array_equal(got, ref)
+        for at, ref in zip((a, 0), refs):
+            got = spectral._eigs_poly_general(n, at)
+            assert np.array_equal(np.sort_complex(got), np.sort_complex(ref))
+        assert seen == [None, None]
+
+    @pytest.mark.parametrize("n", [81, 120, 200])
+    def test_seeded_zero_a_roots_equal_unseeded(self, n):
+        got = spectral._eigs_poly_general(n, 0)
+        ref = rootfind.threefold_roots(spectral_polynomial(n, 0).num)
+        assert multiset_dev(got, ref) <= 1e-12 * np.abs(ref).max()
+
+    # multiprecision Horner points: 774 at a = 0 (Newton-polygon starts) and
+    # 219/171/194 for criterion 11 when a final pass re-evaluated every root
+    # for its inclusion radius
+    @pytest.mark.parametrize("n, a", [
+        (200, 0), *((N_SEED, a0 * N_SEED ** (2 / 3))
+                    for a0 in ((1 - 1j) / 2, 2 / 3 - 1j, 4 / 5 - 2j / 3))],
+        ids=["a=0", "crit11-0", "crit11-1", "crit11-2"])
+    def test_multiprecision_evaluations(self, horner_points, n, a):
+        spectral._eigs_poly_general(n, a)
+        assert sum(horner_points) <= (150 if a == 0 else 140)
 
 
 class TestZeroAStructure:
