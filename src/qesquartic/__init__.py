@@ -3,11 +3,10 @@ family: exact spectral polynomials and their structure, scaled spectra and
 their limit supports, Yablonskii-Vorob'ev polynomials, branching loci, and
 eigenvalue monodromy."""
 
-from .exactpoly import BivariatePoly, ExactPoly, discriminant, exact_div, real_roots, resultant
+from .exactpoly import ExactPoly, discriminant, exact_div, real_roots, resultant
 from .pointset import PointSet
 
 __all__ = [
-    "BivariatePoly",
     "ExactPoly",
     "PointSet",
     "discriminant",

@@ -151,12 +151,6 @@ def endpoint_cubic_coeffs_in_a():
     ]
 
 
-def dsc(a=0.0, tau=0.5):
-    """Closed-form discriminant factor 16 tau(1-tau) (a^3 - 27tau + 27tau^2)^3."""
-    a = complex(a)
-    return 16 * tau * (1 - tau) * (a**3 - 27 * tau + 27 * tau * tau) ** 3
-
-
 def dsc_exact(a3, tau) -> Fraction:
     """Exact dsc value given rational a^3 and tau (a enters through a^3 only)."""
     a3 = Fraction(a3)

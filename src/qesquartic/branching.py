@@ -237,17 +237,17 @@ def _cube_images(n: int):
     h mod p is None at a prime that some node takes off the generic
     remainder-degree sequence.  Primes come in batches of _PRIME_BATCH.
     """
-    biv = charpoly_bivariate(n)
+    grid = charpoly_bivariate(n)
     D = n * (n + 1) // 2
     r = D % 3
     xi = np.arange(1, D // 3 + 2, dtype=np.int64)
-    dx = np.arange(1, len(biv.grid), dtype=np.int64)[:, None, None]  # dSp/dx rows: j F_j
+    dx = np.arange(1, len(grid), dtype=np.int64)[:, None, None]  # dSp/dx rows: j F_j
     primes = _primes_2mod3(n)
     while True:
         batch = list(itertools.islice(primes, _PRIME_BATCH))
         p = np.array(batch, dtype=np.int64)[:, None]
         a = _modpow_vec(xi, (2 * p - 1) // 3, p)      # the cube roots of xi
-        F = _eval_grid_mod(biv.grid, xi, a, batch)
+        F = _eval_grid_mod(grid, xi, a, batch)
         vals, ok = _resultants_vector_mod(F, dx * F[1:] % p, p)
         if r:
             vals = vals * _modpow_vec(a, p - 1 - r, p) % p
@@ -281,7 +281,7 @@ def discriminant_resultant_exact(n: int):
     """
     D = n * (n + 1) // 2
     r = D % 3
-    limit = 2 * _resultant_bound(charpoly_bivariate(n).grid)
+    limit = 2 * _resultant_bound(charpoly_bivariate(n))
     beyond = 0
     crt_mod = 1
     crt_val = [0] * (D // 3 + 1)
@@ -574,21 +574,3 @@ def _local_spacing(pts):
     np.fill_diagonal(D, np.inf)
     return float(np.median(D.min(axis=1)))
 
-
-def distinct_imag_report(n: int, cache_dir=None) -> dict:
-    """Are the imaginary parts of the nonreal branching points all distinct?
-
-    The standard-path construction relies on this numerically observed fact;
-    it is verified per n and violations are reported, never assumed.  Both
-    "nonreal" and "distinct" are taken to 1e-9.
-    """
-    tol = 1e-9
-    pts = sigma_points(n, cache_dir=cache_dir).points.points
-    nonreal = pts[np.abs(pts.imag) > tol]
-    ims = np.sort(nonreal.imag)
-    gaps = np.diff(ims)
-    viol = [(float(ims[i]), float(ims[i + 1]))
-            for i in np.nonzero(gaps < tol)[0]]
-    return {"n": n, "nonreal_count": len(nonreal), "violations": viol,
-            "all_distinct": not viol,
-            "min_gap": float(gaps.min()) if len(gaps) else math.inf}

@@ -214,6 +214,7 @@ def _figure_triangle10(emit, cache_dir, n=10):
     from .branching import sigma_points
 
     bs = sigma_points(n, cache_dir=cache_dir)
+    bs.require_grid()
     emit("branching_points.csv", bs.points)
     emit("grid_index.json", {
         "n": n,

@@ -1,14 +1,14 @@
-"""Exact univariate and bivariate polynomials over the rationals/integers.
+"""Exact univariate polynomials over the rationals/integers.
 
 ExactPoly stores integer numerators over one positive denominator (ascending
 degree) and delegates every operation to ``intpoly``, the package's one exact
 integer kernel: arithmetic, derivative, exact division, evaluation at a
 rational point, Sturm-based real-root counting and isolation.  ``coeffs`` is
-only a read-only view as Fractions.  BivariatePoly holds an integer
-coefficient grid in (x, a), used for spectral polynomials in both variables.
-Their resultant in x is computed by the modular route in ``branching``; the
-fraction-free determinant over Z[a] that cross-checks it is a test oracle,
-not part of the package.
+only a read-only view as Fractions.  Polynomials in (x, a) are plain
+integer grids (``spectral.charpoly_bivariate``); their resultant in x is
+computed by the modular route in ``branching``, and the fraction-free
+determinant over Z[a] that cross-checks it is a test oracle, not part of
+the package.
 
 Conventions (fixed so results are reproducible bit for bit):
 
@@ -94,9 +94,6 @@ class ExactPoly:
         """Degree; -1 for the zero polynomial."""
         return len(self.num) - 1
 
-    def leading(self) -> Fraction:
-        return Fraction(self.num[-1], self.den) if self.num else Fraction(0)
-
     def __eq__(self, other):
         if not isinstance(other, ExactPoly):
             return NotImplemented
@@ -156,10 +153,6 @@ class ExactPoly:
             return ExactPoly([other], self.var_name)
         raise TypeError(f"cannot combine ExactPoly with {type(other)!r}")
 
-    def _int_form(self):
-        """(integer coefficient list, common denominator): the stored pair."""
-        return self.num, self.den
-
     def derivative(self) -> "ExactPoly":
         return ExactPoly._make(intpoly.deriv(self.num), self.den, self.var_name)
 
@@ -179,11 +172,6 @@ class ExactPoly:
         cs[1::2] = intpoly.neg(cs[1::2])
         return ExactPoly._make(cs, self.den, self.var_name)
 
-    def monic(self) -> "ExactPoly":
-        if not self.num or self.num[-1] == self.den:
-            return self
-        return ExactPoly._make(list(self.num), self.num[-1], self.var_name)
-
     def __call__(self, x):
         """p(x): a Fraction at an int or Fraction x, complex otherwise."""
         if isinstance(x, (int, Fraction)):
@@ -202,8 +190,8 @@ def exact_div(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     Pseudo-division over the integers: when q divides p over Q, the integer
     form of p times lc(q)^(deg p - deg q + 1) is divisible by that of q in Z[x].
     """
-    ip, dp = p._int_form()
-    iq, dq = q._int_form()
+    ip, dp = p.num, p.den
+    iq, dq = q.num, q.den
     lc = iq[-1] ** max(len(ip) - len(iq) + 1, 0) if iq else 1
     quot = intpoly.div_exact(intpoly.scale(ip, lc), iq)
     return ExactPoly._make(intpoly.scale(quot, dq), dp * lc, p.var_name)
@@ -217,7 +205,7 @@ def real_roots(p: ExactPoly, lo=None, hi=None):
     ``(count, intervals)`` where every interval is a pair of Fractions
     containing exactly one root.
     """
-    ip, _ = p._int_form()
+    ip = p.num
     if not ip:
         raise ValueError("zero polynomial has no well-defined root set")
     g = intpoly.gcd(ip, intpoly.deriv(ip))
@@ -237,63 +225,13 @@ def resultant(p: ExactPoly, q: ExactPoly) -> Fraction:
     """Sylvester-determinant resultant of two ExactPoly in their common variable."""
     if not (isinstance(p, ExactPoly) and isinstance(q, ExactPoly)):
         raise TypeError("resultant expects two ExactPoly")
-    ip, dp_ = p._int_form()
-    iq, dq_ = q._int_form()
-    if not ip or not iq:
+    if not p.num or not q.num:
         return Fraction(0)
-    det = intpoly.sylvester_resultant(ip, iq)
-    return Fraction(det, dp_ ** (len(iq) - 1) * dq_ ** (len(ip) - 1))
+    det = intpoly.sylvester_resultant(p.num, q.num)
+    return Fraction(det, p.den ** q.degree * q.den ** p.degree)
 
 
 def discriminant(p: ExactPoly) -> Fraction:
     """resultant(p, p') with no leading-coefficient normalization."""
     return resultant(p, p.derivative())
 
-
-class BivariatePoly:
-    """Integer polynomial in (x, a): grid[j][k] is the x^j a^k coefficient."""
-
-    __slots__ = ("grid", "x_name", "a_name")
-
-    def __init__(self, grid, x_name="x", a_name="a"):
-        g = [intpoly.trim([int(c) for c in row]) for row in grid]
-        while g and not g[-1]:
-            g.pop()
-        self.grid = g
-        self.x_name = x_name
-        self.a_name = a_name
-
-    @property
-    def x_degree(self):
-        return len(self.grid) - 1
-
-    @property
-    def a_degree(self):
-        return max((len(row) - 1 for row in self.grid if row), default=-1)
-
-    @property
-    def total_degree(self):
-        td = -1
-        for j, row in enumerate(self.grid):
-            for k, c in enumerate(row):
-                if c:
-                    td = max(td, j + k)
-        return td
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.grid == other.grid
-
-    def derivative_x(self) -> "BivariatePoly":
-        return BivariatePoly(
-            [[j * c for c in row] for j, row in enumerate(self.grid)][1:],
-            self.x_name,
-            self.a_name,
-        )
-
-    def __repr__(self):
-        return (
-            f"BivariatePoly({self.x_name}-deg {self.x_degree}, "
-            f"{self.a_name}-deg {self.a_degree})"
-        )

@@ -68,22 +68,6 @@ class MonodromyResult:
             return (i + 1, j + 1)
         return None
 
-    def to_json_dict(self, path_id=None, downsample=None):
-        out = {
-            "path_id": path_id,
-            "permutation": list(self.one_line()),
-            "min_gap": self.min_gap,
-            "frames": self.frames,
-        }
-        if downsample and self.traces is not None:
-            step = max(1, len(self.traces) // downsample)
-            out["traces"] = [
-                [[float(z.real), float(z.imag)] for z in frame]
-                for frame in self.traces[::step]
-            ]
-        return out
-
-
 def kac_matrix(n: int, a=1.0) -> np.ndarray:
     """The tridiagonal comparison matrix: sub (n-i)/n, super (i+1)a/n.
 
@@ -95,21 +79,6 @@ def kac_matrix(n: int, a=1.0) -> np.ndarray:
         M[i + 1, i] = (n - i) / n
         M[i, i + 1] = (i + 1) * ac / n
     return M
-
-
-def standard_path(n: int, i: int, j: int, cache_dir=None,
-                  branch_set=None):
-    """The vertical hook of ``path_around_index`` around the branching point
-    with grid label (i, j)."""
-    bs = branch_set if branch_set is not None else sigma_points(n, cache_dir=cache_dir)
-    bs.require_grid()
-    pts = bs.points.points
-    try:
-        idx = next(k for k in range(len(pts))
-                   if bs.rows[k] == i and bs.cols[k] == j)
-    except StopIteration:
-        raise ValueError(f"no branching point with grid label ({i}, {j})")
-    return path_around_index(n, idx, branch_set=bs)
 
 
 def path_around_index(n: int, idx: int, bump=None,
@@ -323,31 +292,6 @@ def track_path(n: int, path, steps: int = 256,
     return MonodromyResult(permutation=tuple(int(c) for c in ci[0]),
                            min_gap=float(gap.min()), frames=len(traces),
                            traces=traces if keep_traces else None)
-
-
-def compose(perms):
-    """Composition of permutations applied left to right; () is identity."""
-    perms = list(perms)
-    if not perms:
-        return tuple()
-    size = len(perms[0])
-    out = list(range(size))
-    for p in perms:
-        out = [p[out[k]] for k in range(size)]
-    return tuple(out)
-
-
-def monodromy_table(n: int, cache_dir=None) -> dict:
-    """Permutation of every standard path, keyed by the (row, col) label,
-    each tracked in 192 steps."""
-    bs = sigma_points(n, cache_dir=cache_dir)
-    bs.require_grid()
-    out = {}
-    for idx in range(len(bs.points.points)):
-        path = path_around_index(n, idx, branch_set=bs)
-        res = track_path(n, path, steps=192)
-        out[(bs.rows[idx], bs.cols[idx])] = res
-    return out
 
 
 def kac_limit_check(n: int, a) -> dict:

@@ -212,20 +212,6 @@ def trace_horizontal(a, L, start, direction, turning=None):
     return "maxlen", None, np.asarray(path)
 
 
-def horizontality_residual(path, a, L):
-    """max |Im(P dT^2)| / |P dT^2| along a polyline (diagnostic invariant)."""
-    path = np.asarray(path)
-    if len(path) < 3:
-        return 0.0
-    dT = np.diff(path)
-    mid = 0.5 * (path[:-1] + path[1:])
-    v = quartic_value(mid, complex(a), complex(L)) * dT * dT
-    good = np.abs(v) > 0
-    if not good.any():
-        return 0.0
-    return float(np.max(np.abs(v[good].imag) / np.abs(v[good])))
-
-
 def critical_graph(a, L) -> TrajectoryGraph:
     """Trace every ray from every turning point; test the existence criterion.
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cache, intpoly, rootfind
 from .errors import NonConvergence, StructureViolation, TooClose
-from .exactpoly import BivariatePoly, ExactPoly
+from .exactpoly import ExactPoly
 from .pointset import PointSet, sort_points
 
 DENSE_EIG_MAX_N = 80
@@ -74,8 +74,9 @@ def _add_row(cur, row, m, shift):
 
 
 @lru_cache(maxsize=32)
-def charpoly_bivariate(n: int) -> BivariatePoly:
-    """det(M - x I) as an integer polynomial in (x, a), via the recurrence."""
+def charpoly_bivariate(n: int) -> list:
+    """det(M - x I) as an integer polynomial in (x, a), via the recurrence:
+    row j lists the a-coefficients of x^j, ascending and trimmed."""
     p3, p2, p1 = None, None, [[1]]
     for k in range(1, n + 2):
         c2, c3 = _minor_step_coeffs(n, k)
@@ -87,24 +88,19 @@ def charpoly_bivariate(n: int) -> BivariatePoly:
         for i, row in enumerate(p3 if c3 else ()):  # +c3 * D^(k-3)
             _add_row(new[i], row, c3, 0)
         p3, p2, p1 = p2, p1, new
-    return BivariatePoly(p1, x_name="lambda", a_name="a")
+    return [intpoly.trim(row) for row in p1]
 
 
-def spectral_polynomial(n: int, a=None):
-    """Characteristic polynomial det(M - x I).
-
-    With ``a=None`` returns the exact BivariatePoly in (x, a); with a rational
-    (int/Fraction) ``a`` returns the exact ExactPoly in x, from the fixed-a
-    recurrence at that a (no bivariate grid is built).
-    """
+def spectral_polynomial(n: int, a):
+    """Characteristic polynomial det(M - x I) at a rational (int/Fraction)
+    ``a``: the exact ExactPoly in x, from the fixed-a recurrence at that a
+    (no bivariate grid is built)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if a is None:
-        return charpoly_bivariate(n)
     if isinstance(a, (int, Fraction)):
         u, q = a.as_integer_ratio()
         return ExactPoly._make(_charpoly_at(n, u, 0, q)[0], q ** ((n + 1) // 2), "lambda")
-    raise TypeError("a must be None (symbolic) or an exact rational")
+    raise TypeError("a must be an exact rational")
 
 
 def _charpoly_at(n, u, v, q):

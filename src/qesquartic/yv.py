@@ -24,13 +24,12 @@ YV_n each, and one exact division of m by the g of YV_{n-1} through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cache, intpoly, rootfind
-from .errors import NonConvergence, NotDivisible, TooClose
+from .errors import NonConvergence, NotDivisible
 from .exactpoly import ExactPoly
 from .pointset import PointSet, sort_points
 
@@ -91,17 +90,6 @@ def yv_generate(N: int) -> YVSequence:
     )
 
 
-def coefficients_json(N: int) -> dict:
-    """All generated members with coefficients as decimal strings."""
-    coeffs = _yv_int_coeffs(max(N, 1))
-    return {
-        "members": [
-            {"n": n, "degree": len(cs) - 1, "coeffs": [str(c) for c in cs]}
-            for n, cs in enumerate(coeffs[: N + 1])
-        ]
-    }
-
-
 def yv_zeros(n: int, cache_dir=None) -> PointSet:
     """All n(n+1)/2 zeros of YV_n, multiplicity included.
 
@@ -154,34 +142,6 @@ def scaled_zeros(n: int, cache_dir=None) -> PointSet:
     factor = SCALE_CONSTANT * n ** (2.0 / 3.0)
     out = ps.scaled(factor, label=f"scaled YV_{n} zeros")
     out.meta = {"n": n, "scaling": "(9/2)^(2/3) n^(2/3)"}
-    return out
-
-
-def painleve_rational(n: int, t_samples, cache_dir=None):
-    """u(t; n) = YV_{n-1}'/YV_{n-1} - YV_n'/YV_n at each sample.
-
-    Raises TooClose when a sample sits within 1e-6 of a zero of either
-    polynomial (a pole of u).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1 (u(t;0) = 0 identically)")
-    seq = yv_generate(n)
-    p, q = seq[n - 1], seq[n]
-    dp, dq = p.derivative(), q.derivative()
-    zp = (yv_zeros(n - 1, cache_dir=cache_dir).points if n >= 2
-          else np.empty(0, complex))
-    zq = yv_zeros(n, cache_dir=cache_dir).points
-    out = []
-    for t in t_samples:
-        tc = complex(t)
-        dmin = min(
-            (np.abs(tc - zp).min() if len(zp) else math.inf),
-            (np.abs(tc - zq).min() if len(zq) else math.inf),
-        )
-        if dmin < 1e-6:
-            raise TooClose(f"sample {tc} within {dmin:.2e} of a pole")
-        pv, qv = p(tc), q(tc)
-        out.append(dp(tc) / pv - dq(tc) / qv)
     return out
 
 

@@ -202,10 +202,3 @@ def _arrow(p: ExactPoly, q: ExactPoly) -> str:
         return "degenerate-equal"
     return certify_interlacing(p, q)
 
-
-def certification_report(n_values) -> str:
-    """JSON certification report: per-n, per-l verdicts with timing."""
-    import json
-
-    return json.dumps({"records": [certify_all(n) for n in n_values]},
-                      sort_keys=True, indent=1)

@@ -26,6 +26,8 @@ Horizontal trajectories evaluate the direction field five times per RK4
 step (the package carries a step's last value into the next step), and the
 branch continuation of the characteristic cubic solves one radius per
 ``cubic_roots`` call (the package solves its planned radii in batches).
+The horizontality residual that measures how closely a traced polyline
+follows a horizontal trajectory lives only here.
 """
 
 import cmath
@@ -84,13 +86,42 @@ def sylvester_det_by_hand(p, q):
         [Fraction(c) for c in p], [Fraction(c) for c in q], Fraction(0)))
 
 
+def grid_degrees(grid):
+    """(x-degree, a-degree, total degree) of an (x, a) grid whose row j
+    lists the a-coefficients of x^j; -1 for the zero polynomial."""
+    terms = [(j, k) for j, row in enumerate(grid) for k, c in enumerate(row) if c]
+    return (max((j for j, _ in terms), default=-1),
+            max((k for _, k in terms), default=-1),
+            max((j + k for j, k in terms), default=-1))
+
+
+def grid_derivative_x(grid):
+    """d/dx of an (x, a) grid, row by row."""
+    return [[j * c for c in row] for j, row in enumerate(grid)][1:]
+
+
+def horizontality_residual(path, a, L):
+    """max |Im(P dT^2)| / |P dT^2| along a polyline: zero on an exact
+    horizontal trajectory of P(T) dT^2, P = quaddiff.quartic_value."""
+    path = np.asarray(path)
+    if len(path) < 3:
+        return 0.0
+    dT = np.diff(path)
+    mid = 0.5 * (path[:-1] + path[1:])
+    v = quaddiff.quartic_value(mid, complex(a), complex(L)) * dT * dT
+    good = np.abs(v) > 0
+    if not good.any():
+        return 0.0
+    return float(np.max(np.abs(v[good].imag) / np.abs(v[good])))
+
+
 def sylvester_resultant_poly(p_rows, q_rows):
     """Res_x of two polynomials in x with Z[a] coefficients.
 
     ``p_rows[j]`` is the x^j coefficient as an ascending int list in a (a
-    ``BivariatePoly.grid``).  The Sylvester determinant is eliminated
-    fraction-free (Bareiss) with exact divisions in Z[a]; returns the
-    ascending int coefficients in a.
+    ``spectral.charpoly_bivariate`` grid).  The Sylvester determinant is
+    eliminated fraction-free (Bareiss) with exact divisions in Z[a]; returns
+    the ascending int coefficients in a.
     """
     if not (p_rows and q_rows):
         return []            # a zero polynomial
@@ -492,7 +523,7 @@ def charpoly_coeffs_grid_mp(n, a, dps=60):
     with mp.workdps(dps + 10):
         av = mp.mpc(complex(a))
         out = []
-        for row in charpoly_bivariate(n).grid:
+        for row in charpoly_bivariate(n):
             acc = mp.mpc(0)
             for c in reversed(row):
                 acc = acc * av + c

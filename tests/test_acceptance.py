@@ -132,3 +132,12 @@ def test_criterion_12_determinism_cleans_up(tmp_path, monkeypatch):
     ok, line = _report(verify.criterion_determinism())
     assert ok, line
     assert list(scratch.iterdir()) == []
+
+
+def test_fast_suite_passes_every_check(tmp_cache):
+    # `verify all --fast`: the same checks at smaller sizes, the scaling
+    # band at n = 25 (ratio 0.9191)
+    recs = verify.run_suite("all", fast=True, cache_dir=tmp_cache)
+    results = [_report(rec) for rec in recs]
+    assert len(recs) == 13
+    assert all(ok for ok, _ in results), [line for ok, line in results if not ok]

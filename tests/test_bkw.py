@@ -88,27 +88,29 @@ class TestBranchPoints:
 
 class TestDsc:
     def test_degenerate_tau(self):
-        assert bkw.dsc(1.7, 0.0) == 0
-        assert bkw.dsc(1.7, 1.0) == 0
+        a3 = Fraction(17, 10) ** 3
+        assert bkw.dsc_exact(a3, 0) == 0
+        assert bkw.dsc_exact(a3, 1) == 0
 
     def test_threshold_value_exact(self):
         assert bkw.dsc_exact(Fraction(27, 4), Fraction(1, 2)) == 0
 
     def test_a3_value(self):
-        expect = 16 * 0.25 * (27 - 27 / 4) ** 3
-        assert bkw.dsc(3.0, 0.5).real == pytest.approx(expect, rel=1e-12)
+        # a = 3: 16 (1/4) (27 - 27/4)^3
+        assert bkw.dsc_exact(27, Fraction(1, 2)) == 4 * Fraction(81, 4) ** 3
 
     def test_matches_resultant_discriminant(self):
         # cross-check: dsc vanishes exactly where the branch cubic has a
-        # double root (sampled)
-        for a in (1.0, 2.2):
-            for tau in (0.3, 0.5):
-                d = bkw.dsc(a, tau)
-                bp = bkw.branch_points(a, tau)
+        # double root (sampled, the real threshold a^3 = 27/4 at tau = 1/2
+        # included)
+        for a3 in (Fraction(1), Fraction(11, 5) ** 3, Fraction(27, 4)):
+            for tau in (Fraction(3, 10), Fraction(1, 2)):
+                d = bkw.dsc_exact(a3, tau)
+                bp = bkw.branch_points(float(a3) ** (1 / 3), float(tau))
                 gaps = sorted(
                     abs(bp[i] - bp[j]) for i in range(3) for j in range(i + 1, 3)
                 )
-                if abs(d) < 1e-12:
+                if d == 0:
                     assert gaps[0] < 1e-6
                 else:
                     assert gaps[0] > 1e-6

@@ -13,7 +13,8 @@ from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import PointSet
 from qesquartic.spectral import charpoly_bivariate
 
-from oracles import assignment_cost_lsa, charpoly_coeffs_grid_mp, sylvester_resultant_poly
+from oracles import (assignment_cost_lsa, charpoly_coeffs_grid_mp, grid_derivative_x,
+                     sylvester_resultant_poly)
 
 
 class TestSigmaPolynomial:
@@ -34,12 +35,11 @@ class TestSigmaPolynomial:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_matches_exact_sylvester_route(self, n, tmp_cache):
         # full-polynomial comparison against the fraction-free determinant
-        biv = charpoly_bivariate(n)
-        raw = sylvester_resultant_poly(biv.grid, biv.derivative_x().grid)
+        grid = charpoly_bivariate(n)
+        raw = sylvester_resultant_poly(grid, grid_derivative_x(grid))
         prim, _ = intpoly.primitive(raw)
         got = branching.sigma_polynomial(n, cache_dir=tmp_cache)
-        gip, _ = got._int_form()
-        assert prim == gip
+        assert prim == got.num
 
     def test_non_generic_nodes_raise(self, monkeypatch):
         # a node that breaks the remainder-degree sequence at every prime
@@ -81,7 +81,7 @@ class TestSigmaPolynomial:
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_resultant_bound_covers_coefficients(self, n):
         raw = branching.discriminant_resultant_exact(n)
-        bound = branching._resultant_bound(charpoly_bivariate(n).grid)
+        bound = branching._resultant_bound(charpoly_bivariate(n))
         assert max(abs(c) for c in raw) < bound
 
     def test_inconsistent_images_raise_past_the_bound(self, monkeypatch):
@@ -89,7 +89,7 @@ class TestSigmaPolynomial:
         # stop two primes after the modulus passes twice the bound
         n = 6
         width = n * (n + 1) // 2 // 3 + 1
-        bits = (2 * branching._resultant_bound(charpoly_bivariate(n).grid)).bit_length()
+        bits = (2 * branching._resultant_bound(charpoly_bivariate(n))).bit_length()
         max_primes = bits // 30 + 3          # every prime exceeds 2^30
         rng = np.random.RandomState(0)
         used = []
@@ -119,7 +119,7 @@ class TestSigmaPolynomial:
         # integer coefficients joined by ",", the polys joined by ";"
         enc = ";".join(
             ",".join(str(c) for c in branching.sigma_polynomial(
-                n, cache_dir=tmp_cache)._int_form()[0])
+                n, cache_dir=tmp_cache).num)
             for n in range(1, 26))
         assert hashlib.sha256(enc.encode()).hexdigest() == (
             "005ede9ca4e2f2fb030354ff3c9100625c7e36582e1b0371a5507d2ccb803f0f")
@@ -140,10 +140,10 @@ class TestSigmaPolynomial:
     def test_spot_point_resultant_matches_oracle(self):
         # the spot check's integer resultant at n = 12 against the Z[a]
         # Bareiss oracle on constant rows
-        biv = charpoly_bivariate(12)
+        grid = charpoly_bivariate(12)
         a0 = branching._spot_points(12)[0]
-        p, q = ([intpoly.eval_int(row, a0) for row in g.grid]
-                for g in (biv, biv.derivative_x()))
+        p, q = ([intpoly.eval_int(row, a0) for row in g]
+                for g in (grid, grid_derivative_x(grid)))
         want = sylvester_resultant_poly([[c] if c else [] for c in p],
                                         [[c] if c else [] for c in q])
         assert want and intpoly.sylvester_resultant(p, q) == want[0]

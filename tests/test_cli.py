@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from qesquartic import cache, cli, rootfind
+from qesquartic.errors import IndexingAmbiguity
 
 
 class TestParseComplex:
@@ -49,6 +50,14 @@ class TestFigureCommands:
                              cache_dir=tmp_cache, overrides={"n": 4})
         grid = json.loads((out / "grid_index.json").read_text())
         assert len(grid["points"]) == 10
+
+    def test_triangle10_refuses_an_ambiguous_grid(self, tmp_path, tmp_cache):
+        # sigma_31's column clustering fails, so there is no grid to write:
+        # the figure raises and removes the directory it made
+        with pytest.raises(IndexingAmbiguity):
+            cli.cmd_figure("triangle10", out_dir=tmp_path / "t31",
+                           cache_dir=tmp_cache, overrides={"n": 31})
+        assert not (tmp_path / "t31").exists()
 
     def test_triangle_small(self, tmp_path, tmp_cache):
         out = cli.cmd_figure("triangle", out_dir=tmp_path / "tri",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qesquartic import intpoly
 from qesquartic.errors import NotDivisible, NotSquarefree
 from qesquartic.exactpoly import (
-    BivariatePoly,
     ExactPoly,
     discriminant,
     exact_div,
@@ -22,6 +21,7 @@ from oracles import (
     frac_horner,
     frac_mul,
     frac_trim,
+    grid_degrees,
     numpy_real_root_count,
     schoolbook_mul,
     sylvester_det_by_hand,
@@ -71,7 +71,7 @@ def _split_real_polys(draw):
         p = p * ExactPoly([-r.numerator, r.denominator])
     for u, v in pairs:
         p = p * ExactPoly([u * u + v * v, -2 * u, 1])
-    return p._int_form()[0], real
+    return p.num, real
 
 
 # lo < hi, each k + 1/2 (never a root k or k/3) or infinite
@@ -85,31 +85,27 @@ _SMALL_POLY = st.lists(st.fractions(-9, 9, max_denominator=4), min_size=1,
 
 
 class TestResultant:
-    # the three BivariatePoly cases freeze the Z[a] oracle that
+    # the three (x, a) grid cases freeze the Z[a] oracle that
     # test_branching compares the modular resultant against
     def test_linear_pair(self):
         # res_x(x - a, x + a) = 2a
-        p = BivariatePoly([[0, -1], [1]])
-        q = BivariatePoly([[0, 1], [1]])
-        assert sylvester_resultant_poly(p.grid, q.grid) == [0, 2]
+        assert sylvester_resultant_poly([[0, -1], [1]], [[0, 1], [1]]) == [0, 2]
 
     def test_quadratic_with_derivative(self):
         # res_x(x^2 - a, 2x): the 3x3 Sylvester determinant is -4a
         # (hand oracle below confirms the sign of the raw determinant)
-        p = BivariatePoly([[0, -1], [], [1]])
-        q = BivariatePoly([[], [2]])
-        assert sylvester_resultant_poly(p.grid, q.grid) == [0, -4]
+        assert sylvester_resultant_poly([[0, -1], [], [1]], [[], [2]]) == [0, -4]
         hand = sylvester_det_by_hand([-5, 0, 1], [0, 2])   # a = 5
         assert hand == -4 * 5
 
     def test_cubic_discriminant_pattern(self):
         # res_x(x^3 - 4a x - 4, 3x^2 - 4a) = -(256 a^3 - 432)
-        p = BivariatePoly([[-4], [0, -4], [], [1]])
-        q = BivariatePoly([[0, -4], [], [3]])
-        assert sylvester_resultant_poly(p.grid, q.grid) == [432, 0, 0, -256]
+        p = [[-4], [0, -4], [], [1]]
+        q = [[0, -4], [], [3]]
+        assert sylvester_resultant_poly(p, q) == [432, 0, 0, -256]
 
     def test_bivariate_input_refused(self):
-        p = BivariatePoly([[0, -1], [1]])
+        p = [[0, -1], [1]]          # an (x, a) grid, not an ExactPoly
         with pytest.raises(TypeError):
             resultant(p, p)
 
@@ -179,10 +175,9 @@ class TestRealRoots:
 
 class TestBivariate:
     def test_degrees(self):
-        b = BivariatePoly([[4], [0, 4], [], [-1]])
-        assert b.x_degree == 3
-        assert b.a_degree == 1
-        assert b.total_degree == 3
+        # x-, a- and total degree of -x^3 + 4ax + 4, and of the zero grid
+        assert grid_degrees([[4], [0, 4], [], [-1]]) == (3, 1, 3)
+        assert grid_degrees([]) == (-1, -1, -1)
 
 
 # coefficients at the sign and borrow edges: +-2^k and +-(2^k - 1), zero runs
@@ -340,8 +335,7 @@ _RATIONAL = st.fractions(-50, 50, max_denominator=30)
 
 
 def _assert_canonical(p):
-    num, den = p._int_form()
-    assert (num, den) == (p.num, p.den)
+    num, den = p.num, p.den
     assert den > 0
     assert not num or num[-1] != 0
     assert math.gcd(intpoly.content(num), den) == 1
@@ -363,7 +357,7 @@ class TestIntegerKernel:
         assert (P_ * Q_).coeffs == frac_mul(frac_trim(p), frac_trim(q))
         for r in (P_ + Q_, P_ - Q_, -P_, P_ * Q_):
             _assert_canonical(r)
-        assert (P_ - P_) == ExactPoly.zero() and (P_ - P_)._int_form() == ([], 1)
+        assert (P_ - P_) == ExactPoly.zero() and ((P_ - P_).num, (P_ - P_).den) == ([], 1)
 
     @settings(max_examples=80)
     @given(p=_FRACS, c=_RATIONAL)
@@ -386,10 +380,8 @@ class TestIntegerKernel:
         assert P_.compose_cube().coeffs == frac_trim(cube)
         assert P_.negate_variable().coeffs == [c if i % 2 == 0 else -c
                                                for i, c in enumerate(cs)]
-        monic = P_.monic()
-        assert monic.coeffs == ([c / cs[-1] for c in cs] if cs else [])
         for r in (P_.derivative(), P_.shift_up(k), P_.compose_cube(),
-                  P_.negate_variable(), monic):
+                  P_.negate_variable()):
             _assert_canonical(r)
 
     @settings(max_examples=80)

@@ -131,22 +131,6 @@ def test_array_hook_matches_scalar_hook(n, bump, monkeypatch):
 
 
 class TestStandardPaths:
-    def test_n2_all_transpositions(self, tmp_cache):
-        tab = monodromy.monodromy_table(2, cache_dir=tmp_cache)
-        assert len(tab) == 3
-        for (i, j), res in tab.items():
-            assert res.is_transposition() == (j, j + 1)
-
-    def test_grid_label_lookup(self, tmp_cache):
-        bs = sigma_points(2, cache_dir=tmp_cache)
-        lbl = (bs.rows[0], bs.cols[0])
-        path = monodromy.standard_path(2, *lbl, branch_set=bs)
-        others = np.delete(bs.points.points, 0)
-        zs = path(np.linspace(0, 1, 600))
-        assert np.abs(zs[:, None] - others[None, :]).min() > 0
-        with pytest.raises(ValueError):
-            monodromy.standard_path(2, 99, 99, branch_set=bs)
-
     def test_deformation_invariance(self, tmp_cache):
         bs = sigma_points(3, cache_dir=tmp_cache)
         idx = int(np.argmax(bs.points.points.real))
@@ -155,7 +139,7 @@ class TestStandardPaths:
         assert monodromy.track_path(3, p1).permutation == \
             monodromy.track_path(3, p2).permutation
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_paths_give_column_transpositions(self, n, tmp_cache):
         bs = sigma_points(n, cache_dir=tmp_cache)
         for idx in range(len(bs.points.points)):
@@ -164,25 +148,3 @@ class TestStandardPaths:
             j = bs.cols[idx]
             assert res.is_transposition() == (j, j + 1), (n, idx)
 
-
-class TestCompose:
-    def test_identity(self):
-        assert monodromy.compose([]) == ()
-        assert monodromy.compose([(0, 1, 2)]) == (0, 1, 2)
-
-    def test_transpositions_generate_reversal(self, tmp_cache):
-        # words in the standard-path permutations realize the big-circle
-        # reversal: adjacent transpositions suffice
-        n = 4
-        tab = monodromy.monodromy_table(n, cache_dir=tmp_cache)
-        perms = {}
-        for res in tab.values():
-            tr = res.is_transposition()
-            perms[tr] = res.permutation
-        # bubble-sort word for the full reversal
-        word = []
-        for k in range(n + 1):
-            for j in range(1, n + 1 - k):
-                word.append(perms[(j, j + 1)])
-        got = monodromy.compose(word)
-        assert got == tuple(range(n, -1, -1))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qesquartic import quaddiff
 from qesquartic.errors import AmbiguousTopology
 
-from oracles import critical_graph_five_eval, mst_scipy
+from oracles import critical_graph_five_eval, horizontality_residual, mst_scipy
 
 
 class TestTurningPoints:
@@ -57,7 +57,7 @@ class TestTracing:
         monkeypatch.setattr(quaddiff, "H0", 2.5e-4)
         g = quaddiff.critical_graph(0, 0)
         worst = max(
-            quaddiff.horizontality_residual(tr["path"], 0, 0)
+            horizontality_residual(tr["path"], 0, 0)
             for tr in g.trajectories if len(tr["path"]) > 10
         )
         assert worst < 1e-6
@@ -66,7 +66,7 @@ class TestTracing:
         def worst_at(h):
             monkeypatch.setattr(quaddiff, "H0", h)
             g = quaddiff.critical_graph(0, 0)
-            return max(quaddiff.horizontality_residual(tr["path"], 0, 0)
+            return max(horizontality_residual(tr["path"], 0, 0)
                        for tr in g.trajectories if len(tr["path"]) > 10)
 
         r1, r2 = worst_at(2e-3), worst_at(1e-3)

@@ -27,7 +27,7 @@ SCRIPT = textwrap.dedent("""
     assert quaddiff.classify_cloud(legs)[0] == "three-legs"
 
     bs = branching.sigma_points(3, cache_dir=sys.argv[1])
-    path = monodromy.standard_path(3, bs.rows[0], bs.cols[0], branch_set=bs)
+    path = monodromy.path_around_index(3, 0, branch_set=bs)
     assert monodromy.track_path(3, path).is_transposition() is not None
 
     rep = branching.compare_sets(np.array([0j, 1]), np.array([0.1j, 1 + 0.1j]))

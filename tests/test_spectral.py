@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from oracles import bivariate_at, eigs_poly_unseeded, gaussian_at
+from oracles import bivariate_at, eigs_poly_unseeded, gaussian_at, grid_degrees
 from qesquartic import rootfind, spectral
 from qesquartic.errors import TooClose
 from qesquartic.exactpoly import ExactPoly
@@ -81,17 +81,15 @@ class TestSpectralPolynomial:
         assert spectral_polynomial(2, 0) == ExactPoly([4, 0, 0, -1])
 
     def test_n2_symbolic(self):
-        biv = spectral_polynomial(2, None)
-        assert biv.x_degree == 3
-        assert biv.a_degree == 1
-        assert biv.grid == [[4], [0, 4], [], [-1]]
+        # the (x, a) grid is charpoly_bivariate's; spectral_polynomial takes
+        # only an exact a
+        assert charpoly_bivariate(2) == [[4], [0, 4], [], [-1]]
+        with pytest.raises(TypeError):
+            spectral_polynomial(2, None)
 
     def test_degrees(self):
         for n in (1, 2, 3, 4, 5, 8, 11):
-            biv = charpoly_bivariate(n)
-            assert biv.x_degree == n + 1
-            assert biv.total_degree == n + 1
-            assert biv.a_degree == (n + 1) // 2
+            assert grid_degrees(charpoly_bivariate(n)) == (n + 1, (n + 1) // 2, n + 1)
 
     def test_recurrence_equals_cofactor_oracle(self):
         rng = random.Random(41)
@@ -110,7 +108,7 @@ class TestSpectralPolynomial:
         # (u + iv)/q, q = 2^e, and the spectra's pairs are the grid's values
         # there times q^floor((n+1)/2)
         for n in range(1, 31):
-            grid = charpoly_bivariate(n).grid
+            grid = charpoly_bivariate(n)
             if not isinstance(a, complex):
                 assert spectral_polynomial(n, a).coeffs == bivariate_at(grid, a)
                 continue

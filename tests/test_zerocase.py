@@ -31,7 +31,7 @@ class TestPQRSequences:
             for tr in pqr_sequences(n):
                 for fam in (tr.P, tr.Q, tr.R):
                     assert fam.degree == tr.l
-                    assert fam.leading() == 1
+                    assert fam.num[-1] == fam.den
 
     def test_positive_coefficients(self):
         for n in (9, 12):
