@@ -134,20 +134,20 @@ def branch_cubic_coeffs_in_a(tau):
     tau = Fraction(tau)
     T = tau * (1 - tau)
     return [
-        ExactPoly([T * (27 * tau * tau - 27 * tau), 0, 0, -4 * T], "a"),
-        ExactPoly([0, -18 * T], "a"),
-        ExactPoly([0, 0, 1], "a"),
-        ExactPoly([4], "a"),
+        ExactPoly([T * (27 * tau * tau - 27 * tau), 0, 0, -4 * T]),
+        ExactPoly([0, -18 * T]),
+        ExactPoly([0, 0, 1]),
+        ExactPoly([4]),
     ]
 
 
 def endpoint_cubic_coeffs_in_a():
     """Exact endpoint cubic coefficients [c0(a), ..., c3(a)], ascending in L."""
     return [
-        ExactPoly([Fraction(-27, 16), 0, 0, -1], "a"),
-        ExactPoly([0, Fraction(-9, 2)], "a"),
-        ExactPoly([0, 0, 1], "a"),
-        ExactPoly([4], "a"),
+        ExactPoly([Fraction(-27, 16), 0, 0, -1]),
+        ExactPoly([0, Fraction(-9, 2)]),
+        ExactPoly([0, 0, 1]),
+        ExactPoly([4]),
     ]
 
 
@@ -343,7 +343,7 @@ def _refine_edges(b0, b1, a, tau):
     return 0.5 * (lo + hi)
 
 
-def union_support(a=0.0, tau_grid=None, tol=EQUIMODULAR_TOL) -> SupportSample:
+def union_support(a, tau_grid, tol=EQUIMODULAR_TOL) -> SupportSample:
     """Per-tau equimodular supports refined onto the actual curves.
 
     A coarse SUPPORT_GRID_SIZE-square raster of |Re beta|, |Im beta| <=
@@ -355,11 +355,6 @@ def union_support(a=0.0, tau_grid=None, tol=EQUIMODULAR_TOL) -> SupportSample:
     endpoint markers.
     """
     a = complex(a)
-    if tau_grid is None:
-        tau_grid = [k / 32 for k in range(1, 32)]
-        if 0.5 not in tau_grid:
-            tau_grid.append(0.5)
-        tau_grid.sort()
     R = 1.0 + 0.75 * max(1.0, abs(a)) ** 1.5
     side = np.linspace(-R, R, SUPPORT_GRID_SIZE)
     grid = side[:, None] + 1j * side[None, :]
@@ -423,7 +418,7 @@ def real_support_interval(a, refine_tol=1e-8):
     return lo, hi
 
 
-def recurrence_roots(tau, a=0.0, k_max=150) -> PointSet:
+def recurrence_roots(tau, k_max=150) -> PointSet:
     """Roots (in beta) of the k_max-th solution polynomial of the frozen
     recurrence with D^(-2)=D^(-1)=0, D^(0)=1, at a = 0.
 
@@ -431,21 +426,18 @@ def recurrence_roots(tau, a=0.0, k_max=150) -> PointSet:
     are computed through the cubic substitution from the exact polynomial at
     the rational value tau holds (a float tau is taken as the binary fraction
     it stores); this pins them onto the three rays instead of smearing them
-    with rounding noise.  a != 0 is refused: a float recurrence with
+    with rounding noise.  There is no a != 0 route: a float recurrence with
     ``np.roots`` lands a third to nine tenths of the largest root modulus
     off at k_max = 100..150.
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
-    a = complex(a)
-    if a != 0:
-        raise ValueError("recurrence_roots is computed at a = 0 only")
     if tau in (0, 1):
         pts = np.zeros(k_max, dtype=complex)
     else:
         pts = threefold_roots(_frozen_recurrence(tau, k_max))
     return PointSet(pts, label=f"recurrence roots tau={tau}",
-                    meta={"tau": tau, "a": [a.real, a.imag], "k_max": k_max})
+                    meta={"tau": tau, "k_max": k_max})
 
 
 def _frozen_recurrence(tau, k):

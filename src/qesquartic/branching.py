@@ -368,7 +368,7 @@ def sigma_polynomial(n: int, cache_dir=None) -> ExactPoly:
         return prim
 
     coeffs = cache.cached("sigma-poly", n, {}, compute, cache.IntPoly(D), cache_dir)
-    return ExactPoly.from_int_coeffs(coeffs, "a")
+    return ExactPoly.from_int_coeffs(coeffs)
 
 
 # ---------------------------------------------------------------------------

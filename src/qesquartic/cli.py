@@ -125,8 +125,8 @@ def _figure_figTau(emit, cache_dir, k_max=150, taus=(0.25, 0.5, 0.75)):
 
     for t in taus:
         emit(f"recurrence_roots_tau{str(t).replace('.', 'p')}.csv",
-             recurrence_roots(t, 0, k_max))
-    return [f"recurrence_roots({t}, 0, {k_max})" for t in taus]
+             recurrence_roots(t, k_max))
+    return [f"recurrence_roots({t}, {k_max})" for t in taus]
 
 
 def _tau_grid(count):

@@ -35,15 +35,14 @@ from .errors import DegreeCapExceeded, NotSquarefree
 class ExactPoly:
     """Dense polynomial num/den with integer numerators, ascending degree."""
 
-    __slots__ = ("num", "den", "var_name")
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs, var_name: str = "x"):
+    def __init__(self, coeffs):
         cs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
-        self._set([c.numerator * (den // c.denominator) for c in cs], den,
-                  var_name)
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
-    def _set(self, num, den, var_name):
+    def _set(self, num, den):
         """Store num/den in canonical form (num is trimmed in place)."""
         intpoly.trim(num)
         if len(num) > intpoly.DEGREE_CAP:
@@ -57,31 +56,31 @@ class ExactPoly:
             if g != 1:
                 num = [c // g for c in num]
                 den //= g
-        self.num, self.den, self.var_name = num, den, var_name
+        self.num, self.den = num, den
 
     @classmethod
-    def _make(cls, num, den, var_name):
+    def _make(cls, num, den):
         """The canonical ExactPoly num/den, built without Fractions."""
         p = cls.__new__(cls)
-        p._set(num, den, var_name)
+        p._set(num, den)
         return p
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, var_name="x"):
-        return cls([], var_name)
+    def zero(cls):
+        return cls([])
 
     @classmethod
-    def one(cls, var_name="x"):
-        return cls([1], var_name)
+    def one(cls):
+        return cls([1])
 
     @classmethod
-    def variable(cls, var_name="x"):
-        return cls([0, 1], var_name)
+    def variable(cls):
+        return cls([0, 1])
 
     @classmethod
-    def from_int_coeffs(cls, coeffs, var_name="x"):
-        return cls._make(list(coeffs), 1, var_name)
+    def from_int_coeffs(cls, coeffs):
+        return cls._make(list(coeffs), 1)
 
     # -- basic queries ------------------------------------------------
     @property
@@ -104,7 +103,7 @@ class ExactPoly:
 
     def __repr__(self):
         if not self.num:
-            return f"ExactPoly(0, {self.var_name!r})"
+            return "ExactPoly(0)"
         terms = []
         for k, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
@@ -112,9 +111,9 @@ class ExactPoly:
             if k == 0:
                 terms.append(f"{c}")
             elif k == 1:
-                terms.append(f"{c}*{self.var_name}")
+                terms.append(f"{c}*x")
             else:
-                terms.append(f"{c}*{self.var_name}^{k}")
+                terms.append(f"{c}*x^{k}")
         return "ExactPoly(" + " + ".join(terms) + ")"
 
     # -- arithmetic ---------------------------------------------------
@@ -124,7 +123,7 @@ class ExactPoly:
         den = math.lcm(self.den, other.den)
         return ExactPoly._make(op(intpoly.scale(self.num, den // self.den),
                                   intpoly.scale(other.num, den // other.den)),
-                               den, self.var_name)
+                               den)
 
     def __add__(self, other):
         return self._combine(other, intpoly.add)
@@ -133,16 +132,16 @@ class ExactPoly:
         return self._combine(other, intpoly.sub)
 
     def __neg__(self):
-        return ExactPoly._make(intpoly.neg(self.num), self.den, self.var_name)
+        return ExactPoly._make(intpoly.neg(self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
             return ExactPoly._make(intpoly.scale(self.num, other.numerator),
-                                   self.den * other.denominator, self.var_name)
+                                   self.den * other.denominator)
         other = self._coerce(other)
         return ExactPoly._make(intpoly.mul(self.num, other.num),
-                               self.den * other.den, self.var_name)
+                               self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -150,27 +149,27 @@ class ExactPoly:
         if isinstance(other, ExactPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return ExactPoly([other], self.var_name)
+            return ExactPoly([other])
         raise TypeError(f"cannot combine ExactPoly with {type(other)!r}")
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly._make(intpoly.deriv(self.num), self.den, self.var_name)
+        return ExactPoly._make(intpoly.deriv(self.num), self.den)
 
     def shift_up(self, k: int) -> "ExactPoly":
         """Multiply by x^k."""
-        return ExactPoly._make([0] * k + self.num, self.den, self.var_name)
+        return ExactPoly._make([0] * k + self.num, self.den)
 
     def compose_cube(self) -> "ExactPoly":
         """p(x) -> p(x^3)."""
         cs = [0] * (3 * len(self.num))
         cs[::3] = self.num
-        return ExactPoly._make(cs, self.den, self.var_name)
+        return ExactPoly._make(cs, self.den)
 
     def negate_variable(self) -> "ExactPoly":
         """p(x) -> p(-x)."""
         cs = list(self.num)
         cs[1::2] = intpoly.neg(cs[1::2])
-        return ExactPoly._make(cs, self.den, self.var_name)
+        return ExactPoly._make(cs, self.den)
 
     def __call__(self, x):
         """p(x): a Fraction at an int or Fraction x, complex otherwise."""
@@ -194,7 +193,7 @@ def exact_div(p: ExactPoly, q: ExactPoly) -> ExactPoly:
     iq, dq = q.num, q.den
     lc = iq[-1] ** max(len(ip) - len(iq) + 1, 0) if iq else 1
     quot = intpoly.div_exact(intpoly.scale(ip, lc), iq)
-    return ExactPoly._make(intpoly.scale(quot, dq), dp * lc, p.var_name)
+    return ExactPoly._make(intpoly.scale(quot, dq), dp * lc)
 
 
 def real_roots(p: ExactPoly, lo=None, hi=None):
@@ -212,12 +211,9 @@ def real_roots(p: ExactPoly, lo=None, hi=None):
     if len(g) > 1:
         raise NotSquarefree(
             "polynomial has a repeated factor",
-            gcd_factor=ExactPoly.from_int_coeffs(g, p.var_name),
+            gcd_factor=ExactPoly.from_int_coeffs(g),
         )
-    seq = intpoly.sturm_sequence(ip)
-    lo_f = None if lo is None else Fraction(lo)
-    hi_f = None if hi is None else Fraction(hi)
-    intervals = intpoly.isolate_real_roots(ip, lo_f, hi_f, seq=seq)
+    intervals = intpoly.isolate_real_roots(ip, lo, hi)
     return len(intervals), intervals
 
 

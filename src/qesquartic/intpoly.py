@@ -322,13 +322,12 @@ def root_bound(p) -> int:
     return 1 + (m + lc - 1) // lc + 1
 
 
-def isolate_real_roots(p, lo=None, hi=None, seq=None):
+def isolate_real_roots(p, lo=None, hi=None):
     """Disjoint rational intervals (a, b], one per distinct real root in (lo, hi].
 
     Sturm bisection: every interval is certified by exact counts.
     """
-    if seq is None:
-        seq = sturm_sequence(p)
+    seq = sturm_sequence(p)
     B = root_bound(p)
     lo = Fraction(-B) if lo is None else Fraction(lo)
     hi = Fraction(B) if hi is None else Fraction(hi)

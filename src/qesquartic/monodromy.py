@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branching import sigma_points
 from .errors import ClearanceViolation, CollisionUnresolved
 from .spectral import build_matrices, build_matrix
 
@@ -53,7 +52,7 @@ class MonodromyResult:
     permutation: tuple          # 0-based: start position p ends at permutation[p]
     min_gap: float
     frames: int
-    traces: np.ndarray | None = None
+    traces: np.ndarray          # (frames, n+1): the spectrum along the path
 
     def one_line(self):
         """1-based one-line notation."""
@@ -81,10 +80,10 @@ def kac_matrix(n: int, a=1.0) -> np.ndarray:
     return M
 
 
-def path_around_index(n: int, idx: int, bump=None,
-                      cache_dir=None, branch_set=None):
-    """Vertical hook t -> a(t) around the idx-th branching point (sorted
-    order), taking an array (or a scalar) of t.
+def path_around_index(n: int, idx: int, branch_set, bump=None):
+    """Vertical hook t -> a(t) around the idx-th point of ``branch_set``, the
+    branching set of the same n (sorted order), taking an array (or a
+    scalar) of t.
 
     The base point is B = 2 max|branch points| + 1.  With near the distance
     to the nearest other branching point, the circle radius is 0.3 near and
@@ -92,10 +91,12 @@ def path_around_index(n: int, idx: int, bump=None,
     hooks around real branching points get their horizontal run bumped off
     the axis by ``bump`` (default min(near/2, 0.35)).  Each failed try
     shrinks radius, bump and clearance by 0.6; raises ClearanceViolation if
-    no shrink keeps the path clear.
+    no shrink keeps the path clear, and ValueError if ``branch_set`` belongs
+    to another n.
     """
-    bs = branch_set if branch_set is not None else sigma_points(n, cache_dir=cache_dir)
-    pts = bs.points.points
+    if n != branch_set.n:
+        raise ValueError(f"branching set of n={branch_set.n} given for n={n}")
+    pts = branch_set.points.points
     sigma = complex(pts[idx])
     others = np.delete(pts, idx)
     B = 2.0 * float(np.abs(pts).max()) + 1.0
@@ -154,12 +155,10 @@ def _path_min_distance(path, pts):
     return float(np.abs(zs[:, None] - pts[None, :]).min())
 
 
-def circle_path(center, radius_or_start, full_turns=1):
-    """a(t) = center + R e^(2 pi i t); R from a scalar or a start point."""
-    center = complex(center)
-    R = float(abs(radius_or_start)) if not isinstance(radius_or_start, complex) \
-        else abs(radius_or_start - center)
-    return lambda t: center + R * np.exp(2j * np.pi * t * full_turns)
+def circle_path(center, radius):
+    """a(t) = center + radius e^(2 pi i t)."""
+    center, radius = complex(center), float(radius)
+    return lambda t: center + radius * np.exp(2j * np.pi * t)
 
 
 def _nearest(L, R):
@@ -209,8 +208,7 @@ def _spectra(n, ts, path):
                            for s in _batches(len(ts), n + 1)])
 
 
-def track_path(n: int, path, steps: int = 256,
-               keep_traces: bool = False) -> MonodromyResult:
+def track_path(n: int, path, steps: int = 256) -> MonodromyResult:
     """Track all eigenvalues around a closed path; the end-to-start matching
     expressed against the ascending-real order of the spectrum at the base.
 
@@ -291,7 +289,7 @@ def track_path(n: int, path, steps: int = 256,
         raise CollisionUnresolved(f"trace closure failed: {closure:.2e}")
     return MonodromyResult(permutation=tuple(int(c) for c in ci[0]),
                            min_gap=float(gap.min()), frames=len(traces),
-                           traces=traces if keep_traces else None)
+                           traces=traces)
 
 
 def kac_limit_check(n: int, a) -> dict:

@@ -52,11 +52,11 @@ class TrajectoryGraph:
                 edges.add(tuple(sorted((tr["from"], tr["to"]))))
         return sorted(edges)
 
-    def to_csv(self, stride: int = 1) -> str:
+    def to_csv(self) -> str:
         """Polyline CSV: one row per vertex, keyed by trajectory id."""
         lines = ["trajectory,re,im"]
         for k, tr in enumerate(self.trajectories):
-            for z in tr["path"][::max(1, stride)]:
+            for z in tr["path"]:
                 lines.append(f"{k},{float(z.real)!r},{float(z.imag)!r}")
         return "\n".join(lines) + "\n"
 

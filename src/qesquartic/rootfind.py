@@ -367,7 +367,7 @@ def _double_stage(man, exp, starts, max_sweeps, tol):
     return (z if np.isfinite(z).all() else starts), active
 
 
-def aberth_roots(coeffs, init=None, check_sum=True):
+def aberth_roots(coeffs, init=None):
     """All roots of sum coeffs[k] z^k (ascending; exact, mp or (re, im) pairs).
 
     ``init``, when given, holds d finite starting points (ValueError
@@ -381,8 +381,9 @@ def aberth_roots(coeffs, init=None, check_sum=True):
     starts if any is not finite) and stop once all roots are frozen; a
     root's inclusion radius comes from the sweep that froze it.  Returns a
     complex ndarray of the d roots.  Raises NonConvergence when the final
-    sweep still moves by more than sqrt(tol) at root scale, when the exact
-    sum-of-roots identity fails beyond tolerance, or when the Newton
+    sweep still moves by more than sqrt(tol) at root scale, when the
+    sum-of-roots identity fails beyond tolerance (checked when the top two
+    coefficients are int or Fraction), or when the Newton
     inclusion disks of the returned roots are not pairwise disjoint.
     """
     tol = 1e-15
@@ -436,7 +437,7 @@ def aberth_roots(coeffs, init=None, check_sum=True):
         raise NonConvergence(
             f"Aberth stalled with max step {last_step:.2e} at root scale"
         )
-    if check_sum and _is_exact(coeffs[d]) and _is_exact(coeffs[d - 1]):
+    if _is_exact(coeffs[d]) and _is_exact(coeffs[d - 1]):
         expected = -Fraction(coeffs[d - 1]) / Fraction(coeffs[d])
         got = complex(roots.sum())
         err = abs(got - complex(expected)) / (1 + d * s)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import cache, intpoly, rootfind
-from .errors import NonConvergence, StructureViolation, TooClose
+from .errors import NonConvergence, TooClose
 from .exactpoly import ExactPoly
 from .pointset import PointSet, sort_points
 
@@ -99,7 +99,7 @@ def spectral_polynomial(n: int, a):
         raise ValueError("n must be >= 1")
     if isinstance(a, (int, Fraction)):
         u, q = a.as_integer_ratio()
-        return ExactPoly._make(_charpoly_at(n, u, 0, q)[0], q ** ((n + 1) // 2), "lambda")
+        return ExactPoly._make(_charpoly_at(n, u, 0, q)[0], q ** ((n + 1) // 2))
     raise TypeError("a must be an exact rational")
 
 
@@ -140,21 +140,6 @@ def charpoly_coeffs_mp(n: int, a):
     wraps it by this name; ROADMAP item 5's in-package spans rename it."""
     u, v, e = rootfind._exact_point(a)
     return list(zip(*_charpoly_at(n, u, v, 1 << e)))
-
-
-def zero_a_structure(n: int):
-    """(r, q_int) with det(M - x I)|_{a=0} = (-1)^(n+1) x^r q(x^3), q monic.
-
-    The integer list q_int is ascending in xi = x^3; raises StructureViolation
-    if any coefficient sits outside the x^(3j+r) support, r = (n+1) mod 3.
-    """
-    r, g = intpoly.split_cube(spectral_polynomial(n, 0).num)
-    if r != (n + 1) % 3:
-        raise StructureViolation(
-            f"lowest degree {r} for n={n} (expected {(n + 1) % 3} mod 3)"
-        )
-    sign = (-1) ** (n + 1)
-    return r, [sign * c for c in g]
 
 
 def _eigs_dense(n, a):
@@ -225,7 +210,7 @@ def _eigs_poly_general(n, a):
     if a == 0:
         return rootfind.threefold_roots(spectral_polynomial(n, 0).num,
                                         init=_seeds(_cube_seed_matrix(n), (n + 1) // 3))
-    return rootfind.aberth_roots(charpoly_coeffs_mp(n, a), check_sum=False,
+    return rootfind.aberth_roots(charpoly_coeffs_mp(n, a),
                                  init=_seeds(_seed_matrix(n, a), n + 1))
 
 
@@ -264,11 +249,9 @@ def eigenvalues(n: int, a=0.0, cache_dir=None) -> PointSet:
 def scaled_spectrum(n: int, a=0.0, rule="const", cache_dir=None) -> PointSet:
     """Eigenvalues of M at a_n, divided by n^(4/3).
 
-    rule: "const" (a_n = a), "n23" (a_n = a n^(2/3)), or a callable n -> a_n.
+    rule: "const" (a_n = a) or "n23" (a_n = a n^(2/3)).
     """
-    if callable(rule):
-        an = complex(rule(n))
-    elif rule == "const":
+    if rule == "const":
         an = complex(a)
     elif rule == "n23":
         an = complex(a) * n ** (2.0 / 3.0)
@@ -277,7 +260,7 @@ def scaled_spectrum(n: int, a=0.0, rule="const", cache_dir=None) -> PointSet:
     ps = eigenvalues(n, an, cache_dir=cache_dir)
     factor = n ** (4.0 / 3.0)
     out = ps.scaled(factor, label=f"scaled spectrum n={n}")
-    out.meta = {"n": n, "a_n": [an.real, an.imag], "rule": rule if isinstance(rule, str) else "callable",
+    out.meta = {"n": n, "a_n": [an.real, an.imag], "rule": rule,
                 "a": [complex(a).real, complex(a).imag], "scaling": "n^(4/3)"}
     return out
 

@@ -86,7 +86,7 @@ def yv_generate(N: int) -> YVSequence:
         raise ValueError("N must be >= 0")
     coeffs = _yv_int_coeffs(max(N, 1))
     return YVSequence(
-        [ExactPoly.from_int_coeffs(list(c), "t") for c in coeffs[: N + 1]]
+        [ExactPoly.from_int_coeffs(list(c)) for c in coeffs[: N + 1]]
     )
 
 

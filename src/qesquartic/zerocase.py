@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import intpoly
 from .errors import MultipleRoot, StructureViolation
 from .exactpoly import ExactPoly
-from .spectral import spectral_polynomial, zero_a_structure
+from .spectral import spectral_polynomial
 
 
 @dataclass
@@ -46,9 +46,9 @@ def pqr_sequences(n: int):
         raise ValueError("n must be >= 3 for a nontrivial triple recurrence")
     P, Q, R = [1], [1], [1]
     out = [PQRTriple(n, 0,
-                     ExactPoly.from_int_coeffs(P, "xi"),
-                     ExactPoly.from_int_coeffs(Q, "xi"),
-                     ExactPoly.from_int_coeffs(R, "xi"))]
+                     ExactPoly.from_int_coeffs(P),
+                     ExactPoly.from_int_coeffs(Q),
+                     ExactPoly.from_int_coeffs(R))]
     for l in range(1, n // 3 + 1):
         cP = (n - 3 * l + 2) * (n - 3 * l + 3) * (3 * l - 2) * (3 * l - 1)
         cQ = (n - 3 * l + 1) * (n - 3 * l + 2) * (3 * l - 1) * (3 * l)
@@ -58,25 +58,30 @@ def pqr_sequences(n: int):
         Rn = intpoly.add(Qn, intpoly.scale(R, cR))
         P, Q, R = Pn, Qn, Rn
         out.append(PQRTriple(n, l,
-                             ExactPoly.from_int_coeffs(P, "xi"),
-                             ExactPoly.from_int_coeffs(Q, "xi"),
-                             ExactPoly.from_int_coeffs(R, "xi")))
+                             ExactPoly.from_int_coeffs(P),
+                             ExactPoly.from_int_coeffs(Q),
+                             ExactPoly.from_int_coeffs(R)))
     return out
 
 
 def factor_structure(n: int):
     """(r, q) with det(M - x I)|_{a=0} = (-1)^(n+1) x^r q(x^3) and q monic.
 
-    r is 0, 1, 2 according to n+1 = 3k, 3k+1, 3k+2; the identity is verified
-    exactly against the recurrence-built characteristic polynomial, and a
-    StructureViolation is raised if any coefficient escapes the x^(3j+r)
-    support.
+    r is 0, 1, 2 according to n+1 = 3k, 3k+1, 3k+2; q is ascending in
+    xi = x^3.  A StructureViolation is raised if any coefficient of the
+    recurrence-built characteristic polynomial escapes the x^(3j+r) support,
+    if its lowest degree is not (n+1) mod 3, or if the identity does not
+    rebuild it exactly.
     """
-    r, q_int = zero_a_structure(n)
-    q = ExactPoly.from_int_coeffs(q_int, "xi")
-    # exact reconstruction check
-    rebuilt = q.compose_cube().shift_up(r) * ((-1) ** (n + 1))
-    if rebuilt != spectral_polynomial(n, 0):
+    p = spectral_polynomial(n, 0)
+    r, g = intpoly.split_cube(p.num)
+    if r != (n + 1) % 3:
+        raise StructureViolation(
+            f"lowest degree {r} for n={n} (expected {(n + 1) % 3} mod 3)"
+        )
+    sign = (-1) ** (n + 1)
+    q = ExactPoly.from_int_coeffs([sign * c for c in g])
+    if q.compose_cube().shift_up(r) * sign != p:
         raise StructureViolation(f"reconstruction failed for n={n}")
     return r, q
 
@@ -90,9 +95,9 @@ def pqr_matches_factor(n: int) -> bool:
     r, q = factor_structure(n)
     k = (n + 1) // 3
     if k == 0:
-        return q == ExactPoly.one("xi")
+        return q == ExactPoly.one()
     if n == 2:  # P_1 = xi + 2n^2 - 2n, below the n >= 3 triple range
-        return q == ExactPoly.from_int_coeffs([2 * n * n - 2 * n, 1], "xi") \
+        return q == ExactPoly.from_int_coeffs([2 * n * n - 2 * n, 1]) \
             .negate_variable() * (-1)
     triples = pqr_sequences(n)
     fam = {0: "P", 1: "Q", 2: "R"}[r]
@@ -103,7 +108,7 @@ def pqr_matches_factor(n: int) -> bool:
         assert r == 0 and k == n // 3 + 1
         prev = triples[k - 1]
         cP = (n - 3 * k + 2) * (n - 3 * k + 3) * (3 * k - 2) * (3 * k - 1)
-        F = _xi_times(prev.R) + prev.P * cP
+        F = prev.R.shift_up(1) + prev.P * cP
     return q == F.negate_variable() * ((-1) ** k)
 
 
@@ -185,16 +190,12 @@ def certify_all(n: int):
             # sits in xi*R_{l-1}, then P_l, then Q_l respectively.  At the
             # top depth a recurrence coefficient can vanish, leaving the two
             # polynomials identical; that degenerate step is recorded as such.
-            entry["xiR_P"] = _arrow(_xi_times(prev.R), t.P)
+            entry["xiR_P"] = _arrow(prev.R.shift_up(1), t.P)
             entry["P_Q"] = _arrow(t.P, t.Q)
             entry["Q_R"] = _arrow(t.Q, t.R)
             rec["pqr"].append(entry)
     rec["seconds"] = round(time.perf_counter() - t0, 3)
     return rec
-
-
-def _xi_times(p: ExactPoly) -> ExactPoly:
-    return p.shift_up(1)
 
 
 def _arrow(p: ExactPoly, q: ExactPoly) -> str:

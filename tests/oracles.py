@@ -300,7 +300,7 @@ def track_path_lsa(n, func, steps=256, refine_factor=0.3, max_frames=200_000):
 # frame-by-frame tracking
 # ---------------------------------------------------------------------------
 
-def track_path_sequential(n, func, steps=256, keep_traces=False):
+def track_path_sequential(n, func, steps=256):
     """Nearest-neighbour tracking one frame at a time, halving a step in
     place and walking on: (permutation, frames, min_gap, traces).  The
     step rule is the package's (0.3 gaps, 1e-13 tiny motion, 1e-12 floor,
@@ -341,8 +341,7 @@ def track_path_sequential(n, func, steps=256, keep_traces=False):
     ci, closure, is_perm = nearest(np.abs(start[:, None] - cur[None, :]))
     if closure > 1e-6 * (1 + float(np.abs(start).max())) or not is_perm:
         raise CollisionUnresolved(f"trace closure failed: {closure:.2e}")
-    return (tuple(int(c) for c in ci), len(traces), min_gap,
-            np.array(traces) if keep_traces else None)
+    return tuple(int(c) for c in ci), len(traces), min_gap, np.array(traces)
 
 
 # ---------------------------------------------------------------------------
@@ -535,4 +534,4 @@ def eigs_poly_unseeded(n, a):
     """The charpoly roots at complex a from Newton-polygon starts, on the
     grid's mpc coefficients at 40 + 0.6 n digits."""
     cs = charpoly_coeffs_grid_mp(n, a, dps=40 + int(0.6 * n))
-    return aberth_roots(cs, check_sum=False)
+    return aberth_roots(cs)

@@ -7,14 +7,12 @@ derived in the test from the second Painleve equation.  At n=40 the
 measured ratio is 0.9440, inside the 10% band; the gap closes like
 ~n^(-0.78).
 
-Environment knobs:
-  QESQ_ACCEPT_N40=1   extend the branching-suite degree checks to n=40
-                      (tens of minutes)
+The sizes are `verify.FULL`, the ones `qesquartic verify` runs.
 """
 
-import os
-
 from qesquartic import verify, yv
+
+FULL = verify.FULL
 
 
 def _report(rec):
@@ -25,23 +23,22 @@ def _report(rec):
 
 
 def test_criterion_01_exact_structure():
-    ok, line = _report(verify.criterion_exact_structure(n_max=60))
+    ok, line = _report(verify.criterion_exact_structure(FULL["exact-structure"]))
     assert ok, line
 
 
 def test_criterion_02_oracle_equivalence():
-    ok, line = _report(verify.criterion_oracle_equivalence(n_max=12, trials=20))
+    ok, line = _report(verify.criterion_oracle_equivalence())
     assert ok, line
 
 
 def test_criterion_03_scaling_limit():
-    ok, line = _report(verify.criterion_scaling_limit((50, 100, 200)))
+    ok, line = _report(verify.criterion_scaling_limit(FULL["scaling-limit"]))
     assert ok, line
 
 
 def test_criterion_04_cauchy_consistency():
-    ok, line = _report(verify.criterion_cauchy_consistency(n=200, n_points=10,
-                                                           radius=2.0, tol=1e-2))
+    ok, line = _report(verify.criterion_cauchy_consistency())
     assert ok, line
 
 
@@ -51,29 +48,28 @@ def test_criterion_05_branch_endpoint_algebra():
 
 
 def test_criterion_06_real_interval():
-    ok, line = _report(verify.criterion_real_interval((1.9, 2.5, 3.0),
-                                                      tau_samples=1000,
-                                                      tol=1e-6))
+    ok, line = _report(verify.criterion_real_interval())
     assert ok, line
 
 
 def test_criterion_07_yv_exact_parts():
     """Divisibility, degrees, fixed members, Painleve residual (attainable)."""
-    seq = yv.yv_generate(40)
-    for n in range(41):
+    n_max = FULL["yv-exact"]
+    seq = yv.yv_generate(n_max)
+    for n in range(n_max + 1):
         assert seq[n].degree == n * (n + 1) // 2
     assert [int(c) for c in seq[2].coeffs] == [4, 0, 0, 1]
     assert [int(c) for c in seq[3].coeffs] == [-80, 0, 0, 20, 0, 0, 1]
     worst = 0.0
     for n in range(1, 11):
         worst = max(worst, yv.painleve_residual(n, 0.8 + 0.07 * n))
-    print(f"[PASS] yv-exact-parts: divisibility+degrees n<=40, "
+    print(f"[PASS] yv-exact-parts: divisibility+degrees n<={n_max}, "
           f"worst ODE residual {worst:.2e}")
     assert worst < 1e-6
 
 
 def test_criterion_07_yv_scaling_band():
-    """The 10% band at n=40 around the corner limit of the zero triangle.
+    """The 10% band around the corner limit of the zero triangle.
 
     u = YV_{n-1}'/YV_{n-1} - YV_n'/YV_n solves u'' = 2u^3 + tu + n; with
     t = n^(2/3) y and u = n^(1/3) U the leading balance is 2U^3 + yU + 1 = 0,
@@ -81,48 +77,47 @@ def test_criterion_07_yv_scaling_band():
     max|zeros_n|/n^(2/3) -> (27/2)^(1/3) ~ 2.3811; measured 0.9440 of it at
     n=40.  The limit is written here, not read from the package.
     """
+    n = FULL["yv-scaling-band"]
     corner = (27 / 2) ** (1 / 3)
-    ratio = yv.yv_zeros(40).max_modulus() / (corner * 40 ** (2 / 3))
+    ratio = yv.yv_zeros(n).max_modulus() / (corner * n ** (2 / 3))
     status = "PASS" if abs(ratio - 1.0) < 0.10 else "FAIL"
-    print(f"[{status}] yv-scaling-band: max|zeros_40|/((27/2)^(1/3) 40^(2/3)) "
-          f"= {ratio:.4f}, required within 0.10 of 1")
+    print(f"[{status}] yv-scaling-band: max|zeros_{n}|/((27/2)^(1/3) "
+          f"{n}^(2/3)) = {ratio:.4f}, required within 0.10 of 1")
     assert abs(ratio - 1.0) < 0.10, (
         f"measured {ratio:.4f} (i.e. {abs(ratio - 1) * 100:.1f}% off) against "
-        "the corner limit (27/2)^(1/3) 40^(2/3) from 2U^3 + yU + 1 = 0; "
-        "expected 0.9440 (5.6% short, the gap closing like ~n^(-0.78))"
+        f"the corner limit (27/2)^(1/3) {n}^(2/3) from 2U^3 + yU + 1 = 0; "
+        "expected 0.9440 at n = 40 (5.6% short, the gap closing like "
+        "~n^(-0.78))"
     )
 
 
 def test_criterion_08_branching_suite():
-    ns = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 20]
-    if os.environ.get("QESQ_ACCEPT_N40") == "1":
-        ns.append(40)
-    ok, line = _report(verify.criterion_sigma(tuple(ns)))
+    ok, line = _report(verify.criterion_sigma(FULL["sigma-suite"]))
     assert ok, line
 
 
 def test_criterion_09_triangle_comparison():
-    ok, line = _report(verify.criterion_fig2_trend((10, 20)))
+    ok, line = _report(verify.criterion_fig2_trend(FULL["fig2-trend"]))
     assert ok, line
 
 
 def test_criterion_10_monodromy_suite():
-    ok, line = _report(verify.criterion_monodromy(n_paths_max=6))
+    ok, line = _report(verify.criterion_monodromy(FULL["monodromy-suite"]))
     assert ok, line
 
 
 def test_criterion_11_topology():
-    ok, line = _report(verify.criterion_topology(n_probe=200))
+    ok, line = _report(verify.criterion_topology(FULL["topology-classification"]))
     assert ok, line
 
 
-def test_criterion_12_determinism(tmp_path):
-    ok, line = _report(verify.criterion_determinism(str(tmp_path)))
+def test_criterion_12_determinism():
+    ok, line = _report(verify.criterion_determinism())
     assert ok, line
 
 
 def test_criterion_12_determinism_cleans_up(tmp_path, monkeypatch):
-    # `verify all` calls the criterion without a directory of its own
+    # the criterion works in a temporary directory and removes it
     import tempfile
 
     scratch = tmp_path / "tmp"

@@ -279,12 +279,12 @@ class TestUnionSupport:
 
 class TestRecurrenceRoots:
     def test_tau_zero(self):
-        ps = bkw.recurrence_roots(0.0, 0, 10)
+        ps = bkw.recurrence_roots(0.0, 10)
         assert len(ps.points) == 10
         assert np.abs(ps.points).max() == 0
 
     def test_rays_and_radius(self):
-        ps = bkw.recurrence_roots(0.5, 0, 90)
+        ps = bkw.recurrence_roots(0.5, 90)
         pts = ps.points
         args = np.angle(pts[np.abs(pts) > 1e-10])
         k = np.round(args / (2 * np.pi / 3))
@@ -292,23 +292,19 @@ class TestRecurrenceRoots:
         assert np.abs(pts).max() < 0.75 + 1e-3
 
     def test_tau_quarter_radius(self):
-        ps = bkw.recurrence_roots(0.25, 0, 120)
+        ps = bkw.recurrence_roots(0.25, 120)
         limit = (27 / 4 * (0.25 * 0.75) ** 2) ** (1 / 3)
         assert np.abs(ps.points).max() < limit + 1e-3
         assert np.abs(ps.points).max() > limit - 0.05
 
-    def test_nonzero_parameter_refused(self):
-        with pytest.raises(ValueError):
-            bkw.recurrence_roots(0.5, 1j, 50)
-
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
-            bkw.recurrence_roots(0.5, 0, 2)
+            bkw.recurrence_roots(0.5, 2)
 
     def test_non_dyadic_float_tau_is_exact(self):
         # a float tau is the binary fraction it stores; its roots are those
         # of the exact polynomial at that rational, not of a float recurrence
-        got = bkw.recurrence_roots(0.1, 0, 150).points
+        got = bkw.recurrence_roots(0.1, 150).points
         want = threefold_roots(frozen_recurrence_fraction(Fraction(0.1), 150))
         dev = max(np.abs(want - z).min() for z in got)
         assert dev < 1e-12 * np.abs(want).max()

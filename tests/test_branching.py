@@ -20,12 +20,12 @@ from oracles import (assignment_cost_lsa, charpoly_coeffs_grid_mp, grid_derivati
 class TestSigmaPolynomial:
     def test_n1(self, tmp_cache):
         p = branching.sigma_polynomial(1, cache_dir=tmp_cache)
-        assert p == ExactPoly([0, 1], "a")
+        assert p == ExactPoly([0, 1])
 
     def test_n2(self, tmp_cache):
         # primitive part of the discriminant of -x^3 + 4ax + 4
         p = branching.sigma_polynomial(2, cache_dir=tmp_cache)
-        assert p == ExactPoly([-27, 0, 0, 16], "a")
+        assert p == ExactPoly([-27, 0, 0, 16])
 
     @pytest.mark.parametrize("n", [3, 5, 8, 10])
     def test_degree(self, n, tmp_cache):
@@ -360,7 +360,7 @@ def test_indexing_failure_is_lazy():
     from qesquartic.pointset import PointSet
 
     bs = branching.BranchSet(
-        n=3, disc_poly=ExactPoly([0, 1], "a"),
+        n=3, disc_poly=ExactPoly([0, 1]),
         points=PointSet(np.array([0j])), indexing_error="bands merged",
     )
     assert len(bs.points.points) == 1

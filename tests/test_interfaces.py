@@ -32,7 +32,7 @@ class TestSupportSampleExport:
 class TestTrajectoryCsv:
     def test_polyline_csv(self):
         g = quaddiff.critical_graph(0, 5 + 5j)
-        text = g.to_csv(stride=40)
+        text = g.to_csv()
         lines = text.splitlines()
         assert lines[0] == "trajectory,re,im"
         assert len(lines) > 10

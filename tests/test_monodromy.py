@@ -139,6 +139,11 @@ class TestStandardPaths:
         assert monodromy.track_path(3, p1).permutation == \
             monodromy.track_path(3, p2).permutation
 
+    def test_branch_set_of_another_n_refused(self, tmp_cache):
+        bs = sigma_points(3, cache_dir=tmp_cache)
+        with pytest.raises(ValueError, match="n=3 given for n=4"):
+            monodromy.path_around_index(4, 0, branch_set=bs)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_paths_give_column_transpositions(self, n, tmp_cache):
         bs = sigma_points(n, cache_dir=tmp_cache)

@@ -253,12 +253,12 @@ def test_useless_seeds_restart_from_the_newton_polygon(monkeypatch):
     M[i, i + 1] /= r
     M[i[:-1], i[:-1] + 2] /= r[:-1] * r[1:]
     coeffs = spectral.charpoly_coeffs_mp(n, a)
-    want = rootfind.aberth_roots(coeffs, check_sum=False)
+    want = rootfind.aberth_roots(coeffs)
     stages = []
     double_stage = rootfind._double_stage
     monkeypatch.setattr(rootfind, "_double_stage",
                         lambda *args: stages.append(1) or double_stage(*args))
-    got = rootfind.aberth_roots(coeffs, init=np.linalg.eigvals(M), check_sum=False)
+    got = rootfind.aberth_roots(coeffs, init=np.linalg.eigvals(M))
     assert len(stages) == 2
     D = np.abs(got[:, None] - want[None, :])
     assert D[linear_sum_assignment(D)].max() <= 1e-12 * np.abs(want).max()

@@ -19,9 +19,9 @@ from qesquartic.spectral import (
     eigenvalues,
     scaled_spectrum,
     spectral_polynomial,
-    zero_a_structure,
 )
 from qesquartic.verify import charpoly_cofactor
+from qesquartic.zerocase import factor_structure
 
 
 def multiset_dev(a, b):
@@ -233,15 +233,14 @@ class TestDenseSeed:
         seen = []
         aberth = rootfind.aberth_roots
 
-        def spy(coeffs, init=None, check_sum=True):
+        def spy(coeffs, init=None):
             seen.append(init)
-            return aberth(coeffs, init=init, check_sum=check_sum)
+            return aberth(coeffs, init=init)
 
         # the same exact coefficients from Newton-polygon starts, bit for bit;
         # at a = 0 those of the cubic factor
         n, a = 12, 1.5 - 0.5j
-        refs = [rootfind.aberth_roots(spectral.charpoly_coeffs_mp(n, a),
-                                      check_sum=False),
+        refs = [rootfind.aberth_roots(spectral.charpoly_coeffs_mp(n, a)),
                 rootfind.threefold_roots(spectral_polynomial(n, 0).num)]
         monkeypatch.setattr(spectral.np.linalg, "eigvals", broken)
         monkeypatch.setattr(spectral.rootfind, "aberth_roots", spy)
@@ -269,17 +268,18 @@ class TestDenseSeed:
 
 
 class TestZeroAStructure:
+    # the a = 0 spectral polynomial splits as x^r q(x^3)
     def test_n2(self):
-        r, q = zero_a_structure(2)
-        assert (r, q) == (0, [-4, 1])
+        r, q = factor_structure(2)
+        assert (r, list(q.coeffs)) == (0, [-4, 1])
 
     def test_n1(self):
-        r, q = zero_a_structure(1)
-        assert r == 2 and q == [1]
+        r, q = factor_structure(1)
+        assert r == 2 and list(q.coeffs) == [1]
 
     def test_n3(self):
-        r, q = zero_a_structure(3)
-        assert r == 1 and len(q) - 1 == 1
+        r, q = factor_structure(3)
+        assert r == 1 and len(q.coeffs) - 1 == 1
 
 
 class TestScaledSpectrum:
@@ -296,8 +296,8 @@ class TestScaledSpectrum:
     def test_rules(self):
         p1 = scaled_spectrum(10, 2.0, rule="const")
         p2 = scaled_spectrum(10, 2.0, rule="n23")
-        p3 = scaled_spectrum(10, rule=lambda n: 2.0 * n ** (2 / 3))
-        assert multiset_dev(p2.points, p3.points) < 1e-12
+        direct = eigenvalues(10, 2.0 * 10 ** (2 / 3)).points / 10 ** (4 / 3)
+        assert multiset_dev(p2.points, direct) < 1e-12
         assert multiset_dev(p1.points, p2.points) > 1e-3
 
 

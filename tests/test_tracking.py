@@ -19,9 +19,8 @@ def _outcome(track):
 
 
 def assert_matches_walk(n, path, steps=256):
-    got = _outcome(lambda: monodromy.track_path(n, path, steps=steps,
-                                                keep_traces=True))
-    want = _outcome(lambda: track_path_sequential(n, path, steps, True))
+    got = _outcome(lambda: monodromy.track_path(n, path, steps=steps))
+    want = _outcome(lambda: track_path_sequential(n, path, steps))
     if isinstance(want, str):
         assert got == want
         return

@@ -13,11 +13,11 @@ from oracles import yv_tform
 class TestGeneration:
     def test_low_members(self):
         seq = yv.yv_generate(4)
-        assert seq[0] == ExactPoly([1], "t")
-        assert seq[1] == ExactPoly([0, 1], "t")
-        assert seq[2] == ExactPoly([4, 0, 0, 1], "t")
-        assert seq[3] == ExactPoly([-80, 0, 0, 20, 0, 0, 1], "t")
-        assert seq[4] == ExactPoly([0, 11200, 0, 0, 0, 0, 0, 60, 0, 0, 1], "t")
+        assert seq[0] == ExactPoly([1])
+        assert seq[1] == ExactPoly([0, 1])
+        assert seq[2] == ExactPoly([4, 0, 0, 1])
+        assert seq[3] == ExactPoly([-80, 0, 0, 20, 0, 0, 1])
+        assert seq[4] == ExactPoly([0, 11200, 0, 0, 0, 0, 0, 60, 0, 0, 1])
 
     def test_degrees_and_divisibility(self):
         # generation itself enforces exact divisibility at every step

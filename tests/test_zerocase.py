@@ -15,7 +15,7 @@ from qesquartic.zerocase import (
 
 
 def xi_poly(*coeffs):
-    return ExactPoly(list(coeffs), "xi")
+    return ExactPoly(list(coeffs))
 
 
 class TestPQRSequences:
@@ -51,7 +51,7 @@ class TestFactorStructure:
     def test_n1(self):
         r, q = factor_structure(1)
         assert r == 2
-        assert q == ExactPoly.one("xi")
+        assert q == ExactPoly.one()
 
     def test_n3(self):
         r, q = factor_structure(3)
