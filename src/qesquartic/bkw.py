@@ -57,9 +57,7 @@ class SupportSample:
     endpoints: dict = field(default_factory=dict)  # tau -> 3 branch points
 
     def union_points(self) -> PointSet:
-        return PointSet(self.union, label="union support",
-                        meta={"a": [self.a.real, self.a.imag],
-                              "tau_count": len(self.tau_grid)})
+        return PointSet(self.union)
 
     def to_json_dict(self) -> dict:
         """{a, tau_grid, legs (chained polylines per tau), endpoints}."""
@@ -436,8 +434,7 @@ def recurrence_roots(tau, k_max=150) -> PointSet:
         pts = np.zeros(k_max, dtype=complex)
     else:
         pts = threefold_roots(_frozen_recurrence(tau, k_max))
-    return PointSet(pts, label=f"recurrence roots tau={tau}",
-                    meta={"tau": tau, "k_max": k_max})
+    return PointSet(pts)
 
 
 def _frozen_recurrence(tau, k):

@@ -49,10 +49,9 @@ SCALE_CONSTANT = (27 / 4) ** (1 / 3)   # equals 3/4^(1/3)
 
 @dataclass
 class BranchSet:
-    """Branching points of one n: the exact polynomial plus numeric roots."""
+    """Branching points of one n: the numeric roots and their grid indices."""
 
     n: int
-    disc_poly: ExactPoly
     points: PointSet
     rows: list = field(default_factory=list)      # per-point row index (1-based)
     cols: list = field(default_factory=list)      # per-point column index (1-based)
@@ -421,20 +420,18 @@ def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
     n); the points themselves are always returned, and the indexing failure
     is carried on the result for callers that actually need the grid.
     """
-    poly = sigma_polynomial(n, cache_dir=cache_dir)
-    ip = poly.num
+    ip = sigma_polynomial(n, cache_dir=cache_dir).num
     init = None
     if near is not None:
         _, g = intpoly.split_cube(ip)
         init = _yv_seeds(near, len(g) - 1)
     pts = sort_points(rootfind.threefold_roots(ip, init=init))
-    ps = PointSet(pts, label=f"branching points n={n}", meta={"n": n})
+    ps = PointSet(pts)
     try:
         rows, cols = _grid_index(n, pts)
-        return BranchSet(n=n, disc_poly=poly, points=ps, rows=rows, cols=cols)
+        return BranchSet(n=n, points=ps, rows=rows, cols=cols)
     except IndexingAmbiguity as exc:
-        return BranchSet(n=n, disc_poly=poly, points=ps,
-                         indexing_error=str(exc))
+        return BranchSet(n=n, points=ps, indexing_error=str(exc))
 
 
 def _cluster_1d(values, expected):
@@ -484,9 +481,7 @@ def scaled_sigma(n: int, cache_dir=None, near=None) -> PointSet:
     `sigma_points`."""
     bs = sigma_points(n, cache_dir=cache_dir, near=near)
     factor = SCALE_CONSTANT * n ** (2.0 / 3.0)
-    out = bs.points.scaled(factor, label=f"scaled branching points n={n}")
-    out.meta = {"n": n, "scaling": "(27/4)^(1/3) n^(2/3)"}
-    return out
+    return bs.points.scaled(factor)
 
 
 # ---------------------------------------------------------------------------

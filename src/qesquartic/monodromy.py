@@ -305,13 +305,10 @@ def kac_limit_check(n: int, a) -> dict:
     lam = np.linalg.eigvals(build_matrix(n, a))
     gamma = lam / (n * np.sqrt(a))
     gamma = gamma[np.argsort(gamma.real)]
-    grid = np.array([-1 + 2 * k / n for k in range(n + 1)])
-    dev = np.abs(gamma - grid)
+    dev = np.abs(gamma - np.array([-1 + 2 * k / n for k in range(n + 1)]))
     return {
-        "n": n,
         "a": [a.real, a.imag],
         "gamma": gamma,
-        "grid": grid,
         "max_deviation": float(dev.max()),
         "mean_deviation": float(dev.mean()),
     }

@@ -1,8 +1,9 @@
-"""Finite multisets of complex points with metadata and deterministic export."""
+"""Finite multisets of complex points, with the scale they were divided by,
+and deterministic export."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +17,11 @@ def sort_points(points):
 
 @dataclass
 class PointSet:
-    """A finite multiset of complex points plus provenance metadata."""
+    """A finite multiset of complex points; ``scale`` is the factor they were
+    divided by (None when unscaled), so points * scale are the originals."""
 
     points: np.ndarray
-    label: str = ""
     scale: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
@@ -29,13 +29,8 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    def scaled(self, factor: float, label: str | None = None) -> "PointSet":
-        return PointSet(
-            self.points / factor,
-            label if label is not None else self.label,
-            factor,
-            dict(self.meta),
-        )
+    def scaled(self, factor: float) -> "PointSet":
+        return PointSet(self.points / factor, factor)
 
     def max_modulus(self) -> float:
         return float(np.max(np.abs(self.points))) if len(self.points) else 0.0

@@ -8,10 +8,13 @@ evaluation needs big arithmetic because the coefficients are huge.  Initial
 estimates come from the Newton polygon of the coefficient moduli unless the
 caller supplies better ones.
 
+Every polynomial the package solves is exact, so coefficients come in one
+domain: a Python int, or a Gaussian integer as an int pair (re, im) (the
+spectra at a != 0); anything else raises TypeError.
+
 Evaluation is one kernel, shared by the solver, Newton polishing and the
 scale-aware residual: a simultaneous Horner pass for (p, p') in complex
-fixed-point Python integers.  Coefficients (int, Fraction, float, complex,
-mpf, mpc or a Gaussian-integer pair (re, im)) are converted exactly, once
+fixed-point Python integers.  Coefficients are converted exactly, once
 per precision stage, to integers at scale 2^-shift with ceil(dps log2 10) +
 span_bits + GUARD_BITS fractional bits, where span_bits is log2 of the ratio
 of the largest to the smallest nonzero rescaled coefficient modulus.  Every
@@ -59,10 +62,8 @@ a = 0): Aberth on g, mapped back by cube roots.
 from __future__ import annotations
 
 import math
-import numbers
-from fractions import Fraction
 
-import mpmath as mp
+import mpmath as mp   # newton_polish returns mpc values
 import numpy as np
 from numpy.random import RandomState   # loaded with the package, not on first use
 
@@ -74,18 +75,32 @@ DEFAULT_SCHEDULE = ((None, 100), (50, 90), (120, 20), (250, 8))
 
 
 def _log_abs(c):
-    """Natural log of |c| for int/Fraction/mpf/mpc/complex/(re, im); None for 0."""
-    if isinstance(c, tuple):                      # a Gaussian integer (re, im)
-        return 0.5 * _log_abs_int(c[0] ** 2 + c[1] ** 2) if any(c) else None
-    if c == 0:
-        return None
+    """Natural log of |c| for an int or an (re, im) int pair; None for 0."""
     if isinstance(c, int):
-        return _log_abs_int(c)
-    if isinstance(c, Fraction):
-        return _log_abs_int(c.numerator) - _log_abs_int(c.denominator)
-    if isinstance(c, (mp.mpf, mp.mpc)):
-        return float(mp.log(abs(c)))
-    return math.log(abs(c))
+        return _log_abs_int(c) if c else None
+    re, im = _parts(c)
+    return 0.5 * _log_abs_int(re * re + im * im) if re or im else None
+
+
+def _parts(c):
+    """(re, im) of an int or of a Gaussian-integer pair (re, im) of ints."""
+    if isinstance(c, int):
+        return c, 0
+    if (isinstance(c, tuple) and len(c) == 2
+            and isinstance(c[0], int) and isinstance(c[1], int)):
+        return c
+    raise TypeError(f"coefficient {c!r} is neither an int nor an (re, im) "
+                    "pair of ints")
+
+
+def _neg_ratio(u, v):
+    """-u/v as a complex double, each part rounded once from the exact
+    Gaussian rational -u conj(v) / |v|^2 (negated before rounding, so an
+    exact zero part comes out +0.0)."""
+    ur, ui = _parts(u)
+    vr, vi = _parts(v)
+    den = vr * vr + vi * vi
+    return complex(-(ur * vr + ui * vi) / den, (ur * vi - ui * vr) / den)
 
 
 def _log_abs_int(n):
@@ -123,30 +138,6 @@ _LN2 = math.log(2)
 _LOG2_10 = math.log2(10)
 
 
-def _ratio(x):
-    """(num, den) with x == num / den exactly, den > 0."""
-    if isinstance(x, numbers.Rational):           # int, Fraction, numpy ints
-        return int(x.numerator), int(x.denominator)
-    if isinstance(x, mp.mpf):
-        sign, man, exp, _ = x._mpf_
-        if not man:
-            if exp:
-                raise ValueError(f"non-finite coefficient {x}")
-            return 0, 1
-        man = -man if sign else man
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    return float(x).as_integer_ratio()
-
-
-def _parts(c):
-    """Exact (num, den) pairs of the real and imaginary parts of c."""
-    if isinstance(c, tuple):                      # a Gaussian integer (re, im)
-        return (c[0], 1), (c[1], 1)
-    if isinstance(c, (mp.mpc, complex)):
-        return _ratio(c.real), _ratio(c.imag)
-    return _ratio(c), (0, 1)
-
-
 def _fixed_coeffs(coeffs, dps, scale=1.0):
     """Coefficients of p(scale w) as complex fixed-point ints.
 
@@ -167,8 +158,8 @@ def _fixed_coeffs(coeffs, dps, scale=1.0):
     up, down = 1, 1                     # sd^(d-k), sn^(d-k)
     cfix = [None] * (d + 1)
     for k in range(d, -1, -1):
-        cfix[k] = tuple(_floor_scaled(num * up, den * down, shift)
-                        for num, den in _parts(coeffs[k]))
+        cfix[k] = tuple(_floor_scaled(x * up, down, shift)
+                        for x in _parts(coeffs[k]))
         up, down = up * sd, down * sn
     return cfix, shift
 
@@ -368,7 +359,8 @@ def _double_stage(man, exp, starts, max_sweeps, tol):
 
 
 def aberth_roots(coeffs, init=None):
-    """All roots of sum coeffs[k] z^k (ascending; exact, mp or (re, im) pairs).
+    """All roots of sum coeffs[k] z^k; coefficients ascending, each an int or
+    a Gaussian-integer pair (re, im) of ints (TypeError otherwise).
 
     ``init``, when given, holds d finite starting points (ValueError
     otherwise); by default they come from the Newton polygon.  Runs the
@@ -382,13 +374,13 @@ def aberth_roots(coeffs, init=None):
     root's inclusion radius comes from the sweep that froze it.  Returns a
     complex ndarray of the d roots.  Raises NonConvergence when the final
     sweep still moves by more than sqrt(tol) at root scale, when the
-    sum-of-roots identity fails beyond tolerance (checked when the top two
-    coefficients are int or Fraction), or when the Newton
-    inclusion disks of the returned roots are not pairwise disjoint.
+    sum-of-roots identity, against -c_(d-1)/c_d rounded once from its exact
+    value, fails beyond tolerance (on both coefficient forms), or when the
+    Newton inclusion disks of the returned roots are not pairwise disjoint.
     """
     tol = 1e-15
     d = len(coeffs) - 1
-    if d >= 0 and coeffs[d] == 0:
+    if d >= 0 and not any(_parts(coeffs[d])):
         raise ValueError("leading coefficient must be nonzero")
     if d < 1:
         return np.empty(0, dtype=complex)
@@ -397,8 +389,7 @@ def aberth_roots(coeffs, init=None):
         if init.shape != (d,) or not np.isfinite(init).all():
             raise ValueError(f"init must hold {d} finite starting points")
     if d == 1:
-        with mp.workdps(40):
-            return np.array([complex(-_to_mp(coeffs[0]) / _to_mp(coeffs[1]))])
+        return np.array([_neg_ratio(coeffs[0], coeffs[1])])
     radii = newton_polygon_radii(coeffs)
     s = float(radii.max())
     if s == 0 or not math.isfinite(s):
@@ -437,14 +428,10 @@ def aberth_roots(coeffs, init=None):
         raise NonConvergence(
             f"Aberth stalled with max step {last_step:.2e} at root scale"
         )
-    if _is_exact(coeffs[d]) and _is_exact(coeffs[d - 1]):
-        expected = -Fraction(coeffs[d - 1]) / Fraction(coeffs[d])
-        got = complex(roots.sum())
-        err = abs(got - complex(expected)) / (1 + d * s)
-        if err > 1e-8:
-            raise NonConvergence(
-                f"sum-of-roots check failed: relative error {err:.2e}"
-            )
+    expected = _neg_ratio(coeffs[d - 1], coeffs[d])
+    err = abs(complex(roots.sum()) - expected) / (1 + d * s)
+    if err > 1e-8:
+        raise NonConvergence(f"sum-of-roots check failed: relative error {err:.2e}")
     if len(active):
         rad[active] = _inclusion_radii(cfix, z[active])
     dist = np.abs(z[:, None] - z[None, :])
@@ -473,21 +460,6 @@ def threefold_roots(coeffs, init=None):
     cube = np.abs(xi) ** (1 / 3) * np.exp(1j * np.angle(xi) / 3)
     turns = np.exp(2j * np.pi * np.arange(3) / 3)
     return np.concatenate([np.zeros(s, complex), (cube[:, None] * turns).ravel()])
-
-
-def _to_mp(c):
-    """c as an mpf/mpc at the current working precision."""
-    if isinstance(c, Fraction):
-        return mp.mpf(c.numerator) / c.denominator
-    if isinstance(c, (mp.mpf, mp.mpc)):
-        return +c
-    if isinstance(c, complex):
-        return mp.mpc(c)
-    return mp.mpf(c)
-
-
-def _is_exact(c):
-    return isinstance(c, (int, Fraction))
 
 
 def newton_polish(coeffs, roots, dps=50, steps=3):

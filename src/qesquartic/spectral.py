@@ -235,15 +235,14 @@ def eigenvalues(n: int, a=0.0, cache_dir=None) -> PointSet:
     ac = complex(a)
     if not np.isfinite(ac):
         raise ValueError(f"a must be finite, got {a!r}")
-    a_pair = [ac.real, ac.imag]
     if n <= DENSE_EIG_MAX_N:
         lam = sort_points(_eigs_dense(n, ac))
     else:
-        key = {"a": a_pair, "schedule": rootfind.DEFAULT_SCHEDULE}
+        key = {"a": [ac.real, ac.imag], "schedule": rootfind.DEFAULT_SCHEDULE}
         lam = cache.cached(f"eigs-{_a_token(ac)}", n, key,
                            lambda: sort_points(_eigs_poly_general(n, ac)),
                            cache.Points(n + 1), cache_dir)
-    return PointSet(lam, label=f"spectrum n={n}", meta={"n": n, "a": a_pair})
+    return PointSet(lam)
 
 
 def scaled_spectrum(n: int, a=0.0, rule="const", cache_dir=None) -> PointSet:
@@ -257,12 +256,7 @@ def scaled_spectrum(n: int, a=0.0, rule="const", cache_dir=None) -> PointSet:
         an = complex(a) * n ** (2.0 / 3.0)
     else:
         raise ValueError(f"unknown scaling rule {rule!r}")
-    ps = eigenvalues(n, an, cache_dir=cache_dir)
-    factor = n ** (4.0 / 3.0)
-    out = ps.scaled(factor, label=f"scaled spectrum n={n}")
-    out.meta = {"n": n, "a_n": [an.real, an.imag], "rule": rule,
-                "a": [complex(a).real, complex(a).imag], "scaling": "n^(4/3)"}
-    return out
+    return eigenvalues(n, an, cache_dir=cache_dir).scaled(n ** (4.0 / 3.0))
 
 
 def empirical_cauchy(sample: PointSet, z) -> complex:

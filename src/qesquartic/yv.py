@@ -91,7 +91,7 @@ def yv_generate(N: int) -> YVSequence:
 
 
 def yv_zeros(n: int, cache_dir=None) -> PointSet:
-    """All n(n+1)/2 zeros of YV_n, multiplicity included.
+    """All n(n+1)/2 zeros of YV_n, multiplicity included, sorted by (Re, Im).
 
     Roots come from the exact cubic-structure factor g (YV_n = t^r g(t^3))
     through rootfind.threefold_roots: Aberth roots of g, each in its own
@@ -105,21 +105,20 @@ def yv_zeros(n: int, cache_dir=None) -> PointSet:
     if n > ZERO_CAP_DEFAULT:
         raise ValueError(f"n={n} exceeds the cap {ZERO_CAP_DEFAULT}")
     if n == 0:
-        return PointSet(np.empty(0, complex), label="YV_0 zeros", meta={"n": 0})
+        return PointSet(np.empty(0, complex))
 
     def compute():
         cs = list(_yv_int_coeffs(n)[n])
         pts = rootfind.threefold_roots(cs)
         _check_residuals(cs, pts)
-        return pts
+        return sort_points(pts)
 
     if n >= 25:
         pts = cache.cached("yv-zeros", n, {"schedule": rootfind.DEFAULT_SCHEDULE},
-                           lambda: sort_points(compute()),
-                           cache.Points(n * (n + 1) // 2), cache_dir)
+                           compute, cache.Points(n * (n + 1) // 2), cache_dir)
     else:
         pts = compute()
-    return PointSet(pts, label=f"YV_{n} zeros", meta={"n": n})
+    return PointSet(pts)
 
 
 def _check_residuals(cs, pts):
@@ -138,11 +137,7 @@ def scaled_zeros(n: int, cache_dir=None) -> PointSet:
     The scaled corner modulus tends to CORNER_CONSTANT / SCALE_CONSTANT =
     (2/3)^(1/3) ~ 0.8736, not to 1.
     """
-    ps = yv_zeros(n, cache_dir=cache_dir)
-    factor = SCALE_CONSTANT * n ** (2.0 / 3.0)
-    out = ps.scaled(factor, label=f"scaled YV_{n} zeros")
-    out.meta = {"n": n, "scaling": "(9/2)^(2/3) n^(2/3)"}
-    return out
+    return yv_zeros(n, cache_dir=cache_dir).scaled(SCALE_CONSTANT * n ** (2.0 / 3.0))
 
 
 def painleve_residual(n: int, t) -> float:

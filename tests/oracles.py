@@ -20,8 +20,9 @@ package refines all intervals of a bisection level together), and the
 standard hook is evaluated one scalar t at a time by Python branches (the
 package selects among its segments over an array of t).  Spectra at complex
 a start Aberth from Newton-polygon guesses on the mpc values of the
-bivariate grid at that a (the package seeds it with the eigenvalues of the
-balanced matrix and runs the recurrence on Gaussian integers).
+bivariate grid at that a, scaled exactly to Gaussian integers (the package
+seeds it with the eigenvalues of the balanced matrix and runs the
+recurrence on Gaussian integers).
 Horizontal trajectories evaluate the direction field five times per RK4
 step (the package carries a step's last value into the next step), and the
 branch continuation of the characteristic cubic solves one radius per
@@ -532,6 +533,11 @@ def charpoly_coeffs_grid_mp(n, a, dps=60):
 
 def eigs_poly_unseeded(n, a):
     """The charpoly roots at complex a from Newton-polygon starts, on the
-    grid's mpc coefficients at 40 + 0.6 n digits."""
+    grid's mpc coefficients at 40 + 0.6 n digits, each taken exactly as a
+    Gaussian-integer pair at one common power of two (the roots stay)."""
     cs = charpoly_coeffs_grid_mp(n, a, dps=40 + int(0.6 * n))
-    return aberth_roots(cs)
+    parts = [x._mpf_ for c in cs for x in (c.real, c.imag)]   # (sign, man, exp, bc)
+    low = min(exp for _, man, exp, _ in parts if man)
+    ints = [(-1) ** sign * (int(man) << (exp - low)) if man else 0
+            for sign, man, exp, _ in parts]
+    return aberth_roots(list(zip(ints[0::2], ints[1::2])))

@@ -360,8 +360,7 @@ def test_indexing_failure_is_lazy():
     from qesquartic.pointset import PointSet
 
     bs = branching.BranchSet(
-        n=3, disc_poly=ExactPoly([0, 1]),
-        points=PointSet(np.array([0j])), indexing_error="bands merged",
+        n=3, points=PointSet(np.array([0j])), indexing_error="bands merged",
     )
     assert len(bs.points.points) == 1
     with pytest.raises(IndexingAmbiguity):

@@ -19,10 +19,9 @@ SPAN_DIGITS = 320       # decimal digits between the smallest and largest |c_k|
 
 
 def _exact_mp(c):
-    """c as an mp number, exact at the caller's working precision."""
-    if isinstance(c, Fraction):
-        return mp.mpf(c.numerator) / c.denominator
-    return mp.mpc(c) if isinstance(c, mp.mpc) else mp.mpf(c)
+    """c, an int or a Gaussian-integer pair (re, im), as an mp number at the
+    caller's working precision."""
+    return mp.mpc(*c) if isinstance(c, tuple) else mp.mpf(c)
 
 
 def _oracle(coeffs, scale, z, dps):
@@ -44,8 +43,9 @@ def _oracle(coeffs, scale, z, dps):
 
 @st.composite
 def _coefficients(draw):
-    """Dense coefficients of one kind whose moduli span SPAN_DIGITS digits."""
-    kind = draw(st.sampled_from(["int", "fraction", "mpc"]))
+    """Dense coefficients of one kind, ints or Gaussian-integer pairs, whose
+    moduli span SPAN_DIGITS digits."""
+    kind = draw(st.sampled_from(["int", "gaussian"]))
     d = draw(st.integers(2, 24))
     exps = draw(st.lists(st.integers(0, SPAN_DIGITS), min_size=d + 1,
                          max_size=d + 1))
@@ -56,11 +56,8 @@ def _coefficients(draw):
     for e in exps:
         if kind == "int":
             coeffs.append(draw(mant) * 10**e)
-        elif kind == "fraction":
-            coeffs.append(Fraction(draw(mant) * 10**e, draw(st.integers(1, 999))))
         else:
-            with mp.workprec(4 * SPAN_DIGITS):
-                coeffs.append(mp.mpc(draw(mant) * 10**e, draw(mant) * 10**e))
+            coeffs.append((draw(mant) * 10**e, draw(mant) * 10**e))
     return coeffs
 
 
@@ -84,7 +81,8 @@ def test_kernel_matches_oracle(coeffs, scale, z, dps):
 
 
 def _from_roots(real_roots, pairs):
-    """Ascending Fraction coefficients of prod (z - r) prod (z - w)(z - conj w)."""
+    """Ascending int coefficients of L prod (z - r) prod (z - w)(z - conj w),
+    L the least common denominator (so the roots are those of the product)."""
     poly = [Fraction(1)]
     factors = [[-r, 1] for r in real_roots]
     factors += [[re * re + im * im, -2 * re, 1] for re, im in pairs]
@@ -94,7 +92,8 @@ def _from_roots(real_roots, pairs):
             for j, b in enumerate(f):
                 out[i + j] += a * b
         poly = out
-    return poly
+    den = math.lcm(*(c.denominator for c in poly))
+    return [int(c * den) for c in poly]
 
 
 def _assert_certified(coeffs, true_roots):
@@ -160,10 +159,42 @@ def test_newton_polygon_radii_of_roots_at_origin():
 
 def test_degree_one():
     assert rootfind.aberth_roots([3, 2])[0] == -1.5
-    assert rootfind.aberth_roots([Fraction(1, 3), Fraction(2)])[0] == -1 / 6
-    with mp.workdps(30):
-        root = rootfind.aberth_roots([mp.mpc(1, 1), mp.mpc(0, 2)])[0]
-    assert abs(root - (-0.5 + 0.5j)) < 1e-15
+    assert rootfind.aberth_roots([1, 6])[0] == -1 / 6
+    # (1 + i) + 2i z: the root -(1 + i)/(2i) = (-1 + i)/2
+    assert rootfind.aberth_roots([(1, 1), (0, 2)])[0] == complex(-0.5, 0.5)
+    # negated before rounding: -complex(4, 0) is (-4-0j), whose sign bit
+    # would flip the cube-root branch threefold_roots takes for YV_2 = t^3 + 4
+    for coeffs in ([4, 1], [(4, 0), (1, 0)]):
+        root = rootfind.aberth_roots(coeffs)[0]
+        assert root == -4 and math.copysign(1.0, root.imag) == 1.0
+
+
+NOT_INTEGER = {"Fraction": Fraction(-6), "float": -6.0, "complex": complex(-6),
+               "mpf": mp.mpf(-6), "mpc": mp.mpc(-6)}
+
+
+@pytest.mark.parametrize("form", list(NOT_INTEGER))
+def test_coefficients_other_than_integers_rejected(form):
+    """Ints and Gaussian-integer pairs are the only coefficient forms."""
+    c = NOT_INTEGER[form]
+    for coeffs in ([c, 11, -6, 1], [-6, 11, -6, c]):
+        with pytest.raises(TypeError):
+            rootfind.aberth_roots(coeffs)
+    with pytest.raises(TypeError):
+        rootfind.threefold_roots([c, 0, 0, 3, 0, 0, 1])
+    with pytest.raises(TypeError):
+        rootfind.residual_scale_aware([c, 0, 1], 1.0)
+
+
+def test_sum_check_covers_gaussian_coefficients(monkeypatch):
+    # (z - 1 - i)(z - 2)(z - 3 + 2i): the roots sum to 6 - i
+    coeffs = [(-10, -2), (13, -1), (-6, 1), (1, 0)]
+    got = np.sort_complex(rootfind.aberth_roots(coeffs))
+    assert np.abs(got - [1 + 1j, 2, 3 - 2j]).max() < 1e-14
+    neg_ratio = rootfind._neg_ratio
+    monkeypatch.setattr(rootfind, "_neg_ratio", lambda u, v: -neg_ratio(u, v))
+    with pytest.raises(NonConvergence, match="sum-of-roots"):
+        rootfind.aberth_roots(coeffs)
 
 
 def test_leading_zero_rejected():
@@ -297,7 +328,7 @@ def test_polish_and_residual_at_roots():
     with mp.workdps(40):
         for z in polished:
             val = sum(_exact_mp(c) * z**k for k, c in enumerate(coeffs))
-            assert abs(val) < mp.mpf(10) ** -35
+            assert abs(val / coeffs[-1]) < mp.mpf(10) ** -35
     for z in polished:
         assert rootfind.residual_scale_aware(coeffs, complex(z)) < 1e-15
     assert rootfind.residual_scale_aware(coeffs, 0) == pytest.approx(1.0)

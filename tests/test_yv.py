@@ -6,6 +6,7 @@ import pytest
 from qesquartic import verify, yv
 from qesquartic.errors import NotDivisible, StructureViolation
 from qesquartic.exactpoly import ExactPoly
+from qesquartic.pointset import sort_points
 
 from oracles import yv_tform
 
@@ -106,6 +107,12 @@ class TestZeros:
         a = yv.yv_zeros(25, cache_dir=tmp_cache).points
         b = yv.yv_zeros(25, cache_dir=tmp_cache).points
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [3, 10, 25])
+    def test_sorted_below_and_above_the_cache_threshold(self, n, tmp_cache):
+        # n < 25 is computed on every call, n >= 25 read from the cache
+        z = yv.yv_zeros(n, cache_dir=tmp_cache).points
+        assert np.array_equal(z, sort_points(z))
 
 
 class TestScaledZeros:
