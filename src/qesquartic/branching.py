@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import RandomState   # loaded with the package, not on first use
@@ -53,13 +53,9 @@ class BranchSet:
 
     n: int
     points: PointSet
-    rows: list = field(default_factory=list)      # per-point row index (1-based)
-    cols: list = field(default_factory=list)      # per-point column index (1-based)
-    indexing_error: str | None = None
-
-    def require_grid(self):
-        if self.indexing_error:
-            raise IndexingAmbiguity(self.indexing_error, points=self.points.points)
+    rows: list          # per-point row index (1-based)
+    cols: list          # per-point column index (1-based)
+    min_margin: float | None   # the smallest peel margin of `_peel_grid`
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +409,12 @@ def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
     or from those guesses when the zeros give no seed.  Either way the
     roots agree to rounding and pass the same certificates.
 
-    Columns are real-part bands counted from the RIGHT (j = 1 is the single
-    rightmost point; column j holds exactly j points); rows are imaginary
-    part bands counted bottom-to-top, the real axis being the middle row.
-    Band clustering degrades once neighboring columns almost touch (large
-    n); the points themselves are always returned, and the indexing failure
-    is carried on the result for callers that actually need the grid.
+    The grid is `_peel_grid`'s.  Columns are counted from the RIGHT (j = 1
+    is the single rightmost point; column j holds exactly j points); rows
+    run 1..2n - 1 bottom to top, with real points on row n and conjugate
+    points on rows summing to 2n.  A peel step that is not clear-cut
+    raises IndexingAmbiguity, which no n up to the cap of
+    `sigma_polynomial` does.
     """
     ip = sigma_polynomial(n, cache_dir=cache_dir).num
     init = None
@@ -426,54 +422,48 @@ def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
         _, g = intpoly.split_cube(ip)
         init = _yv_seeds(near, len(g) - 1)
     pts = sort_points(rootfind.threefold_roots(ip, init=init))
-    ps = PointSet(pts)
-    try:
-        rows, cols = _grid_index(n, pts)
-        return BranchSet(n=n, points=ps, rows=rows, cols=cols)
-    except IndexingAmbiguity as exc:
-        return BranchSet(n=n, points=ps, indexing_error=str(exc))
+    rows, cols, margin = _peel_grid(n, pts)
+    return BranchSet(n=n, points=PointSet(pts), rows=rows, cols=cols,
+                     min_margin=margin)
 
 
-def _cluster_1d(values, expected):
-    """Split sorted values at their expected-1 largest gaps (expected <= the
-    number of values); returns cluster ids in value order."""
-    order = np.argsort(values)
-    sv = np.asarray(values)[order]
-    if len(sv) == 1:
-        return np.zeros(1, dtype=int)
-    gaps = np.diff(sv)
-    cuts = set(np.argsort(gaps)[-(expected - 1):]) if expected > 1 else set()
-    ids_sorted = np.zeros(len(sv), dtype=int)
-    cid = 0
-    for i in range(1, len(sv)):
-        if (i - 1) in cuts:
-            cid += 1
-        ids_sorted[i] = cid
-    ids = np.empty(len(sv), dtype=int)
-    ids[order] = ids_sorted
-    return ids
+# The smallest peel margin accepted; sigma_n has margins of at least 1.53
+# at every n from 3 to 40 (the least at n = 40).
+PEEL_MARGIN_MIN = 1.25
 
 
-def _grid_index(n, pts):
-    # columns: n real-part bands, right-to-left numbering
-    col_ids = _cluster_1d(pts.real, expected=n)
-    ncols = col_ids.max() + 1
-    cols = [int(ncols - c) for c in col_ids]           # rightmost band -> 1
-    sizes = {}
-    for c in cols:
-        sizes[c] = sizes.get(c, 0) + 1
-    if sorted(sizes.keys()) != list(range(1, n + 1)) or any(
-        sizes[j] != j for j in sizes
-    ):
+def _peel_grid(n, pts):
+    """Rows, columns and the smallest peel margin of the n(n+1)/2 points.
+
+    Column 1 is the point with the largest real part; column j + 1 is the
+    j + 1 unassigned points nearest to column j, by distance to the set.
+    The margin of a step is the (j+2)-th smallest of those distances over
+    the (j+1)-th; IndexingAmbiguity is raised when one falls below
+    PEEL_MARGIN_MIN.  The smallest margin is None when no step has a
+    (j+2)-th candidate (n <= 2).  Rows follow from the columns: column j,
+    sorted by imaginary part as k = 1..j, takes the rows n + 2k - j - 1.
+    """
+    cols = np.zeros(len(pts), dtype=int)
+    rows = np.zeros(len(pts), dtype=int)
+    cols[np.argmax(pts.real)] = 1
+    margins = []
+    for j in range(1, n):
+        free = np.flatnonzero(cols == 0)
+        dist = np.abs(pts[free, None] - pts[None, cols == j]).min(axis=1)
+        order = np.argsort(dist, kind="stable")
+        cols[free[order[: j + 1]]] = j + 1
+        if len(free) > j + 1:
+            margins.append(float(dist[order[j + 1]] / dist[order[j]]))
+    margin = min(margins, default=None)
+    if margin is not None and margin < PEEL_MARGIN_MIN:
         raise IndexingAmbiguity(
-            f"column clustering sizes {sizes} do not match 1..{n}",
-            points=pts,
-        )
-    # rows: imaginary-part bands, bottom-to-top (2n-1 of them; the real axis
-    # is the middle row by the conjugation symmetry); n(n+1)/2 >= 2n-1 points
-    row_ids = _cluster_1d(pts.imag, expected=2 * n - 1)
-    rows = [int(r + 1) for r in row_ids]
-    return rows, cols
+            f"column peel margin {margin:.3f} < {PEEL_MARGIN_MIN} for n={n}",
+            points=pts)
+    for j in range(1, n + 1):
+        members = np.flatnonzero(cols == j)
+        k = np.arange(1, j + 1)
+        rows[members[np.argsort(pts[members].imag)]] = n + 2 * k - j - 1
+    return rows.tolist(), cols.tolist(), margin
 
 
 def scaled_sigma(n: int, cache_dir=None, near=None) -> PointSet:

@@ -214,10 +214,10 @@ def _figure_triangle10(emit, cache_dir, n=10):
     from .branching import sigma_points
 
     bs = sigma_points(n, cache_dir=cache_dir)
-    bs.require_grid()
     emit("branching_points.csv", bs.points)
     emit("grid_index.json", {
         "n": n,
+        "min_margin": bs.min_margin,
         "points": [
             {"re": z.real, "im": z.imag, "row": r, "col": c}
             for z, r, c in zip(bs.points.points, bs.rows, bs.cols)

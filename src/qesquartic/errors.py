@@ -53,7 +53,7 @@ class DegreeMismatch(QesquarticError):
 
 
 class IndexingAmbiguity(QesquarticError):
-    """Row/column band clustering of a branching set failed."""
+    """The column peel of a branching set met a step that is not clear-cut."""
 
     def __init__(self, message, points=None):
         super().__init__(message)

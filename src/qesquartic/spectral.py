@@ -136,8 +136,11 @@ def _charpoly_at(n, u, v, q):
 def charpoly_coeffs_mp(n: int, a):
     """Exact x-coefficients, ascending, at a (complex) double a = (u + i v)/q,
     q = 2^e: the Gaussian-integer pairs (re, im) of q^floor((n+1)/2)
-    det(M - x I), which has the same roots.  The benchmark's traced pass
-    wraps it by this name; ROADMAP item 5's in-package spans rename it."""
+    det(M - x I), which has the same roots.  The cost grows with the binary
+    exponent of a as well as with n, since q^floor((n+1)/2) scales every
+    coefficient: at a = 1e-200i and n = 84 they carry 30594 bits.  The
+    benchmark's traced pass wraps it by this name; ROADMAP item 5's
+    in-package spans rename it."""
     u, v, e = rootfind._exact_point(a)
     return list(zip(*_charpoly_at(n, u, v, 1 << e)))
 

@@ -288,7 +288,6 @@ def criterion_monodromy(n_paths_max: int, cache_dir=None):
             return False, f"big circle gave {res.one_line()}"
         for n in range(2, n_paths_max + 1):
             bs = branching.sigma_points(n, cache_dir=cache_dir)
-            bs.require_grid()
             for idx in range(len(bs.points.points)):
                 path = monodromy.path_around_index(n, idx, branch_set=bs)
                 r1 = monodromy.track_path(n, path, steps=160)

@@ -353,15 +353,28 @@ def test_scaling_constants_identity():
     assert (27 / 4) ** (1 / 3) == pytest.approx(3 / 4 ** (1 / 3), rel=1e-15)
 
 
-def test_indexing_failure_is_lazy():
-    # points remain usable when band clustering degrades; only grid consumers
-    # must see the failure
-    from qesquartic.errors import IndexingAmbiguity
-    from qesquartic.pointset import PointSet
+class TestGridIndex:
+    @pytest.mark.parametrize("n", [12, 31])
+    def test_columns_and_rows_form_the_triangle(self, n):
+        bs = branching.sigma_points(n)
+        pts, rows, cols = bs.points.points, np.array(bs.rows), np.array(bs.cols)
+        assert sorted(np.bincount(cols)[1:]) == list(range(1, n + 1))
+        for r in set(rows.tolist()):
+            assert len(set(cols[rows == r])) == (rows == r).sum(), r
+        assert rows.min() >= 1 and rows.max() <= 2 * n - 1
+        real = np.abs(pts.imag) < 1e-9 * np.abs(pts)
+        assert (rows[real] == n).all()
+        partner = np.abs(pts[:, None] - np.conj(pts)[None, :]).argmin(axis=1)
+        assert (rows + rows[partner] == 2 * n).all()
+        assert (cols == cols[partner]).all()
+        assert bs.min_margin >= branching.PEEL_MARGIN_MIN
 
-    bs = branching.BranchSet(
-        n=3, points=PointSet(np.array([0j])), indexing_error="bands merged",
-    )
-    assert len(bs.points.points) == 1
-    with pytest.raises(IndexingAmbiguity):
-        bs.require_grid()
+    def test_peel_refuses_a_tied_candidate(self):
+        # from column 1 at 10, the second candidate for column 2 ties with
+        # the third at distance 2
+        from qesquartic.errors import IndexingAmbiguity
+
+        s = 3 ** 0.5
+        pts = np.array([5, 5 + 1j, 9, 9 - s * 1j, 9 + s * 1j, 10])
+        with pytest.raises(IndexingAmbiguity, match="margin 1.000"):
+            branching._peel_grid(3, pts)

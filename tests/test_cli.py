@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from qesquartic import cache, cli, rootfind
-from qesquartic.errors import IndexingAmbiguity
+from qesquartic.branching import PEEL_MARGIN_MIN
 
 
 class TestParseComplex:
@@ -51,13 +51,16 @@ class TestFigureCommands:
         grid = json.loads((out / "grid_index.json").read_text())
         assert len(grid["points"]) == 10
 
-    def test_triangle10_refuses_an_ambiguous_grid(self, tmp_path, tmp_cache):
-        # sigma_31's column clustering fails, so there is no grid to write:
-        # the figure raises and removes the directory it made
-        with pytest.raises(IndexingAmbiguity):
-            cli.cmd_figure("triangle10", out_dir=tmp_path / "t31",
-                           cache_dir=tmp_cache, overrides={"n": 31})
-        assert not (tmp_path / "t31").exists()
+    def test_triangle10_indexes_n31(self, tmp_path):
+        # past n = 30 neighbouring columns overlap in real part; the peel
+        # still gives every point its row and column
+        out = cli.cmd_figure("triangle10", out_dir=tmp_path / "t31",
+                             overrides={"n": 31})
+        grid = json.loads((out / "grid_index.json").read_text())
+        assert len(grid["points"]) == 496
+        assert sorted(p["col"] for p in grid["points"]) == \
+            [j for j in range(1, 32) for _ in range(j)]
+        assert grid["min_margin"] >= PEEL_MARGIN_MIN
 
     def test_triangle_small(self, tmp_path, tmp_cache):
         out = cli.cmd_figure("triangle", out_dir=tmp_path / "tri",

@@ -153,3 +153,14 @@ class TestStandardPaths:
             j = bs.cols[idx]
             assert res.is_transposition() == (j, j + 1), (n, idx)
 
+
+    def test_peeled_columns_past_n30_give_column_transpositions(self):
+        # the hook is an independent check of the peeled columns: one point
+        # per column, the one on or just above the real axis
+        n = 31
+        bs = sigma_points(n)
+        rows, cols = np.array(bs.rows), np.array(bs.cols)
+        for j in (1, 15, 30, 31):
+            (idx,) = np.flatnonzero((cols == j) & (rows == n + 1 - j % 2))
+            path = monodromy.path_around_index(n, idx, branch_set=bs)
+            assert monodromy.track_path(n, path).is_transposition() == (j, j + 1), j
