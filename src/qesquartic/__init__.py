@@ -3,16 +3,9 @@ family: exact spectral polynomials and their structure, scaled spectra and
 their limit supports, Yablonskii-Vorob'ev polynomials, branching loci, and
 eigenvalue monodromy."""
 
-from .exactpoly import ExactPoly, discriminant, exact_div, real_roots, resultant
+from .exactpoly import ExactPoly
 from .pointset import PointSet
 
-__all__ = [
-    "ExactPoly",
-    "PointSet",
-    "discriminant",
-    "exact_div",
-    "real_roots",
-    "resultant",
-]
+__all__ = ["ExactPoly", "PointSet"]
 
 __version__ = "0.1.0"

@@ -36,7 +36,6 @@ from numpy.polynomial.legendre import leggauss   # loaded with the package, not 
 
 from . import intpoly
 from .errors import BranchCollision, InsideSupport, NonConvergence
-from .exactpoly import ExactPoly
 from .pointset import PointSet
 from .rootfind import cubic_roots, threefold_roots
 
@@ -125,28 +124,26 @@ def branch_points(a=0.0, tau=0.5):
 def branch_cubic_coeffs_in_a(tau):
     """Exact branch-point cubic at rational tau, as polynomials in a.
 
-    Returns [c0(a), c1(a), c2(a), c3(a)] (ascending beta powers), each an
-    ExactPoly in a, so the tau = 1/2 case can be compared coefficientwise
-    against the endpoint cubic as an exact identity.
+    Returns [c0(a), c1(a), c2(a), c3(a)] (ascending beta powers), each a
+    list of Fraction coefficients ascending in a, so the tau = 1/2 case can
+    be compared coefficientwise against the endpoint cubic as an exact
+    identity.
     """
     tau = Fraction(tau)
     T = tau * (1 - tau)
-    return [
-        ExactPoly([T * (27 * tau * tau - 27 * tau), 0, 0, -4 * T]),
-        ExactPoly([0, -18 * T]),
-        ExactPoly([0, 0, 1]),
-        ExactPoly([4]),
-    ]
+    return _fraction_lists([T * (27 * tau * tau - 27 * tau), 0, 0, -4 * T],
+                           [0, -18 * T], [0, 0, 1], [4])
 
 
 def endpoint_cubic_coeffs_in_a():
-    """Exact endpoint cubic coefficients [c0(a), ..., c3(a)], ascending in L."""
-    return [
-        ExactPoly([Fraction(-27, 16), 0, 0, -1]),
-        ExactPoly([0, Fraction(-9, 2)]),
-        ExactPoly([0, 0, 1]),
-        ExactPoly([4]),
-    ]
+    """Exact endpoint cubic coefficients [c0(a), ..., c3(a)], ascending in L,
+    each a list of Fraction coefficients ascending in a."""
+    return _fraction_lists([Fraction(-27, 16), 0, 0, -1], [0, Fraction(-9, 2)],
+                           [0, 0, 1], [4])
+
+
+def _fraction_lists(*polys):
+    return [[Fraction(c) for c in p] for p in polys]
 
 
 def dsc_exact(a3, tau) -> Fraction:

@@ -331,7 +331,7 @@ def _spot_check(n: int, coeffs):
     determinant of the fixed-a charpoly and its x-derivative, by the integer
     subresultant PRS (nothing shared with the CRT route or its grid)."""
     for a0 in _spot_points(n):
-        p_at = spectral_polynomial(n, a0).num
+        p_at = list(spectral_polynomial(n, a0).coeffs)
         expected = intpoly.sylvester_resultant(p_at, intpoly.deriv(p_at))
         got = intpoly.eval_int(coeffs, a0)
         if expected != got:
@@ -363,7 +363,7 @@ def sigma_polynomial(n: int, cache_dir=None) -> ExactPoly:
         return prim
 
     coeffs = cache.cached("sigma-poly", n, {}, compute, cache.IntPoly(D), cache_dir)
-    return ExactPoly.from_int_coeffs(coeffs)
+    return ExactPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +416,7 @@ def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
     raises IndexingAmbiguity, which no n up to the cap of
     `sigma_polynomial` does.
     """
-    ip = sigma_polynomial(n, cache_dir=cache_dir).num
+    ip = list(sigma_polynomial(n, cache_dir=cache_dir).coeffs)
     init = None
     if near is not None:
         _, g = intpoly.split_cube(ip)

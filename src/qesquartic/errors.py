@@ -4,7 +4,10 @@ Each error names the condition it certifies or reports; several of them
 (StructureViolation, MultipleRoot, DegreeMismatch, NotDivisible) double as
 falsification signals: they fire when a structural fact the computations rely
 on fails to hold, which would indicate either a bug or a genuinely wrong
-structural assumption.
+structural assumption.  A repeated root where a certificate needs simple
+ones is MultipleRoot.  An ExactPoly built from a coefficient that is not an
+int raises the builtin TypeError: that is a misuse of the result type, not
+a finding about the mathematics.
 """
 
 
@@ -14,14 +17,6 @@ class QesquarticError(Exception):
 
 class NotDivisible(QesquarticError):
     """Exact polynomial division left a nonzero remainder."""
-
-
-class NotSquarefree(QesquarticError):
-    """Polynomial has a repeated factor; carries the offending gcd factor."""
-
-    def __init__(self, message, gcd_factor=None):
-        super().__init__(message)
-        self.gcd_factor = gcd_factor
 
 
 class DegreeCapExceeded(QesquarticError):

@@ -2,11 +2,12 @@
 
 Polynomials are plain lists of int coefficients in ascending degree, with no
 trailing zeros (the zero polynomial is the empty list).  This module is the
-package's one exact kernel: ExactPoly (integer numerators over one
-denominator), the frozen recurrence in ``bkw``, the certificates in
-``zerocase`` and the branching polynomials all run on it.  Everything here
-is closed over the integers and never rounds; a rational point num/den is
-evaluated homogeneously by ``eval_at``, without a Fraction.
+package's one exact kernel: the spectral polynomials, the frozen recurrence
+in ``bkw``, the certificates in ``zerocase``, the Yablonskii-Vorob'ev
+recursion and the branching polynomials all run on it, and only their
+results are wrapped as ``ExactPoly``.  Everything here is closed over the
+integers and never rounds; a rational point num/den is evaluated
+homogeneously by ``eval_at``, without a Fraction.
 
 Multiplication switches to Kronecker substitution above a size threshold.
 Each polynomial becomes one big integer with k bytes per coefficient, k large
@@ -47,15 +48,6 @@ def add(p, q):
         r[i] += c
     for i, c in enumerate(q):
         r[i] += c
-    return trim(r)
-
-
-def sub(p, q):
-    r = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        r[i] += c
-    for i, c in enumerate(q):
-        r[i] -= c
     return trim(r)
 
 
@@ -322,16 +314,15 @@ def root_bound(p) -> int:
     return 1 + (m + lc - 1) // lc + 1
 
 
-def isolate_real_roots(p, lo=None, hi=None):
-    """Disjoint rational intervals (a, b], one per distinct real root in (lo, hi].
+def isolate_real_roots(p):
+    """Disjoint rational intervals (a, b], one per distinct real root of p.
 
-    Sturm bisection: every interval is certified by exact counts.
+    Sturm bisection from (-B, B], B the Cauchy bound: every interval is
+    certified by exact counts.
     """
     seq = sturm_sequence(p)
     B = root_bound(p)
-    lo = Fraction(-B) if lo is None else Fraction(lo)
-    hi = Fraction(B) if hi is None else Fraction(hi)
-    stack = [(lo, hi)]
+    stack = [(Fraction(-B), Fraction(B))]
     out = []
     while stack:
         a, b = stack.pop()

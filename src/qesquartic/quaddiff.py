@@ -36,7 +36,7 @@ H0 = 4e-3                # largest RK4 arc-length step of trace_horizontal
 
 @dataclass
 class TrajectoryGraph:
-    """Turning points, traced trajectories, and their connectivity."""
+    """Turning points and the trajectories traced from them."""
 
     a: complex
     L: complex
@@ -44,43 +44,6 @@ class TrajectoryGraph:
     trajectories: list = field(default_factory=list)
     # each entry: {"from": i, "ray": k, "result": str, "to": j|None, "path": ndarray}
     all_on_critical: bool = False
-
-    def connectivity(self):
-        edges = set()
-        for tr in self.trajectories:
-            if tr["result"] == "capture":
-                edges.add(tuple(sorted((tr["from"], tr["to"]))))
-        return sorted(edges)
-
-    def to_csv(self) -> str:
-        """Polyline CSV: one row per vertex, keyed by trajectory id."""
-        lines = ["trajectory,re,im"]
-        for k, tr in enumerate(self.trajectories):
-            for z in tr["path"]:
-                lines.append(f"{k},{float(z.real)!r},{float(z.imag)!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self):
-        return {
-            "a": [self.a.real, self.a.imag],
-            "L": [self.L.real, self.L.imag],
-            "turning_points": [
-                {"point": [z.real, z.imag], "multiplicity": m}
-                for z, m in self.turning_points
-            ],
-            "criterion": self.all_on_critical,
-            "edges": [list(e) for e in self.connectivity()],
-            "trajectories": [
-                {
-                    "from": tr["from"],
-                    "ray": tr["ray"],
-                    "result": tr["result"],
-                    "to": tr["to"],
-                    "points": [[z.real, z.imag] for z in tr["path"][:: max(1, len(tr["path"]) // 400)]],
-                }
-                for tr in self.trajectories
-            ],
-        }
 
 
 def quartic_value(T, a, L):

@@ -91,15 +91,17 @@ def charpoly_bivariate(n: int) -> list:
     return [intpoly.trim(row) for row in p1]
 
 
-def spectral_polynomial(n: int, a):
-    """Characteristic polynomial det(M - x I) at a rational (int/Fraction)
-    ``a``: the exact ExactPoly in x, from the fixed-a recurrence at that a
-    (no bivariate grid is built)."""
+def spectral_polynomial(n: int, a) -> ExactPoly:
+    """The integer polynomial q^floor((n+1)/2) det(M - x I) in x at a
+    rational (int/Fraction) ``a`` = u/q in lowest terms, q > 0: the
+    characteristic polynomial itself at an integer a.  It comes from the
+    fixed-a recurrence at that a (no bivariate grid is built), scaled as
+    ``charpoly_coeffs_mp`` scales it at a double."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(a, (int, Fraction)):
         u, q = a.as_integer_ratio()
-        return ExactPoly._make(_charpoly_at(n, u, 0, q)[0], q ** ((n + 1) // 2))
+        return ExactPoly(_charpoly_at(n, u, 0, q)[0])
     raise TypeError("a must be an exact rational")
 
 
@@ -211,7 +213,7 @@ def _eigs_poly_general(n, a):
     polygon -> _cube_seed_matrix: n = 81 48 -> 27, n = 200 707 -> 67,
     n = 400 3837 -> 226 (774 and 3970 before the radii change)."""
     if a == 0:
-        return rootfind.threefold_roots(spectral_polynomial(n, 0).num,
+        return rootfind.threefold_roots(list(spectral_polynomial(n, 0).coeffs),
                                         init=_seeds(_cube_seed_matrix(n), (n + 1) // 3))
     return rootfind.aberth_roots(charpoly_coeffs_mp(n, a),
                                  init=_seeds(_seed_matrix(n, a), n + 1))

@@ -3,8 +3,9 @@
 Each check returns {"name", "passed", "detail", "seconds"}; suites group
 them ("exact", "asymptotic", "monodromy", "all").  The characteristic
 polynomial oracle used by the recurrence-equivalence check is an independent
-sparse cofactor expansion over exact rationals: it shares no code with the
-minor recurrence.
+sparse cofactor expansion over Fraction coefficient lists, with its own
+few lines of polynomial arithmetic: it shares no code with the minor
+recurrence or with ``intpoly``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import bkw, branching, monodromy, quaddiff, spectral, yv, zerocase
-from .exactpoly import ExactPoly
 
 
 def _check(name, fn):
@@ -33,8 +33,23 @@ def _check(name, fn):
 # independent characteristic-polynomial oracle (sparse cofactor expansion)
 # ---------------------------------------------------------------------------
 
-def charpoly_cofactor(n: int, a: Fraction) -> ExactPoly:
-    """det(M - x I) by cofactor expansion down the first column, exact.
+def _fadd(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    return [c + (q[i] if i < len(q) else 0) for i, c in enumerate(p)]
+
+
+def _fmul(p, q):
+    r = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            r[i + j] += c * d
+    return r
+
+
+def charpoly_cofactor(n: int, a: Fraction) -> list:
+    """det(M - x I) by cofactor expansion down the first column, exact: its
+    Fraction coefficients in x, ascending (the leading one is (-1)^(n+1)).
 
     Exponential-looking but effectively linear here because each column has
     at most three nonzero entries; used only as the independent oracle for
@@ -42,17 +57,16 @@ def charpoly_cofactor(n: int, a: Fraction) -> ExactPoly:
     """
     a = Fraction(a)
     size = n + 1
-    x = ExactPoly.variable()
 
     def entry(i, j):
         if i == j:
-            return -x
+            return [Fraction(0), Fraction(-1)]
         if i == j + 1:
-            return ExactPoly([n - j])
+            return [Fraction(n - j)]
         if j == i + 1:
-            return ExactPoly([(i + 1) * a])
+            return [(i + 1) * a]
         if j == i + 2:
-            return ExactPoly([(i + 1) * (i + 2)])
+            return [Fraction((i + 1) * (i + 2))]
         return None
 
     memo = {}
@@ -63,16 +77,16 @@ def charpoly_cofactor(n: int, a: Fraction) -> ExactPoly:
         # one row is consumed per column, so the current column index is
         # determined by how many rows remain
         c = size - len(rows)
-        acc = ExactPoly.zero()
+        acc = []
         for pos, i in enumerate(rows):
             e = entry(i, c)
             if e is None:
                 continue
             sub = rows[:pos] + rows[pos + 1 :]
-            term = e * _det_memo(sub) if sub else e
+            term = _fmul(e, _det_memo(sub)) if sub else e
             if pos % 2 == 1:
-                term = -term
-            acc = acc + term
+                term = [-t for t in term]
+            acc = _fadd(acc, term)
         memo[rows] = acc
         return acc
 
@@ -109,14 +123,16 @@ def criterion_exact_structure(n_max: int):
 
 def criterion_oracle_equivalence():
     """(2) recurrence charpoly == cofactor-expansion charpoly, exact, for 20
-    random n <= 12 and rational a."""
+    random n <= 12 and rational a = u/q, the oracle scaled by
+    q^floor((n+1)/2) as spectral_polynomial is."""
     def run():
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(1, 12)
             a = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-            lhs = spectral.spectral_polynomial(n, a)
-            rhs = charpoly_cofactor(n, a)
+            lhs = spectral.spectral_polynomial(n, a).coeffs
+            scale = a.denominator ** ((n + 1) // 2)
+            rhs = tuple(scale * c for c in charpoly_cofactor(n, a))
             if lhs != rhs:
                 return False, f"mismatch at n={n}, a={a}"
         return True, "20 random (n <= 12, rational a) cases equal"
@@ -158,7 +174,7 @@ def criterion_branch_endpoint_algebra():
     def run():
         b = bkw.branch_cubic_coeffs_in_a(Fraction(1, 2))
         e = bkw.endpoint_cubic_coeffs_in_a()
-        if any(x != y for x, y in zip(b, e)):
+        if b != e:
             return False, "cubic coefficient mismatch at tau = 1/2"
         if bkw.dsc_exact(Fraction(27, 4), Fraction(1, 2)) != 0:
             return False, "dsc at the real threshold is not exactly zero"
@@ -203,9 +219,9 @@ def criterion_yv_exact(n_max: int):
         for n in range(n_max + 1):
             if seq[n].degree != n * (n + 1) // 2:
                 return False, f"degree failure at n={n}"
-        if seq[2] != ExactPoly.from_int_coeffs([4, 0, 0, 1]):
+        if seq[2].coeffs != (4, 0, 0, 1):
             return False, "second member mismatch"
-        if seq[3] != ExactPoly.from_int_coeffs([-80, 0, 0, 20, 0, 0, 1]):
+        if seq[3].coeffs != (-80, 0, 0, 20, 0, 0, 1):
             return False, "third member mismatch"
         for n in range(1, 11):
             r = yv.painleve_residual(n, 0.7 + 0.1 * n)
@@ -235,15 +251,13 @@ def criterion_yv_scaling_band(n: int, cache_dir=None):
 
 
 def criterion_sigma(ns, cache_dir=None):
-    """(8) exact discriminant degrees, the n=2 values, conjugation symmetry."""
+    """(8) exact discriminant degrees, the n=2 values, conjugation symmetry
+    (exact, since an ExactPoly has integer coefficients by construction)."""
     def run():
         for n in ns:
             poly = branching.sigma_polynomial(n, cache_dir=cache_dir)
             if poly.degree != n * (n + 1) // 2:
                 return False, f"degree failure at n={n}"
-            # conjugation symmetry is exact: integer coefficients
-            if poly.den != 1:
-                return False, f"non-integer coefficient at n={n}"
         pts = branching.sigma_points(2, cache_dir=cache_dir).points.points
         w = np.exp(2j * np.pi / 3)
         m = 3 * 2 ** (-4 / 3)

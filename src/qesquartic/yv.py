@@ -85,19 +85,20 @@ def yv_generate(N: int) -> YVSequence:
     if N < 0:
         raise ValueError("N must be >= 0")
     coeffs = _yv_int_coeffs(max(N, 1))
-    return YVSequence(
-        [ExactPoly.from_int_coeffs(list(c)) for c in coeffs[: N + 1]]
-    )
+    return YVSequence([ExactPoly(c) for c in coeffs[: N + 1]])
 
 
 def yv_zeros(n: int, cache_dir=None) -> PointSet:
     """All n(n+1)/2 zeros of YV_n, multiplicity included, sorted by (Re, Im).
 
     Roots come from the exact cubic-structure factor g (YV_n = t^r g(t^3))
-    through rootfind.threefold_roots: Aberth roots of g, each in its own
-    Newton inclusion disk, mapped back by cube roots.  Each returned zero
-    passes the scale-aware residual test |YV_n(z)| / sum_k |c_k||z|^k <
-    RESIDUAL_TOL.  n is capped at ZERO_CAP_DEFAULT.  Large-n zero sets are
+    through rootfind.threefold_roots: Aberth roots of g, mapped back by cube
+    roots.  Every root's certificate is its Newton inclusion disk from
+    Aberth, which aberth_roots requires to be disjoint from all the others.
+    On top of that, a stride sample of about 40 zeros (every zero when
+    there are fewer than 80) must pass the scale-aware residual test
+    |YV_n(z)| / sum_k |c_k||z|^k < RESIDUAL_TOL; the other zeros are not
+    evaluated.  n is capped at ZERO_CAP_DEFAULT.  Large-n zero sets are
     disk-cached.
     """
     if n < 0:
@@ -148,13 +149,22 @@ def painleve_residual(n: int, t) -> float:
     the residual is exact up to float evaluation noise.
     """
     tc = complex(t)
-    seq = yv_generate(n)
+    seq = _yv_int_coeffs(n)
     uv, upp = 0j, 0j
     for poly, sign in ((seq[n - 1], 1.0), (seq[n], -1.0)):
-        pv = poly(tc)
-        v = poly.derivative()(tc) / pv
-        p2 = poly.derivative().derivative()(tc) / pv
-        p3 = poly.derivative().derivative().derivative()(tc) / pv
+        d1 = intpoly.deriv(poly)
+        d2 = intpoly.deriv(d1)
+        pv = _horner(poly, tc)
+        v = _horner(d1, tc) / pv
+        p2 = _horner(d2, tc) / pv
+        p3 = _horner(intpoly.deriv(d2), tc) / pv
         uv += sign * v
         upp += sign * (p3 - 3 * v * p2 + 2 * v**3)
     return abs(upp - tc * uv - 2 * uv**3 - n)
+
+
+def _horner(p, z: complex) -> complex:
+    acc = 0j
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc

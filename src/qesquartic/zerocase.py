@@ -40,50 +40,62 @@ class PQRTriple:
     R: ExactPoly
 
 
-def pqr_sequences(n: int):
-    """All triples for l = 0..floor(n/3); exact integer recurrence."""
-    if n < 3:
-        raise ValueError("n must be >= 3 for a nontrivial triple recurrence")
+def _pqr_lists(n: int):
+    """(P_l, Q_l, R_l) as int lists for l = 0..floor(n/3)."""
     P, Q, R = [1], [1], [1]
-    out = [PQRTriple(n, 0,
-                     ExactPoly.from_int_coeffs(P),
-                     ExactPoly.from_int_coeffs(Q),
-                     ExactPoly.from_int_coeffs(R))]
+    out = [(P, Q, R)]
     for l in range(1, n // 3 + 1):
         cP = (n - 3 * l + 2) * (n - 3 * l + 3) * (3 * l - 2) * (3 * l - 1)
         cQ = (n - 3 * l + 1) * (n - 3 * l + 2) * (3 * l - 1) * (3 * l)
         cR = (n - 3 * l) * (n - 3 * l + 1) * (3 * l) * (3 * l + 1)
-        Pn = intpoly.add([0] + R, intpoly.scale(P, cP))
-        Qn = intpoly.add(Pn, intpoly.scale(Q, cQ))
-        Rn = intpoly.add(Qn, intpoly.scale(R, cR))
-        P, Q, R = Pn, Qn, Rn
-        out.append(PQRTriple(n, l,
-                             ExactPoly.from_int_coeffs(P),
-                             ExactPoly.from_int_coeffs(Q),
-                             ExactPoly.from_int_coeffs(R)))
+        P = intpoly.add([0] + R, intpoly.scale(P, cP))
+        Q = intpoly.add(P, intpoly.scale(Q, cQ))
+        R = intpoly.add(Q, intpoly.scale(R, cR))
+        out.append((P, Q, R))
     return out
 
 
-def factor_structure(n: int):
-    """(r, q) with det(M - x I)|_{a=0} = (-1)^(n+1) x^r q(x^3) and q monic.
+def pqr_sequences(n: int):
+    """All triples for l = 0..floor(n/3); exact integer recurrence."""
+    if n < 3:
+        raise ValueError("n must be >= 3 for a nontrivial triple recurrence")
+    return [PQRTriple(n, l, ExactPoly(P), ExactPoly(Q), ExactPoly(R))
+            for l, (P, Q, R) in enumerate(_pqr_lists(n))]
 
-    r is 0, 1, 2 according to n+1 = 3k, 3k+1, 3k+2; q is ascending in
-    xi = x^3.  A StructureViolation is raised if any coefficient of the
-    recurrence-built characteristic polynomial escapes the x^(3j+r) support,
-    if its lowest degree is not (n+1) mod 3, or if the identity does not
-    rebuild it exactly.
-    """
-    p = spectral_polynomial(n, 0)
-    r, g = intpoly.split_cube(p.num)
+
+def _cube_factor(n: int):
+    """(r, q) of factor_structure, q as an int list."""
+    p = list(spectral_polynomial(n, 0).coeffs)
+    r, g = intpoly.split_cube(p)
     if r != (n + 1) % 3:
         raise StructureViolation(
             f"lowest degree {r} for n={n} (expected {(n + 1) % 3} mod 3)"
         )
     sign = (-1) ** (n + 1)
-    q = ExactPoly.from_int_coeffs([sign * c for c in g])
-    if q.compose_cube().shift_up(r) * sign != p:
+    q = intpoly.scale(g, sign)
+    rebuilt = [0] * (r + 3 * len(q) - 2)
+    rebuilt[r::3] = intpoly.scale(q, sign)
+    if rebuilt != p:
         raise StructureViolation(f"reconstruction failed for n={n}")
     return r, q
+
+
+def factor_structure(n: int):
+    """(r, q) with det(M - x I)|_{a=0} = (-1)^(n+1) x^r q(x^3) and q monic.
+
+    r is 0, 1, 2 according to n+1 = 3k, 3k+1, 3k+2; q is the ExactPoly
+    ascending in xi = x^3.  A StructureViolation is raised if any
+    coefficient of the recurrence-built characteristic polynomial escapes
+    the x^(3j+r) support, if its lowest degree is not (n+1) mod 3, or if
+    the identity does not rebuild it exactly.
+    """
+    r, q = _cube_factor(n)
+    return r, ExactPoly(q)
+
+
+def _flip(F, k):
+    """(-1)^k F(-xi) as an int list."""
+    return [c if (i + k) % 2 == 0 else -c for i, c in enumerate(F)]
 
 
 def pqr_matches_factor(n: int) -> bool:
@@ -92,29 +104,26 @@ def pqr_matches_factor(n: int) -> bool:
     F is P, Q or R according to n+1 = 3k, 3k+1, 3k+2 (k = floor((n+1)/3));
     the (-1)^k makes the right side monic, matching q.
     """
-    r, q = factor_structure(n)
+    r, q = _cube_factor(n)
     k = (n + 1) // 3
     if k == 0:
-        return q == ExactPoly.one()
+        return q == [1]
     if n == 2:  # P_1 = xi + 2n^2 - 2n, below the n >= 3 triple range
-        return q == ExactPoly.from_int_coeffs([2 * n * n - 2 * n, 1]) \
-            .negate_variable() * (-1)
-    triples = pqr_sequences(n)
-    fam = {0: "P", 1: "Q", 2: "R"}[r]
+        return q == _flip([2 * n * n - 2 * n, 1], 1)
+    triples = _pqr_lists(n)
     if k <= n // 3:
-        F = getattr(triples[k], fam)
+        F = triples[k][r]
     else:
         # n+1 = 3k: the factor is P_k, one step past the l <= n//3 triples
         assert r == 0 and k == n // 3 + 1
-        prev = triples[k - 1]
+        P, _, R = triples[k - 1]
         cP = (n - 3 * k + 2) * (n - 3 * k + 3) * (3 * k - 2) * (3 * k - 1)
-        F = prev.R.shift_up(1) + prev.P * cP
-    return q == F.negate_variable() * ((-1) ** k)
+        F = intpoly.add([0] + R, intpoly.scale(P, cP))
+    return q == _flip(F, k)
 
 
-def _all_roots_negative_simple(p: ExactPoly) -> bool:
-    """Exact: every root of p real, simple, and in (-inf, 0)."""
-    ip = p.num
+def _all_roots_negative_simple(ip) -> bool:
+    """Exact: every root of the int list ip real, simple, and in (-inf, 0)."""
     if len(ip) <= 1:
         return True
     seq = intpoly.sturm_sequence(ip)
@@ -124,8 +133,9 @@ def _all_roots_negative_simple(p: ExactPoly) -> bool:
     return count == d and intpoly.sign_at(ip, 0) != 0
 
 
-def certify_interlacing(p: ExactPoly, q: ExactPoly) -> str:
-    """Exact interlacing verdict for p, q with deg p = deg q or deg q + 1.
+def certify_interlacing(p, q) -> str:
+    """Exact interlacing verdict for int lists p, q with deg p = deg q or
+    deg q + 1.
 
     Returns "interlacing-with-largest-in-p" when p has deg p simple real
     roots, q has a root strictly between each neighbouring pair of them and
@@ -148,16 +158,14 @@ def certify_interlacing(p: ExactPoly, q: ExactPoly) -> str:
     gaps (inside one it would make that gap's multiplicity even), hence is
     simple too.
     """
-    if not (p.degree - q.degree in (0, 1)):
+    if not (len(p) - len(q) in (0, 1)):
         raise ValueError("degrees must differ by 0 or 1 (p the larger)")
-    ip = p.num
-    iq = q.num
-    index = intpoly.sturm_count(intpoly.signed_remainders(ip, iq),
+    index = intpoly.sturm_count(intpoly.signed_remainders(p, q),
                                 -math.inf, math.inf)
-    sign = intpoly.sign_at_inf(ip, True) * intpoly.sign_at_inf(iq, True)
-    if index == (len(ip) - 1) * sign:
+    sign = intpoly.sign_at_inf(p, True) * intpoly.sign_at_inf(q, True)
+    if index == (len(p) - 1) * sign:
         return "interlacing-with-largest-in-p"
-    for u, name in ((ip, "p"), (iq, "q")):
+    for u, name in ((p, "p"), (q, "q")):
         if len(u) > 1 and len(intpoly.gcd(u, intpoly.deriv(u))) > 1:
             raise MultipleRoot(f"{name} is not squarefree")
     return "not-interlacing"
@@ -174,27 +182,24 @@ def certify_all(n: int):
     rec = {"n": n, "r": r, "q_degree": q.degree, "structure_ok": True,
            "pqr": []}
     if n >= 3:
-        triples = pqr_sequences(n)
+        triples = _pqr_lists(n)
         for l in range(1, len(triples)):
-            t = triples[l]
-            prev = triples[l - 1]
+            P, Q, R = triples[l]
             entry = {"l": l}
-            for name in ("P", "Q", "R"):
-                entry[f"{name}_neg_simple"] = _all_roots_negative_simple(
-                    getattr(t, name)
-                )
+            for name, F in zip("PQR", triples[l]):
+                entry[f"{name}_neg_simple"] = _all_roots_negative_simple(F)
             # arrowheads per the proof chains: the largest root (nearest 0)
             # sits in xi*R_{l-1}, then P_l, then Q_l respectively.  At the
             # top depth a recurrence coefficient can vanish, leaving the two
             # polynomials identical; that degenerate step is recorded as such.
-            entry["xiR_P"] = _arrow(prev.R.shift_up(1), t.P)
-            entry["P_Q"] = _arrow(t.P, t.Q)
-            entry["Q_R"] = _arrow(t.Q, t.R)
+            entry["xiR_P"] = _arrow([0] + triples[l - 1][2], P)
+            entry["P_Q"] = _arrow(P, Q)
+            entry["Q_R"] = _arrow(Q, R)
             rec["pqr"].append(entry)
     return rec
 
 
-def _arrow(p: ExactPoly, q: ExactPoly) -> str:
+def _arrow(p, q) -> str:
     if p == q:
         return "degenerate-equal"
     return certify_interlacing(p, q)

@@ -10,8 +10,8 @@ fraction-free elimination on a Sylvester matrix of polynomials (the package
 interpolates it modulo primes instead; on constant rows it checks the
 package's integer subresultant PRS), root counting falls back to numpy
 with wide margins, and polynomial arithmetic, evaluation and the frozen
-recurrence run per coefficient over Fractions (the package keeps integer
-numerators over one denominator), and eigenvalue tracking and set matching
+recurrence run per coefficient over Fractions (the package runs them on
+integer lists), and eigenvalue tracking and set matching
 use scipy's optimal assignment solver (the package matches nearest
 neighbours and certifies that the match is the optimal one), as does the
 minimum spanning tree (the package runs Prim's algorithm).  Tracking also
@@ -140,8 +140,8 @@ def sylvester_resultant_poly(p_rows, q_rows):
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                t = intpoly.sub(intpoly.mul(M[i][j], M[k][k]),
-                                intpoly.mul(M[i][k], M[k][j]))
+                t = intpoly.add(intpoly.mul(M[i][j], M[k][k]),
+                                intpoly.neg(intpoly.mul(M[i][k], M[k][j])))
                 M[i][j] = intpoly.div_exact(t, prev)
             M[i][k] = []
         prev = M[k][k]
@@ -169,9 +169,9 @@ def yv_tform(N):
         Y, prev = ys[-1], ys[-2]
         d1 = intpoly.deriv(Y)
         d2 = intpoly.deriv(d1)
-        wron = intpoly.sub(schoolbook_mul(Y, d2), schoolbook_mul(d1, d1))
-        num = intpoly.sub(schoolbook_mul([0, 1], schoolbook_mul(Y, Y)),
-                          intpoly.scale(wron, 4))
+        wron = intpoly.add(schoolbook_mul(Y, d2), intpoly.neg(schoolbook_mul(d1, d1)))
+        num = intpoly.add(schoolbook_mul([0, 1], schoolbook_mul(Y, Y)),
+                          intpoly.scale(wron, -4))
         ys.append(intpoly.div_exact(num, prev))
     return [tuple(y) for y in ys[: N + 1]]
 
@@ -189,7 +189,7 @@ def numpy_real_root_count(coeffs, lo, hi, imag_tol=1e-7):
 
 # ---------------------------------------------------------------------------
 # Fraction-list polynomials (ascending, trailing zeros trimmed): the plain
-# per-coefficient arithmetic that ExactPoly's integer kernel is checked on
+# per-coefficient arithmetic that intpoly's integer kernel is checked on
 # ---------------------------------------------------------------------------
 
 def frac_trim(cs):

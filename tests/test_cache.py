@@ -152,7 +152,7 @@ def _other_schedule(entry):
 
 ARTIFACTS = {
     "sigma-poly": ("sigma-poly-6.json",
-                   lambda d: branching.sigma_polynomial(6, cache_dir=d).num),
+                   lambda d: branching.sigma_polynomial(6, cache_dir=d).coeffs),
     "yv-zeros": ("yv-zeros-25.json", lambda d: yv.yv_zeros(25, cache_dir=d).points),
     "eigs": ("eigs-0p5_m0p5-81.json",
              lambda d: spectral.eigenvalues(81, 0.5 - 0.5j, cache_dir=d).points),
@@ -217,7 +217,7 @@ PINNED = {
     "eigs-a0": (lambda d: spectral.eigenvalues(81, 0, cache_dir=d).points,
                 cache.Points(82)),
     "yv-zeros": (lambda d: yv.yv_zeros(25, cache_dir=d).points, cache.Points(325)),
-    "sigma-poly": (lambda d: branching.sigma_polynomial(6, cache_dir=d).num,
+    "sigma-poly": (lambda d: branching.sigma_polynomial(6, cache_dir=d).coeffs,
                    cache.IntPoly(21)),
     "sigma-points": (lambda d: branching.sigma_points(6, cache_dir=d).points.points,
                      cache.Points(21)),
@@ -231,7 +231,7 @@ def test_version_pins_outputs(tmp_cache):
 
 
 @pytest.mark.parametrize("name, run", [
-    ("sigma-poly-3.json", lambda d: branching.sigma_polynomial(3, cache_dir=d).num),
+    ("sigma-poly-3.json", lambda d: branching.sigma_polynomial(3, cache_dir=d).coeffs),
     ("eigs-0p5_m0p5-81.json",
      lambda d: spectral.eigenvalues(81, 0.5 - 0.5j, cache_dir=d).points),
 ], ids=["sigma-poly", "eigs"])
@@ -255,8 +255,8 @@ def test_unwritable_cache_dir_returns_the_value(tmp_path, sub):
     (tmp_path / "cache").write_text("not a directory")
     d = str(tmp_path / "cache" / sub)
     assert cache.store("k", 2, {}, d) is None
-    want = branching.sigma_polynomial(3, cache_dir=None).num
+    want = branching.sigma_polynomial(3, cache_dir=None).coeffs
     for _ in range(2):
-        assert branching.sigma_polynomial(3, cache_dir=d).num == want
+        assert branching.sigma_polynomial(3, cache_dir=d).coeffs == want
     assert (tmp_path / "cache").read_text() == "not a directory"
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,14 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesquartic import intpoly
-from qesquartic.errors import NotDivisible, NotSquarefree
-from qesquartic.exactpoly import (
-    ExactPoly,
-    discriminant,
-    exact_div,
-    real_roots,
-    resultant,
-)
+from qesquartic.errors import NotDivisible
+from qesquartic.exactpoly import ExactPoly
+from qesquartic.yv import _horner
 
 from oracles import (
     frac_add,
@@ -29,32 +25,47 @@ from oracles import (
 )
 
 
-def P(*coeffs):
-    return ExactPoly(list(coeffs))
+class TestExactPoly:
+    def test_trims_compares_and_hashes(self):
+        p = ExactPoly([4, 0, 0, 1, 0, 0])
+        assert p.coeffs == (4, 0, 0, 1) and p.degree == 3
+        assert p == ExactPoly((4, 0, 0, 1)) and hash(p) == hash(ExactPoly([4, 0, 0, 1]))
+        assert p != ExactPoly([4, 0, 0, -1])
+        assert ExactPoly([0, 0]).coeffs == () and ExactPoly([]).degree == -1
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(2), 1.0, 1 + 0j, [1]])
+    def test_non_int_coefficients_rejected(self, c):
+        with pytest.raises(TypeError):
+            ExactPoly([1, c])
+
+    def test_immutable_without_arithmetic(self):
+        p = ExactPoly([1, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.coeffs = (2,)
+        with pytest.raises(TypeError):
+            p + p
 
 
 class TestExactDiv:
     def test_monomial(self):
         # (t^3 + 4t) / t
-        assert exact_div(P(0, 4, 0, 1), P(0, 1)) == P(4, 0, 1)
+        assert intpoly.div_exact([0, 4, 0, 1], [0, 1]) == [4, 0, 1]
 
     def test_yv_step_quotient(self):
         # frozen from the degree-3 recursion step: (t^7 + 20 t^4 - 80 t) / t
-        assert exact_div(P(0, -80, 0, 0, 20, 0, 0, 1), P(0, 1)) == \
-            P(-80, 0, 0, 20, 0, 0, 1)
+        assert intpoly.div_exact([0, -80, 0, 0, 20, 0, 0, 1], [0, 1]) == \
+            [-80, 0, 0, 20, 0, 0, 1]
 
     def test_remainder_raises(self):
         with pytest.raises(NotDivisible):
-            exact_div(P(1, 0, 1), P(1, 1))
+            intpoly.div_exact([1, 0, 1], [1, 1])
 
     def test_roundtrip_random(self):
         rng = random.Random(3)
         for _ in range(60):
-            p = P(*[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                    for _ in range(rng.randint(1, 7))] + [1])
-            q = P(*[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                    for _ in range(rng.randint(1, 6))] + [1])
-            assert exact_div(p * q, q) == p
+            p = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))] + [rng.randint(1, 4)]
+            q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 4)]
+            assert intpoly.div_exact(intpoly.mul(p, q), q) == p
 
 
 @st.composite
@@ -66,22 +77,18 @@ def _split_real_polys(draw):
                          unique=True, max_size=6))
     pairs = draw(st.lists(st.tuples(st.integers(-10, 10), st.integers(1, 5)),
                           min_size=0 if real else 1, max_size=2, unique=True))
-    p = ExactPoly([draw(st.sampled_from([1, -1, 3, -7]))])
+    p = [draw(st.sampled_from([1, -1, 3, -7]))]
     for r in real:
-        p = p * ExactPoly([-r.numerator, r.denominator])
+        p = intpoly.mul(p, [-r.numerator, r.denominator])
     for u, v in pairs:
-        p = p * ExactPoly([u * u + v * v, -2 * u, 1])
-    return p.num, real
+        p = intpoly.mul(p, [u * u + v * v, -2 * u, 1])
+    return p, real
 
 
 # lo < hi, each k + 1/2 (never a root k or k/3) or infinite
 _INTERVAL = st.lists(st.one_of(st.integers(-24, 23).map(lambda k: Fraction(2 * k + 1, 2)),
                                st.sampled_from([-math.inf, math.inf])),
                      min_size=2, max_size=2, unique=True).map(sorted)
-
-
-_SMALL_POLY = st.lists(st.fractions(-9, 9, max_denominator=4), min_size=1,
-                       max_size=6).filter(lambda cs: cs[-1] != 0)
 
 
 class TestResultant:
@@ -105,60 +112,55 @@ class TestResultant:
         assert sylvester_resultant_poly(p, q) == [432, 0, 0, -256]
 
     def test_bivariate_input_refused(self):
-        p = [[0, -1], [1]]          # an (x, a) grid, not an ExactPoly
+        p = [[0, -1], [1]]          # an (x, a) grid, not an exact polynomial
         with pytest.raises(TypeError):
-            resultant(p, p)
-
-    @settings(max_examples=40)
-    @given(_SMALL_POLY, _SMALL_POLY)
-    def test_univariate_matches_hand_oracle(self, p, q):
-        assert resultant(ExactPoly(p), ExactPoly(q)) == sylvester_det_by_hand(p, q)
+            ExactPoly(p)
 
     @pytest.mark.parametrize("p, q", [([], [1, 2]), ([1, 2], []), ([], [])])
     def test_zero_polynomial_gives_zero(self, p, q):
-        res = resultant(ExactPoly(p), ExactPoly(q))
-        assert res == 0 and isinstance(res, Fraction)
+        assert intpoly.sylvester_resultant(p, q) == 0
 
     def test_discriminant_of_zero_is_zero(self):
-        res = discriminant(ExactPoly([]))
-        assert res == 0 and isinstance(res, Fraction)
+        assert intpoly.sylvester_resultant([], intpoly.deriv([])) == 0
 
     def test_discriminant_detects_multiple_roots(self):
+        def disc(p):
+            return intpoly.sylvester_resultant(p, intpoly.deriv(p))
+
         rng = random.Random(5)
         for _ in range(25):
             # build a polynomial with a known double root r
             r = rng.randint(-5, 5)
             s = rng.randint(-5, 5)
-            p = ExactPoly([r * r, -2 * r, 1]) * ExactPoly([-s, 1])
-            assert discriminant(p) == 0
+            assert disc(intpoly.mul([r * r, -2 * r, 1], [-s, 1])) == 0
             # and a squarefree one with distinct roots
-            roots = rng.sample(range(-20, 20), 3)
-            q = ExactPoly([1])
-            for rt in roots:
-                q = q * ExactPoly([-rt, 1])
-            assert discriminant(q) != 0
+            q = [1]
+            for rt in rng.sample(range(-20, 20), 3):
+                q = intpoly.mul(q, [-rt, 1])
+            assert disc(q) != 0
+
+
+def _contains_one_root_each(intervals, roots):
+    roots = sorted(roots)
+    return len(intervals) == len(roots) and all(
+        a < r <= b for (a, b), r in zip(intervals, roots))
 
 
 class TestRealRoots:
     def test_simple_quadratic(self):
-        count, ivs = real_roots(P(-1, 0, 1), -2, 2)
-        assert count == 2
-        for (a, b), root in zip(ivs, (-1, 1)):
-            assert a < root <= b
+        assert _contains_one_root_each(intpoly.isolate_real_roots([-1, 0, 1]), [-1, 1])
 
     def test_no_real_roots(self):
-        assert real_roots(P(1, 0, 1))[0] == 0
+        assert intpoly.isolate_real_roots([1, 0, 1]) == []
 
     def test_shifted_linear(self):
         # the l=1 member of the zero-parameter family at n=5: xi + 40
-        count, ivs = real_roots(P(40, 1), lo=None, hi=0)
-        assert count == 1
+        assert _contains_one_root_each(intpoly.isolate_real_roots([40, 1]), [-40])
 
     def test_not_squarefree(self):
-        with pytest.raises(NotSquarefree) as exc:
-            real_roots(P(1, 2, 1))
-        assert exc.value.gcd_factor is not None
-        assert exc.value.gcd_factor.degree == 1
+        # the repeated factor x + 1 of (x + 1)^2, as certify_interlacing finds it
+        p = [1, 2, 1]
+        assert intpoly.gcd(p, intpoly.deriv(p)) == [1, 1]
 
     @settings(max_examples=80)
     @given(_split_real_polys(), _INTERVAL)
@@ -168,9 +170,7 @@ class TestRealRoots:
         count = intpoly.sturm_count(intpoly.sturm_sequence(coeffs), lo, hi)
         assert count == numpy_real_root_count(coeffs, lo, hi)
         assert count == sum(lo < r <= hi for r in real)
-        isolated, _ = real_roots(ExactPoly(coeffs), *(None if math.isinf(x) else x
-                                                       for x in (lo, hi)))
-        assert isolated == count
+        assert _contains_one_root_each(intpoly.isolate_real_roots(coeffs), real)
 
 
 class TestBivariate:
@@ -328,77 +328,55 @@ def test_degree_cap():
         intpoly.mul([1] * 60_000, [1] * 60_000)
 
 
-# coefficient lists with small and wide numerators over small denominators
-_FRACS = st.lists(st.builds(Fraction, st.one_of(st.integers(-60, 60), _WIDE),
-                            st.integers(1, 36)), max_size=8)
-_RATIONAL = st.fractions(-50, 50, max_denominator=30)
-
-
-def _assert_canonical(p):
-    num, den = p.num, p.den
-    assert den > 0
-    assert not num or num[-1] != 0
-    assert math.gcd(intpoly.content(num), den) == 1
-    if not num:
-        assert den == 1
+# int coefficient lists, small and wide, with zeros that trimming must drop
+_INTS = st.lists(st.one_of(st.just(0), st.integers(-60, 60), _WIDE), max_size=8)
 
 
 class TestIntegerKernel:
-    """ExactPoly on integer numerators against per-coefficient Fractions."""
+    """intpoly's ring operations on int lists against per-coefficient
+    Fractions."""
 
     @settings(max_examples=80)
-    @given(p=_FRACS, q=_FRACS)
+    @given(p=_INTS, q=_INTS)
     def test_ring_operations(self, p, q):
-        P_, Q_ = ExactPoly(p), ExactPoly(q)
-        assert P_.coeffs == frac_trim(p)
-        assert (P_ + Q_).coeffs == frac_add(frac_trim(p), frac_trim(q))
-        assert (P_ - Q_).coeffs == frac_add(frac_trim(p), frac_trim(q), -1)
-        assert (-P_).coeffs == frac_trim([-c for c in p])
-        assert (P_ * Q_).coeffs == frac_mul(frac_trim(p), frac_trim(q))
-        for r in (P_ + Q_, P_ - Q_, -P_, P_ * Q_):
-            _assert_canonical(r)
-        assert (P_ - P_) == ExactPoly.zero() and ((P_ - P_).num, (P_ - P_).den) == ([], 1)
+        fp, fq = frac_trim(p), frac_trim(q)
+        P_, Q_ = intpoly.trim(list(p)), intpoly.trim(list(q))
+        assert P_ == fp
+        assert intpoly.add(P_, Q_) == frac_add(fp, fq)
+        assert intpoly.add(P_, intpoly.neg(Q_)) == frac_add(fp, fq, -1)
+        assert intpoly.neg(P_) == frac_trim([-c for c in p])
+        assert intpoly.mul(P_, Q_) == frac_mul(fp, fq)
+        assert intpoly.add(P_, intpoly.neg(P_)) == []
 
     @settings(max_examples=80)
-    @given(p=_FRACS, c=_RATIONAL)
+    @given(p=_INTS, c=st.one_of(st.integers(-50, 50), _WIDE))
     def test_scalars_and_equality(self, p, c):
-        P_ = ExactPoly(p)
-        assert (P_ * c).coeffs == frac_trim([x * c for x in p])
-        assert (c * P_) == P_ * c
-        assert (P_ + c).coeffs == frac_add(frac_trim(p), frac_trim([c]))
-        assert ExactPoly(P_.coeffs) == P_
-        assert hash(ExactPoly(P_.coeffs)) == hash(P_)
+        P_ = intpoly.trim(list(p))
+        assert intpoly.scale(P_, c) == frac_trim([x * c for x in p])
+        assert intpoly.add(P_, [c]) == frac_add(frac_trim(p), frac_trim([c]))
+        assert ExactPoly(p) == ExactPoly(P_) == ExactPoly(P_ + [0])
+        assert hash(ExactPoly(p)) == hash(ExactPoly(P_))
 
     @settings(max_examples=80)
-    @given(p=_FRACS, k=st.integers(0, 4))
+    @given(p=_INTS, k=st.integers(0, 4))
     def test_structural_maps(self, p, k):
-        P_, cs = ExactPoly(p), frac_trim(p)
-        assert P_.derivative().coeffs == frac_trim([i * c for i, c in enumerate(cs)][1:])
-        assert P_.shift_up(k).coeffs == frac_trim([0] * k + cs)
-        cube = [Fraction(0)] * (3 * len(cs))
-        cube[::3] = cs
-        assert P_.compose_cube().coeffs == frac_trim(cube)
-        assert P_.negate_variable().coeffs == [c if i % 2 == 0 else -c
-                                               for i, c in enumerate(cs)]
-        for r in (P_.derivative(), P_.shift_up(k), P_.compose_cube(),
-                  P_.negate_variable()):
-            _assert_canonical(r)
-
-    @settings(max_examples=80)
-    @given(p=_FRACS, x=_RATIONAL)
-    def test_call_at_rationals(self, p, x):
-        P_ = ExactPoly(p)
-        want = frac_horner(frac_trim(p), x)
-        assert P_(x) == want
-        if x.denominator == 1:
-            assert P_(int(x)) == want
+        cs = intpoly.trim(list(p))
+        assert intpoly.deriv(cs) == frac_trim([i * c for i, c in enumerate(cs)][1:])
+        if cs:
+            # x^k cs(x^3) splits back into its lowest degree and cs's tail
+            low = next(j for j, c in enumerate(cs) if c)
+            cube = [0] * (3 * len(cs))
+            cube[::3] = cs
+            assert intpoly.split_cube(intpoly.trim([0] * k + cube)) == \
+                (k + 3 * low, cs[low:])
 
     def test_call_at_complex(self):
-        P_ = ExactPoly([Fraction(1, 3), -2, 0, Fraction(5, 7)])
+        # the complex Horner pass of yv.painleve_residual
+        p = [1, -2, 0, 5, 0, 0, -7]
         z = 0.3 - 1.2j
-        want = sum(complex(c) * z**k for k, c in enumerate(P_.coeffs))
-        assert abs(P_(z) - want) < 1e-14 * abs(want)
-        assert P_(0.5) == pytest.approx(float(frac_horner(P_.coeffs, Fraction(1, 2))))
+        want = sum(complex(c) * z**k for k, c in enumerate(p))
+        assert abs(_horner(p, z) - want) < 1e-14 * abs(want)
+        assert _horner(p, 0.5) == pytest.approx(float(frac_horner(p, Fraction(1, 2))))
 
 
 class TestEvalAt:

@@ -1,5 +1,5 @@
-"""Export surfaces and auxiliary reports: JSON/CSV schemas and the
-non-exact fallback route."""
+"""Export surfaces and auxiliary reports: the support JSON schema, the
+distinct-imaginary-part report and conjugation invariance."""
 
 import numpy as np
 import pytest
@@ -27,18 +27,6 @@ class TestSupportSampleExport:
             assert np.abs(args - k * 2 * np.pi / 3).max() < 1e-6
         ep = d["endpoints"]["0.500000"]
         assert len(ep) == 3
-
-
-class TestTrajectoryCsv:
-    def test_polyline_csv(self):
-        g = quaddiff.critical_graph(0, 5 + 5j)
-        text = g.to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "trajectory,re,im"
-        assert len(lines) > 10
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        float(first[1]), float(first[2])
 
 
 class TestDistinctImagReport:

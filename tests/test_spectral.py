@@ -73,9 +73,10 @@ class TestMatrix:
 
 class TestSpectralPolynomial:
     def test_n1(self):
-        # x^2 - a, here at a=0 and at a=5
+        # x^2 - a, here at a=0 and at a=5; at a = 1/2 scaled by q = 2
         assert spectral_polynomial(1, 0) == ExactPoly([0, 0, 1])
         assert spectral_polynomial(1, 5) == ExactPoly([-5, 0, 1])
+        assert spectral_polynomial(1, Fraction(1, 2)) == ExactPoly([-1, 0, 2])
 
     def test_n2_at_zero(self):
         assert spectral_polynomial(2, 0) == ExactPoly([4, 0, 0, -1])
@@ -92,11 +93,14 @@ class TestSpectralPolynomial:
             assert grid_degrees(charpoly_bivariate(n)) == (n + 1, (n + 1) // 2, n + 1)
 
     def test_recurrence_equals_cofactor_oracle(self):
+        # spectral_polynomial is det(M - x I) times q^floor((n+1)/2), a = u/q
         rng = random.Random(41)
         for _ in range(12):
             n = rng.randint(1, 9)
             a = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-            assert spectral_polynomial(n, a) == charpoly_cofactor(n, a)
+            scale = a.denominator ** ((n + 1) // 2)
+            assert spectral_polynomial(n, a).coeffs == \
+                tuple(scale * c for c in charpoly_cofactor(n, a))
 
     @pytest.mark.parametrize("a", [0, 1, -2, 7, Fraction(3, 7), Fraction(-5, 3),
                                    Fraction(1, 2), Fraction(40, 11), 3 / 8 - 5j / 4,
@@ -110,7 +114,9 @@ class TestSpectralPolynomial:
         for n in range(1, 31):
             grid = charpoly_bivariate(n)
             if not isinstance(a, complex):
-                assert spectral_polynomial(n, a).coeffs == bivariate_at(grid, a)
+                scale = Fraction(a).denominator ** ((n + 1) // 2)
+                assert list(spectral_polynomial(n, a).coeffs) == [
+                    scale * c for c in bivariate_at(grid, a)]
                 continue
             re, im = Fraction(a.real), Fraction(a.imag)
             scale = max(re.denominator, im.denominator) ** ((n + 1) // 2)
@@ -149,7 +155,7 @@ class TestEigenvalues:
             a = Fraction(7, 3)
             ev = eigenvalues(n, float(a)).points
             assert abs(ev.sum()) < 1e-8 * np.abs(ev).max() * (n + 1)
-            det = complex(spectral_polynomial(n, a)(Fraction(0)))
+            det = spectral_polynomial(n, a).coeffs[0] / a.denominator ** ((n + 1) // 2)
             prod = complex(np.prod(ev))
             assert abs(prod - det) < 1e-8 * abs(det)
 
@@ -241,7 +247,7 @@ class TestDenseSeed:
         # at a = 0 those of the cubic factor
         n, a = 12, 1.5 - 0.5j
         refs = [rootfind.aberth_roots(spectral.charpoly_coeffs_mp(n, a)),
-                rootfind.threefold_roots(spectral_polynomial(n, 0).num)]
+                rootfind.threefold_roots(list(spectral_polynomial(n, 0).coeffs))]
         monkeypatch.setattr(spectral.np.linalg, "eigvals", broken)
         monkeypatch.setattr(spectral.rootfind, "aberth_roots", spy)
         for at, ref in zip((a, 0), refs):
@@ -252,7 +258,7 @@ class TestDenseSeed:
     @pytest.mark.parametrize("n", [81, 120, 200])
     def test_seeded_zero_a_roots_equal_unseeded(self, n):
         got = spectral._eigs_poly_general(n, 0)
-        ref = rootfind.threefold_roots(spectral_polynomial(n, 0).num)
+        ref = rootfind.threefold_roots(list(spectral_polynomial(n, 0).coeffs))
         assert multiset_dev(got, ref) <= 1e-12 * np.abs(ref).max()
 
     # multiprecision Horner points: 774 at a = 0 (Newton-polygon starts) and

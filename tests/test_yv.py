@@ -29,7 +29,7 @@ class TestGeneration:
     def test_monic_integer(self):
         seq = yv.yv_generate(12)
         for p in seq.polys:
-            assert p.den == 1 and p.num[-1] == 1
+            assert p.coeffs[-1] == 1 and all(type(c) is int for c in p.coeffs)
 
     @pytest.mark.parametrize("n", [5, 9, 14, 20])
     def test_coefficient_support_mod3(self, n):
