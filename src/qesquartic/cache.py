@@ -12,7 +12,10 @@ VERSION, which a change that moves an output raises (a test pins one output
 per kind and VERSION), the key (n, the parameter, the precision schedule),
 the encoded body and its SHA-256.  An entry that is unreadable, of another
 version or key, whose digest does not match or whose body its codec rejects
-is a miss: it is recomputed and overwritten.  Nothing is re-certified on load.
+is a miss: it is recomputed and overwritten.  The one certificate re-run on
+load is an ``IntPoly.check``: the Yablonskii-Vorob'ev members pass their
+recursion identity through it (``yv.recurrence_holds``).  Nothing else is
+re-certified.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,9 +107,12 @@ class Points(NamedTuple):
 
 class IntPoly(NamedTuple):
     """Codec of an integer polynomial of exact ``degree``: degree + 1 decimal
-    strings (big integers survive JSON), ascending, the last one nonzero."""
+    strings (big integers survive JSON), ascending, the last one nonzero.
+    ``check``, when given, is run on the decoded coefficient list: a body it
+    rejects is a miss."""
 
     degree: int
+    check: Callable[[list], bool] | None = None
 
     def encode(self, coeffs) -> list:
         return [str(int(c)) for c in coeffs]
@@ -118,7 +124,9 @@ class IntPoly(NamedTuple):
             out = [int(c) for c in body if isinstance(c, str)]
         except ValueError:
             return None
-        return out if len(out) == len(body) and out[-1] else None
+        if len(out) != len(body) or not out[-1]:
+            return None
+        return out if self.check is None or self.check(out) else None
 
 
 def list_entries(directory=None):

@@ -179,6 +179,14 @@ def eval_int(p, x: int) -> int:
     return eval_at(p, x, 1)
 
 
+def eval_mod(p, x: int, m: int) -> int:
+    """p(x) mod m, Horner with a reduction per step."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def sign_at(p, x) -> int:
     """Sign of p at a rational (int or Fraction) point, in integer arithmetic."""
     v = eval_at(p, x.numerator, x.denominator)

@@ -211,23 +211,31 @@ def criterion_real_interval():
     return _check("real-interval", run)
 
 
-def criterion_yv_exact(n_max: int):
-    """(7, exact clauses) divisibility + degrees to n_max; the two fixed low
+def criterion_yv_exact(n_max: int, cache_dir=None):
+    """(7, exact clauses) divisibility + degrees to n_max; the recursion
+    identity of every member from YV_2 on, so that members loaded from the
+    cache are held to the same identity as generated ones; the two fixed low
     members; the Painleve residual for the first ten members."""
     def run():
-        seq = yv.yv_generate(n_max)   # divisibility enforced inside
+        seq = yv.yv_generate(n_max, cache_dir=cache_dir)
         for n in range(n_max + 1):
             if seq[n].degree != n * (n + 1) // 2:
                 return False, f"degree failure at n={n}"
+        for n in range(2, n_max + 1):
+            if not yv.recurrence_holds(*(seq[k].coeffs for k in (n, n - 1, n - 2))):
+                return False, f"recursion identity fails at n={n}"
         if seq[2].coeffs != (4, 0, 0, 1):
             return False, "second member mismatch"
         if seq[3].coeffs != (-80, 0, 0, 20, 0, 0, 1):
             return False, "third member mismatch"
         for n in range(1, 11):
-            r = yv.painleve_residual(n, 0.7 + 0.1 * n)
+            r = yv.painleve_residual(n, 0.7 + 0.1 * n, cache_dir=cache_dir)
             if r > 1e-6:
                 return False, f"second-Painleve residual {r:.2e} at n={n}"
-        return True, f"divisibility, degrees, members, residuals ok to n={n_max}"
+        return True, (f"degrees, members, residuals ok to n={n_max}; recursion "
+                      f"identity at t={yv.IDENTITY_T} mod {yv.IDENTITY_PRIME} "
+                      f"for n=2..{n_max}, members generated (divisibility "
+                      f"enforced) or loaded")
     return _check("yv-exact", run)
 
 
@@ -403,7 +411,7 @@ def run_suite(suite: str = "all", fast: bool = False, cache_dir=None):
             criterion_exact_structure(size["exact-structure"]),
             criterion_oracle_equivalence(),
             criterion_branch_endpoint_algebra(),
-            criterion_yv_exact(size["yv-exact"]),
+            criterion_yv_exact(size["yv-exact"], cache_dir=cache_dir),
             criterion_sigma(size["sigma-suite"], cache_dir=cache_dir),
         ],
         "asymptotic": lambda: [

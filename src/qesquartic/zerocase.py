@@ -71,13 +71,7 @@ def _cube_factor(n: int):
         raise StructureViolation(
             f"lowest degree {r} for n={n} (expected {(n + 1) % 3} mod 3)"
         )
-    sign = (-1) ** (n + 1)
-    q = intpoly.scale(g, sign)
-    rebuilt = [0] * (r + 3 * len(q) - 2)
-    rebuilt[r::3] = intpoly.scale(q, sign)
-    if rebuilt != p:
-        raise StructureViolation(f"reconstruction failed for n={n}")
-    return r, q
+    return r, intpoly.scale(g, (-1) ** (n + 1))
 
 
 def factor_structure(n: int):
@@ -86,8 +80,7 @@ def factor_structure(n: int):
     r is 0, 1, 2 according to n+1 = 3k, 3k+1, 3k+2; q is the ExactPoly
     ascending in xi = x^3.  A StructureViolation is raised if any
     coefficient of the recurrence-built characteristic polynomial escapes
-    the x^(3j+r) support, if its lowest degree is not (n+1) mod 3, or if
-    the identity does not rebuild it exactly.
+    the x^(3j+r) support or if its lowest degree is not (n+1) mod 3.
     """
     r, q = _cube_factor(n)
     return r, ExactPoly(q)

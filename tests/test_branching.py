@@ -156,9 +156,16 @@ class TestSigmaPolynomial:
             assert all(D + 2 <= a < D + 50 for a in pts)
 
     def test_conjugation_symmetry_exact(self, tmp_cache):
+        # integer coefficients, sigma_n = a^r h(a^3) with r = D mod 3, and a
+        # root set that conjugation maps onto itself
         for n in (3, 6, 9):
-            p = branching.sigma_polynomial(n, cache_dir=tmp_cache)
-            assert all(c.denominator == 1 for c in p.coeffs)
+            cs = branching.sigma_polynomial(n, cache_dir=tmp_cache).coeffs
+            assert all(type(c) is int for c in cs)
+            D = n * (n + 1) // 2
+            assert {j % 3 for j, c in enumerate(cs) if c} == {D % 3}
+            pts = branching.sigma_points(n, cache_dir=tmp_cache).points.points
+            gap = np.abs(pts.conj()[:, None] - pts[None, :]).min(axis=1)
+            assert gap.max() < 1e-10 * np.abs(pts).max()
 
     def test_cache_roundtrip(self, tmp_cache):
         a = branching.sigma_polynomial(5, cache_dir=tmp_cache)

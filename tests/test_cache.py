@@ -186,10 +186,10 @@ def test_missing_directory_is_not_created(tmp_path, capsys):
 # for each cache.VERSION.  A change that moves one of these outputs must
 # raise VERSION, so that entries written by the old code are misses, and add
 # its row here.  sigma-points are not stored themselves; they pin Aberth's
-# threefold route on the exact sigma polynomial.  sigma-poly is integers and
-# holds anywhere.  The point kinds are the last multiprecision iterates
-# rounded to doubles, from seeds that come from numpy's double stage and
-# LAPACK; their hashes hold for x86-64 Linux, CPython 3.11, numpy 2.4.6 on
+# threefold route on the exact sigma polynomial.  sigma-poly and yv-poly are
+# integers and hold anywhere.  The point kinds are the last multiprecision
+# iterates rounded to doubles, from seeds that come from numpy's double stage
+# and LAPACK; their hashes hold for x86-64 Linux, CPython 3.11, numpy 2.4.6 on
 # OpenBLAS 0.3.31, where they were recorded.  On another platform other
 # seeds may end a root one rounding away, and a point hash may differ with
 # no change to the algorithm.
@@ -207,6 +207,7 @@ PINNED_OUTPUTS = {
     # eigenvalues(81, 0) moves by an ulp, which eigs-a0 now pins
     4: {"eigs": "d94d21b0452a1ffebafabd634d9cc3f0693cf7ea771891dfb06c2e1a440fe320",
         "eigs-a0": "6dba9a315f7081be1b0efb911579e9527e729c84516b2c8995240532df021eae",
+        "yv-poly": "d0172faecf7f73e33a015a72dfae6292369f4af25e63dcede1f9f71f34453315",
         "yv-zeros": "09d8cb5c5fed15722a48ae78ce1a18f95dda6f196be70d482aec4501b8011d8a",
         "sigma-poly": "fec13fb321102a3805e24e6c9f9f003fe811d3cfe334e77c36d651bb83fc9469",
         "sigma-points": "e7c27fa74a8f6874b186aeb326287b390970be3ac3acf8de949f8183808873e6"},
@@ -216,6 +217,8 @@ PINNED = {
              cache.Points(82)),
     "eigs-a0": (lambda d: spectral.eigenvalues(81, 0, cache_dir=d).points,
                 cache.Points(82)),
+    "yv-poly": (lambda d: yv.yv_generate(20, cache_dir=d)[20].coeffs,
+                cache.IntPoly(210)),
     "yv-zeros": (lambda d: yv.yv_zeros(25, cache_dir=d).points, cache.Points(325)),
     "sigma-poly": (lambda d: branching.sigma_polynomial(6, cache_dir=d).coeffs,
                    cache.IntPoly(21)),

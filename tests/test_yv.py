@@ -1,9 +1,11 @@
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qesquartic import verify, yv
+from qesquartic import cache, verify, yv
 from qesquartic.errors import NotDivisible, StructureViolation
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import sort_points
@@ -73,6 +75,99 @@ class TestGeneration:
         monkeypatch.setattr(yv, "_YV", [(1,), (0, 1), (5, 1, 0, 1)])
         with pytest.raises(StructureViolation):
             yv._yv_int_coeffs(3)
+
+
+N_CACHED = yv.CACHE_FROM_N + 3      # three members go through the cache
+
+
+@pytest.fixture()
+def members():
+    """YV_0..YV_N_CACHED, built in memory (the session cache may serve them)."""
+    return yv._yv_int_coeffs(N_CACHED)
+
+
+def _restart(monkeypatch, members, fail=False):
+    """A fresh process's _YV: the members below CACHE_FROM_N only, which are
+    never cached; with ``fail`` every recursion step raises."""
+    monkeypatch.setattr(yv, "_YV", list(members[: yv.CACHE_FROM_N]))
+    if fail:
+        def no_division(p, q):
+            raise AssertionError("a member was recomputed")
+        monkeypatch.setattr(yv.intpoly, "div_exact", no_division)
+
+
+class TestCachedMembers:
+    def test_warm_call_loads_and_does_not_recompute(self, monkeypatch, members,
+                                                    tmp_cache):
+        _restart(monkeypatch, members)
+        assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
+        _restart(monkeypatch, members, fail=True)
+        assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
+
+    @pytest.mark.parametrize("damage", ["wrong-degree", "one-coefficient",
+                                        "directory"])
+    def test_damaged_entry_is_recomputed(self, monkeypatch, members, tmp_cache,
+                                         damage):
+        n = yv.CACHE_FROM_N + 1
+        _restart(monkeypatch, members)
+        yv._yv_int_coeffs(N_CACHED, tmp_cache)
+        path = cache.artifact_path("yv-poly", n, tmp_cache)
+        body = json.loads(path.read_text())["body"]
+        if damage == "directory":
+            path.unlink()
+            (path / "inner").mkdir(parents=True)
+        else:
+            if damage == "wrong-degree":
+                body = body[1:]
+            else:
+                # a forged entry: the digest matches the changed body
+                k = next(j for j, c in enumerate(body) if c != "0")
+                body[k] = str(int(body[k]) + 1)
+            cache.store("yv-poly", n, cache._entry({"n": n}, body), tmp_cache)
+        _restart(monkeypatch, members)
+        assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
+        _restart(monkeypatch, members, fail=damage != "directory")
+        assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
+        if damage == "directory":
+            assert (path / "inner").is_dir()
+        else:
+            assert json.loads(path.read_text())["body"] == [str(c) for c in members[n]]
+
+    def test_writes_only_cached_members_under_cache_dir(self, monkeypatch,
+                                                        members, tmp_path):
+        home, env, target = (tmp_path / d for d in ("home", "env", "target"))
+        for d in (home, env):
+            d.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv(cache.ENV_VAR, str(env))
+        monkeypatch.setattr(yv, "_YV", [(1,), (0, 1)])
+        yv.yv_generate(N_CACHED, cache_dir=str(target))
+        assert cache.list_entries(str(target)) == sorted(
+            f"yv-poly-{n}.json" for n in range(yv.CACHE_FROM_N, N_CACHED + 1))
+        assert list(home.rglob("*")) == [] and list(env.rglob("*")) == []
+
+    def test_recurrence_identity_rejects_a_changed_member(self, members):
+        n = N_CACHED
+        assert yv.recurrence_holds(members[n], members[n - 1], members[n - 2])
+        bad = list(members[n])
+        bad[0] += 1
+        assert not yv.recurrence_holds(bad, members[n - 1], members[n - 2])
+
+    def test_verify_checks_every_member_it_is_given(self, monkeypatch, members,
+                                                    tmp_cache):
+        # members served from memory (or, alike, from the cache) are held to
+        # the recursion identity, not only to their degrees
+        n = yv.CACHE_FROM_N + 1
+        bad = list(members[n])
+        bad[n * (n + 1) // 2 % 3] += 7     # the lowest coefficient of the support
+        monkeypatch.setattr(yv, "_YV", list(members[:n]) + [tuple(bad)]
+                            + list(members[n + 1:]))
+        rec = verify.criterion_yv_exact(N_CACHED, cache_dir=tmp_cache)
+        assert not rec["passed"]
+        assert rec["detail"] == f"recursion identity fails at n={n}"
+        monkeypatch.setattr(yv, "_YV", list(members))
+        rec = verify.criterion_yv_exact(N_CACHED, cache_dir=tmp_cache)
+        assert rec["passed"] and "recursion identity" in rec["detail"]
 
 
 class TestZeros:
