@@ -1,6 +1,5 @@
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,13 +144,6 @@ class TestCachedMembers:
         assert cache.list_entries(str(target)) == sorted(
             f"yv-poly-{n}.json" for n in range(yv.CACHE_FROM_N, N_CACHED + 1))
         assert list(home.rglob("*")) == [] and list(env.rglob("*")) == []
-
-    def test_recurrence_identity_rejects_a_changed_member(self, members):
-        n = N_CACHED
-        assert yv.recurrence_holds(members[n], members[n - 1], members[n - 2])
-        bad = list(members[n])
-        bad[0] += 1
-        assert not yv.recurrence_holds(bad, members[n - 1], members[n - 2])
 
     def test_verify_checks_every_member_it_is_given(self, monkeypatch, members,
                                                     tmp_cache):
