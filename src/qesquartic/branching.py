@@ -25,7 +25,8 @@ points above D+1 (which also tests the a^r h(a^3) form) must equal
 the Sylvester determinant computed independently over the integers by a
 subresultant PRS (``intpoly.sylvester_resultant``).  Results are
 disk-cached ({kind}-{n}.json) since large-n resultants are the most
-expensive objects in the package.
+expensive objects in the package; a loaded entry is re-checked modulo a
+prime (`_load_check`).  `triangle_sets` normalises the conjecture's pair.
 """
 
 from __future__ import annotations
@@ -37,14 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import RandomState   # loaded with the package, not on first use
 
-from . import cache, intpoly, rootfind
+from . import cache, intpoly, rootfind, yv
 from .errors import DegreeMismatch, IndexingAmbiguity, NonConvergence
 from .exactpoly import ExactPoly
 from .pointset import PointSet, sort_points
 from .spectral import charpoly_bivariate, spectral_polynomial
 
 SIGMA_CAP_DEFAULT = 40
+LOAD_CHECK_PRIME = 2**61 - 1   # the modulus of `_load_check`
+# The divisors of `triangle_sets`, each times n^(2/3): sigma_n's and YV_n's.
 SCALE_CONSTANT = (27 / 4) ** (1 / 3)   # equals 3/4^(1/3)
+YV_SCALE_CONSTANT = (9 / 2) ** (2 / 3)
 
 
 @dataclass
@@ -226,13 +230,13 @@ def _interpolate_mod(vals, p):
     return coeffs
 
 
-def _cube_images(n: int):
-    """Yield (p, h mod p) in prime order, where Res_x(Sp, dSp/dx) = a^r h(a^3).
+def _cube_images(n: int, grid):
+    """Yield (p, h mod p) in prime order, where Res_x(Sp, dSp/dx) = a^r h(a^3)
+    and ``grid`` is Sp's (x, a) grid, ``charpoly_bivariate(n)``.
 
     h mod p is None at a prime that some node takes off the generic
     remainder-degree sequence.  Primes come in batches of _PRIME_BATCH.
     """
-    grid = charpoly_bivariate(n)
     D = n * (n + 1) // 2
     r = D % 3
     xi = np.arange(1, D // 3 + 2, dtype=np.int64)
@@ -276,14 +280,15 @@ def discriminant_resultant_exact(n: int):
     """
     D = n * (n + 1) // 2
     r = D % 3
-    limit = 2 * _resultant_bound(charpoly_bivariate(n))
+    grid = charpoly_bivariate(n)
+    limit = 2 * _resultant_bound(grid)
     beyond = 0
     crt_mod = 1
     crt_val = [0] * (D // 3 + 1)
     sym = None
     stable = 0
     skipped = 0
-    for p, coeffs in _cube_images(n):
+    for p, coeffs in _cube_images(n, grid):
         if coeffs is None:
             skipped += 1
             if skipped >= _MAX_SKIPPED_PRIMES:
@@ -340,11 +345,28 @@ def _spot_check(n: int, coeffs):
             )
 
 
+def _load_check(n: int, coeffs) -> bool:
+    """The check a cached sigma_n = h passes on load: content 1, a positive
+    leading coefficient, and R(a1) h(a2) = R(a2) h(a1) with h(a1), h(a2)
+    nonzero modulo LOAD_CHECK_PRIME, R = Res_x(Sp, dSp/dx) at the spot
+    points a1, a2.  About 2 ms at n = 25, against 25 ms for `_spot_check`."""
+    if coeffs[-1] <= 0 or intpoly.content(coeffs) != 1:
+        return False
+    m = LOAD_CHECK_PRIME
+    vals = []
+    for a0 in _spot_points(n):
+        p_at = list(spectral_polynomial(n, a0).coeffs)
+        vals.append((intpoly.resultant_mod(p_at, intpoly.deriv(p_at), m),
+                     intpoly.eval_mod(coeffs, a0, m)))
+    (r1, h1), (r2, h2) = vals
+    return h1 != 0 and h2 != 0 and (r1 * h2 - r2 * h1) % m == 0
+
+
 def sigma_polynomial(n: int, cache_dir=None) -> ExactPoly:
     """Exact branching polynomial in a: content-free, positive leading.
 
     Degree must come out to exactly n(n+1)/2 (DegreeMismatch otherwise); n is
-    capped at SIGMA_CAP_DEFAULT.
+    capped at SIGMA_CAP_DEFAULT.  A cache entry must pass `_load_check`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -362,7 +384,8 @@ def sigma_polynomial(n: int, cache_dir=None) -> ExactPoly:
             )
         return prim
 
-    coeffs = cache.cached("sigma-poly", n, {}, compute, cache.IntPoly(D), cache_dir)
+    codec = cache.IntPoly(D, lambda c: _load_check(n, c))
+    coeffs = cache.cached("sigma-poly", n, {}, compute, codec, cache_dir)
     return ExactPoly(coeffs)
 
 
@@ -457,8 +480,7 @@ def _peel_grid(n, pts):
     margin = min(margins, default=None)
     if margin is not None and margin < PEEL_MARGIN_MIN:
         raise IndexingAmbiguity(
-            f"column peel margin {margin:.3f} < {PEEL_MARGIN_MIN} for n={n}",
-            points=pts)
+            f"column peel margin {margin:.3f} < {PEEL_MARGIN_MIN} for n={n}")
     for j in range(1, n + 1):
         members = np.flatnonzero(cols == j)
         k = np.arange(1, j + 1)
@@ -466,12 +488,16 @@ def _peel_grid(n, pts):
     return rows.tolist(), cols.tolist(), margin
 
 
-def scaled_sigma(n: int, cache_dir=None, near=None) -> PointSet:
-    """Branching points divided by (27/4)^(1/3) n^(2/3); ``near`` as for
-    `sigma_points`."""
-    bs = sigma_points(n, cache_dir=cache_dir, near=near)
-    factor = SCALE_CONSTANT * n ** (2.0 / 3.0)
-    return bs.points.scaled(factor)
+def triangle_sets(n: int, cache_dir=None) -> tuple[PointSet, PointSet]:
+    """The conjecture's point pair (A, B): sigma_n's points divided by
+    SCALE_CONSTANT n^(2/3) and YV_n's zeros, which also seed sigma's Aberth,
+    by YV_SCALE_CONSTANT n^(2/3).  B's corner modulus tends to
+    yv.CORNER_CONSTANT / YV_SCALE_CONSTANT = (2/3)^(1/3) ~ 0.8736, not 1.
+    """
+    zeros = yv.yv_zeros(n, cache_dir=cache_dir)
+    bs = sigma_points(n, cache_dir=cache_dir, near=zeros.points)
+    s = n ** (2.0 / 3.0)
+    return bs.points.scaled(SCALE_CONSTANT * s), zeros.scaled(YV_SCALE_CONSTANT * s)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ VERSION, which a change that moves an output raises (a test pins one output
 per kind and VERSION), the key (n, the parameter, the precision schedule),
 the encoded body and its SHA-256.  An entry that is unreadable, of another
 version or key, whose digest does not match or whose body its codec rejects
-is a miss: it is recomputed and overwritten.  The one certificate re-run on
-load is an ``IntPoly.check``: the Yablonskii-Vorob'ev members pass their
-recursion identity through it (``yv.recurrence_holds``).  Nothing else is
-re-certified.
+is a miss: it is recomputed and overwritten.  Two certificates are re-run
+on load, each an ``IntPoly.check``: a Yablonskii-Vorob'ev member's recursion
+identity (``yv.recurrence_holds``) and a branching polynomial's mod-p
+resultant check (``branching._load_check``).  Point sets are not re-checked.
 """
 
 from __future__ import annotations

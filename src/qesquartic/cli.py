@@ -198,16 +198,13 @@ def _figure_figA(emit, cache_dir, n=200,
 
 
 def _figure_triangle(emit, cache_dir, n=40):
-    from .branching import compare_sets, scaled_sigma
-    from .yv import scaled_zeros
+    from .branching import compare_sets, triangle_sets
 
-    B = scaled_zeros(n, cache_dir=cache_dir)
-    # the unscaled zeros, up to rounding, seed sigma's Aberth
-    A = scaled_sigma(n, cache_dir=cache_dir, near=B.points * B.scale)
+    A, B = triangle_sets(n, cache_dir=cache_dir)
     emit("scaled_branching.csv", A)
     emit("scaled_zeros.csv", B)
     emit("comparison.json", compare_sets(A, B))
-    return [f"scaled_sigma({n})", f"scaled_zeros({n})", "compare_sets"]
+    return [f"triangle_sets({n})", "compare_sets"]
 
 
 def _figure_triangle10(emit, cache_dir, n=10):

@@ -28,11 +28,7 @@ class TooClose(QesquarticError):
 
 
 class NonConvergence(QesquarticError):
-    """Iterative solver failed to reach its tolerance; carries diagnostics."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """Iterative solver failed to reach its tolerance."""
 
 
 class StructureViolation(QesquarticError):
@@ -50,18 +46,9 @@ class DegreeMismatch(QesquarticError):
 class IndexingAmbiguity(QesquarticError):
     """The column peel of a branching set met a step that is not clear-cut."""
 
-    def __init__(self, message, points=None):
-        super().__init__(message)
-        self.points = points
-
 
 class AmbiguousTopology(QesquarticError):
     """Skeleton endpoint/junction counts fit no known support pattern."""
-
-    def __init__(self, message, leaves=None, junctions=None):
-        super().__init__(message)
-        self.leaves = leaves
-        self.junctions = junctions
 
 
 class ClearanceViolation(QesquarticError):

@@ -385,3 +385,27 @@ def sylvester_resultant(p, q):
             h = g ** delta // h ** (delta - 1)
     da = len(A) - 1
     return s * a ** dq * b ** dp * B[0] ** da // h ** (da - 1)
+
+
+def resultant_mod(p, q, m):
+    """``sylvester_resultant(p, q)`` mod the prime m, by Euclid over GF(m);
+    p and q nonzero with leading coefficients that do not vanish mod m.
+
+    Res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r) Res(q, r) with
+    r = p mod q, down to a constant q = c: Res(p, c) = c^deg p.
+    """
+    p, q = [c % m for c in p], [c % m for c in q]
+    res = 1
+    while len(q) > 1:
+        dp, dq = len(p) - 1, len(q) - 1
+        inv = pow(q[-1], -1, m)
+        r = p[:]
+        for i in range(dp - dq, -1, -1):   # clears r[i + dq], left stale
+            f = r[i + dq] * inv % m
+            r[i : i + dq] = [(a - f * b) % m for a, b in zip(r[i : i + dq], q)]
+        r = trim(r[:dq])
+        if not r:
+            return 0
+        res = (-1) ** (dp * dq) * res * pow(q[-1], dp - len(r) + 1, m) % m
+        p, q = q, r
+    return res * pow(q[0], len(p) - 1, m) % m

@@ -1,5 +1,4 @@
-"""Finite multisets of complex points, with the scale they were divided by,
-and deterministic export."""
+"""Finite multisets of complex points and their deterministic export."""
 
 from __future__ import annotations
 
@@ -17,11 +16,9 @@ def sort_points(points):
 
 @dataclass
 class PointSet:
-    """A finite multiset of complex points; ``scale`` is the factor they were
-    divided by (None when unscaled), so points * scale are the originals."""
+    """A finite multiset of complex points."""
 
     points: np.ndarray
-    scale: float | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
@@ -30,7 +27,7 @@ class PointSet:
         return len(self.points)
 
     def scaled(self, factor: float) -> "PointSet":
-        return PointSet(self.points / factor, factor)
+        return PointSet(self.points / factor)
 
     def max_modulus(self) -> float:
         return float(np.max(np.abs(self.points))) if len(self.points) else 0.0

@@ -335,9 +335,7 @@ def classify_cloud(points):
             return "singular", details
         return "one-arc", details
     raise AmbiguousTopology(
-        f"skeleton counts fit no pattern: {leaves} leaves, {junctions} junctions",
-        leaves=leaves, junctions=junctions,
-    )
+        f"skeleton counts fit no pattern: {leaves} leaves, {junctions} junctions")
 
 
 def support_topology(a, n_probe: int = 200, cache_dir=None):

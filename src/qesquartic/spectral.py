@@ -26,7 +26,6 @@ eigenvalues of one residue-class block of the balanced matrix's cube.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,7 +72,6 @@ def _add_row(cur, row, m, shift):
         cur[j + shift] += m * c
 
 
-@lru_cache(maxsize=32)
 def charpoly_bivariate(n: int) -> list:
     """det(M - x I) as an integer polynomial in (x, a), via the recurrence:
     row j lists the a-coefficients of x^j, ascending and trimmed."""

@@ -283,9 +283,7 @@ def criterion_fig2_trend(ns, cache_dir=None):
     def run():
         dists = []
         for n in ns:
-            B = yv.scaled_zeros(n, cache_dir=cache_dir)
-            A = branching.scaled_sigma(n, cache_dir=cache_dir,
-                                       near=B.points * B.scale)
+            A, B = branching.triangle_sets(n, cache_dir=cache_dir)
             rep = branching.compare_sets(A, B)
             if rep["card_a"] != rep["card_b"]:
                 return False, f"cardinality mismatch at n={n}: {rep}"

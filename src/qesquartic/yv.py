@@ -40,7 +40,6 @@ from .exactpoly import ExactPoly
 from .pointset import PointSet, sort_points
 
 ZERO_CAP_DEFAULT = 60
-SCALE_CONSTANT = (9 / 2) ** (2 / 3)
 # Corner limit: max|zeros of YV_n| / n^(2/3) -> (27/2)^(1/3).  With t = n^(2/3) y
 # and u = n^(1/3) U, u'' = 2u^3 + tu + n balances to 2U^3 + yU + 1 = 0, whose
 # branch points (the triangle's corners) solve y^3 = -27/2.
@@ -177,15 +176,6 @@ def _check_residuals(cs, pts):
         raise NonConvergence(
             f"zero residual {res[k]:.2e} at {sample[k]} exceeds {RESIDUAL_TOL:.1e}"
         )
-
-
-def scaled_zeros(n: int, cache_dir=None) -> PointSet:
-    """Zero locus divided by (9/2)^(2/3) n^(2/3).
-
-    The scaled corner modulus tends to CORNER_CONSTANT / SCALE_CONSTANT =
-    (2/3)^(1/3) ~ 0.8736, not to 1.
-    """
-    return yv_zeros(n, cache_dir=cache_dir).scaled(SCALE_CONSTANT * n ** (2.0 / 3.0))
 
 
 def painleve_residual(n: int, t, cache_dir=None) -> float:

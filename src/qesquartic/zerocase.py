@@ -40,11 +40,11 @@ class PQRTriple:
     R: ExactPoly
 
 
-def _pqr_lists(n: int):
-    """(P_l, Q_l, R_l) as int lists for l = 0..floor(n/3)."""
+def _pqr_lists(n: int, depth: int):
+    """(P_l, Q_l, R_l) as int lists for l = 0..depth."""
     P, Q, R = [1], [1], [1]
     out = [(P, Q, R)]
-    for l in range(1, n // 3 + 1):
+    for l in range(1, depth + 1):
         cP = (n - 3 * l + 2) * (n - 3 * l + 3) * (3 * l - 2) * (3 * l - 1)
         cQ = (n - 3 * l + 1) * (n - 3 * l + 2) * (3 * l - 1) * (3 * l)
         cR = (n - 3 * l) * (n - 3 * l + 1) * (3 * l) * (3 * l + 1)
@@ -60,7 +60,7 @@ def pqr_sequences(n: int):
     if n < 3:
         raise ValueError("n must be >= 3 for a nontrivial triple recurrence")
     return [PQRTriple(n, l, ExactPoly(P), ExactPoly(Q), ExactPoly(R))
-            for l, (P, Q, R) in enumerate(_pqr_lists(n))]
+            for l, (P, Q, R) in enumerate(_pqr_lists(n, n // 3))]
 
 
 def _cube_factor(n: int):
@@ -86,33 +86,17 @@ def factor_structure(n: int):
     return r, ExactPoly(q)
 
 
-def _flip(F, k):
-    """(-1)^k F(-xi) as an int list."""
-    return [c if (i + k) % 2 == 0 else -c for i, c in enumerate(F)]
-
-
 def pqr_matches_factor(n: int) -> bool:
     """Cross-check the two conventions: q(xi) == (-1)^k F_k(-xi) exactly.
 
     F is P, Q or R according to n+1 = 3k, 3k+1, 3k+2 (k = floor((n+1)/3));
-    the (-1)^k makes the right side monic, matching q.
+    the (-1)^k makes the right side monic, matching q.  For n+1 = 3k the
+    depth k is one step past the l <= floor(n/3) triples of `certify_all`.
     """
     r, q = _cube_factor(n)
     k = (n + 1) // 3
-    if k == 0:
-        return q == [1]
-    if n == 2:  # P_1 = xi + 2n^2 - 2n, below the n >= 3 triple range
-        return q == _flip([2 * n * n - 2 * n, 1], 1)
-    triples = _pqr_lists(n)
-    if k <= n // 3:
-        F = triples[k][r]
-    else:
-        # n+1 = 3k: the factor is P_k, one step past the l <= n//3 triples
-        assert r == 0 and k == n // 3 + 1
-        P, _, R = triples[k - 1]
-        cP = (n - 3 * k + 2) * (n - 3 * k + 3) * (3 * k - 2) * (3 * k - 1)
-        F = intpoly.add([0] + R, intpoly.scale(P, cP))
-    return q == _flip(F, k)
+    F = _pqr_lists(n, k)[k][r]
+    return q == [c if (i + k) % 2 == 0 else -c for i, c in enumerate(F)]
 
 
 def _all_roots_negative_simple(ip) -> bool:
@@ -175,7 +159,7 @@ def certify_all(n: int):
     rec = {"n": n, "r": r, "q_degree": q.degree, "structure_ok": True,
            "pqr": []}
     if n >= 3:
-        triples = _pqr_lists(n)
+        triples = _pqr_lists(n, n // 3)
         for l in range(1, len(triples)):
             P, Q, R = triples[l]
             entry = {"l": l}

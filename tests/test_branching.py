@@ -71,7 +71,8 @@ class TestSigmaPolynomial:
             return vals, ok
 
         monkeypatch.setattr(branching, "_resultants_vector_mod", flag_one_prime)
-        first = list(itertools.islice(branching._cube_images(6), branching._PRIME_BATCH))
+        first = list(itertools.islice(branching._cube_images(6, charpoly_bivariate(6)),
+                                     branching._PRIME_BATCH))
         assert [p for p, _ in first] == calls[0]
         assert [c is None for _, c in first] == [
             k == flagged for k in range(branching._PRIME_BATCH)]
@@ -94,7 +95,7 @@ class TestSigmaPolynomial:
         rng = np.random.RandomState(0)
         used = []
 
-        def random_images(m):
+        def random_images(m, grid):
             for p in branching._primes_2mod3(m):
                 used.append(p)
                 assert len(used) <= max_primes, "prime loop ran past its bound"
@@ -188,6 +189,26 @@ class TestSigmaPolynomial:
         assert branching.sigma_polynomial(3, cache_dir=tmp_cache) == want
         assert path.read_text() == good
 
+    @pytest.mark.parametrize("forge", ["one-coefficient", "scaled-by-2"])
+    def test_forged_entry_is_recomputed(self, tmp_cache, forge):
+        # a forged entry: the digest matches the changed body, so only the
+        # load check can turn it away
+        from qesquartic import cache
+
+        want = branching.sigma_polynomial(5, cache_dir=tmp_cache)
+        path = Path(tmp_cache) / "sigma-poly-5.json"
+        good = path.read_text()
+        cs = list(want.coeffs)
+        if forge == "one-coefficient":
+            k = next(j for j, c in enumerate(cs) if c)
+            cs[k] += 1
+        else:
+            cs = [2 * c for c in cs]
+        cache.store("sigma-poly", 5, cache._entry({"n": 5}, [str(c) for c in cs]),
+                    tmp_cache)
+        assert branching.sigma_polynomial(5, cache_dir=tmp_cache) == want
+        assert path.read_text() == good
+
 
 class TestSigmaPoints:
     def test_n2_values(self, tmp_cache):
@@ -261,13 +282,13 @@ class TestSigmaPoints:
 
 class TestScaledSigma:
     def test_n2_modulus(self, tmp_cache):
-        ps = branching.scaled_sigma(2, cache_dir=tmp_cache)
+        ps, _ = branching.triangle_sets(2, cache_dir=tmp_cache)
         expect = 3 * 2 ** (-4 / 3) / ((27 / 4) ** (1 / 3) * 2 ** (2 / 3))
         assert abs(ps.max_modulus() - expect) < 1e-10
 
     def test_growth_trend(self, tmp_cache):
-        r5 = branching.scaled_sigma(5, cache_dir=tmp_cache).max_modulus()
-        r10 = branching.scaled_sigma(10, cache_dir=tmp_cache).max_modulus()
+        r5 = branching.triangle_sets(5, cache_dir=tmp_cache)[0].max_modulus()
+        r10 = branching.triangle_sets(10, cache_dir=tmp_cache)[0].max_modulus()
         assert r5 < r10 < 1.0
 
 

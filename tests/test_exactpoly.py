@@ -300,6 +300,13 @@ class TestSylvesterResultant:
         sign = (-1) ** ((len(p) - 1) * (len(q) - 1))
         assert intpoly.sylvester_resultant(q, p) == sign * res
 
+    @settings(max_examples=150)
+    @given(_prs_polys(10), _prs_polys(10), st.sampled_from([101, 2**61 - 1]))
+    def test_mod_p_matches_exact(self, p, q, m):
+        # no leading coefficient of _prs_polys is divisible by either prime;
+        # mod 101 a remainder's leading coefficient can vanish
+        assert intpoly.resultant_mod(p, q, m) == intpoly.sylvester_resultant(p, q) % m
+
     @settings(max_examples=60)
     @given(_prs_polys(3).filter(lambda f: len(f) > 1), _prs_polys(7), _prs_polys(7))
     def test_shared_factor_gives_zero(self, f, u, v):

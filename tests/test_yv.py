@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qesquartic import cache, verify, yv
+from qesquartic import branching, cache, verify, yv
 from qesquartic.errors import NotDivisible, StructureViolation
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import sort_points
@@ -204,15 +204,15 @@ class TestZeros:
 
 class TestScaledZeros:
     def test_n2_value(self):
-        ps = yv.scaled_zeros(2)
+        _, ps = branching.triangle_sets(2)
         expect = 4 ** (1 / 3) / ((9 / 2) ** (2 / 3) * 2 ** (2 / 3))
         assert abs(ps.max_modulus() - expect) < 1e-12
 
     def test_growth_trend(self):
         # the scaled max modulus rises from below toward the corner limit
         # (27/2)^(1/3) / (9/2)^(2/3) = (2/3)^(1/3), not toward 1
-        r10 = yv.scaled_zeros(10).max_modulus()
-        r20 = yv.scaled_zeros(20).max_modulus()
+        r10 = branching.triangle_sets(10)[1].max_modulus()
+        r20 = branching.triangle_sets(20)[1].max_modulus()
         assert r10 < r20 < (2 / 3) ** (1 / 3)
 
     def test_corner_limit_extrapolation(self):
