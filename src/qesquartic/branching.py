@@ -9,15 +9,18 @@ the nodes xi = 1..m+1 have the cube roots a = xi^((2p-1)/3).  At those a
 the resultant of the polynomial and its x-derivative is evaluated by a
 vectorized mod-p Euclid (the x-leading coefficients are +-1 and +-(n+1), so
 every prime above n+1 is good) and divided by a^r, which gives h at the
-consecutive nodes xi; Newton divided differences interpolate h mod p, and
-its coefficients are lifted by CRT, prime by prime in prime order, until
-they stabilize over two extra primes.  Primes come in batches: the grid
-evaluation, the Euclid and the interpolation run on (primes x nodes) arrays
-with p as a column.  A prime at which some node breaks the generic
-remainder-degree sequence is skipped, and three such primes in a row raise
-NonConvergence.  A Hadamard bound on the coefficients caps the prime
-count: images still unstable two primes after the modulus passes twice
-the bound raise NonConvergence as well.
+consecutive nodes xi; Newton divided differences interpolate h mod p.
+Every coefficient is divisible by d = prod_{k<=n} (k!)^2 (`_content_divisor`),
+so the images are multiplied by d^-1 mod p and h / d, about half the bits
+of h, is lifted by CRT, prime by prime in prime order, until it stabilizes
+over two extra primes; the lift times d is returned.  Primes come in
+batches: the grid evaluation, the Euclid and the interpolation run on
+(primes x nodes) arrays with p as a column.  A prime at which some node
+breaks the generic remainder-degree sequence is skipped, and three such
+primes in a row raise NonConvergence.  A Hadamard bound B on the
+coefficients caps the prime count: images still unstable two primes after
+the modulus passes 2 (B // d + 1), as those of a resultant that d does not
+divide would be, raise NonConvergence as well.
 
 Exactness is cross-checked, not assumed: the computed polynomial must have
 degree exactly n(n+1)/2, and its value at two distinct seeded integer
@@ -33,10 +36,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import RandomState   # loaded with the package, not on first use
 
 from . import cache, intpoly, rootfind, yv
 from .errors import DegreeMismatch, IndexingAmbiguity, NonConvergence
@@ -270,18 +273,27 @@ def _resultant_bound(grid) -> int:
     return math.isqrt(s_f ** (deg - 1) * s_df ** deg) + 1
 
 
+def _content_divisor(n: int) -> int:
+    """d(n) = prod_{k=1..n} (k!)^2, which divides every coefficient of
+    Res_x(Sp, dSp/dx) (checked for n = 1..SIGMA_CAP_DEFAULT)."""
+    return math.prod(math.factorial(k) for k in range(1, n + 1)) ** 2
+
+
 def discriminant_resultant_exact(n: int):
     """Raw integer coefficients (ascending in a) of Res_x(Sp, dSp/dx).
 
-    The CRT stops when the lift is unchanged over two more primes.  Once
-    the modulus exceeds twice the coefficient bound of `_resultant_bound`
-    the lift of consistent images cannot change, so two further primes
-    without that stop raise NonConvergence.
+    The CRT lifts R / d, d = `_content_divisor(n)`, from the images times
+    d^-1 mod p (d's prime factors are at most n) and returns d times the
+    lift.  It stops when the lift is unchanged over two more primes.  Once
+    the modulus exceeds 2 (`_resultant_bound` // d + 1) the lift of
+    consistent images cannot change, so two further primes without that
+    stop raise NonConvergence, as images of an R that d does not divide do.
     """
     D = n * (n + 1) // 2
     r = D % 3
     grid = charpoly_bivariate(n)
-    limit = 2 * _resultant_bound(grid)
+    d = _content_divisor(n)
+    limit = 2 * (_resultant_bound(grid) // d + 1)
     beyond = 0
     crt_mod = 1
     crt_val = [0] * (D // 3 + 1)
@@ -301,6 +313,7 @@ def discriminant_resultant_exact(n: int):
         if crt_mod > limit:
             beyond += 1
         inv = pow(crt_mod % p, p - 2, p)
+        coeffs = coeffs * pow(d % p, p - 2, p) % p      # the images of R / d
         crt_val = [
             v + crt_mod * ((int(c) - v % p) * inv % p)
             for v, c in zip(crt_val, coeffs)
@@ -312,7 +325,7 @@ def discriminant_resultant_exact(n: int):
             stable += 1
             if stable >= 2:
                 raw = [0] * (D + 1)
-                raw[r::3] = new_sym
+                raw[r::3] = [d * v for v in new_sym]
                 return raw
         else:
             stable = 0
@@ -327,8 +340,7 @@ def discriminant_resultant_exact(n: int):
 def _spot_points(n: int):
     """The spot check's two points: distinct, seeded, drawn from D+2..D+49."""
     D = n * (n + 1) // 2
-    rng = RandomState(n)
-    return rng.choice(np.arange(D + 2, D + 50), size=2, replace=False).tolist()
+    return random.Random(n).sample(range(D + 2, D + 50), 2)
 
 
 def _spot_check(n: int, coeffs):

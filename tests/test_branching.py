@@ -87,10 +87,11 @@ class TestSigmaPolynomial:
 
     def test_inconsistent_images_raise_past_the_bound(self, monkeypatch):
         # images from no integer polynomial never stabilize; the loop must
-        # stop two primes after the modulus passes twice the bound
+        # stop two primes after the modulus passes twice the bound on R / d
         n = 6
         width = n * (n + 1) // 2 // 3 + 1
-        bits = (2 * branching._resultant_bound(charpoly_bivariate(n))).bit_length()
+        bound = branching._resultant_bound(charpoly_bivariate(n))
+        bits = (2 * (bound // branching._content_divisor(n) + 1)).bit_length()
         max_primes = bits // 30 + 3          # every prime exceeds 2^30
         rng = np.random.RandomState(0)
         used = []
@@ -105,6 +106,36 @@ class TestSigmaPolynomial:
         with pytest.raises(NonConvergence):
             branching.discriminant_resultant_exact(n)
         assert len(used) <= max_primes
+
+    def test_content_divisor_divides_the_resultant(self):
+        assert branching._content_divisor(3) == (1 * 2 * 6) ** 2
+        for n in range(1, 21):
+            raw = branching.discriminant_resultant_exact(n)
+            assert intpoly.content(raw) % branching._content_divisor(n) == 0
+
+    @pytest.mark.parametrize("n, most", [(16, 24), (25, 56)])
+    def test_lift_over_the_divisor_needs_fewer_primes(self, monkeypatch, n, most):
+        # lifting all of R took 42 primes at n = 16 and 112 at n = 25
+        real = branching._cube_images
+        used = []
+
+        def counting(m, grid):
+            for p, c in real(m, grid):
+                used.append(p)
+                yield p, c
+
+        monkeypatch.setattr(branching, "_cube_images", counting)
+        branching.discriminant_resultant_exact(n)
+        assert 0 < len(used) <= most
+
+    def test_wrong_divisor_raises_and_caches_nothing(self, monkeypatch, tmp_cache):
+        # a divisor that does not divide R leaves images of no integer vector
+        n, q = 5, 7                          # q prime and above n: q does not divide d
+        real = branching._content_divisor
+        monkeypatch.setattr(branching, "_content_divisor", lambda m: q * real(m))
+        with pytest.raises(NonConvergence):
+            branching.sigma_polynomial(n, cache_dir=tmp_cache)
+        assert not list(Path(tmp_cache).rglob("sigma-poly*"))
 
     def test_mod3_support(self, tmp_cache):
         # sigma_n(a) = a^r h(a^3) with r = D mod 3, D = n(n+1)/2
