@@ -9,17 +9,23 @@ results are wrapped as ``ExactPoly``.  Everything here is closed over the
 integers and never rounds; a rational point num/den is evaluated
 homogeneously by ``eval_at``, without a Fraction.
 
-Multiplication switches to Kronecker substitution above a size threshold.
-Each polynomial becomes one big integer with k bytes per coefficient, k large
-enough that every convolution coefficient c satisfies |c| < 2^(8k-1): the
-coefficients are written with ``int.to_bytes(k, signed=True)`` (two's
-complement, so each negative digit carries a borrow of 2^(8k) into the next
-one), joined, read back with ``int.from_bytes``, and the borrows are
-subtracted as one integer.  CPython's subquadratic big int product then
-gives all convolution coefficients at once.  To unpack, a constant whose
-every digit is the offset 2^(8k-1) is added, which makes every digit
-nonnegative and carry-free; ``to_bytes`` of the sum is sliced into k-byte
-digits and the offset taken off each.  A square (``mul(p, p)``) packs once.
+Multiplication switches to two-point Kronecker substitution (KS2; Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+J. Symb. Comput. 44, 2009) above a size threshold.  Each operand is packed
+twice, at X = 2^(8k) and at -X (odd coefficients negated), as one big
+integer with k bytes per coefficient: the coefficients are written with
+``int.to_bytes(k, signed=True)`` (two's complement, so each negative digit
+carries a borrow of 2^(8k) into the next one), joined, read back with
+``int.from_bytes``, and the borrows are subtracted as one integer.
+CPython's subquadratic big int product then gives A = (pq)(X) and
+B = (pq)(-X), and (A + B)/2 and (A - B)/(2X) hold the even and the odd
+product coefficients as digits of base X^2.  So k need only cover every
+input coefficient and a 16k - 1-bit product bound, about half the width
+of a one-point digit, and the two products are half-size.  To unpack, a
+constant whose every 2k-byte digit is the offset 2^(16k-1) is added, which
+makes every digit nonnegative and carry-free; ``to_bytes`` of the sum is
+sliced into digits and the offset taken off each.  A square (``mul(p, p)``)
+packs once per point.
 
 ``split_cube`` writes a polynomial whose support lies in one residue class
 of degrees mod 3 as x^r g(x^3).
@@ -79,17 +85,28 @@ def mul(p, q):
 
 
 def _mul_kronecker(p, q):
-    # k bytes per digit: every convolution coefficient plus a sign bit
-    bound = max(map(abs, p)) * max(map(abs, q)) * min(len(p), len(q))
-    k = (bound.bit_length() + 8) // 8
+    # KS2 at X = 2^(8k) and -X: the product's coefficients come out in base
+    # X^2, so k covers every input digit and half the product bound plus sign
+    mp, mq = max(map(abs, p)), max(map(abs, q))
+    bound = mp * mq * min(len(p), len(q))
+    k = max((bound.bit_length() + 16) // 16, (max(mp, mq).bit_length() + 8) // 8)
     n = len(p) + len(q) - 1
-    P = _pack(p, k)
-    R = P * P if q is p else P * _pack(q, k)
-    offset = (b"\0" * (k - 1) + b"\x80") * n     # every digit 2^(8k-1)
-    raw = (R + int.from_bytes(offset, "little")).to_bytes(n * k, "little")
-    half = 1 << (8 * k - 1)
-    return trim([int.from_bytes(raw[i:i + k], "little") - half
-                 for i in range(0, n * k, k)])
+    P, Pm = _pack(p, k), _pack(_alternate(p), k)
+    if q is p:
+        A, B = P * P, Pm * Pm
+    else:
+        A, B = P * _pack(q, k), Pm * _pack(_alternate(q), k)
+    out = [0] * n
+    out[::2] = _unpack((A + B) >> 1, 2 * k, (n + 1) // 2)
+    out[1::2] = _unpack((A - B) >> (8 * k + 1), 2 * k, n // 2)
+    return trim(out)
+
+
+def _alternate(p):
+    """p(-x): the odd coefficients negated."""
+    r = list(p)
+    r[1::2] = [-c for c in p[1::2]]
+    return r
 
 
 def _pack(p, k):
@@ -98,6 +115,15 @@ def _pack(p, k):
     borrows = bytearray(len(digits) + k)    # a negative digit borrows 1 from the next
     borrows[k::k] = bytes(c < 0 for c in p)
     return int.from_bytes(digits, "little") - int.from_bytes(borrows, "little")
+
+
+def _unpack(R, k, n):
+    """The n digits c_i of R = sum c_i 2^(8ki), each |c_i| < 2^(8k-1)."""
+    offset = (b"\0" * (k - 1) + b"\x80") * n     # every digit 2^(8k-1)
+    raw = (R + int.from_bytes(offset, "little")).to_bytes(n * k, "little")
+    half = 1 << (8 * k - 1)
+    return [int.from_bytes(raw[i:i + k], "little") - half
+            for i in range(0, n * k, k)]
 
 
 def split_cube(p):

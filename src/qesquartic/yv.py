@@ -11,14 +11,28 @@ triangular number n(n+1)/2 and the coefficient support sits in degrees
 congruent to it mod 3, which is what pins the zero locus onto a threefold
 symmetric triangular pattern.
 
-The recursion runs on that structure.  With YV_n = t^r g(t^3) and the
-identity Y Y'' - Y'^2 = (Y^2)''/2 - 2 Y'^2, the numerator is
+The recursion runs on that structure, in the scaled variable s = t/4^(1/3).
+With T_n = n(n+1)/2, P_n(s) = 4^(-T_n/3) YV_n(4^(1/3) s) has integer
+coefficients and satisfies
 
-    t Y^2 - 2 (Y^2)'' + 8 Y'^2 = t^(2r-2) m(t^3),
+    P_{n+1} P_{n-1} = s P_n^2 - (P_n P_n'' - P_n'^2).
 
-where Y^2 = t^(2r) g(t^3)^2 and Y' = t^(r-1) h(t^3), h_k = (r + 3k) g_k.  A
-step thus costs the two squarings g^2 and h^2, a third of the length of
-YV_n each, and one exact division of m by the g of YV_{n-1} through
+With YV_n = t^r g(t^3) and d = deg g, the t^(r+3k) coefficient g_k is a
+multiple of 4^(d-k), and P_n = s^r G(s^3) with G_k = g_k / 4^(d-k): each
+step shifts the g of the two previous members right by 2(d-k) bits
+(``NotDivisible`` if a set bit would be lost), runs the recursion on G and
+shifts the quotient back, so members are kept, cached and returned in t.
+The scaling absorbs the recursion's factor 4, whose powers in t only pad
+the low coefficients: the shifts drop 18% of all coefficient bits at
+n = 30 (the largest coefficient of YV_28's g has 1265 bits, of its G 997),
+every product and the division run on the shorter G, and the divisor G is
+monic.  With P P'' - P'^2 = (P^2)''/2 - 2 P'^2, the numerator is
+
+    s P^2 - (P^2)''/2 + 2 P'^2 = s^(2r-2) m(s^3),
+
+where P^2 = s^(2r) G(s^3)^2 and P' = s^(r-1) H(s^3), H_k = (r + 3k) G_k.  A
+step thus costs the two squarings G^2 and H^2, a third of the length of
+YV_n each, and one exact division of m by the G of YV_{n-1} through
 ``intpoly.div_exact``.
 
 Members are built once per process and kept.  From CACHE_FROM_N on, each is
@@ -63,8 +77,11 @@ class YVSequence:
 _YV = [(1,), (0, 1)]   # YV_0, YV_1, ...: each built once per process, kept
 # From this n on a member is read from and written to the disk cache.  Below
 # it a recursion step costs about what a load with its identity check costs
-# (in-process: n = 10, step 0.19 ms, load 0.17 ms); at n = 12 the step takes
-# 0.44 ms and the load 0.21 ms, at n = 30 80 ms against 1.6 ms.
+# (in-process, best of 200: n = 10, step 0.14-0.18 ms, load 0.11-0.14 ms); at
+# n = 12 the step takes 0.29-0.44 ms and the load 0.13-0.19 ms, at n = 30
+# 53 ms against 1.5 ms.  The s-form and two-point products cut the n = 30
+# step from 80-90 ms but not the small steps: the break-even stays near
+# n = 10.
 CACHE_FROM_N = 12
 # The recursion identity is checked on load at this point, modulo this prime.
 IDENTITY_T = 1_000_003
@@ -72,23 +89,39 @@ IDENTITY_PRIME = 2**61 - 1
 
 
 def _step(y1, y2):
-    """YV_n from YV_{n-1} = y1 and YV_{n-2} = y2, as a coefficient tuple."""
-    r, g = intpoly.split_cube(y1)
-    rp, gp = intpoly.split_cube(y2)
+    """YV_n from YV_{n-1} = y1 and YV_{n-2} = y2, as a coefficient tuple in t;
+    the step itself runs in s (see the module docstring)."""
+    r, g = _s_form(y1)
+    rp, gp = _s_form(y2)
     S = intpoly.mul(g, g)
     h = [(r + 3 * k) * c for k, c in enumerate(g)]
-    m = [0] + S                                   # t Y^2
+    m = [0] + S                                   # s P^2
     for k, (s, hh) in enumerate(zip(S, intpoly.mul(h, h))):
-        j = 2 * r + 3 * k                         # -2 (Y^2)'' + 8 Y'^2
-        m[k] += 8 * hh - 2 * j * (j - 1) * s
+        j = 2 * r + 3 * k                         # -(P^2)''/2 + 2 P'^2
+        m[k] += 2 * hh - j * (j - 1) // 2 * s
     q = intpoly.div_exact(m, gp)
-    e = 2 * r - 2 - rp                            # YV_n = t^e q(t^3)
-    y = [0] * (3 * len(q) - 2)
-    y[::3] = q
+    d = len(q) - 1
+    e = 2 * r - 2 - rp               # YV_n = t^e g(t^3), g_k = 4^(d-k) q_k
+    y = [0] * (3 * d + 1)
+    y[::3] = [c << 2 * (d - k) for k, c in enumerate(q)]
     lo = max(-e, 0)
     if any(y[:lo]):
         raise NotDivisible("quotient has a pole at t = 0")
     return tuple([0] * e + y[lo:])
+
+
+def _s_form(y):
+    """(r, G) with YV_n = t^r g(t^3) and G_k = g_k / 4^(d-k), d = deg g: the
+    s-form P_n = s^r G(s^3).  Raises NotDivisible if a G_k is not integral."""
+    r, g = intpoly.split_cube(y)
+    d = len(g) - 1
+    G = []
+    for k, c in enumerate(g):
+        sh = 2 * (d - k)
+        if c & ((1 << sh) - 1):
+            raise NotDivisible(f"t^{r + 3 * k} coefficient not divisible by 4^{d - k}")
+        G.append(c >> sh)
+    return r, G
 
 
 def recurrence_holds(y, y1, y2) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesquartic import intpoly
+from qesquartic import intpoly, yv
 from qesquartic.errors import NotDivisible
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.yv import _horner
@@ -249,6 +249,56 @@ class TestKroneckerMultiplication:
         q = [0] * 5 + [1] + [0] * 30 + [-1, 4]
         assert intpoly._mul_kronecker(p, q) == schoolbook_mul(p, q)
         assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
+
+    @pytest.mark.parametrize("bits", [5, 13, 29, 61])
+    @pytest.mark.parametrize("length, top", [(32, 15), (64, 0)])
+    def test_two_point_digit_boundary(self, bits, length, top):
+        # |c| = 2^bits - 1 everywhere: the middle product coefficient is the
+        # bound length (2^bits - 1)^2, of bit length 2 bits + 5 = 16k - 1
+        # (length 32) or 2 bits + 6 = 16k (length 64) for the two-point digit
+        m = (1 << bits) - 1
+        assert (length * m * m).bit_length() % 16 == top
+        for p, q in (([m] * length, [m] * length),
+                     ([m] * length, [-m] * length),
+                     ([m, -m] * (length // 2), [-m, m] * (length // 2))):
+            assert intpoly._mul_kronecker(p, q) == schoolbook_mul(p, q)
+            assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
+
+    def test_input_width_sets_the_digit(self):
+        # 200-bit coefficients against units: the product bound asks for 13
+        # bytes per digit, the wide operand for 26
+        rng = random.Random(8)
+        wide = [rng.choice([-1, 1]) * rng.getrandbits(200) for _ in range(40)]
+        wide[5] = -(1 << 199)
+        unit = [rng.choice([-1, 0, 1]) for _ in range(33)] + [1]
+        assert intpoly._mul_kronecker(wide, unit) == schoolbook_mul(wide, unit)
+        assert intpoly._mul_kronecker(unit, wide) == schoolbook_mul(unit, wide)
+
+    @pytest.mark.parametrize("p, q", [([7], [-9]), ([-3], [-1 << 70]),
+                                      ([2, -5], [3]), ([1 << 90], [-1, 1])])
+    def test_one_and_two_coefficient_products(self, p, q):
+        # an empty odd part, and a single odd coefficient
+        assert intpoly._mul_kronecker(p, q) == schoolbook_mul(p, q)
+        assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
+
+    def test_alternating_sign_square(self):
+        # p(-x) has one sign throughout: the -X packing carries no borrows
+        rng = random.Random(9)
+        p = [(-1) ** i * rng.randint(1, 10**30) for i in range(77)]
+        assert intpoly._mul_kronecker(p, p) == schoolbook_mul(p, p)
+
+    def test_two_point_digit_is_half_the_product_width(self, monkeypatch):
+        # squaring the g of YV_29 (as YV_30's step does) packs at about half
+        # the bytes a one-point digit holding the whole product bound needs
+        ys = yv._yv_int_coeffs(30)
+        packed = []
+        pack = intpoly._pack
+        monkeypatch.setattr(intpoly, "_pack",
+                            lambda p, k: packed.append((p, k)) or pack(p, k))
+        assert yv._step(ys[29], ys[28]) == ys[30]
+        g, k = packed[0]
+        bound = max(map(abs, g)) ** 2 * len(g)
+        assert k <= (bound.bit_length() + 8) // 8 // 2 + 1
 
     @settings(max_examples=100)
     @given(p=_int_polys(intpoly.KRONECKER_MIN_LEN - 1, intpoly.KRONECKER_MIN_LEN + 1),

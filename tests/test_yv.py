@@ -64,11 +64,26 @@ class TestGeneration:
     @pytest.mark.parametrize("start, n", [
         ([(1,), (0, 1), (5, 0, 0, 1)], 4),   # t^3 + 5 does not divide numerator 4
         ([(0, 0, 1), (1, 0, 0, 1)], 2),      # t^2 does not: a pole at t = 0
-    ], ids=["g", "power-of-t"])
+        ([(0, 0, 1), (4, 0, 0, 1)], 2),      # nor with members integral in s
+        ([(1,), (0, 1), (2, 0, 0, 1)], 3),   # t^3 + 2: 2 is not a multiple of 4
+    ], ids=["g", "power-of-t", "power-of-t-in-s", "s-form"])
     def test_non_exact_step_raises(self, start, n, monkeypatch):
         monkeypatch.setattr(yv, "_YV", start)
         with pytest.raises(NotDivisible):
             yv._yv_int_coeffs(n)
+
+    def test_divisor_in_s_form(self, monkeypatch):
+        # YV_30's step divides by the s-form g of YV_28, whose coefficient
+        # g_k / 4^(d-k) drops 2(d-k) bits (1265 bits at most in t)
+        ys = yv._yv_int_coeffs(30)
+        divisors = []
+        div_exact = yv.intpoly.div_exact
+        monkeypatch.setattr(yv.intpoly, "div_exact",
+                            lambda p, q: divisors.append(q) or div_exact(p, q))
+        assert yv._step(ys[29], ys[28]) == ys[30]
+        [q] = divisors
+        assert q[-1] == 1
+        assert max(map(abs, q)).bit_length() == 997
 
     def test_mixed_support_refused(self, monkeypatch):
         monkeypatch.setattr(yv, "_YV", [(1,), (0, 1), (5, 1, 0, 1)])
@@ -131,6 +146,18 @@ class TestCachedMembers:
             assert (path / "inner").is_dir()
         else:
             assert json.loads(path.read_text())["body"] == [str(c) for c in members[n]]
+
+    def test_member_not_integral_in_s_is_refused(self, monkeypatch, members,
+                                                 tmp_cache):
+        # YV_(n-1) + 1 is integral in t, but its constant term, the g_0 of a
+        # g of degree d, is odd where 4^d must divide it
+        n = yv.CACHE_FROM_N
+        bad = list(members[n - 1])
+        bad[(len(bad) - 1) % 3] += 1
+        monkeypatch.setattr(yv, "_YV", list(members[: n - 1]) + [tuple(bad)])
+        with pytest.raises(NotDivisible):
+            yv._yv_int_coeffs(n, tmp_cache)
+        assert cache.list_entries(tmp_cache) == []
 
     def test_writes_only_cached_members_under_cache_dir(self, monkeypatch,
                                                         members, tmp_path):
