@@ -68,4 +68,6 @@ class InsideSupport(QesquarticError):
 
 
 class StallNearTurningPoint(QesquarticError):
-    """Trajectory integration stalled without reaching a capture radius."""
+    """Trajectory integration stalled without reaching a capture radius, or
+    two unmerged turning points lie too close to resolve (closer than 10
+    capture radii)."""

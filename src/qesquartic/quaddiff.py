@@ -7,8 +7,11 @@ The quartic P(T) = (T^2 - a)^2 - 4(T - L) weights the quadratic differential
 The existence criterion tested here: every turning point (zero of P) must
 lie on a critical trajectory, i.e. on a trajectory joining turning points.
 A turning point of multiplicity >= 2 counts as satisfying this by itself:
-it is the zero-length limit of a short connecting trajectory (verified
-numerically on both sides of the degeneration).
+it is the zero-length limit of a short connecting trajectory.  Near the
+double point of a = 0, L = 0.75 the two simple points of L = 0.75 + eps are
+found connected for |eps| = 1e-4 to 1e-2 (5.8 to 58 capture radii apart) and
+missed for |eps| <= 3e-5 (3.2 radii and closer), so ``critical_graph``
+refuses two unmerged turning points closer than 10 capture radii.
 
 Support topology of the scaled spectral cloud is classified from a pruned
 minimum-spanning-tree skeleton; the (leaves, junctions) counts separate the
@@ -23,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -31,7 +35,9 @@ from .errors import AmbiguousTopology, StallNearTurningPoint
 MERGE_TOL = 1e-7
 CORNER_DEG_THRESHOLD = 18.0
 PRUNE_FRAC = 0.05
-H0 = 4e-3                # largest RK4 arc-length step of trace_horizontal
+H0 = 4e-3                # largest RK4 arc-length step of trace_horizontal per
+                         # unit distance to the nearest turning point, beyond
+                         # distance 1 (within it, the largest step itself)
 
 
 @dataclass
@@ -112,7 +118,10 @@ def trace_horizontal(a, L, start, direction, turning=None):
 
     Integration is arc-length RK4 on the unit direction field
     arg(T') = -arg(-P(T))/2 with the sign chosen for continuity, at steps of
-    at most H0.  A step's last field value is the next step's first one (the
+    at most H0 max(1, d) and 0.2 d + 1e-4, d the distance to the nearest
+    turning point.  The field turns at most |P'/P|/2 <= 2/d per unit arc
+    length, so beyond d = 1 a step turns it by at most 2 H0, as at d = 1;
+    within d = 1 the largest step is H0 itself.  A step's last field value is the next step's first one (the
     field at the same T, continued from itself), so each step evaluates the
     field four times.  Returns (result, hit_index, path) where result is
     "capture" (within ``_capture_radius`` of a turning point), "escape"
@@ -171,7 +180,7 @@ def trace_horizontal(a, L, start, direction, turning=None):
         d = field(T, k4)
         path.append(T)
         slen += abs(step)
-        h = min(H0, 0.2 * dmin + 1e-4)
+        h = min(H0 * max(1.0, dmin), 0.2 * dmin + 1e-4)
     return "maxlen", None, np.asarray(path)
 
 
@@ -180,12 +189,19 @@ def critical_graph(a, L) -> TrajectoryGraph:
 
     A turning point is on the critical set when one of its rays captures at
     a turning point, when some other ray captures INTO it, or when its
-    multiplicity is >= 2 (degenerate zero-length connection).
+    multiplicity is >= 2 (degenerate zero-length connection).  Raises
+    StallNearTurningPoint when two turning points lie closer than 10 capture
+    radii, where a ray's start, 3 radii out, cannot tell them apart.
     """
     a = complex(a)
     L = complex(L)
     turning = turning_points(a, L)
     cap_r = _capture_radius(turning)
+    gap = min(abs(z - w) for (z, _), (w, _) in combinations(turning, 2))
+    if gap < 10 * cap_r:
+        raise StallNearTurningPoint(
+            f"turning points {gap:.3g} apart, under 10 capture radii of {cap_r:.3g}"
+        )
     graph = TrajectoryGraph(a=a, L=L, turning_points=turning)
     on_critical = [m >= 2 for _, m in turning]
     for i, (tp, m) in enumerate(turning):

@@ -386,9 +386,12 @@ def hook_scalar(B, sigma, radius, bump):
 # horizontal trajectories, five field evaluations per RK4 step
 # ---------------------------------------------------------------------------
 
-def trace_horizontal_five_eval(a, L, start, direction, capture_radius, turning):
+def trace_horizontal_five_eval(a, L, start, direction, capture_radius, turning,
+                               fixed_cap=False):
     """Arc-length RK4 along the horizontal direction field of -P dT^2 that
-    evaluates the field afresh at the start of every step."""
+    evaluates the field afresh at the start of every step.  The largest step
+    is H0 max(1, d), d the distance to the nearest turning point, or H0
+    itself with ``fixed_cap``."""
     a = complex(a)
     L = complex(L)
     tps = [complex(z) for z, _ in turning]
@@ -434,11 +437,12 @@ def trace_horizontal_five_eval(a, L, start, direction, capture_radius, turning):
         d = field(T, k4)
         path.append(T)
         slen += abs(step)
-        h = min(quaddiff.H0, 0.2 * dmin + 1e-4)
+        cap = quaddiff.H0 if fixed_cap else quaddiff.H0 * max(1.0, dmin)
+        h = min(cap, 0.2 * dmin + 1e-4)
     return "maxlen", None, np.asarray(path)
 
 
-def critical_graph_five_eval(a, L):
+def critical_graph_five_eval(a, L, fixed_cap=False):
     """Every ray of ``quaddiff.critical_graph`` traced by
     ``trace_horizontal_five_eval``: a list of (result, target, path)."""
     a = complex(a)
@@ -451,7 +455,7 @@ def critical_graph_five_eval(a, L):
         for th in quaddiff._local_ray_angles(a, L, tp, m):
             start = tp + 3 * cap_r * np.exp(1j * th)
             out.append(trace_horizontal_five_eval(a, L, start, np.exp(1j * th),
-                                                  cap_r, turning))
+                                                  cap_r, turning, fixed_cap))
     return out
 
 

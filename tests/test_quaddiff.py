@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qesquartic import quaddiff
-from qesquartic.errors import AmbiguousTopology
+from qesquartic.errors import AmbiguousTopology, StallNearTurningPoint
 
 from oracles import critical_graph_five_eval, horizontality_residual, mst_scipy
 
@@ -96,6 +96,19 @@ class TestTracing:
         assert g.all_on_critical
 
 
+class TestCloseTurningPoints:
+    @pytest.mark.parametrize("eps", [1e-5, -1e-5, 3e-5])
+    def test_unresolvable_pair_raises(self, eps):
+        # the two simple points near T = 1 are under 10 capture radii apart;
+        # the unguarded tracer reads them as unconnected
+        with pytest.raises(StallNearTurningPoint):
+            quaddiff.critical_graph(0, 0.75 + eps)
+
+    @pytest.mark.parametrize("eps", [1e-3, -1e-3])
+    def test_resolved_pair_connects(self, eps):
+        assert quaddiff.critical_graph(0, 0.75 + eps).all_on_critical
+
+
 def _real_axis_endpoint():
     from qesquartic import bkw
 
@@ -128,6 +141,49 @@ class TestFourEvaluationStep:
         tr = g.trajectories[0]
         assert (result, to) == (tr["result"], tr["to"])
         assert np.array_equal(path, tr["path"])
+
+
+BENCH_CASE = (0.5 - 0.5j, 1.0)
+
+
+@pytest.fixture(scope="module")
+def bench_graphs():
+    """The bench case's graph and its rays traced at the fixed cap H0."""
+    return (quaddiff.critical_graph(*BENCH_CASE),
+            critical_graph_five_eval(*BENCH_CASE, fixed_cap=True))
+
+
+class TestDistanceScaledStep:
+    def test_bench_case_path_points(self, bench_graphs):
+        # 53,670 points at the fixed cap
+        g, _ = bench_graphs
+        assert sum(len(tr["path"]) for tr in g.trajectories) < 15000
+
+    def test_equals_fixed_cap_within_distance_one(self, bench_graphs):
+        # each ray is the fixed-cap ray up to and including its first point
+        # more than 1 from every turning point
+        g, fixed = bench_graphs
+        tps = np.array([z for z, _ in g.turning_points])
+        assert len(g.trajectories) == len(fixed)
+        for tr, (result, to, path) in zip(g.trajectories, fixed):
+            dmin = np.abs(tr["path"][:, None] - tps[None, :]).min(axis=1)
+            far = np.nonzero(dmin > 1)[0]
+            if len(far) == 0:
+                assert (tr["result"], tr["to"]) == (result, to)
+                assert np.array_equal(tr["path"], path)
+                continue
+            k = far[0] + 1
+            assert np.array_equal(tr["path"][:k], path[:k])
+
+    def test_residual_no_worse_than_fixed_cap(self, bench_graphs):
+        g, fixed = bench_graphs
+
+        def worst(paths):
+            return max(horizontality_residual(p, *BENCH_CASE)
+                       for p in paths if len(p) > 10)
+
+        assert worst(tr["path"] for tr in g.trajectories) <= worst(
+            p for _, _, p in fixed)
 
 
 def _leg_cloud(seed=0, jitter=5e-4):
