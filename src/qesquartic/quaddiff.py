@@ -121,12 +121,13 @@ def trace_horizontal(a, L, start, direction, turning=None):
     at most H0 max(1, d) and 0.2 d + 1e-4, d the distance to the nearest
     turning point.  The field turns at most |P'/P|/2 <= 2/d per unit arc
     length, so beyond d = 1 a step turns it by at most 2 H0, as at d = 1;
-    within d = 1 the largest step is H0 itself.  A step's last field value is the next step's first one (the
-    field at the same T, continued from itself), so each step evaluates the
-    field four times.  Returns (result, hit_index, path) where result is
-    "capture" (within ``_capture_radius`` of a turning point), "escape"
-    (beyond 10 sqrt(1 + |a| + |L|) + max |turning point|) or "maxlen" (arc
-    length 12 times that escape radius).  Raises StallNearTurningPoint when
+    within d = 1 the largest step is H0 itself.  A step's last field value
+    is the next step's first one (the field at the same T, continued from
+    itself), so each step evaluates the field four times.  Returns
+    (result, hit_index, path) where result is "capture" (within
+    ``_capture_radius`` of a turning point), "escape" (beyond
+    10 sqrt(1 + |a| + |L|) + max |turning point|) or "maxlen" (arc length
+    12 times that escape radius).  Raises StallNearTurningPoint when
     the adaptive step collapses without reaching the capture radius.
     """
     a = complex(a)
