@@ -101,11 +101,10 @@ def criterion_exact_structure(n_max: int):
     """(1) threefold coefficient structure + P/Q/R certification, n <= n_max."""
     def run():
         for n in range(1, n_max + 1):
-            zerocase.factor_structure(n)
             if not zerocase.pqr_matches_factor(n):
                 return False, f"factor/PQR mismatch at n={n}"
         bad = []
-        for n in range(3, n_max + 1):
+        for n in range(1, n_max + 1):
             rec = zerocase.certify_all(n)
             for e in rec["pqr"]:
                 for key, val in e.items():

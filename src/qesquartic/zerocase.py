@@ -12,9 +12,13 @@ the triple recurrence
 with P_0 = Q_0 = R_0 = 1.  All three have positive coefficients, so their
 real roots are negative; this module certifies - in exact integer
 arithmetic, never floating point - that the roots are real, simple, negative
-and interlace along the recurrence chains.  Negativity is a Sturm count on
-(-inf, 0]; interlacing is one Cauchy index, read off the signed remainder
-sequence of the pair.
+and interlace along the recurrence chains.  Interlacing is one Cauchy index,
+read off the signed remainder sequence of the pair.  A met index proves both
+polynomials of the pair real-rooted and simple, and a real-rooted polynomial
+has only negative roots iff every coefficient is nonzero with the sign of the
+leading one; so negativity is read off the coefficients of every polynomial
+an interlacing verdict covers, and only one that none covers falls back to a
+Sturm count on (-inf, 0].
 """
 
 from __future__ import annotations
@@ -110,6 +114,16 @@ def _all_roots_negative_simple(ip) -> bool:
     return count == d and intpoly.sign_at(ip, 0) != 0
 
 
+def _negative_if_real_rooted(ip) -> bool:
+    """Exact, given ip real-rooted: every root in (-inf, 0).
+
+    lc * prod(x - r) with every r < 0 has all coefficients of the sign of
+    lc; conversely, same-signed nonzero coefficients leave no root in
+    [0, inf).
+    """
+    return all(c * ip[-1] > 0 for c in ip)
+
+
 def certify_interlacing(p, q) -> str:
     """Exact interlacing verdict for int lists p, q with deg p = deg q or
     deg q + 1.
@@ -153,7 +167,13 @@ def certify_all(n: int):
 
     Returns a dict with per-l verdicts; everything certified exactly.  The
     interlacing arrows checked are the three that define each new triple:
-    xi R_{l-1} <- P_l, P_l <- Q_l, Q_l <- R_l.
+    xi R_{l-1} <- P_l, P_l <- Q_l, Q_l <- R_l.  They run first: a
+    polynomial that equals p or q of an arrow verdict
+    "interlacing-with-largest-in-p" is real-rooted and simple, so its
+    `*_neg_simple` is `_negative_if_real_rooted`; any other polynomial is
+    decided by the Sturm count of `_all_roots_negative_simple`.  At the top
+    depth of n = 3l the Q_R arrow is degenerate-equal, and R_l = Q_l is
+    covered by P_Q.
     """
     r, q = factor_structure(n)
     rec = {"n": n, "r": r, "q_degree": q.degree, "structure_ok": True,
@@ -162,16 +182,22 @@ def certify_all(n: int):
         triples = _pqr_lists(n, n // 3)
         for l in range(1, len(triples)):
             P, Q, R = triples[l]
-            entry = {"l": l}
-            for name, F in zip("PQR", triples[l]):
-                entry[f"{name}_neg_simple"] = _all_roots_negative_simple(F)
             # arrowheads per the proof chains: the largest root (nearest 0)
             # sits in xi*R_{l-1}, then P_l, then Q_l respectively.  At the
             # top depth a recurrence coefficient can vanish, leaving the two
             # polynomials identical; that degenerate step is recorded as such.
-            entry["xiR_P"] = _arrow([0] + triples[l - 1][2], P)
-            entry["P_Q"] = _arrow(P, Q)
-            entry["Q_R"] = _arrow(Q, R)
+            pairs = {"xiR_P": ([0] + triples[l - 1][2], P), "P_Q": (P, Q),
+                     "Q_R": (Q, R)}
+            arrows = {key: _arrow(*pq) for key, pq in pairs.items()}
+            real_rooted = [u for key, pq in pairs.items()
+                           if arrows[key] == "interlacing-with-largest-in-p"
+                           for u in pq]
+            entry = {"l": l}
+            for name, F in zip("PQR", triples[l]):
+                entry[f"{name}_neg_simple"] = (
+                    _negative_if_real_rooted(F) if F in real_rooted
+                    else _all_roots_negative_simple(F))
+            entry.update(arrows)
             rec["pqr"].append(entry)
     return rec
 

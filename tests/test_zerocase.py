@@ -2,11 +2,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qesquartic import intpoly
+from qesquartic import intpoly, zerocase
 from qesquartic.errors import MultipleRoot
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.spectral import spectral_polynomial
 from qesquartic.zerocase import (
+    _all_roots_negative_simple,
+    _negative_if_real_rooted,
+    _pqr_lists,
     certify_all,
     certify_interlacing,
     factor_structure,
@@ -174,3 +177,63 @@ class TestCertifyAll:
         assert rec["n"] == 9
         assert len(rec["pqr"]) == 3
         assert certify_all(9) == rec
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestNegativityFromInterlacing:
+    @pytest.mark.parametrize("n", [*range(3, 31), *range(40, 45)])
+    def test_matches_sturm_oracle(self, n):
+        triples = _pqr_lists(n, n // 3)
+        for e in certify_all(n)["pqr"]:
+            for name, F in zip("PQR", triples[e["l"]]):
+                assert e[f"{name}_neg_simple"] == \
+                    _all_roots_negative_simple(F), (n, e["l"], name)
+
+    def test_no_sturm_sequence_at_n40(self, monkeypatch):
+        calls = _count_calls(monkeypatch, intpoly, "sturm_sequence")
+        certify_all(40)
+        assert calls == []
+
+    def test_uncovered_polynomial_falls_back_to_sturm(self, monkeypatch):
+        n = 20
+        triples = _pqr_lists(n, n // 3)
+        qr_pairs = [(Q, R) for _, Q, R in triples[1:]]
+        real = zerocase.certify_interlacing
+
+        def qr_not_interlacing(p, q):
+            if (p, q) in qr_pairs:
+                return "not-interlacing"
+            return real(p, q)
+        monkeypatch.setattr(zerocase, "certify_interlacing", qr_not_interlacing)
+        calls = _count_calls(monkeypatch, intpoly, "sturm_sequence")
+        rec = certify_all(n)
+        assert len(calls) == len(rec["pqr"])
+        for e in rec["pqr"]:
+            assert e["Q_R"] == "not-interlacing"
+            assert e["R_neg_simple"] == \
+                _all_roots_negative_simple(triples[e["l"]][2])
+
+    def test_nonnegative_root_fails_sign_rule(self):
+        p = from_roots([-3, -1, 2], 1)
+        q = from_roots([-2, 1], 1)
+        assert certify_interlacing(p, q) == "interlacing-with-largest-in-p"
+        for u in (p, q):
+            assert _negative_if_real_rooted(u) is False
+            assert _all_roots_negative_simple(u) is False
+
+    @settings(max_examples=60)
+    @given(interlaced_roots(), LEADING, LEADING)
+    def test_sign_rule_matches_sturm(self, roots, cp, cq):
+        for rs, lc in zip(roots, (cp, cq)):
+            u = from_roots(rs, lc)
+            assert _negative_if_real_rooted(u) == _all_roots_negative_simple(u)
