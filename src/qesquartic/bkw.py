@@ -5,19 +5,23 @@ constant-coefficient 4-term relation whose characteristic cubic is
 
     Psi^3 + beta Psi^2 + a tau(1-tau) Psi - (1-tau)^2 tau^2 = 0.
 
-The root-counting measures of its solution sequence live, by the
-equimodularity principle for such recurrences, on the locus where the two
-largest-modulus roots share their modulus.  This module computes those
-supports, their branch points in beta, the discriminant factorization, the
-support endpoints, and the tau-averaged Cauchy transform taken along the
-unique branch with Psi/beta -> -1 at infinity.
+By the equimodularity theorem of Beraha-Kahane-Weiss (1978) the root-counting
+measures of its solution sequence live on the locus where the two
+largest-modulus roots share their modulus, and off that locus the solution
+grows like the strictly dominant root.  This module computes those supports,
+their branch points in beta, the discriminant factorization, the support
+endpoints, and the tau-averaged Cauchy transform of Borcea-Boegvad-Shapiro
+(Publ. RIMS 45, 2009), whose integrand at each tau takes the dominant root:
+outside the union support that root is the branch with Psi/beta -> -1 at
+infinity, so no continuation is needed.  The transform checks the dominance
+gap at every quadrature tau and refuses points on a support; its value is
+valid only outside the union support.
 
 Every cubic here goes through the one vectorized helper
 ``rootfind.cubic_roots``, and the hot loops call it on whole batches: the
 support raster of one tau, the bisection of all its flagged raster edges
 (one solve per bisection step), the 2001-point scan of the real axis, and
-the branch continuation of all quadrature taus in lockstep, whose planned
-radii are solved several at a time.  The Gauss-Legendre rule of each
+all taus of one quadrature order.  The Gauss-Legendre rule of each
 quadrature order is computed once per process.
 
 The frozen recurrence itself is solved exactly at a = 0: its solution
@@ -35,13 +39,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss   # loaded with the package, not on first use
 
 from . import intpoly
-from .errors import BranchCollision, InsideSupport, NonConvergence
+from .errors import InsideSupport, NonConvergence
 from .pointset import PointSet
 from .rootfind import cubic_roots, threefold_roots
 
 EQUIMODULAR_TOL = 1e-4
-MAX_HALVINGS = 48        # step halvings each continuation lane may ask for
-PSI_BATCH_CUBICS = 1536  # cubics per cubic_roots call of the planned radii
 SUPPORT_GRID_SIZE = 61   # raster side of union_support
 
 
@@ -163,59 +165,6 @@ def support_endpoints(a=0.0):
     return cubic_roots(a * a / 4, -9 * a / 8, (-(a**3) - 27 / 16) / 4)
 
 
-def _psi_branches(beta, a, taus):
-    """Psi~ at beta for every tau in taus: the cubic root with Psi/beta -> -1,
-    continued inward.
-
-    Continuation runs along the straight ray arg(z) = arg(beta) from
-    |z| = max(10(1+|a|), 2|beta|) down to |beta| in 48 geometric steps, all
-    taus in lockstep: at each radius every lane takes the root nearest its
-    previous value.  The planned radii are solved ahead, in batches of at
-    most PSI_BATCH_CUBICS cubics per ``cubic_roots`` call (a row does not
-    depend on its batch); only the matching runs radius by radius.  Whenever
-    some lane's nearest and next-nearest roots are not cleanly separated, a
-    midpoint radius is inserted for all lanes and solved on its own; each
-    lane may ask for MAX_HALVINGS halvings.
-    """
-    beta = complex(beta)
-    a = complex(a)
-    taus = np.asarray(taus, dtype=float)
-    T = taus * (1 - taus)
-    c, d = a * T, -(T * T)
-    phase = beta / abs(beta)
-    R0 = max(10.0 * (1 + abs(a)), 2 * abs(beta))
-    radii = np.geomspace(R0, abs(beta), 48)
-    lanes = np.arange(len(T))
-    roots = cubic_roots(radii[0] * phase, c, d)
-    psi = roots[lanes, np.argmin(np.abs(roots + radii[0] * phase), axis=-1)]
-    halvings = np.zeros(len(T), dtype=int)
-    prev_rad = radii[0]
-    batch = max(1, PSI_BATCH_CUBICS // len(T))
-    for k in range(1, len(radii), batch):
-        block = radii[k:k + batch]
-        for rad, roots in zip(block, cubic_roots((block * phase)[:, None], c, d)):
-            pending = [(rad, roots)]            # the planned radius, then midpoints
-            while pending:
-                rad, roots = pending[-1]
-                dist = np.abs(roots - psi[:, None])
-                near = np.sort(dist, axis=-1)
-                ambiguous = near[:, 0] > 0.5 * near[:, 1]
-                if ambiguous.any():
-                    floor = np.flatnonzero(ambiguous & (halvings >= MAX_HALVINGS))
-                    if len(floor):
-                        raise BranchCollision(
-                            f"refinement floor at |beta|={rad:.4g} (tau={taus[floor[0]]:.4f})"
-                        )
-                    mid = 0.5 * (prev_rad + rad)
-                    pending.append((mid, cubic_roots(mid * phase, c, d)))
-                    halvings += ambiguous
-                    continue
-                psi = roots[lanes, np.argmin(dist, axis=-1)]
-                prev_rad = rad
-                pending.pop()
-    return psi
-
-
 @lru_cache(maxsize=8)   # cauchy_nu asks for at most five orders
 def _gauss_rule(order):
     """Read-only Gauss-Legendre nodes mapped to tau in (0, 1), and their
@@ -229,14 +178,19 @@ def _gauss_rule(order):
 
 
 def cauchy_nu(beta, a=0.0):
-    """tau-averaged Cauchy transform at beta, outside the union support.
+    """tau-averaged Cauchy transform at beta, valid only outside the union
+    support.
 
-    Gauss-Legendre quadrature over tau in (0,1) of dPsi/dbeta / Psi, with the
-    branch fixed by Psi/beta -> -1 at infinity and followed by straight-ray
-    continuation; the order starts at 64 and doubles until two successive
-    values agree to 1e-10, and each order's rule comes from ``_gauss_rule``.
-    Raises InsideSupport when a probe of the quadrature taus finds beta on a
-    support (to EQUIMODULAR_TOL).
+    Gauss-Legendre quadrature over tau in (0,1) of dPsi/dbeta / Psi, where
+    Psi is the largest-modulus root of the tau cubic.  Off the tau support
+    that root is strictly dominant (Beraha-Kahane-Weiss), analytic in beta
+    and asymptotic to -beta at infinity, and the tau-average of its
+    logarithmic derivative is the Cauchy transform of the limiting root
+    measure (Borcea-Boegvad-Shapiro).  Each order solves the cubics of all
+    its taus in one ``characteristic_roots`` call and raises InsideSupport
+    when the dominance gap at any of those taus is below EQUIMODULAR_TOL;
+    the order starts at 64 and doubles until two successive values agree
+    to 1e-10, and each order's rule comes from ``_gauss_rule``.
     """
     beta = complex(beta)
     a = complex(a)
@@ -246,13 +200,12 @@ def cauchy_nu(beta, a=0.0):
     prev = None
     for _ in range(5):
         taus, ws = _gauss_rule(order)
-        # membership precheck on the quadrature grid
-        probe = taus[:: max(1, order // 16)]
-        inside = probe[_dominance_gap(beta, a, probe) < EQUIMODULAR_TOL]
+        roots = characteristic_roots(beta, a, taus)
+        inside = taus[_gap(np.abs(roots)) < EQUIMODULAR_TOL]
         if len(inside):
             raise InsideSupport(f"beta={beta} is on the tau={inside[0]:.3f} support")
         T = taus * (1 - taus)
-        psi = _psi_branches(beta, a, taus)
+        psi = roots[:, 0]
         dpsi = -(psi * psi) / (3 * psi * psi + 2 * beta * psi + a * T)
         total = complex(np.sum(ws * dpsi / psi))
         if prev is not None and abs(total - prev) < 1e-10:
@@ -388,9 +341,13 @@ def real_support_interval(a, refine_tol=1e-8):
 
     The per-tau supports are nested real intervals whose union equals the
     tau = 1/2 one (its branch points are extremal), so membership bisection
-    at tau = 1/2 localizes both endpoints to refine_tol.
+    at tau = 1/2 localizes both endpoints to refine_tol.  Below the threshold,
+    a^3 < 27/4, two branch points are non-real and the support is not an
+    interval: ValueError.
     """
     a = float(a)
+    if a**3 < 27 / 4:
+        raise ValueError(f"real support interval needs a^3 >= 27/4, got a = {a}")
     B = 2.0 + abs(a) ** 1.5
     xs = np.linspace(-B, B, 2001)
     inside = xs[_dominance_gap(xs, a, 0.5) < EQUIMODULAR_TOL]

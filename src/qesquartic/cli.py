@@ -160,8 +160,8 @@ def _figure_figA3(emit, cache_dir, a=3.0, tau_count=32):
     if a.imag:
         raise ValueError(f"figA3 needs a real parameter a, got {a}")
     a = a.real
-    emit("support.csv", union_support(a, tau_grid=_tau_grid(tau_count)).union_points())
     lo, hi = real_support_interval(a)
+    emit("support.csv", union_support(a, tau_grid=_tau_grid(tau_count)).union_points())
     emit("interval.json", {
         "a": a,
         "interval": [lo, hi],

@@ -59,10 +59,6 @@ class CollisionUnresolved(QesquarticError):
     """Eigenvalue tracking could not separate colliding traces."""
 
 
-class BranchCollision(QesquarticError):
-    """Root continuation met a near-double root below the refinement floor."""
-
-
 class InsideSupport(QesquarticError):
     """Cauchy transform requested at a point inside the support."""
 

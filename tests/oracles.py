@@ -25,8 +25,9 @@ seeds it with the eigenvalues of the balanced matrix and runs the
 recurrence on Gaussian integers).
 Horizontal trajectories evaluate the direction field five times per RK4
 step (the package carries a step's last value into the next step), and the
-branch continuation of the characteristic cubic solves one radius per
-``cubic_roots`` call (the package solves its planned radii in batches).
+branch with Psi/beta -> -1 of the characteristic cubic is continued along
+a ray from infinity, one radius per ``cubic_roots`` call (the package takes
+the dominant root, which is that branch off the supports).
 The horizontality residual that measures how closely a traced polyline
 follows a horizontal trajectory lives only here.
 """
@@ -42,7 +43,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from qesquartic import intpoly, quaddiff
-from qesquartic.errors import BranchCollision, CollisionUnresolved, StallNearTurningPoint
+from qesquartic.errors import CollisionUnresolved, StallNearTurningPoint
 from qesquartic.rootfind import aberth_roots, cubic_roots
 from qesquartic.spectral import build_matrix, charpoly_bivariate
 
@@ -463,9 +464,17 @@ def critical_graph_five_eval(a, L, fixed_cap=False):
 # branch continuation, one radius per cubic solve
 # ---------------------------------------------------------------------------
 
-def psi_branches_per_radius(beta, a, taus, max_halvings=48):
+def psi_branches_per_radius(beta, a, taus):
     """The continued cubic root with Psi/beta -> -1 for every tau, solving
-    each radius, planned or inserted, in its own ``cubic_roots`` call."""
+    each radius, planned or inserted, in its own ``cubic_roots`` call.
+
+    Continuation runs along the straight ray arg(z) = arg(beta) from
+    |z| = max(10(1+|a|), 2|beta|) down to |beta| in 48 geometric steps, all
+    taus in lockstep, each lane taking the root nearest its previous value;
+    a midpoint radius is inserted whenever some lane's two nearest roots are
+    not cleanly separated, and a lane past 48 insertions raises
+    RuntimeError.  Where the ray crosses no tau support, the continued root
+    is the dominant one."""
     beta = complex(beta)
     a = complex(a)
     taus = np.asarray(taus, dtype=float)
@@ -487,9 +496,9 @@ def psi_branches_per_radius(beta, a, taus, max_halvings=48):
         near = np.sort(dist, axis=-1)
         ambiguous = near[:, 0] > 0.5 * near[:, 1]
         if ambiguous.any():
-            floor = np.flatnonzero(ambiguous & (halvings >= max_halvings))
+            floor = np.flatnonzero(ambiguous & (halvings >= 48))
             if len(floor):
-                raise BranchCollision(
+                raise RuntimeError(
                     f"refinement floor at |beta|={rad:.4g} (tau={taus[floor[0]]:.4f})"
                 )
             radii.insert(i, 0.5 * (prev_rad + rad))

@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesquartic import bkw, rootfind
-from qesquartic.errors import BranchCollision, InsideSupport
+from qesquartic import bkw, rootfind, spectral
+from qesquartic.errors import InsideSupport
 from qesquartic.rootfind import threefold_roots
 
 from oracles import frozen_recurrence_fraction, psi_branches_per_radius
@@ -158,33 +160,30 @@ class TestCauchyNu:
         for tau in (0.21, 0.5, 0.83):
             T = tau * (1 - tau)
             for beta in (2.0 + 0.5j, -1.5 + 1.2j):
-                psi = bkw._psi_branches(beta, 0.7, [tau])[0]
+                psi = bkw.characteristic_roots(beta, 0.7, tau)[0]
                 val = psi**3 + beta * psi**2 + 0.7 * T * psi - T * T
                 assert abs(val) < 1e-12
 
+    A = (1 - 1j) / 2
 
-class TestBatchedContinuation:
-    TAUS = (np.arange(16) + 0.5) / 16
+    def test_ray_crossing_a_support_matches_cloud(self, tmp_cache):
+        # outside the union support, but the ray from infinity to beta
+        # crosses some tau supports: continuing along it lands on a root
+        # that is not the dominant one
+        beta = -0.28757314599049466 + 0.22181638618662292j
+        cloud = spectral.scaled_spectrum(200, self.A, rule="n23",
+                                         cache_dir=tmp_cache)
+        dev = abs(bkw.cauchy_nu(beta, self.A)
+                  - spectral.empirical_cauchy(cloud, beta))
+        assert dev < 2e-2
 
-    @pytest.mark.parametrize("beta, a", [(2.0 + 0.5j, 0.7), (0.8 + 0.05j, 0),
-                                         (0.9 + 0.1j, 0.5 - 0.5j)])
-    def test_scalar_branch_is_its_lane(self, beta, a):
-        # lanes share every halving; the continued root, hence the value, is
-        # that of a ray continued alone
-        lanes = bkw._psi_branches(beta, a, self.TAUS)
-        for t, psi in zip(self.TAUS, lanes):
-            assert bkw._psi_branches(beta, a, [t])[0] == psi
-
-    def test_no_halvings_left_raises(self, monkeypatch):
-        # this ray needs one halving at tau = 1/2
-        beta = 0.74 + 0.01j
-        monkeypatch.setattr(bkw, "MAX_HALVINGS", 1)
-        assert np.isfinite(bkw._psi_branches(beta, 0, [0.5])[0])
-        monkeypatch.setattr(bkw, "MAX_HALVINGS", 0)
-        with pytest.raises(BranchCollision):
-            bkw._psi_branches(beta, 0, [0.5])
-        with pytest.raises(BranchCollision):
-            bkw._psi_branches(beta, 0, [0.1, 0.5])
+    def test_support_at_any_quadrature_tau_raises(self):
+        # on the support of the 6th order-64 node only (gap 1.7e-11 there),
+        # which a probe of every 4th node misses
+        beta = 0.2333333333333334 - 0.07468762046040262j
+        tau = bkw._gauss_rule(64)[0][5]
+        with pytest.raises(InsideSupport, match=f"tau={tau:.3f} support"):
+            bkw.cauchy_nu(beta, self.A)
 
 
 def _count_cubic_calls(monkeypatch):
@@ -199,37 +198,36 @@ def _count_cubic_calls(monkeypatch):
 
 
 class TestBatchedRadii:
-    @pytest.mark.parametrize("beta, a, taus, solves", [
-        (0.74 + 0.01j, 0, [0.5], 3),                            # 1 + 1 batch + 1 halving
-        (0.74 + 0.01j, 0, (np.arange(64) + 0.5) / 64, 4),       # 1 + 2 batches + 1 halving
-        (0.9 + 0.1j, 0.5 - 0.5j, (np.arange(128) + 0.5) / 128, 5),  # 1 + 4 batches
-    ])
-    def test_equals_per_radius_oracle(self, monkeypatch, beta, a, taus, solves):
-        expected = psi_branches_per_radius(beta, a, taus)
-        calls = _count_cubic_calls(monkeypatch)
-        got = bkw._psi_branches(beta, a, taus)
-        assert np.array_equal(got, expected)
-        assert len(calls) == solves
-        assert max(np.prod(s) for s in calls) <= bkw.PSI_BATCH_CUBICS
+    """cauchy_nu's dominant roots against the per-radius ray continuation,
+    and its one batched cubic solve per quadrature order."""
 
-    def test_collision_message_unchanged(self, monkeypatch):
-        monkeypatch.setattr(bkw, "MAX_HALVINGS", 0)
-        for taus in ([0.5], (np.arange(64) + 0.5) / 64):
-            with pytest.raises(BranchCollision) as want:
-                psi_branches_per_radius(0.74 + 0.01j, 0, taus, max_halvings=0)
-            with pytest.raises(BranchCollision) as got:
-                bkw._psi_branches(0.74 + 0.01j, 0, taus)
-            assert str(got.value) == str(want.value)
+    RAYS = [(0.74 + 0.01j, 0), (0.8 + 0.05j, 0), (0.9 + 0.1j, 0.5 - 0.5j)]
+    BENCH = [(2 * cmath.exp(2j * math.pi * (k + 0.35) / 10), 0) for k in range(10)]
+
+    @pytest.mark.parametrize("order", [64, 128, 256])
+    @pytest.mark.parametrize("beta, a", RAYS)
+    def test_equals_per_radius_oracle(self, beta, a, order):
+        # a ray that crosses no tau support continues onto the dominant root
+        taus, _ = bkw._gauss_rule(order)
+        assert np.array_equal(bkw.characteristic_roots(beta, a, taus)[:, 0],
+                              psi_branches_per_radius(beta, a, taus))
+
+    @pytest.mark.parametrize("order", [64, 128, 256])
+    def test_bench_points_equal_per_radius_oracle(self, order):
+        taus, _ = bkw._gauss_rule(order)
+        for beta, a in self.BENCH:
+            assert np.array_equal(bkw.characteristic_roots(beta, a, taus)[:, 0],
+                                  psi_branches_per_radius(beta, a, taus))
 
     def test_cubic_solves_per_cauchy_nu(self, monkeypatch):
-        # two membership probes and, at orders 64 and 128, one start solve
-        # plus 2 and 4 batches of planned radii; one solve per radius took 98
+        # one solve of all taus per quadrature order, orders 64 and 128
         calls = _count_cubic_calls(monkeypatch)
         bkw.cauchy_nu(2 * np.exp(2j * np.pi * 0.35 / 10), 0)
-        assert len(calls) == 10
+        assert calls == [(64,), (128,)]
 
     def test_cubic_roots_binding_kept(self):
-        # the continuation and its bench span both go through this name
+        # cauchy_nu's batched solves and their bench span both go through
+        # this name
         assert bkw.cubic_roots is rootfind.cubic_roots
 
 
@@ -269,6 +267,12 @@ class TestUnionSupport:
         sup = bkw.union_support(0, tau_grid=[0.5])
         ep = sup.endpoints[0.5]
         assert np.abs(np.abs(ep) - 0.75).max() < 1e-9
+
+    @pytest.mark.parametrize("a", [0, 1, 1.88, -3])
+    def test_real_interval_below_threshold_refused(self, a):
+        # a^3 < 27/4: two branch points are non-real, the support no interval
+        with pytest.raises(ValueError, match="27/4"):
+            bkw.real_support_interval(a)
 
     def test_real_interval_a3(self):
         lo, hi = bkw.real_support_interval(3.0, refine_tol=1e-8)

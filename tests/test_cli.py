@@ -251,9 +251,13 @@ class TestMainEntry:
         assert rep["interval"][1] == pytest.approx(1.80861, abs=1e-4)
 
     def test_figA3_nonreal_a_refused(self, tmp_path, tmp_cache):
-        with pytest.raises(ValueError, match="real"):
-            cli.main(["figure", "figA3", "--a", "3+1j", "--out",
-                      str(tmp_path / "a3"), "--cache-dir", tmp_cache])
+        # a non-real a, or a real one with a^3 < 27/4 and so non-real
+        # branch points: no real support interval
+        for a in ("3+1j", "0", "1", "1.88"):
+            with pytest.raises(ValueError, match="real"):
+                cli.main(["figure", "figA3", "--a", a, "--out",
+                          str(tmp_path / "a3"), "--cache-dir", tmp_cache])
+            assert not (tmp_path / "a3").exists()
 
 
 class TestParameterBinding:
