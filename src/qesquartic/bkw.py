@@ -106,10 +106,10 @@ def _gap(mods):
         return np.where(top > 0, (top - mods[..., 1]) / top, np.inf)
 
 
-def support_membership(beta, a=0.0, tau=0.5) -> bool:
-    """True iff the two largest-modulus cubic roots are equimodular to
-    EQUIMODULAR_TOL."""
-    return bool(_dominance_gap(beta, a, tau) < EQUIMODULAR_TOL)
+def support_membership(beta, a=0.0, tau=0.5):
+    """True where the two largest-modulus cubic roots are equimodular to
+    EQUIMODULAR_TOL, beta and tau broadcast."""
+    return _dominance_gap(beta, a, tau) < EQUIMODULAR_TOL
 
 
 def branch_points(a=0.0, tau=0.5):
@@ -188,8 +188,10 @@ def cauchy_nu(beta, a=0.0):
     logarithmic derivative is the Cauchy transform of the limiting root
     measure (Borcea-Boegvad-Shapiro).  Each order solves the cubics of all
     its taus in one ``characteristic_roots`` call and raises InsideSupport
-    when the dominance gap at any of those taus is below EQUIMODULAR_TOL;
-    the order starts at 64 and doubles until two successive values agree
+    when the dominance gap at any of those taus is below EQUIMODULAR_TOL,
+    or when Psi hands over to another root between two adjacent taus: a
+    step of Psi longer than its two neighbouring steps together.  The order
+    starts at 64 and doubles until two successive values agree
     to 1e-10, and each order's rule comes from ``_gauss_rule``.
     """
     beta = complex(beta)
@@ -204,8 +206,13 @@ def cauchy_nu(beta, a=0.0):
         inside = taus[_gap(np.abs(roots)) < EQUIMODULAR_TOL]
         if len(inside):
             raise InsideSupport(f"beta={beta} is on the tau={inside[0]:.3f} support")
-        T = taus * (1 - taus)
         psi = roots[:, 0]
+        step = np.abs(np.diff(psi))
+        jump = np.flatnonzero(step > np.r_[0, step[:-1]] + np.r_[step[1:], 0])
+        if len(jump):
+            raise InsideSupport(f"beta={beta} is on a support between tau="
+                                f"{taus[jump[0]]:.3f} and {taus[jump[0] + 1]:.3f}")
+        T = taus * (1 - taus)
         dpsi = -(psi * psi) / (3 * psi * psi + 2 * beta * psi + a * T)
         total = complex(np.sum(ws * dpsi / psi))
         if prev is not None and abs(total - prev) < 1e-10:
@@ -341,7 +348,8 @@ def real_support_interval(a, refine_tol=1e-8):
 
     The per-tau supports are nested real intervals whose union equals the
     tau = 1/2 one (its branch points are extremal), so membership bisection
-    at tau = 1/2 localizes both endpoints to refine_tol.  Below the threshold,
+    at tau = 1/2, both ends in lockstep, localizes them to refine_tol (each
+    end stops moving once within it).  Below the threshold,
     a^3 < 27/4, two branch points are non-real and the support is not an
     interval: ValueError.
     """
@@ -350,24 +358,19 @@ def real_support_interval(a, refine_tol=1e-8):
         raise ValueError(f"real support interval needs a^3 >= 27/4, got a = {a}")
     B = 2.0 + abs(a) ** 1.5
     xs = np.linspace(-B, B, 2001)
-    inside = xs[_dominance_gap(xs, a, 0.5) < EQUIMODULAR_TOL]
+    inside = xs[support_membership(xs, a, 0.5)]
     if not len(inside):
         raise InsideSupport("no support found on the real axis")
-    lo_rough, hi_rough = inside[0], inside[-1]
-    step = xs[1] - xs[0]
-
-    def refine(inner, outer):
-        while abs(outer - inner) > refine_tol:
-            mid = 0.5 * (inner + outer)
-            if support_membership(mid, a, 0.5):
-                inner = mid
-            else:
-                outer = mid
-        return 0.5 * (inner + outer)
-
-    hi = refine(hi_rough, hi_rough + 2 * step)
-    lo = refine(lo_rough, lo_rough - 2 * step)
-    return lo, hi
+    inner = inside[[0, -1]]
+    outer = inner + np.array([-2.0, 2.0]) * (xs[1] - xs[0])
+    active = np.abs(outer - inner) > refine_tol
+    while active.any():
+        mid = 0.5 * (inner + outer)
+        member = support_membership(mid, a, 0.5)
+        inner = np.where(active & member, mid, inner)
+        outer = np.where(active & ~member, mid, outer)
+        active = np.abs(outer - inner) > refine_tol
+    return tuple(0.5 * (inner + outer))
 
 
 def recurrence_roots(tau, k_max=150) -> PointSet:

@@ -2,11 +2,12 @@
 
 A standard path ("vertical hook") drops from a large positive base point B
 to the height of a chosen branching point, runs horizontally left until just
-short of it, circles it counterclockwise, and retraces itself back.  The
-spectrum at B is real and simple; tracking the eigenvalues frame by frame
-along the path produces a permutation of the sorted-at-B spectrum.  A path
-is a plain function that maps an array of t in [0, 1] to the array of a(t)
-in one numpy pass (a scalar t gives a scalar).
+short of it, circles it counterclockwise, and retraces itself back (the way
+home at t is the way out at 1 - t, bit for bit).  The spectrum at B is real
+and simple; tracking the eigenvalues frame by frame along the path produces
+a permutation of the sorted-at-B spectrum.  A path is a plain function that
+maps an array of t in [0, 1] to the array of a(t) in one numpy pass (a
+scalar t gives a scalar).
 
 Consecutive frames are matched by nearest neighbours: each old eigenvalue
 goes to the closest new one.  A step is accepted only when that map is a
@@ -18,7 +19,8 @@ sets, so the tracker refines one bisection level at a time: it judges all
 pending steps together on stacked distance arrays, solves all midpoints of
 a level in one stacked eigensolve, and composes the accepted steps' maps
 in one pass along the path.  The grid and the result are those of a walk
-that halves each step in place.
+that halves each step in place.  Each distinct a is solved once, so with a
+dyadic step count a hook's way home costs no eigensolve.
 
 The columns of the branching triangle are numbered from the right (the
 rightmost point is column 1, and column j holds j points); the measured
@@ -123,7 +125,8 @@ def path_around_index(n: int, idx: int, branch_set, bump=None):
 
 def _hook(B, sigma, radius, bump):
     """Closed path: vertical drop, horizontal (bumped) approach, ccw circle,
-    and the reverse run home, as a function of an array (or a scalar) of t."""
+    and the run home as the way out at 1 - t (equal bit for bit wherever
+    1 - t is exact), as a function of an array (or a scalar) of t."""
     y = sigma.imag
     approach_from = B + 0j
     p0 = complex(B, y)                 # after vertical segment
@@ -134,16 +137,15 @@ def _hook(B, sigma, radius, bump):
         return z + 1j * bump * np.sin(np.pi * np.clip(s, 0.0, 1.0))
 
     # outbound: 0..0.15 vertical, 0.15..0.45 horizontal (with bump),
-    # 0.45..0.55 circle, then mirror back
+    # 0.45..0.55 circle; home is the outbound run at 1 - t
     def path(t):
         t = np.asarray(t, dtype=float) % 1.0
+        s = np.where(t < 0.55, t, 1 - t)
         return np.select(
-            [t < 0.15, t < 0.45, t < 0.55, t < 0.85],
-            [approach_from + 1j * y * (t / 0.15),
-             horizontal((t - 0.15) / 0.30),
-             sigma + radius * np.exp(2j * np.pi * ((t - 0.45) / 0.10)),
-             horizontal(1 - (t - 0.55) / 0.30)],
-            approach_from + 1j * y * (1 - (t - 0.85) / 0.15))[()]
+            [(t >= 0.45) & (t < 0.55), s < 0.15],
+            [sigma + radius * np.exp(2j * np.pi * ((t - 0.45) / 0.10)),
+             approach_from + 1j * y * (s / 0.15)],
+            horizontal((s - 0.15) / 0.30))[()]
 
     return path
 
@@ -202,10 +204,13 @@ def _batches(m, k):
 def _spectra(n, ts, path):
     """Unsorted eigenvalues at a = path(t) for each t in ts, (len(ts), n+1):
     one call of the path, a scalar result standing for every t, and stacked
-    eigensolves, equal bit for bit to one call per matrix."""
-    avals = np.broadcast_to(path(ts), ts.shape)
-    return np.concatenate([np.linalg.eigvals(build_matrices(n, avals[s]))
-                           for s in _batches(len(ts), n + 1)])
+    eigensolves of each distinct a once, keyed on its bits (so 0.0 and -0.0
+    stay apart), equal bit for bit to one call per matrix."""
+    avals = np.ascontiguousarray(np.broadcast_to(path(ts), ts.shape), complex)
+    _, first, inverse = np.unique(avals.view("V16"), return_index=True,
+                                  return_inverse=True)
+    return np.concatenate([np.linalg.eigvals(build_matrices(n, avals[first[s]]))
+                           for s in _batches(len(first), n + 1)])[inverse]
 
 
 def track_path(n: int, path, steps: int = 256) -> MonodromyResult:

@@ -27,7 +27,9 @@ Horizontal trajectories evaluate the direction field five times per RK4
 step (the package carries a step's last value into the next step), and the
 branch with Psi/beta -> -1 of the characteristic cubic is continued along
 a ray from infinity, one radius per ``cubic_roots`` call (the package takes
-the dominant root, which is that branch off the supports).
+the dominant root, which is that branch off the supports).  The two ends
+of the real support interval are bisected one after the other, one scalar
+membership test per step (the package bisects both in lockstep).
 The horizontality residual that measures how closely a traced polyline
 follows a horizontal trajectory lives only here.
 """
@@ -42,7 +44,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from qesquartic import intpoly, quaddiff
+from qesquartic import bkw, intpoly, quaddiff
 from qesquartic.errors import CollisionUnresolved, StallNearTurningPoint
 from qesquartic.rootfind import aberth_roots, cubic_roots
 from qesquartic.spectral import build_matrix, charpoly_bivariate
@@ -353,7 +355,7 @@ def track_path_sequential(n, func, steps=256):
 def hook_scalar(B, sigma, radius, bump):
     """The package's vertical hook with the same parameters, as a function
     of one scalar t: vertical drop, horizontal (bumped) approach, ccw
-    circle, and the reverse run home."""
+    circle, and the run home as the way out at 1 - t."""
     y = sigma.imag
     approach_from = B + 0j
     p0 = complex(B, y)                 # after vertical segment
@@ -365,20 +367,16 @@ def hook_scalar(B, sigma, radius, bump):
 
     def func(t):
         t = t % 1.0
+        if 0.45 <= t < 0.55:
+            s = (t - 0.45) / 0.10
+            return sigma + radius * np.exp(2j * np.pi * s)
+        if t >= 0.55:
+            t = 1 - t
         if t < 0.15:
             s = t / 0.15
             return approach_from + 1j * y * s
-        if t < 0.45:
-            s = (t - 0.15) / 0.30
-            return horizontal(s)
-        if t < 0.55:
-            s = (t - 0.45) / 0.10
-            return sigma + radius * np.exp(2j * np.pi * s)
-        if t < 0.85:
-            s = (t - 0.55) / 0.30
-            return horizontal(1 - s)
-        s = (t - 0.85) / 0.15
-        return approach_from + 1j * y * (1 - s)
+        s = (t - 0.15) / 0.30
+        return horizontal(s)
 
     return func
 
@@ -508,6 +506,33 @@ def psi_branches_per_radius(beta, a, taus):
         prev_rad = rad
         i += 1
     return psi
+
+
+# ---------------------------------------------------------------------------
+# real support interval, one end after the other
+# ---------------------------------------------------------------------------
+
+def real_support_interval_two_loops(a, refine_tol=1e-8):
+    """``bkw.real_support_interval`` with each end bisected in its own
+    loop of scalar ``support_membership`` tests, the high end first."""
+    a = float(a)
+    B = 2.0 + abs(a) ** 1.5
+    xs = np.linspace(-B, B, 2001)
+    inside = xs[bkw._dominance_gap(xs, a, 0.5) < bkw.EQUIMODULAR_TOL]
+    step = xs[1] - xs[0]
+
+    def refine(inner, outer):
+        while abs(outer - inner) > refine_tol:
+            mid = 0.5 * (inner + outer)
+            if bkw.support_membership(mid, a, 0.5):
+                inner = mid
+            else:
+                outer = mid
+        return 0.5 * (inner + outer)
+
+    hi = refine(inside[-1], inside[-1] + 2 * step)
+    lo = refine(inside[0], inside[0] - 2 * step)
+    return lo, hi
 
 
 def assignment_cost_lsa(pa, pb):

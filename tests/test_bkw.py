@@ -12,7 +12,8 @@ from qesquartic import bkw, rootfind, spectral
 from qesquartic.errors import InsideSupport
 from qesquartic.rootfind import threefold_roots
 
-from oracles import frozen_recurrence_fraction, psi_branches_per_radius
+from oracles import (frozen_recurrence_fraction, psi_branches_per_radius,
+                     real_support_interval_two_loops)
 
 
 class TestCharacteristicRoots:
@@ -185,6 +186,19 @@ class TestCauchyNu:
         with pytest.raises(InsideSupport, match=f"tau={tau:.3f} support"):
             bkw.cauchy_nu(beta, self.A)
 
+    def test_handover_between_quadrature_taus_raises(self):
+        # on the support of a tau between the order-64 nodes 0.080 and
+        # 0.093: the dominance gap is 6.9e-3 or more at every node, but Psi
+        # hands over to another root between those two, so no order would
+        # converge
+        beta = -0.2501113714997667 + 0.05864502306748931j
+        fine = np.linspace(0.0, 1.0, 4001)[1:-1]
+        assert bkw._dominance_gap(beta, self.A, fine).min() < bkw.EQUIMODULAR_TOL
+        nodes = bkw._gauss_rule(64)[0]
+        assert bkw._dominance_gap(beta, self.A, nodes).min() > 6.9e-3
+        with pytest.raises(InsideSupport, match="between tau=0.080 and 0.093"):
+            bkw.cauchy_nu(beta, self.A)
+
 
 def _count_cubic_calls(monkeypatch):
     calls = []
@@ -279,6 +293,15 @@ class TestUnionSupport:
         ep = sorted(bkw.support_endpoints(3.0).real)
         assert abs(lo - ep[1]) < 1e-6
         assert abs(hi - ep[2]) < 1e-6
+
+
+    @pytest.mark.parametrize("a", [1.9, 2.5, 3.0, 7.25])
+    @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-12])
+    def test_real_interval_lockstep_matches_two_loops(self, a, tol):
+        # both ends bisected together give the floats of one loop per end
+        got = bkw.real_support_interval(a, refine_tol=tol)
+        want = real_support_interval_two_loops(a, refine_tol=tol)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
 class TestRecurrenceRoots:

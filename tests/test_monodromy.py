@@ -130,6 +130,46 @@ def test_array_hook_matches_scalar_hook(n, bump, monkeypatch):
                                   np.array([ref(t)]).view(np.int64))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("bump", [None, 0.17])
+def test_hook_way_home_retraces_way_out(n, bump):
+    # off the circle a(t) = a(1 - t) bit for bit wherever 1 - t is exact:
+    # every t >= 1/2 (including just beside the segment ends) and the
+    # dyadic grid points of the way out
+    home = np.concatenate([
+        np.linspace(0.55, 1.0, 901, endpoint=False),
+        np.nextafter([0.55, 0.85, 1.0], [2.0, -1.0, -1.0]),
+        [0.85, np.nextafter(0.85, 2.0)]])
+    grid = np.arange(0, 116) / 256          # t < 0.45
+    bs = sigma_points(n)
+    for idx in range(len(bs.points.points)):
+        path = monodromy.path_around_index(n, idx, bump=bump, branch_set=bs)
+        for out in (1 - home, grid):
+            assert np.array_equal(path(out).view(np.int64),
+                                  path(1 - out).view(np.int64)), (n, idx)
+
+
+def test_bench_hooks_solve_each_a_once(monkeypatch):
+    # the 34 standard hooks of n = 2..5 at the default 256 steps: their
+    # way home repeats the way out, and a repeated a is not solved again
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def spy(M):
+        solved.append(M.shape[0] if M.ndim == 3 else 1)
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    frames = 0
+    for n in (2, 3, 4, 5):
+        bs = sigma_points(n)
+        for idx in range(len(bs.points.points)):
+            path = monodromy.path_around_index(n, idx, branch_set=bs)
+            frames += monodromy.track_path(n, path).frames
+    assert frames == 8746
+    assert sum(solved) <= 4700
+
+
 class TestStandardPaths:
     def test_deformation_invariance(self, tmp_cache):
         bs = sigma_points(3, cache_dir=tmp_cache)
