@@ -294,7 +294,6 @@ class TestUnionSupport:
         assert abs(lo - ep[1]) < 1e-6
         assert abs(hi - ep[2]) < 1e-6
 
-
     @pytest.mark.parametrize("a", [1.9, 2.5, 3.0, 7.25])
     @pytest.mark.parametrize("tol", [1e-7, 1e-8, 1e-12])
     def test_real_interval_lockstep_matches_two_loops(self, a, tol):
