@@ -18,9 +18,8 @@ names, and ``--grid`` sets the figure's sampling parameter
 (``GRID_PARAMETER``).  Sweep ops declare their parameters the same way, so
 ``--a`` is refused by the ops that take none.
 
-Configuration precedence: command-line flags > --config JSON file >
-defaults.  The cache directory alone may also come from the environment
-(QESQUARTIC_CACHE).
+The cache directory comes from ``--cache-dir`` or the QESQUARTIC_CACHE
+environment variable.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import inspect
 import json
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -286,20 +284,13 @@ SWEEP_OPS = {
 }
 
 
-def _sweep_task(args):
-    op, n, params, out_dir, cache_dir = args
-    stem, run = SWEEP_OPS[op]
-    path = Path(out_dir) / f"{stem}_n{n}.csv"
-    run(n, cache_dir, **params).write_csv(path)
-    return str(path)
-
-
-def cmd_sweep(op: str, ns, a=None, out_dir=None, cache_dir=None, jobs: int = 1):
+def cmd_sweep(op: str, ns, a=None, out_dir=None, cache_dir=None):
     """Run one op over many n; ``a`` is refused by the ops that take none."""
     if op not in SWEEP_OPS:
         raise ValueError(f"unknown sweep op {op!r}; choose from {tuple(SWEEP_OPS)}")
+    stem, run = SWEEP_OPS[op]
     try:
-        bound = inspect.signature(SWEEP_OPS[op][1]).bind(
+        bound = inspect.signature(run).bind(
             0, cache_dir, **({} if a is None else {"a": a}))
     except TypeError as exc:
         raise ValueError(f"sweep {op}: {exc}") from None
@@ -307,15 +298,11 @@ def cmd_sweep(op: str, ns, a=None, out_dir=None, cache_dir=None, jobs: int = 1):
     params = {k: v for k, v in bound.arguments.items() if k not in ("n", "c")}
     out = Path(out_dir) if out_dir else Path.cwd() / f"sweep-{op}"
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(op, n, params, str(out), cache_dir) for n in ns]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            files = sorted(ex.map(_sweep_task, tasks))
-    else:
-        files = sorted(_sweep_task(t) for t in tasks)
+    files = [f"{stem}_n{n}.csv" for n in ns]
+    for n, name in zip(ns, files):
+        run(n, cache_dir, **params).write_csv(out / name)
     _write_json(out / "manifest.json", {
-        "sweep": op, "ns": list(ns), **params,
-        "outputs": [Path(f).name for f in files],
+        "sweep": op, "ns": list(ns), **params, "outputs": sorted(files),
     })
     return out
 
@@ -331,7 +318,6 @@ GRID_PARAMETER = {"figTau": "k_max", "figAtau": "samples",
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default option values")
     common.add_argument("--cache-dir",
                         help="cache directory (or QESQUARTIC_CACHE)")
     ap = argparse.ArgumentParser(
@@ -367,7 +353,6 @@ def _build_parser():
     sw.add_argument("--a", type=str,
                     help="parameter of scaled-spectrum and eigenvalues (default 0)")
     sw.add_argument("--out", type=str)
-    sw.add_argument("--jobs", type=int, default=1)
 
     ca = sub.add_parser("cache", parents=[common],
                         help="inspect or clear the artifact cache")
@@ -375,44 +360,8 @@ def _build_parser():
     return ap
 
 
-def _merge_config(args, parser, argv):
-    """Fill every option not given on the command line from ``--config``.
-
-    The JSON values become the command's defaults and the command line
-    ``argv`` is parsed again, so an option given there still wins.  Each value goes
-    through its option's argparse ``type`` as ``str(value)``, as if it had
-    been given on the command line; a value that type refuses, or a key
-    that names no option of the command, is a ValueError naming the key.
-    """
-    if not args.config:
-        return args
-    with open(args.config) as fh:
-        conf = json.load(fh)
-    sub = next(act for act in parser._actions
-               if isinstance(act, argparse._SubParsersAction))
-    command = sub.choices[args.command]
-    options = {act.dest: act for act in command._actions
-               if act.option_strings and act.dest not in ("help", "config")}
-    defaults = {}
-    for key, val in conf.items():
-        act = options.get(key.replace("-", "_"))
-        if act is None:
-            raise ValueError(f"--config {args.config}: {key!r} is not an option "
-                             f"of {args.command}")
-        if act.type is not None:
-            try:
-                val = act.type(str(val))
-            except ValueError:
-                raise ValueError(f"--config {args.config}: {key!r} = {val!r} "
-                                 f"does not parse as {act.type.__name__}") from None
-        defaults[act.dest] = val
-    command.set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = _merge_config(parser.parse_args(argv), parser, argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "figure":
         overrides = {key: getattr(args, key) for key in ("n", "a", "tol")
                      if getattr(args, key) is not None}
@@ -430,7 +379,7 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         ns = [int(x) for x in args.n.split(",") if x]
         out = cmd_sweep(args.op, ns, a=args.a, out_dir=args.out,
-                        cache_dir=args.cache_dir, jobs=args.jobs)
+                        cache_dir=args.cache_dir)
         print(f"wrote {out}")
         return 0
     if args.command == "cache":

@@ -19,8 +19,9 @@ sets, so the tracker refines one bisection level at a time: it judges all
 pending steps together on stacked distance arrays, solves all midpoints of
 a level in one stacked eigensolve, and composes the accepted steps' maps
 in one pass along the path.  The grid and the result are those of a walk
-that halves each step in place.  Each distinct a is solved once, so with a
-dyadic step count a hook's way home costs no eigensolve.
+that halves each step in place.  The initial grid is snapped to multiples
+of 2^-40, where 1 - t is exact, and each distinct a is solved once, so at
+any step count a hook's way home costs no eigensolve.
 
 The columns of the branching triangle are numbered from the right (the
 rightmost point is column 1, and column j holds j points); the measured
@@ -220,21 +221,21 @@ def track_path(n: int, path, steps: int = 256) -> MonodromyResult:
     ``path`` maps an array of t to the array of a(t); a scalar result is
     taken as constant in t.
 
-    The path starts on ``steps`` equal intervals of t in [0, 1].  An
-    interval is accepted when the nearest-neighbour map from the spectrum
-    at its left end to the one at its right end is a permutation whose
-    largest motion is at most 0.3 times the smallest gap of the right-end
-    spectrum (`_judge`); every other candidate is then at least 0.7 gaps
-    away, so the map is the unique optimal assignment (this needs a factor
-    below 0.5).  Rejected intervals are halved.  The test reads only the
-    two end spectra, so the intervals are refined one bisection level at a
-    time: all pending intervals are judged together and all midpoints of a
-    level are solved in one stacked eigensolve.  The accepted grid is the
-    one a frame-by-frame walk builds.  One pass over the accepted intervals
-    in t order then composes their maps.  The end frame is matched to the
-    start the same way; a closing map that is not a permutation, or moves
-    an eigenvalue by more than 1e-6 of the spectral scale, is a closure
-    failure.
+    The path starts on ``steps`` equal intervals of t in [0, 1], their ends
+    rounded to multiples of 2^-40.  An interval is accepted when the
+    nearest-neighbour map from the spectrum at its left end to the one at
+    its right end is a permutation whose largest motion is at most 0.3
+    times the smallest gap of the right-end spectrum (`_judge`); every
+    other candidate is then at least 0.7 gaps away, so the map is the
+    unique optimal assignment (this needs a factor below 0.5).  Rejected
+    intervals are halved.  The test reads only the two end spectra, so the
+    intervals are refined one bisection level at a time: all pending
+    intervals are judged together and all midpoints of a level are solved in
+    one stacked eigensolve.  The accepted grid is the one a frame-by-frame
+    walk builds.  One pass over the accepted intervals in t order then
+    composes their maps.  The end frame is matched to the start the same
+    way; a closing map that is not a permutation, or moves an eigenvalue by
+    more than 1e-6 of the spectral scale, is a closure failure.
 
     Raises ValueError for steps < 1, and CollisionUnresolved at the
     refinement floor (a rejected interval shorter than 1e-12: the path runs
@@ -247,7 +248,9 @@ def track_path(n: int, path, steps: int = 256) -> MonodromyResult:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps + 1 > MAX_FRAMES:
         raise CollisionUnresolved("frame budget exhausted")
-    t = np.linspace(0.0, 1.0, steps + 1)
+    # on multiples of 2^-40, 1 - t is exact at every grid point and every
+    # bisection midpoint down to 2^-52, so a(t) = a(1 - t) bit for bit
+    t = np.round(np.linspace(0.0, 1.0, steps + 1) * 2.0**40) * 2.0**-40
     S = _spectra(n, t, path)
     left = np.arange(steps)
     right = left + 1

@@ -269,7 +269,7 @@ def track_path_lsa(n, func, steps=256, refine_factor=0.3, max_frames=200_000):
     step whose assignment moves an eigenvalue by more than refine_factor
     times the smallest gap of the new frame (unless below 1e-13 of the
     spectral scale)."""
-    ts = list(np.linspace(0.0, 1.0, steps + 1))
+    ts = list(np.round(np.linspace(0.0, 1.0, steps + 1) * 2.0**40) * 2.0**-40)
     start = np.sort_complex(np.linalg.eigvals(build_matrix(n, func(0.0))))
     cur = start.copy()
     min_gap = math.inf
@@ -314,7 +314,7 @@ def track_path_sequential(n, func, steps=256):
         ci = D.argmin(axis=1)
         return ci, float(D.min(axis=1).max()), len(set(ci.tolist())) == len(ci)
 
-    ts = list(np.linspace(0.0, 1.0, steps + 1))
+    ts = list(np.round(np.linspace(0.0, 1.0, steps + 1) * 2.0**40) * 2.0**-40)
     start = np.sort_complex(np.linalg.eigvals(build_matrix(n, func(0.0))))
     cur = start.copy()
     traces = [cur.copy()]

@@ -193,14 +193,6 @@ class TestSweepAndCache:
         assert names == ["eigenvalues_n3.csv", "eigenvalues_n5.csv",
                          "manifest.json"]
 
-    def test_sweep_parallel_matches_serial(self, tmp_path, tmp_cache):
-        o1 = cli.cmd_sweep("yv-zeros", [4, 6], out_dir=tmp_path / "s1",
-                           cache_dir=tmp_cache, jobs=1)
-        o2 = cli.cmd_sweep("yv-zeros", [4, 6], out_dir=tmp_path / "s2",
-                           cache_dir=tmp_cache, jobs=2)
-        for name in ("yv_zeros_n4.csv", "yv_zeros_n6.csv"):
-            assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
-
     def test_cache_ls_and_clear(self, tmp_cache):
         from qesquartic.branching import sigma_polynomial
 
@@ -213,13 +205,28 @@ class TestSweepAndCache:
 
 
 class TestMainEntry:
-    def test_help_runs(self):
+    def test_help_runs(self, tmp_path, monkeypatch, capsys):
         proc = subprocess.run(
             [sys.executable, "-m", "qesquartic.cli", "--help"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert "figure" in proc.stdout
+        # no defaults file, no worker pool: their flags are gone
+        for command in ("figure", "verify", "sweep", "cache"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--help"])
+            assert exc.value.code == 0
+            text = capsys.readouterr().out
+            assert "--cache-dir" in text
+            assert "--config" not in text and "--jobs" not in text
+        monkeypatch.chdir(tmp_path)
+        for argv in (["sweep", "yv-zeros", "--n", "3", "--jobs", "2"],
+                     ["figure", "fig1", "--config", "x.json"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert list(tmp_path.iterdir()) == []
 
     def test_figure_via_main(self, tmp_path, tmp_cache):
         rc = cli.main(["figure", "figTau", "--grid", "18",
@@ -228,14 +235,6 @@ class TestMainEntry:
         assert rc == 0
         manifest = json.loads((tmp_path / "m1" / "manifest.json").read_text())
         assert manifest["config"] == {"k_max": 18, "taus": [0.25, 0.5, 0.75]}
-
-    def test_config_precedence(self, tmp_path, tmp_cache):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"out": str(tmp_path / "from-config")}))
-        rc = cli.main(["figure", "figTau", "--grid", "18",
-                       "--config", str(conf), "--cache-dir", tmp_cache])
-        assert rc == 0
-        assert (tmp_path / "from-config" / "manifest.json").exists()
 
     def test_cache_cli(self, tmp_path):
         rc = cli.main(["cache", "ls", "--cache-dir", str(tmp_path / "cc")])
@@ -318,59 +317,6 @@ class TestParameterBinding:
                            cache_dir=tmp_cache)
         assert json.loads((o1 / "manifest.json").read_text())["a"] == "0"
         assert "a" not in json.loads((o2 / "manifest.json").read_text())
-
-
-class TestConfigFile:
-    def _conf(self, tmp_path, values):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps(values))
-        return str(conf)
-
-    def test_numeric_a_parsed_like_the_flag(self, tmp_path, tmp_cache):
-        rc = cli.main(["figure", "figA3", "--config", self._conf(tmp_path, {"a": 3}),
-                       "--out", str(tmp_path / "a3"), "--cache-dir", tmp_cache])
-        assert rc == 0
-        rep = json.loads((tmp_path / "a3" / "interval.json").read_text())
-        assert rep["a"] == 3.0
-
-    def test_string_n_reaches_figure_as_int(self, tmp_path, tmp_cache):
-        out = tmp_path / "t10"
-        rc = cli.main(["figure", "triangle10",
-                       "--config", self._conf(tmp_path, {"n": "10"}),
-                       "--out", str(out), "--cache-dir", tmp_cache])
-        assert rc == 0
-        assert json.loads((out / "manifest.json").read_text())["config"] == {"n": 10}
-
-    @pytest.mark.parametrize("value", [3.7, "ten", [10]])
-    def test_unparsable_value_refused(self, value, tmp_path, tmp_cache):
-        out = tmp_path / "t10"
-        with pytest.raises(ValueError, match="'n'"):
-            cli.main(["figure", "triangle10",
-                      "--config", self._conf(tmp_path, {"n": value}),
-                      "--out", str(out), "--cache-dir", tmp_cache])
-        assert not out.exists()
-
-    def _merged(self, argv):
-        parser = cli._build_parser()
-        return cli._merge_config(parser.parse_args(argv), parser, argv)
-
-    def test_option_with_default_filled(self, tmp_path):
-        conf = self._conf(tmp_path, {"jobs": 2})
-        args = self._merged(["sweep", "yv-zeros", "--n", "3", "--config", conf])
-        assert args.jobs == 2
-
-    def test_command_line_wins_over_config(self, tmp_path):
-        conf = self._conf(tmp_path, {"jobs": 2, "out": "from-config"})
-        args = self._merged(["sweep", "yv-zeros", "--n", "3", "--jobs", "1",
-                             "--config", conf])
-        assert args.jobs == 1
-        assert args.out == "from-config"
-
-    @pytest.mark.parametrize("key", ["nn", "op", "help"])
-    def test_unknown_key_refused(self, key, tmp_path):
-        conf = self._conf(tmp_path, {key: 10})
-        with pytest.raises(ValueError, match=repr(key)):
-            self._merged(["sweep", "yv-zeros", "--n", "3", "--config", conf])
 
 
 class TestCacheDirConfinesWrites:

@@ -150,8 +150,9 @@ def test_hook_way_home_retraces_way_out(n, bump):
 
 
 def test_bench_hooks_solve_each_a_once(monkeypatch):
-    # the 34 standard hooks of n = 2..5 at the default 256 steps: their
-    # way home repeats the way out, and a repeated a is not solved again
+    # the 34 standard hooks of n = 2..5 at the benchmark's 256 steps and at
+    # verify's 160 and 320: their way home repeats the way out, and a
+    # repeated a is not solved again
     solved = []
     eigvals = np.linalg.eigvals
 
@@ -160,14 +161,15 @@ def test_bench_hooks_solve_each_a_once(monkeypatch):
         return eigvals(M)
 
     monkeypatch.setattr(np.linalg, "eigvals", spy)
-    frames = 0
-    for n in (2, 3, 4, 5):
-        bs = sigma_points(n)
-        for idx in range(len(bs.points.points)):
-            path = monodromy.path_around_index(n, idx, branch_set=bs)
-            frames += monodromy.track_path(n, path).frames
-    assert frames == 8746
-    assert sum(solved) <= 4700
+    hooks = [(n, monodromy.path_around_index(n, idx, branch_set=bs))
+             for n in (2, 3, 4, 5)
+             for bs in [sigma_points(n)] for idx in range(len(bs.points.points))]
+    for steps, frames, most in ((256, 8746, 4700), (160, 5500, 3000),
+                                (320, 10914, 5900)):
+        solved.clear()
+        assert sum(monodromy.track_path(n, path, steps).frames
+                   for n, path in hooks) == frames
+        assert sum(solved) <= most
 
 
 class TestStandardPaths:

@@ -1,4 +1,4 @@
-"""The package runs without scipy: scipy is a test-only dependency."""
+"""The package runs without scipy, a test-only dependency, and loads no worker pool."""
 
 import os
 import subprocess
@@ -17,6 +17,10 @@ SCRIPT = textwrap.dedent("""
         importlib.import_module("qesquartic." + info.name)
     # perfbench/worker.py reads sys.modules["mpmath"] right after this import
     assert "mpmath" in sys.modules
+    # every command runs serially: no worker pool is loaded
+    pools = [k for k in sys.modules
+             if k.split(".")[0] in ("concurrent", "multiprocessing")]
+    assert pools == [], pools
     from qesquartic import branching, monodromy, quaddiff
 
     rng = np.random.RandomState(0)
