@@ -79,10 +79,15 @@ class SupportSample:
         }
 
 
+def _tau_product(tau):
+    """T = tau(1 - tau), the only way tau enters the characteristic cubic."""
+    T = np.asarray(tau, dtype=float)
+    return T * (1 - T)
+
+
 def _char_roots(beta, a, tau):
     """Roots of the characteristic cubic, beta and tau broadcast (last axis 3)."""
-    T = np.asarray(tau, dtype=float)
-    T = T * (1 - T)
+    T = _tau_product(tau)
     return cubic_roots(beta, complex(a) * T, -(T * T))
 
 
@@ -307,7 +312,10 @@ def union_support(a, tau_grid, tol=EQUIMODULAR_TOL) -> SupportSample:
     transversely until the curve point is located; every refined point then
     passes the membership test at ``tol``.  Raster points that already pass
     membership are kept too, and the per-tau branch points ride along as
-    endpoint markers.
+    endpoint markers.  The cubic depends on tau only through T = tau(1-tau),
+    so the raster of each distinct T is solved once, keyed on the bits of
+    ``_tau_product`` (tau and 1 - tau share them when both are exact, as
+    the figures' taus k/32 are).
     """
     a = complex(a)
     R = 1.0 + 0.75 * max(1.0, abs(a)) ** 1.5
@@ -315,8 +323,12 @@ def union_support(a, tau_grid, tol=EQUIMODULAR_TOL) -> SupportSample:
     grid = side[:, None] + 1j * side[None, :]
     sample = SupportSample(a=a, tau_grid=list(tau_grid))
     union = []
+    by_T = {}
     for t in tau_grid:
-        pts = _support_curve_points(grid, a, t, tol)
+        key = _tau_product(t).tobytes()
+        if key not in by_T:
+            by_T[key] = _support_curve_points(grid, a, t, tol)
+        pts = by_T[key]
         sample.per_tau[t] = pts
         sample.endpoints[t] = branch_points(a, t)
         union.append(pts)

@@ -29,11 +29,14 @@ the Sylvester determinant computed independently over the integers by a
 subresultant PRS (``intpoly.sylvester_resultant``).  Results are
 disk-cached ({kind}-{n}.json) since large-n resultants are the most
 expensive objects in the package; a loaded entry is re-checked modulo a
-prime (`_load_check`).  `triangle_sets` normalises the conjecture's pair.
+prime (`_load_check`).  The numeric branching points are disk-cached too,
+from yv.POINTS_CACHE_FROM_N on (`sigma_points`).  `triangle_sets`
+normalises the conjecture's pair.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -374,16 +377,20 @@ def _load_check(n: int, coeffs) -> bool:
     return h1 != 0 and h2 != 0 and (r1 * h2 - r2 * h1) % m == 0
 
 
+def _check_n(n: int):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > SIGMA_CAP_DEFAULT:
+        raise ValueError(f"n={n} exceeds the cap {SIGMA_CAP_DEFAULT}")
+
+
 def sigma_polynomial(n: int, cache_dir=None) -> ExactPoly:
     """Exact branching polynomial in a: content-free, positive leading.
 
     Degree must come out to exactly n(n+1)/2 (DegreeMismatch otherwise); n is
     capped at SIGMA_CAP_DEFAULT.  A cache entry must pass `_load_check`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > SIGMA_CAP_DEFAULT:
-        raise ValueError(f"n={n} exceeds the cap {SIGMA_CAP_DEFAULT}")
+    _check_n(n)
     D = n * (n + 1) // 2
 
     def compute():
@@ -442,7 +449,14 @@ def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
     ``near``, when given, holds the unscaled zeros of YV_n; Aberth then
     starts from the seeds of `_yv_seeds` in place of Newton-polygon guesses,
     or from those guesses when the zeros give no seed.  Either way the
-    roots agree to rounding and pass the same certificates.
+    roots agree as sets to rounding and pass the same certificates; their
+    (Re, Im) order may differ where real parts tie to rounding (at n = 40
+    one conjugate pair swaps at indices 500/501).
+
+    From yv.POINTS_CACHE_FROM_N on the sorted points are disk-cached under
+    n and the precision schedule: as "sigma-points" from Newton-polygon
+    starts, as "sigma-points-yv" from YV seeds, whose key adds the seeds'
+    SHA-256.  A hit loads neither sigma_polynomial nor runs Aberth.
 
     The grid is `_peel_grid`'s.  Columns are counted from the RIGHT (j = 1
     is the single rightmost point; column j holds exactly j points); rows
@@ -451,12 +465,24 @@ def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
     raises IndexingAmbiguity, which no n up to the cap of
     `sigma_polynomial` does.
     """
-    ip = list(sigma_polynomial(n, cache_dir=cache_dir).coeffs)
-    init = None
-    if near is not None:
-        _, g = intpoly.split_cube(ip)
-        init = _yv_seeds(near, len(g) - 1)
-    pts = sort_points(rootfind.threefold_roots(ip, init=init))
+    _check_n(n)
+    D = n * (n + 1) // 2
+    # sigma_n = a^r g(a^3) with r = D mod 3 and g(0) != 0 at every n up to
+    # the cap, so deg g = D // 3 and the seeds need no polynomial
+    init = None if near is None else _yv_seeds(near, D // 3)
+
+    def compute():
+        ip = list(sigma_polynomial(n, cache_dir=cache_dir).coeffs)
+        return sort_points(rootfind.threefold_roots(ip, init=init))
+
+    if n < yv.POINTS_CACHE_FROM_N:
+        pts = compute()
+    else:
+        kind, key = "sigma-points", {"schedule": rootfind.DEFAULT_SCHEDULE}
+        if init is not None:
+            kind = "sigma-points-yv"
+            key["seeds"] = hashlib.sha256(init.tobytes()).hexdigest()
+        pts = cache.cached(kind, n, key, compute, cache.Points(D), cache_dir)
     rows, cols, margin = _peel_grid(n, pts)
     return BranchSet(n=n, points=PointSet(pts), rows=rows, cols=cols,
                      min_margin=margin)

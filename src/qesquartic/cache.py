@@ -15,7 +15,8 @@ version or key, whose digest does not match or whose body its codec rejects
 is a miss: it is recomputed and overwritten.  Two certificates are re-run
 on load, each an ``IntPoly.check``: a Yablonskii-Vorob'ev member's recursion
 identity (``yv.recurrence_holds``) and a branching polynomial's mod-p
-resultant check (``branching._load_check``).  Point sets are not re-checked.
+resultant check (``branching._load_check``).  Point sets (YV zeros,
+branching points, spectra) are not re-checked on load.
 """
 
 from __future__ import annotations

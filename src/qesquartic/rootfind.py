@@ -65,7 +65,6 @@ import math
 
 import mpmath as mp   # newton_polish returns mpc values
 import numpy as np
-from numpy.random import RandomState   # loaded with the package, not on first use
 
 from . import intpoly
 from .errors import NonConvergence
@@ -316,15 +315,21 @@ def _dpe_newton(man, exp, z):
     return np.where(np.abs(p) <= d * _EPS * bound.real, 0j, N)
 
 
+_GOLDEN_TURN = 0.38196601125010515   # the golden angle in turns, 2 - phi
+
+
 def _polygon_starts(radii, s):
     """Starts on the Newton-polygon circles (over s), at golden-angle turns."""
-    ang = 2 * np.pi * ((np.arange(len(radii)) * 0.38196601125010515) % 1.0) + 0.31
+    ang = 2 * np.pi * ((np.arange(len(radii)) * _GOLDEN_TURN) % 1.0) + 0.31
     return (np.maximum(radii, 1e-12 * s) / s) * np.exp(1j * ang)
 
 
-def _aberth_sweep(z, active, N, rng):
+def _aberth_sweep(z, active, N):
     """One Aberth sweep over the active roots of z, in place, from their
-    Newton ratios N; returns the step moduli |w|."""
+    Newton ratios N; returns the step moduli |w|.  A step that is not finite
+    (coincident roots make the repulsion sum NaN) is replaced by one of
+    length 1e-3 at a turn fixed by the root's index, golden-angle turns
+    apart, so coincident roots move apart the same way on every run."""
     za = z[active]
     stuck = ~np.isfinite(N)
     N[stuck] = 1e-3 * (1 + np.abs(za[stuck]))
@@ -335,7 +340,7 @@ def _aberth_sweep(z, active, N, rng):
         w = N / (1 - N * S)
     bad = ~np.isfinite(w)
     if bad.any():
-        w[bad] = 1e-3 * np.exp(2j * np.pi * rng.rand(int(bad.sum())))
+        w[bad] = 1e-3 * np.exp(2j * np.pi * (active[bad] * _GOLDEN_TURN % 1.0))
     aw = np.abs(w)
     cap = 0.2 + 0.5 * np.abs(za)
     w = np.where(aw > cap, w / np.maximum(aw, 1e-300) * cap, w)
@@ -348,10 +353,9 @@ def _double_stage(man, exp, starts, max_sweeps, tol):
     points (the starts if any came out non-finite) and the indices of the
     roots still active."""
     z = starts.copy()
-    rng = RandomState(12345)
     active = np.arange(len(z))
     for _ in range(max_sweeps):
-        aw = _aberth_sweep(z, active, _dpe_newton(man, exp, z[active]), rng)
+        aw = _aberth_sweep(z, active, _dpe_newton(man, exp, z[active]))
         active = active[aw >= tol]
         if not len(active):
             break
@@ -405,14 +409,13 @@ def aberth_roots(coeffs, init=None):
                                           max_sweeps, tol)
             continue
         cfix, _ = _fixed_coeffs(coeffs, dps, s)
-        rng = RandomState(12345)
         active = np.arange(d)
         rad = np.empty(d)
         for _ in range(max_sweeps):
             za = z[active]
             values = _horner(cfix, map(_exact_point, za))
             aw = _aberth_sweep(
-                z, active, np.array([_newton_ratio(*v) for v in values]), rng)
+                z, active, np.array([_newton_ratio(*v) for v in values]))
             last_step = float(aw.max())
             done = np.flatnonzero(aw < tol)
             if len(done):

@@ -86,6 +86,9 @@ CACHE_FROM_N = 12
 # The recursion identity is checked on load at this point, modulo this prime.
 IDENTITY_T = 1_000_003
 IDENTITY_PRIME = 2**61 - 1
+# From this n on a zero set is a disk-cache entry ("yv-zeros"), and so is a
+# set of sigma_n's branching points (``branching.sigma_points``).
+POINTS_CACHE_FROM_N = 25
 
 
 def _step(y1, y2):
@@ -177,8 +180,8 @@ def yv_zeros(n: int, cache_dir=None) -> PointSet:
     On top of that, a stride sample of about 40 zeros (every zero when
     there are fewer than 80) must pass the scale-aware residual test
     |YV_n(z)| / sum_k |c_k||z|^k < RESIDUAL_TOL; the other zeros are not
-    evaluated.  n is capped at ZERO_CAP_DEFAULT.  Large-n zero sets are
-    disk-cached.
+    evaluated.  n is capped at ZERO_CAP_DEFAULT.  Zero sets from
+    POINTS_CACHE_FROM_N on are disk-cached.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -193,7 +196,7 @@ def yv_zeros(n: int, cache_dir=None) -> PointSet:
         _check_residuals(cs, pts)
         return sort_points(pts)
 
-    if n >= 25:
+    if n >= POINTS_CACHE_FROM_N:
         pts = cache.cached("yv-zeros", n, {"schedule": rootfind.DEFAULT_SCHEDULE},
                            compute, cache.Points(n * (n + 1) // 2), cache_dir)
     else:

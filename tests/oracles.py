@@ -29,7 +29,9 @@ branch with Psi/beta -> -1 of the characteristic cubic is continued along
 a ray from infinity, one radius per ``cubic_roots`` call (the package takes
 the dominant root, which is that branch off the supports).  The two ends
 of the real support interval are bisected one after the other, one scalar
-membership test per step (the package bisects both in lockstep).
+membership test per step (the package bisects both in lockstep).  The
+union support solves the raster of every tau (the package solves each
+distinct tau(1 - tau) once).
 The horizontality residual that measures how closely a traced polyline
 follows a horizontal trajectory lives only here.
 """
@@ -533,6 +535,22 @@ def real_support_interval_two_loops(a, refine_tol=1e-8):
     hi = refine(inside[-1], inside[-1] + 2 * step)
     lo = refine(inside[0], inside[0] - 2 * step)
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# union support, one raster per tau
+# ---------------------------------------------------------------------------
+
+def union_support_per_tau(a, tau_grid, tol=bkw.EQUIMODULAR_TOL):
+    """``bkw.union_support``'s (per_tau, endpoints, union) with the raster of
+    each tau solved on its own, also where two taus share tau(1 - tau)."""
+    a = complex(a)
+    R = 1.0 + 0.75 * max(1.0, abs(a)) ** 1.5
+    side = np.linspace(-R, R, bkw.SUPPORT_GRID_SIZE)
+    grid = side[:, None] + 1j * side[None, :]
+    per_tau = {t: bkw._support_curve_points(grid, a, t, tol) for t in tau_grid}
+    endpoints = {t: bkw.branch_points(a, t) for t in tau_grid}
+    return per_tau, endpoints, np.concatenate(list(per_tau.values()))
 
 
 def assignment_cost_lsa(pa, pb):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qesquartic import bkw, rootfind, spectral
+from qesquartic import bkw, cli, rootfind, spectral
 from qesquartic.errors import InsideSupport
 from qesquartic.rootfind import threefold_roots
 
 from oracles import (frozen_recurrence_fraction, psi_branches_per_radius,
-                     real_support_interval_two_loops)
+                     real_support_interval_two_loops, union_support_per_tau)
 
 
 class TestCharacteristicRoots:
@@ -281,6 +281,25 @@ class TestUnionSupport:
         sup = bkw.union_support(0, tau_grid=[0.5])
         ep = sup.endpoints[0.5]
         assert np.abs(np.abs(ep) - 0.75).max() < 1e-9
+
+    @pytest.mark.parametrize("a", [(1 - 1j) / 2, 0.5j, 1 + 1j, 3])
+    def test_each_tau_product_solved_once(self, a, monkeypatch):
+        # the figure's 31 taus k/32 give 16 distinct tau(1 - tau)
+        monkeypatch.setattr(bkw, "SUPPORT_GRID_SIZE", 15)
+        taus = cli._tau_grid(32)
+        per_tau, endpoints, union = union_support_per_tau(a, taus)
+        solves = []
+        curve_points = bkw._support_curve_points
+        monkeypatch.setattr(bkw, "_support_curve_points",
+                            lambda *args: solves.append(1) or curve_points(*args))
+        sup = bkw.union_support(a, tau_grid=taus)
+        assert len(taus) == 31 and len(solves) == 16
+        assert list(sup.per_tau) == list(per_tau) == taus
+        for t in taus:
+            assert sup.per_tau[t].tobytes() == per_tau[t].tobytes()
+            assert sup.endpoints[t].tobytes() == endpoints[t].tobytes()
+        assert sup.union.tobytes() == union.tobytes()
+        assert min(map(len, per_tau.values())) > 0
 
     @pytest.mark.parametrize("a", [0, 1, 1.88, -3])
     def test_real_interval_below_threshold_refused(self, a):

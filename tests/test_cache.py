@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qesquartic import branching, cache, cli, spectral, yv
+from qesquartic import branching, cache, cli, rootfind, spectral, yv
 
 PTS = np.array([1 + 2j, -0.5j])
 
@@ -150,9 +150,18 @@ def _other_schedule(entry):
     return entry
 
 
+def _seeded_sigma_points(n, d):
+    near = yv.yv_zeros(n, cache_dir=d).points
+    return branching.sigma_points(n, cache_dir=d, near=near)
+
+
 ARTIFACTS = {
     "sigma-poly": ("sigma-poly-6.json",
                    lambda d: branching.sigma_polynomial(6, cache_dir=d).coeffs),
+    "sigma-points": ("sigma-points-25.json",
+                     lambda d: branching.sigma_points(25, cache_dir=d).points.points),
+    "sigma-points-yv": ("sigma-points-yv-25.json",
+                        lambda d: _seeded_sigma_points(25, d).points.points),
     "yv-zeros": ("yv-zeros-25.json", lambda d: yv.yv_zeros(25, cache_dir=d).points),
     "eigs": ("eigs-0p5_m0p5-81.json",
              lambda d: spectral.eigenvalues(81, 0.5 - 0.5j, cache_dir=d).points),
@@ -185,8 +194,10 @@ def test_missing_directory_is_not_created(tmp_path, capsys):
 # SHA-256 of the encoded body (the exact bits) of one cheap output per kind,
 # for each cache.VERSION.  A change that moves one of these outputs must
 # raise VERSION, so that entries written by the old code are misses, and add
-# its row here.  sigma-points are not stored themselves; they pin Aberth's
-# threefold route on the exact sigma polynomial.  sigma-poly and yv-poly are
+# its row here.  The sigma-points row pins n = 6, below
+# yv.POINTS_CACHE_FROM_N, so it is not itself a stored entry: it pins Aberth's
+# threefold route on the exact sigma polynomial, which the stored kinds
+# sigma-points and sigma-points-yv (n >= 25) also run.  sigma-poly and yv-poly are
 # integers and hold anywhere.  The point kinds are the last multiprecision
 # iterates rounded to doubles, from seeds that come from numpy's double stage
 # and LAPACK; their hashes hold for x86-64 Linux, CPython 3.11, numpy 2.4.6 on
@@ -263,3 +274,71 @@ def test_unwritable_cache_dir_returns_the_value(tmp_path, sub):
         assert branching.sigma_polynomial(3, cache_dir=d).coeffs == want
     assert (tmp_path / "cache").read_text() == "not a directory"
     assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+
+class TestSigmaPointEntries:
+    """sigma_points from yv.POINTS_CACHE_FROM_N on: one kind per route."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        aberth = rootfind.aberth_roots
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return aberth(*args, **kwargs)
+
+        monkeypatch.setattr(rootfind, "aberth_roots", counted)
+        return calls
+
+    def test_warm_call_repeats_the_cold_one(self, tmp_cache, monkeypatch):
+        cold = _seeded_sigma_points(25, tmp_cache)
+        calls = self._count_solves(monkeypatch)
+        warm = _seeded_sigma_points(25, tmp_cache)
+        assert calls == []
+        assert warm.points.points.tobytes() == cold.points.points.tobytes()
+        assert (warm.rows, warm.cols, warm.min_margin) == \
+            (cold.rows, cold.cols, cold.min_margin)
+
+    def test_warm_triangle_runs_no_root_finding(self, tmp_cache, monkeypatch):
+        branching.triangle_sets(25, cache_dir=tmp_cache)
+        calls = self._count_solves(monkeypatch)
+        kinds = []
+        load = cache.load
+        monkeypatch.setattr(cache, "load", lambda kind, *a: kinds.append(kind)
+                            or load(kind, *a))
+        branching.triangle_sets(25, cache_dir=tmp_cache)
+        assert calls == []
+        assert kinds == ["yv-zeros", "sigma-points-yv"]
+
+    def test_routes_keep_their_own_entries(self, tmp_cache, monkeypatch):
+        near = yv.yv_zeros(25, cache_dir=tmp_cache).points
+        seeded = branching.sigma_points(25, cache_dir=tmp_cache, near=near)
+        plain = branching.sigma_points(25, cache_dir=tmp_cache)
+        names = [p for p in cache.list_entries(tmp_cache) if "points" in p]
+        assert names == ["sigma-points-25.json", "sigma-points-yv-25.json"]
+        calls = self._count_solves(monkeypatch)
+        again = branching.sigma_points(25, cache_dir=tmp_cache, near=near)
+        assert again.points.points.tobytes() == seeded.points.points.tobytes()
+        again = branching.sigma_points(25, cache_dir=tmp_cache)
+        assert again.points.points.tobytes() == plain.points.points.tobytes()
+        assert calls == []
+
+    def test_other_seeds_are_a_miss(self, tmp_cache, monkeypatch):
+        near = yv.yv_zeros(25, cache_dir=tmp_cache).points
+        want = branching.sigma_points(25, cache_dir=tmp_cache, near=near).points.points
+        calls = self._count_solves(monkeypatch)
+        moved = near * (1 + 2.0 ** -30)
+        assert branching._yv_seeds(moved, 325 // 3) is not None
+        got = branching.sigma_points(25, cache_dir=tmp_cache, near=moved).points.points
+        assert calls == [1]
+        dist = np.abs(got[:, None] - want[None, :])
+        assert sorted(dist.argmin(axis=1)) == list(range(len(want)))
+        assert dist.min(axis=1).max() < 1e-12 * np.abs(want).max()
+
+    def test_below_the_threshold_nothing_is_stored(self, tmp_cache):
+        n = yv.POINTS_CACHE_FROM_N - 1
+        branching.sigma_points(n, cache_dir=tmp_cache)
+        branching.sigma_points(n, cache_dir=tmp_cache,
+                               near=yv.yv_zeros(n, cache_dir=tmp_cache).points)
+        assert not [p for p in cache.list_entries(tmp_cache) if "points" in p]

@@ -215,6 +215,38 @@ def test_init_seeds_the_same_roots():
     assert np.abs(got - [1, 2, 3]).max() < 1e-14
 
 
+def test_coincident_roots_restart_apart():
+    # the repulsion sum of two coincident roots is NaN: each takes a step of
+    # 1e-3 at its own golden-ratio turn instead, the same on every run
+    start = np.array([0.5 + 0j, 0.5, -1])
+    steps = []
+    for _ in range(2):
+        z = start.copy()
+        aw = rootfind._aberth_sweep(z, np.arange(3), np.array([0.1, 0.1, 0.1 + 0j]))
+        steps.append((z.tobytes(), aw.tobytes()))
+        assert np.all(np.isfinite(z)) and z[0] != z[1]
+        assert np.allclose(aw[:2], 1e-3, rtol=1e-12)
+    assert steps[0] == steps[1]
+
+
+def test_coincident_starts_still_give_certified_roots(monkeypatch):
+    coeffs = [720, -1764, 1624, -735, 175, -21, 1]     # roots 1..6
+    init = [1.1, 1.1, 3.2, 4.1, 5.3, 6.2]
+    coincident = []
+    sweep = rootfind._aberth_sweep
+
+    def spied(z, active, N):
+        za = z[active]
+        coincident.append(len(set(za.tolist())) < len(za))
+        return sweep(z, active, N)
+
+    monkeypatch.setattr(rootfind, "_aberth_sweep", spied)
+    runs = [rootfind.aberth_roots(coeffs, init=init) for _ in range(2)]
+    assert coincident[0]
+    assert runs[0].tobytes() == runs[1].tobytes()
+    assert np.abs(np.sort_complex(runs[0]) - np.arange(1, 7)).max() < 1e-13
+
+
 def test_one_sweep_does_not_converge(monkeypatch):
     monkeypatch.setattr(rootfind, "DEFAULT_SCHEDULE", ((50, 1),))
     with pytest.raises(NonConvergence):

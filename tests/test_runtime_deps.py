@@ -1,4 +1,5 @@
-"""The package runs without scipy, a test-only dependency, and loads no worker pool."""
+"""The package runs without scipy, a test-only dependency, and loads no
+worker pool and no numpy.random."""
 
 import os
 import subprocess
@@ -21,7 +22,13 @@ SCRIPT = textwrap.dedent("""
     pools = [k for k in sys.modules
              if k.split(".")[0] in ("concurrent", "multiprocessing")]
     assert pools == [], pools
-    from qesquartic import branching, monodromy, quaddiff
+    from qesquartic import branching, monodromy, quaddiff, rootfind
+
+    # Aberth's restarts draw no random numbers: numpy.random stays unloaded
+    # (this script's own draws below load it)
+    rootfind.aberth_roots([720, -1764, 1624, -735, 175, -21, 1],
+                          init=[1.1, 1.1, 3.2, 4.1, 5.3, 6.2])
+    assert "numpy.random" not in sys.modules
 
     rng = np.random.RandomState(0)
     ts = np.linspace(0.02, 1, 70)
