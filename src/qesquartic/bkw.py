@@ -19,10 +19,11 @@ valid only outside the union support.
 
 Every cubic here goes through the one vectorized helper
 ``rootfind.cubic_roots``, and the hot loops call it on whole batches: the
-support raster of one tau, the bisection of all its flagged raster edges
-(one solve per bisection step), the 2001-point scan of the real axis, and
-all taus of one quadrature order.  The Gauss-Legendre rule of each
-quadrature order is computed once per process.
+support raster of one tau(1 - tau), the bisection of the raster edges that
+can hold a support point, those of all taus together (one solve per
+bisection step), the 2001-point scan of the real axis, and all taus of one
+quadrature order.  The Gauss-Legendre rule of each quadrature order is
+computed once per process.
 
 The frozen recurrence itself is solved exactly at a = 0: its solution
 polynomials are scaled to integer ones at the rational tau and built in
@@ -274,33 +275,51 @@ def _chain_polylines(pts):
     return [l for l in legs if l]
 
 
+def _continued_side(roots, ref):
+    """True where the root nearest ref is strictly larger in modulus than
+    the other two, roots along the last axis and ref broadcast against it.
+
+    The one dominance test of the support bisection: ``_refine_edges``
+    bisects on it, and ``_raster_support`` compares it at the two raster
+    ends of an edge to pick the edges worth bisecting.
+    """
+    j = np.argmin(np.abs(roots - ref), axis=-1)[..., None]
+    mods = np.abs(roots)
+    mj = np.take_along_axis(mods, j, axis=-1)[..., 0]
+    np.put_along_axis(mods, j, -np.inf, axis=-1)
+    return mj - mods.max(axis=-1) > 0
+
+
 def _refine_edges(b0, b1, a, tau):
     """Bisect the equimodular-curve crossing on every segment [b0[k], b1[k]]
-    at once, in 36 steps.
+    at tau[k] at once, in 36 steps (tau broadcast against b0).
 
     The curve is where the largest-modulus root hands over to another root;
-    the handover flips the sign of |r_i| - |r_j| for the continued pair.  The
-    root continued is the one nearest the dominant root at b0.
+    the handover flips ``_continued_side`` for the root continued, the one
+    nearest the dominant root at b0.  A segment whose two ends lie on one
+    side is bisected towards b1 unless the side flips inside it.  Each
+    segment's steps depend only on its own b0, b1 and tau, so segments of
+    different taus bisect together with the same results as apart.
     """
     b0 = np.asarray(b0, dtype=complex)
     r0 = _char_roots(b0, a, tau)
     ref = np.take_along_axis(r0, np.argmax(np.abs(r0), axis=-1)[:, None], axis=-1)
-
-    def top_two_gap(roots):
-        j = np.argmin(np.abs(roots - ref), axis=-1)[:, None]
-        mods = np.abs(roots)
-        mj = np.take_along_axis(mods, j, axis=-1)[:, 0]
-        np.put_along_axis(mods, j, -np.inf, axis=-1)
-        return mj - mods.max(axis=-1)
-
-    positive = top_two_gap(r0) > 0
+    positive = _continued_side(r0, ref)
     lo, hi = b0, np.asarray(b1, dtype=complex)
     for _ in range(36):
         mid = 0.5 * (lo + hi)
-        same = (top_two_gap(_char_roots(mid, a, tau)) > 0) == positive
+        same = _continued_side(_char_roots(mid, a, tau), ref) == positive
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
+
+
+# An edge whose ends lie on one side of _continued_side gives a support
+# point only next to a raster point on or near a support.  Over 14 a x 20
+# taus at tol = 1e-4, 667 of 561,154 such edges gave one, each with an end
+# gap of at most 2.2e-3, and an end gap below 1000 tol keeps 0.8% of them;
+# a band of tol alone loses a point at figA1's tau = 11/32 and 21/32.
+_KEEP_GAP_FACTOR = 1000.0
 
 
 def union_support(a, tau_grid, tol=EQUIMODULAR_TOL) -> SupportSample:
@@ -308,50 +327,68 @@ def union_support(a, tau_grid, tol=EQUIMODULAR_TOL) -> SupportSample:
 
     A coarse SUPPORT_GRID_SIZE-square raster of |Re beta|, |Im beta| <=
     1 + 0.75 max(1, |a|)^1.5 only straddles the (one-dimensional) supports,
-    so grid edges where the dominant cubic root hands over are bisected
+    so grid edges where the dominant cubic root jumps are bisected
     transversely until the curve point is located; every refined point then
-    passes the membership test at ``tol``.  Raster points that already pass
-    membership are kept too, and the per-tau branch points ride along as
-    endpoint markers.  The cubic depends on tau only through T = tau(1-tau),
-    so the raster of each distinct T is solved once, keyed on the bits of
-    ``_tau_product`` (tau and 1 - tau share them when both are exact, as
-    the figures' taus k/32 are).
+    passes the membership test at ``tol``.  Of the jump-flagged edges only
+    those that can hold a support point are bisected: the ones whose ends
+    lie on different sides of ``_continued_side`` (the sign the bisection
+    follows, read from the raster roots), and the ones with an end whose
+    dominance gap is below 1000 tol, where a raster point on a support
+    interval is approached from a neighbour.  Raster points that already
+    pass membership are kept too, and the per-tau branch points ride along
+    as endpoint markers.  The cubic depends on tau only through T =
+    tau(1-tau), so the raster of each distinct T is solved once, keyed on
+    the bits of ``_tau_product`` (tau and 1 - tau share them when both are
+    exact, as the figures' taus k/32 are); the kept edges of every T are
+    then bisected together, each at its own tau, by ``_refine_edges``.
     """
     a = complex(a)
     R = 1.0 + 0.75 * max(1.0, abs(a)) ** 1.5
     side = np.linspace(-R, R, SUPPORT_GRID_SIZE)
     grid = side[:, None] + 1j * side[None, :]
     sample = SupportSample(a=a, tau_grid=list(tau_grid))
-    union = []
-    by_T = {}
-    for t in tau_grid:
+    if not sample.tau_grid:
+        sample.union = np.empty(0, dtype=complex)
+        return sample
+    by_T = {}   # T bits -> (tau, raster members, kept edge ends b0, b1)
+    for t in sample.tau_grid:
         key = _tau_product(t).tobytes()
         if key not in by_T:
-            by_T[key] = _support_curve_points(grid, a, t, tol)
-        pts = by_T[key]
-        sample.per_tau[t] = pts
+            by_T[key] = (t, *_raster_support(grid, a, t, tol))
+    ts, members, b0, b1 = zip(*by_T.values())
+    counts = [len(e) for e in b0]
+    taus = np.repeat(np.asarray(ts, dtype=float), counts)
+    pts = _refine_edges(np.concatenate(b0), np.concatenate(b1), a, taus)
+    on_curve = _dominance_gap(pts, a, taus) < tol
+    cuts = np.cumsum(counts)[:-1]
+    curve = {key: np.concatenate([m, p[ok]]) for key, m, p, ok in
+             zip(by_T, members, np.split(pts, cuts), np.split(on_curve, cuts))}
+    for t in sample.tau_grid:
+        sample.per_tau[t] = curve[_tau_product(t).tobytes()]
         sample.endpoints[t] = branch_points(a, t)
-        union.append(pts)
-    sample.union = (np.concatenate(union) if union else
-                    np.empty(0, dtype=complex))
+    sample.union = np.concatenate([sample.per_tau[t] for t in sample.tau_grid])
     return sample
 
 
-def _support_curve_points(grid, a, tau, tol):
+def _raster_support(grid, a, tau, tol):
+    """One tau's raster: its member points, and the (b0, b1) ends of the
+    jump-flagged edges that ``union_support`` keeps for bisection."""
     roots = characteristic_roots(grid, a, tau)
-    top = roots[..., 0]
-    member = _gap(np.abs(roots)) < tol
-    # dominance handover along horizontal and vertical edges
+    gap = _gap(np.abs(roots))
     b0, b1 = [], []
-    for t0, g in ((top, grid), (top.T, grid.T)):
+    # dominance handover along horizontal and vertical edges
+    for r, g, gp in ((roots, grid, gap), (roots.transpose(1, 0, 2), grid.T, gap.T)):
+        t0 = r[..., 0]
         # a handover is a jump of the dominant root larger than the local move
         jump = np.abs(np.diff(t0, axis=1))
         scale = np.abs(np.diff(g, axis=1)) + np.abs(t0[:, :-1]) * 0.05 + 1e-12
         i, j = np.nonzero(jump > 0.5 * scale)
-        b0.append(g[i, j])
-        b1.append(g[i, j + 1])
-    pts = _refine_edges(np.concatenate(b0), np.concatenate(b1), a, tau)
-    return np.concatenate([grid[member], pts[_dominance_gap(pts, a, tau) < tol]])
+        ref = r[i, j, :1]   # the dominant root at b0, as _refine_edges takes it
+        keep = ((_continued_side(r[i, j], ref) != _continued_side(r[i, j + 1], ref))
+                | (np.minimum(gp[i, j], gp[i, j + 1]) < _KEEP_GAP_FACTOR * tol))
+        b0.append(g[i[keep], j[keep]])
+        b1.append(g[i[keep], j[keep] + 1])
+    return grid[gap < tol], np.concatenate(b0), np.concatenate(b1)
 
 
 def real_support_interval(a, refine_tol=1e-8):
@@ -361,10 +398,14 @@ def real_support_interval(a, refine_tol=1e-8):
     The per-tau supports are nested real intervals whose union equals the
     tau = 1/2 one (its branch points are extremal), so membership bisection
     at tau = 1/2, both ends in lockstep, localizes them to refine_tol (each
-    end stops moving once within it).  Below the threshold,
-    a^3 < 27/4, two branch points are non-real and the support is not an
-    interval: ValueError.
+    end stops moving once within it, or once no double lies strictly between
+    its two bounds, so a refine_tol below the spacing of doubles there still
+    returns).  refine_tol must be positive and finite, and below the
+    threshold, a^3 < 27/4, two branch points are non-real and the support is
+    not an interval: ValueError for either.
     """
+    if not (refine_tol > 0 and np.isfinite(refine_tol)):
+        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     a = float(a)
     if a**3 < 27 / 4:
         raise ValueError(f"real support interval needs a^3 >= 27/4, got a = {a}")
@@ -375,14 +416,15 @@ def real_support_interval(a, refine_tol=1e-8):
         raise InsideSupport("no support found on the real axis")
     inner = inside[[0, -1]]
     outer = inner + np.array([-2.0, 2.0]) * (xs[1] - xs[0])
-    active = np.abs(outer - inner) > refine_tol
-    while active.any():
+    active = np.ones(2, dtype=bool)
+    while True:
         mid = 0.5 * (inner + outer)
+        active &= (np.abs(outer - inner) > refine_tol) & (mid != inner) & (mid != outer)
+        if not active.any():
+            return tuple(mid)
         member = support_membership(mid, a, 0.5)
         inner = np.where(active & member, mid, inner)
         outer = np.where(active & ~member, mid, outer)
-        active = np.abs(outer - inner) > refine_tol
-    return tuple(0.5 * (inner + outer))
 
 
 def recurrence_roots(tau, k_max=150) -> PointSet:

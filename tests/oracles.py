@@ -30,8 +30,10 @@ a ray from infinity, one radius per ``cubic_roots`` call (the package takes
 the dominant root, which is that branch off the supports).  The two ends
 of the real support interval are bisected one after the other, one scalar
 membership test per step (the package bisects both in lockstep).  The
-union support solves the raster of every tau (the package solves each
-distinct tau(1 - tau) once).
+union support solves the raster of every tau and bisects every
+jump-flagged edge of it, one tau at a time (the package solves each
+distinct tau(1 - tau) once, keeps only the edges that can hold a support
+point and bisects those of all taus together).
 The horizontality residual that measures how closely a traced polyline
 follows a horizontal trajectory lives only here.
 """
@@ -538,19 +540,68 @@ def real_support_interval_two_loops(a, refine_tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# union support, one raster per tau
+# union support, one raster per tau, every flagged edge bisected
 # ---------------------------------------------------------------------------
 
 def union_support_per_tau(a, tau_grid, tol=bkw.EQUIMODULAR_TOL):
     """``bkw.union_support``'s (per_tau, endpoints, union) with the raster of
-    each tau solved on its own, also where two taus share tau(1 - tau)."""
+    each tau solved on its own, also where two taus share tau(1 - tau), and
+    every jump-flagged raster edge bisected."""
     a = complex(a)
     R = 1.0 + 0.75 * max(1.0, abs(a)) ** 1.5
     side = np.linspace(-R, R, bkw.SUPPORT_GRID_SIZE)
     grid = side[:, None] + 1j * side[None, :]
-    per_tau = {t: bkw._support_curve_points(grid, a, t, tol) for t in tau_grid}
+    per_tau = {t: _support_curve_points(grid, a, t, tol) for t in tau_grid}
     endpoints = {t: bkw.branch_points(a, t) for t in tau_grid}
-    return per_tau, endpoints, np.concatenate(list(per_tau.values()))
+    union = [per_tau[t] for t in tau_grid]
+    return per_tau, endpoints, (np.concatenate(union) if union else
+                                np.empty(0, dtype=complex))
+
+
+def _support_curve_points(grid, a, tau, tol):
+    roots = bkw.characteristic_roots(grid, a, tau)
+    top = roots[..., 0]
+    member = bkw._gap(np.abs(roots)) < tol
+    # dominance handover along horizontal and vertical edges
+    b0, b1 = [], []
+    for t0, g in ((top, grid), (top.T, grid.T)):
+        # a handover is a jump of the dominant root larger than the local move
+        jump = np.abs(np.diff(t0, axis=1))
+        scale = np.abs(np.diff(g, axis=1)) + np.abs(t0[:, :-1]) * 0.05 + 1e-12
+        i, j = np.nonzero(jump > 0.5 * scale)
+        b0.append(g[i, j])
+        b1.append(g[i, j + 1])
+    pts = _refine_edges_one_tau(np.concatenate(b0), np.concatenate(b1), a, tau)
+    return np.concatenate([grid[member], pts[bkw._dominance_gap(pts, a, tau) < tol]])
+
+
+def _refine_edges_one_tau(b0, b1, a, tau):
+    """Bisect the equimodular-curve crossing on every segment [b0[k], b1[k]]
+    at one tau at once, in 36 steps.
+
+    The curve is where the largest-modulus root hands over to another root;
+    the handover flips the sign of |r_i| - |r_j| for the continued pair.  The
+    root continued is the one nearest the dominant root at b0.
+    """
+    b0 = np.asarray(b0, dtype=complex)
+    r0 = bkw._char_roots(b0, a, tau)
+    ref = np.take_along_axis(r0, np.argmax(np.abs(r0), axis=-1)[:, None], axis=-1)
+
+    def top_two_gap(roots):
+        j = np.argmin(np.abs(roots - ref), axis=-1)[:, None]
+        mods = np.abs(roots)
+        mj = np.take_along_axis(mods, j, axis=-1)[:, 0]
+        np.put_along_axis(mods, j, -np.inf, axis=-1)
+        return mj - mods.max(axis=-1)
+
+    positive = top_two_gap(r0) > 0
+    lo, hi = b0, np.asarray(b1, dtype=complex)
+    for _ in range(36):
+        mid = 0.5 * (lo + hi)
+        same = (top_two_gap(bkw._char_roots(mid, a, tau)) > 0) == positive
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def assignment_cost_lsa(pa, pb):

@@ -1,6 +1,11 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from qesquartic.rootfind import threefold_roots
 
 from oracles import (frozen_recurrence_fraction, psi_branches_per_radius,
                      real_support_interval_two_loops, union_support_per_tau)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestCharacteristicRoots:
@@ -200,6 +207,15 @@ class TestCauchyNu:
             bkw.cauchy_nu(beta, self.A)
 
 
+def _assert_equals_every_edge_oracle(sup, a, taus, tol=bkw.EQUIMODULAR_TOL):
+    per_tau, endpoints, union = union_support_per_tau(a, taus, tol)
+    assert list(sup.per_tau) == list(per_tau)
+    for t in taus:
+        assert sup.per_tau[t].tobytes() == per_tau[t].tobytes()
+        assert sup.endpoints[t].tobytes() == endpoints[t].tobytes()
+    assert sup.union.tobytes() == union.tobytes()
+
+
 def _count_cubic_calls(monkeypatch):
     calls = []
 
@@ -287,25 +303,82 @@ class TestUnionSupport:
         # the figure's 31 taus k/32 give 16 distinct tau(1 - tau)
         monkeypatch.setattr(bkw, "SUPPORT_GRID_SIZE", 15)
         taus = cli._tau_grid(32)
-        per_tau, endpoints, union = union_support_per_tau(a, taus)
         solves = []
-        curve_points = bkw._support_curve_points
-        monkeypatch.setattr(bkw, "_support_curve_points",
-                            lambda *args: solves.append(1) or curve_points(*args))
+        raster = bkw._raster_support
+        monkeypatch.setattr(bkw, "_raster_support",
+                            lambda *args: solves.append(1) or raster(*args))
         sup = bkw.union_support(a, tau_grid=taus)
         assert len(taus) == 31 and len(solves) == 16
-        assert list(sup.per_tau) == list(per_tau) == taus
-        for t in taus:
-            assert sup.per_tau[t].tobytes() == per_tau[t].tobytes()
-            assert sup.endpoints[t].tobytes() == endpoints[t].tobytes()
-        assert sup.union.tobytes() == union.tobytes()
-        assert min(map(len, per_tau.values())) > 0
+        assert list(sup.per_tau) == taus
+        _assert_equals_every_edge_oracle(sup, a, taus)
+        assert min(map(len, sup.per_tau.values())) > 0
+
+    @pytest.mark.parametrize("a, taus, tol", [
+        ((1 - 1j) / 2, [0.25, 0.5], bkw.EQUIMODULAR_TOL),   # the bench case
+        (3, [0.1, 0.5, 0.9], bkw.EQUIMODULAR_TOL),
+        ((1 - 1j) / 2, [0.2, 0.5, 0.8], 1e-5),
+        (1 + 1j, [0.2, 0.5, 0.8], 1e-3),
+    ])
+    def test_kept_edges_give_every_point(self, a, taus, tol):
+        # the full raster: bisecting only the kept edges loses no point that
+        # bisecting every flagged edge finds
+        _assert_equals_every_edge_oracle(bkw.union_support(a, taus, tol), a, taus, tol)
+
+    @pytest.mark.parametrize("taus, count", [
+        ([], 0),
+        ([0.0], 0),                  # T = 0: no edge is kept
+        ([1.0], 0),
+        ([0, 0.5, 1], 46),
+        ([0.5, 0.25, 0.5], 131),     # a repeated tau counts in the union twice
+        ([0.25, 0.75], 78),          # one T, shared
+        ([0.3, 0.7], 84),            # T differs in its last bit: two rasters
+    ])
+    def test_lockstep_edge_grids(self, taus, count):
+        a = (1 - 1j) / 2
+        sup = bkw.union_support(a, taus)
+        assert sup.union.dtype == complex and len(sup.union) == count
+        _assert_equals_every_edge_oracle(sup, a, taus)
+
+    def test_bench_case_cubic_work(self, monkeypatch):
+        # bisecting every jump-flagged edge solves 128,208 cubics here
+        calls = _count_cubic_calls(monkeypatch)
+        bkw.union_support((1 - 1j) / 2, tau_grid=[0.25, 0.5])
+        assert sum(math.prod(shape) for shape in calls) <= 15_000
 
     @pytest.mark.parametrize("a", [0, 1, 1.88, -3])
     def test_real_interval_below_threshold_refused(self, a):
         # a^3 < 27/4: two branch points are non-real, the support no interval
         with pytest.raises(ValueError, match="27/4"):
             bkw.real_support_interval(a)
+
+    @staticmethod
+    def _real_interval_apart(tol):
+        # run apart, so that a bisection that never ends fails the test
+        code = textwrap.dedent("""
+            import sys
+            from qesquartic import bkw
+            try:
+                lo, hi = bkw.real_support_interval(3.0, refine_tol=float(sys.argv[1]))
+                print(lo.hex(), hi.hex())
+            except ValueError as e:
+                print("ValueError", e)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-c", code, repr(tol)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60, check=True).stdout
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_real_interval_refine_tol_refused(self, tol):
+        assert self._real_interval_apart(tol).startswith("ValueError refine_tol")
+
+    def test_real_interval_below_double_spacing_returns(self):
+        # no double lies between the two bounds of an end long before they
+        # are 1e-17 apart
+        lo, hi = map(float.fromhex, self._real_interval_apart(1e-17).split())
+        want = bkw.real_support_interval(3.0, refine_tol=1e-15)
+        assert abs(lo - want[0]) <= 1e-15 and abs(hi - want[1]) <= 1e-15
+        assert lo < hi
 
     def test_real_interval_a3(self):
         lo, hi = bkw.real_support_interval(3.0, refine_tol=1e-8)
