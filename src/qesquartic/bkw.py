@@ -62,13 +62,19 @@ class SupportSample:
         return PointSet(self.union)
 
     def to_json_dict(self) -> dict:
-        """{a, tau_grid, legs (chained polylines per tau), endpoints}."""
-        legs = {}
+        """{a, tau_grid, legs (chained polylines per tau), endpoints}.
+
+        tau and 1 - tau share one point array; each distinct array is
+        chained once and its legs serve every tau that has it."""
+        legs, chained = {}, {}
         for t, pts in self.per_tau.items():
-            legs[f"{t:.6f}"] = [
-                [[float(z.real), float(z.imag)] for z in leg]
-                for leg in _chain_polylines(pts)
-            ]
+            key = np.asarray(pts, dtype=complex).tobytes()
+            if key not in chained:
+                chained[key] = [
+                    [[float(z.real), float(z.imag)] for z in leg]
+                    for leg in _chain_polylines(pts)
+                ]
+            legs[f"{t:.6f}"] = chained[key]
         return {
             "a": [self.a.real, self.a.imag],
             "tau_grid": [float(t) for t in self.tau_grid],

@@ -215,29 +215,35 @@ def _check_residuals(cs, pts):
 
 
 def painleve_residual(n: int, t, cache_dir=None) -> float:
-    """|u'' - t u - 2u^3 - n| at t.
+    """|u'' - t u - 2u^3 - n| at t, for u = (log YV_{n-1}/YV_n)'.
 
     u'' comes from differentiating the log-derivative formula analytically
     (with v = p'/p: v' = p''/p - v^2, v'' = p'''/p - 3 v p''/p + 2 v^3), so
-    the residual is exact up to float evaluation noise.
+    the residual is exact up to float evaluation noise.  The ratios p'/p,
+    p''/p' and p'''/p'' come from rootfind's fixed-point Horner pass on p,
+    p' and p'', and only they are rounded to doubles: the coefficients of
+    YV_n are wider than a double's range from n = 26 on.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     tc = complex(t)
+    point = rootfind._exact_point(tc)
     seq = _yv_int_coeffs(n, cache_dir)
     uv, upp = 0j, 0j
     for poly, sign in ((seq[n - 1], 1.0), (seq[n], -1.0)):
         d1 = intpoly.deriv(poly)
-        d2 = intpoly.deriv(d1)
-        pv = _horner(poly, tc)
-        v = _horner(d1, tc) / pv
-        p2 = _horner(d2, tc) / pv
-        p3 = _horner(intpoly.deriv(d2), tc) / pv
+        v, r1, r2 = (_log_deriv(q, point) for q in (poly, d1, intpoly.deriv(d1)))
+        p2 = r1 * v
+        p3 = r2 * p2
         uv += sign * v
         upp += sign * (p3 - 3 * v * p2 + 2 * v**3)
     return abs(upp - tc * uv - 2 * uv**3 - n)
 
 
-def _horner(p, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
+def _log_deriv(p, point) -> complex:
+    """p'/p at point = (zr, zi, e) of rootfind._exact_point, from one
+    fixed-point Horner pass at 30 digits; zero for the zero polynomial."""
+    if not p:
+        return 0j
+    cfix, _ = rootfind._fixed_coeffs(p, 30)
+    return 1 / rootfind._newton_ratio(*rootfind._horner(cfix, [point])[0])

@@ -183,6 +183,24 @@ def yv_tform(N):
     return [tuple(y) for y in ys[: N + 1]]
 
 
+def painleve_residual_mp(n, t, dps=50):
+    """|u'' - t u - 2u^3 - n| at t for u = YV_{n-1}'/YV_{n-1} - YV_n'/YV_n,
+    in mpmath at dps digits: the members from ``yv_tform``, u'' by mpmath's
+    numerical differentiation of u (the package differentiates analytically)."""
+    ys = yv_tform(n)
+    with mp.workdps(dps):
+        def u(x):
+            out = mp.mpc(0)
+            for y, sign in ((ys[n - 1], 1), (ys[n], -1)):
+                p, dp = mp.polyval(list(reversed(y)), x, derivative=True)
+                out += sign * dp / p
+            return out
+
+        x = mp.mpc(t)
+        v = u(x)
+        return float(abs(mp.diff(u, x, 2) - x * v - 2 * v**3 - n))
+
+
 def numpy_real_root_count(coeffs, lo, hi, imag_tol=1e-7):
     """Real roots of an integer poly in (lo, hi], via numpy with margins."""
     cs = [float(c) for c in coeffs]

@@ -1,5 +1,5 @@
-"""Acceptance gate: one test per documented criterion, at its stated
-tolerance, printing one PASS/FAIL line each.
+"""Acceptance gate: one test case per check of `verify.CHECKS`, at its
+stated tolerance, printing one PASS/FAIL line each.
 
 Criterion 7's scaling band compares the corner modulus of the
 Yablonskii-Vorob'ev zero triangle with its limit (27/2)^(1/3) n^(2/3),
@@ -7,12 +7,15 @@ derived in the test from the second Painleve equation.  At n=40 the
 measured ratio is 0.9440, inside the 10% band; the gap closes like
 ~n^(-0.78).
 
-The sizes are `verify.FULL`, the ones `qesquartic verify` runs.
+The sizes are the full ones of the table `verify.CHECKS`, the ones
+`qesquartic verify` runs.
 """
+
+import pytest
 
 from qesquartic import verify, yv
 
-FULL = verify.FULL
+FULL = {name: full for name, _, _, full, _ in verify.CHECKS}
 
 
 def _report(rec):
@@ -22,33 +25,9 @@ def _report(rec):
     return rec["passed"], line
 
 
-def test_criterion_01_exact_structure():
-    ok, line = _report(verify.criterion_exact_structure(FULL["exact-structure"]))
-    assert ok, line
-
-
-def test_criterion_02_oracle_equivalence():
-    ok, line = _report(verify.criterion_oracle_equivalence())
-    assert ok, line
-
-
-def test_criterion_03_scaling_limit():
-    ok, line = _report(verify.criterion_scaling_limit(FULL["scaling-limit"]))
-    assert ok, line
-
-
-def test_criterion_04_cauchy_consistency():
-    ok, line = _report(verify.criterion_cauchy_consistency())
-    assert ok, line
-
-
-def test_criterion_05_branch_endpoint_algebra():
-    ok, line = _report(verify.criterion_branch_endpoint_algebra())
-    assert ok, line
-
-
-def test_criterion_06_real_interval():
-    ok, line = _report(verify.criterion_real_interval())
+@pytest.mark.parametrize("name", [row[0] for row in verify.CHECKS])
+def test_check_passes_at_full_size(name):
+    ok, line = _report(verify.run_check(name, FULL[name]))
     assert ok, line
 
 
@@ -91,31 +70,6 @@ def test_criterion_07_yv_scaling_band():
     )
 
 
-def test_criterion_08_branching_suite():
-    ok, line = _report(verify.criterion_sigma(FULL["sigma-suite"]))
-    assert ok, line
-
-
-def test_criterion_09_triangle_comparison():
-    ok, line = _report(verify.criterion_fig2_trend(FULL["fig2-trend"]))
-    assert ok, line
-
-
-def test_criterion_10_monodromy_suite():
-    ok, line = _report(verify.criterion_monodromy(FULL["monodromy-suite"]))
-    assert ok, line
-
-
-def test_criterion_11_topology():
-    ok, line = _report(verify.criterion_topology(FULL["topology-classification"]))
-    assert ok, line
-
-
-def test_criterion_12_determinism():
-    ok, line = _report(verify.criterion_determinism())
-    assert ok, line
-
-
 def test_criterion_12_determinism_cleans_up(tmp_path, monkeypatch):
     # the criterion works in a temporary directory and removes it
     import tempfile
@@ -124,7 +78,7 @@ def test_criterion_12_determinism_cleans_up(tmp_path, monkeypatch):
     scratch.mkdir()
     monkeypatch.setenv("TMPDIR", str(scratch))
     monkeypatch.setattr(tempfile, "tempdir", None)
-    ok, line = _report(verify.criterion_determinism())
+    ok, line = _report(verify.run_check("determinism", None))
     assert ok, line
     assert list(scratch.iterdir()) == []
 
@@ -136,3 +90,40 @@ def test_fast_suite_passes_every_check(tmp_cache):
     results = [_report(rec) for rec in recs]
     assert len(recs) == 13
     assert all(ok for ok, _ in results), [line for ok, line in results if not ok]
+
+
+ORDER = ["exact-structure", "oracle-equivalence", "branch-endpoint-algebra",
+         "yv-exact", "sigma-suite", "scaling-limit", "cauchy-consistency",
+         "real-interval", "yv-scaling-band", "fig2-trend",
+         "topology-classification", "monodromy-suite", "determinism"]
+
+
+def test_check_table_structure(monkeypatch):
+    # each check's sizes and suite are written once, in the table; the
+    # suites walk it in order (the checks themselves are stubbed out here)
+    from qesquartic import cli
+
+    names = [row[0] for row in verify.CHECKS]
+    assert len(set(names)) == len(names)
+    for name, _, _, full, fast in verify.CHECKS:
+        assert (full is None) == (fast is None), name
+    monkeypatch.setattr(verify, "_check", lambda name, fn, size, cache_dir:
+                        {"name": name, "size": size})
+    full = verify.run_suite("all")
+    fast = verify.run_suite("all", fast=True)
+    assert [r["name"] for r in full] == [r["name"] for r in fast] == ORDER
+    assert [r["size"] for r in full] == [row[3] for row in verify.CHECKS]
+    assert [r["size"] for r in fast] == [row[4] for row in verify.CHECKS]
+    suites = {row[1] for row in verify.CHECKS}
+    assert suites == {"exact", "asymptotic", "monodromy", "all"}
+    by_suite = [r["name"] for s in ("exact", "asymptotic", "monodromy")
+                for r in verify.run_suite(s)]
+    assert by_suite == ORDER[:-1]
+    with pytest.raises(ValueError):
+        verify.run_suite("fast")
+    with pytest.raises(ValueError):
+        verify.run_check("no-such-check", None)
+    sub = next(a for a in cli._build_parser()._actions
+               if a.dest == "command").choices["verify"]
+    choices = next(a for a in sub._actions if a.dest == "suite").choices
+    assert set(choices) == suites | {"all"}

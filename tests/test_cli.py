@@ -94,7 +94,7 @@ class TestFigureCommands:
         assert hits == []
         assert calls == [25]
         calls.clear()
-        rep = verify.criterion_fig2_trend((10, 20), cache_dir=tmp_cache)
+        rep = verify.run_check("fig2-trend", (10, 20), cache_dir=tmp_cache)
         assert rep["passed"], rep["detail"]
         assert hits == []
         assert calls == [10, 20]

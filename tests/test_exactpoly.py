@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qesquartic import intpoly, yv
 from qesquartic.errors import NotDivisible
 from qesquartic.exactpoly import ExactPoly
-from qesquartic.yv import _horner
 
 from oracles import (
     frac_add,
@@ -426,14 +425,6 @@ class TestIntegerKernel:
             cube[::3] = cs
             assert intpoly.split_cube(intpoly.trim([0] * k + cube)) == \
                 (k + 3 * low, cs[low:])
-
-    def test_call_at_complex(self):
-        # the complex Horner pass of yv.painleve_residual
-        p = [1, -2, 0, 5, 0, 0, -7]
-        z = 0.3 - 1.2j
-        want = sum(complex(c) * z**k for k, c in enumerate(p))
-        assert abs(_horner(p, z) - want) < 1e-14 * abs(want)
-        assert _horner(p, 0.5) == pytest.approx(float(frac_horner(p, Fraction(1, 2))))
 
 
 class TestEvalAt:

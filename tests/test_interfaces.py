@@ -28,6 +28,24 @@ class TestSupportSampleExport:
         ep = d["endpoints"]["0.500000"]
         assert len(ep) == 3
 
+    def test_shared_tau_sets_chained_once(self, monkeypatch):
+        # tau and 1 - tau share one support, chained once for both keys
+        monkeypatch.setattr(bkw, "SUPPORT_GRID_SIZE", 31)
+        sup = bkw.union_support((1 - 1j) / 2, tau_grid=[0.25, 0.5, 0.75])
+        chain = bkw._chain_polylines
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return chain(pts)
+
+        monkeypatch.setattr(bkw, "_chain_polylines", counting)
+        legs = sup.to_json_dict()["legs"]
+        assert len(calls) == 2
+        assert legs["0.250000"] == legs["0.750000"] == \
+            [[[z.real, z.imag] for z in leg]
+             for leg in chain(sup.per_tau[0.75])]
+
 
 class TestDistinctImagReport:
     @pytest.mark.parametrize("n", [4, 6, 8])

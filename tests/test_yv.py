@@ -9,7 +9,7 @@ from qesquartic.errors import NotDivisible, StructureViolation
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import sort_points
 
-from oracles import yv_tform
+from oracles import painleve_residual_mp, yv_tform
 
 
 class TestGeneration:
@@ -181,11 +181,11 @@ class TestCachedMembers:
         bad[n * (n + 1) // 2 % 3] += 7     # the lowest coefficient of the support
         monkeypatch.setattr(yv, "_YV", list(members[:n]) + [tuple(bad)]
                             + list(members[n + 1:]))
-        rec = verify.criterion_yv_exact(N_CACHED, cache_dir=tmp_cache)
+        rec = verify.run_check("yv-exact", N_CACHED, cache_dir=tmp_cache)
         assert not rec["passed"]
         assert rec["detail"] == f"recursion identity fails at n={n}"
         monkeypatch.setattr(yv, "_YV", list(members))
-        rec = verify.criterion_yv_exact(N_CACHED, cache_dir=tmp_cache)
+        rec = verify.run_check("yv-exact", N_CACHED, cache_dir=tmp_cache)
         assert rec["passed"] and "recursion identity" in rec["detail"]
 
 
@@ -256,7 +256,7 @@ class TestScaledZeros:
 
     def test_verify_band_reports_corner_ratio(self):
         # n = 16 sits 11.5% short of the corner limit, outside the band
-        rec = verify.criterion_yv_scaling_band(16)
+        rec = verify.run_check("yv-scaling-band", 16)
         ratio = yv.yv_zeros(16).max_modulus() / ((27 / 2) ** (1 / 3)
                                                  * 16 ** (2 / 3))
         assert not rec["passed"]
@@ -278,3 +278,15 @@ class TestPainleve:
                 continue
             assert yv.painleve_residual(n, t) < 1e-6
             done += 1
+
+    @pytest.mark.parametrize("n", [26, 30])
+    def test_ode_residual_past_double_range(self, n):
+        # the coefficients of YV_26 on are wider than a double's range; the
+        # oracle checks the same identity in mpmath with u'' differentiated
+        # numerically
+        assert painleve_residual_mp(n, 1.7) < 1e-30
+        assert yv.painleve_residual(n, 1.7) < 1e-10
+
+    def test_negative_n_refused(self):
+        with pytest.raises(ValueError):
+            yv.painleve_residual(-1, 1.7)
