@@ -86,6 +86,13 @@ class SupportSample:
         }
 
 
+def _finite(name, value) -> complex:
+    z = complex(value)
+    if not np.isfinite(z):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return z
+
+
 def _tau_product(tau):
     """T = tau(1 - tau), the only way tau enters the characteristic cubic."""
     T = np.asarray(tau, dtype=float)
@@ -204,10 +211,10 @@ def cauchy_nu(beta, a=0.0):
     or when Psi hands over to another root between two adjacent taus: a
     step of Psi longer than its two neighbouring steps together.  The order
     starts at 64 and doubles until two successive values agree
-    to 1e-10, and each order's rule comes from ``_gauss_rule``.
+    to 1e-10, and each order's rule comes from ``_gauss_rule``.  beta and a
+    must be finite.
     """
-    beta = complex(beta)
-    a = complex(a)
+    beta, a = _finite("beta", beta), _finite("a", a)
     if beta == 0:
         raise InsideSupport("beta = 0 lies on every support")
     order = 64
@@ -346,9 +353,12 @@ def union_support(a, tau_grid, tol=EQUIMODULAR_TOL) -> SupportSample:
     tau(1-tau), so the raster of each distinct T is solved once, keyed on
     the bits of ``_tau_product`` (tau and 1 - tau share them when both are
     exact, as the figures' taus k/32 are); the kept edges of every T are
-    then bisected together, each at its own tau, by ``_refine_edges``.
+    then bisected together, each at its own tau, by ``_refine_edges``.  a
+    must be finite and tol positive and finite.
     """
-    a = complex(a)
+    a = _finite("a", a)
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     R = 1.0 + 0.75 * max(1.0, abs(a)) ** 1.5
     side = np.linspace(-R, R, SUPPORT_GRID_SIZE)
     grid = side[:, None] + 1j * side[None, :]
@@ -406,13 +416,14 @@ def real_support_interval(a, refine_tol=1e-8):
     at tau = 1/2, both ends in lockstep, localizes them to refine_tol (each
     end stops moving once within it, or once no double lies strictly between
     its two bounds, so a refine_tol below the spacing of doubles there still
-    returns).  refine_tol must be positive and finite, and below the
-    threshold, a^3 < 27/4, two branch points are non-real and the support is
-    not an interval: ValueError for either.
+    returns).  a must be finite and refine_tol positive and finite, and
+    below the threshold, a^3 < 27/4, two branch points are non-real and the
+    support is not an interval: ValueError for each.
     """
     if not (refine_tol > 0 and np.isfinite(refine_tol)):
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     a = float(a)
+    _finite("a", a)
     if a**3 < 27 / 4:
         raise ValueError(f"real support interval needs a^3 >= 27/4, got a = {a}")
     B = 2.0 + abs(a) ** 1.5

@@ -29,9 +29,8 @@ the Sylvester determinant computed independently over the integers by a
 subresultant PRS (``intpoly.sylvester_resultant``).  Results are
 disk-cached ({kind}-{n}.json) since large-n resultants are the most
 expensive objects in the package; a loaded entry is re-checked modulo a
-prime (`_load_check`).  The numeric branching points are disk-cached too,
-from yv.POINTS_CACHE_FROM_N on (`sigma_points`).  `triangle_sets`
-normalises the conjecture's pair.
+prime (`_load_check`).  The numeric branching points are disk-cached too
+(`sigma_points`).  `triangle_sets` normalises the conjecture's pair.
 """
 
 from __future__ import annotations
@@ -453,10 +452,10 @@ def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
     (Re, Im) order may differ where real parts tie to rounding (at n = 40
     one conjugate pair swaps at indices 500/501).
 
-    From yv.POINTS_CACHE_FROM_N on the sorted points are disk-cached under
-    n and the precision schedule: as "sigma-points" from Newton-polygon
-    starts, as "sigma-points-yv" from YV seeds, whose key adds the seeds'
-    SHA-256.  A hit loads neither sigma_polynomial nor runs Aberth.
+    The sorted points are disk-cached under n and the precision schedule:
+    as "sigma-points" from Newton-polygon starts, as "sigma-points-yv" from
+    YV seeds, whose key adds the seeds' SHA-256.  A hit loads neither
+    sigma_polynomial nor runs Aberth.
 
     The grid is `_peel_grid`'s.  Columns are counted from the RIGHT (j = 1
     is the single rightmost point; column j holds exactly j points); rows
@@ -475,14 +474,11 @@ def sigma_points(n: int, cache_dir=None, near=None) -> BranchSet:
         ip = list(sigma_polynomial(n, cache_dir=cache_dir).coeffs)
         return sort_points(rootfind.threefold_roots(ip, init=init))
 
-    if n < yv.POINTS_CACHE_FROM_N:
-        pts = compute()
-    else:
-        kind, key = "sigma-points", {"schedule": rootfind.DEFAULT_SCHEDULE}
-        if init is not None:
-            kind = "sigma-points-yv"
-            key["seeds"] = hashlib.sha256(init.tobytes()).hexdigest()
-        pts = cache.cached(kind, n, key, compute, cache.Points(D), cache_dir)
+    kind, key = "sigma-points", {"schedule": rootfind.DEFAULT_SCHEDULE}
+    if init is not None:
+        kind = "sigma-points-yv"
+        key["seeds"] = hashlib.sha256(init.tobytes()).hexdigest()
+    pts = cache.cached(kind, n, key, compute, cache.Points(D), cache_dir)
     rows, cols, margin = _peel_grid(n, pts)
     return BranchSet(n=n, points=PointSet(pts), rows=rows, cols=cols,
                      min_margin=margin)

@@ -16,7 +16,9 @@ is a miss: it is recomputed and overwritten.  Two certificates are re-run
 on load, each an ``IntPoly.check``: a Yablonskii-Vorob'ev member's recursion
 identity (``yv.recurrence_holds``) and a branching polynomial's mod-p
 resultant check (``branching._load_check``).  Point sets (YV zeros,
-branching points, spectra) are not re-checked on load.
+branching points, spectra) are not re-checked on load.  The YV members, their
+zero sets and sigma_n's branching points are stored at every n: no module
+keeps them in memory.
 """
 
 from __future__ import annotations
@@ -131,11 +133,14 @@ class IntPoly(NamedTuple):
 
 
 def list_entries(directory=None):
-    return sorted(p.name for p in cache_dir(directory).glob("*.json") if p.is_file())
+    # only the names artifact_path writes: a figure's manifest.json, say, is
+    # no entry when --out and --cache-dir coincide
+    return sorted(p.name for p in cache_dir(directory).glob("[!.]*-*.json")
+                  if p.is_file() and p.stem.rpartition("-")[2].isdecimal())
 
 
 def clear(directory=None) -> int:
-    files = [p for p in cache_dir(directory).glob("*.json") if p.is_file()]
-    for p in files:
-        p.unlink()
-    return len(files)
+    names = list_entries(directory)
+    for name in names:
+        (cache_dir(directory) / name).unlink()
+    return len(names)

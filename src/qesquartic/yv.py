@@ -35,11 +35,10 @@ step thus costs the two squarings G^2 and H^2, a third of the length of
 YV_n each, and one exact division of m by the G of YV_{n-1} through
 ``intpoly.div_exact``.
 
-Members are built once per process and kept.  From CACHE_FROM_N on, each is
-also a disk-cache entry ("yv-poly", n): a later process loads it instead of
-repeating the step, after checking its degree and the recursion identity
-against the two members before it (``recurrence_holds``).  An entry that
-fails either check is recomputed and overwritten.
+Every member from YV_2 on is a disk-cache entry ("yv-poly", n): a call
+loads it instead of repeating the step, after checking its degree and the
+recursion identity against the two members before it (``recurrence_holds``).
+An entry that fails either check is recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -74,21 +73,9 @@ class YVSequence:
         return len(self.polys)
 
 
-_YV = [(1,), (0, 1)]   # YV_0, YV_1, ...: each built once per process, kept
-# From this n on a member is read from and written to the disk cache.  Below
-# it a recursion step costs about what a load with its identity check costs
-# (in-process, best of 200: n = 10, step 0.14-0.18 ms, load 0.11-0.14 ms); at
-# n = 12 the step takes 0.29-0.44 ms and the load 0.13-0.19 ms, at n = 30
-# 53 ms against 1.5 ms.  The s-form and two-point products cut the n = 30
-# step from 80-90 ms but not the small steps: the break-even stays near
-# n = 10.
-CACHE_FROM_N = 12
 # The recursion identity is checked on load at this point, modulo this prime.
 IDENTITY_T = 1_000_003
 IDENTITY_PRIME = 2**61 - 1
-# From this n on a zero set is a disk-cache entry ("yv-zeros"), and so is a
-# set of sigma_n's branching points (``branching.sigma_points``).
-POINTS_CACHE_FROM_N = 25
 
 
 def _step(y1, y2):
@@ -140,29 +127,26 @@ def recurrence_holds(y, y1, y2) -> bool:
 
 
 def _yv_int_coeffs(N: int, cache_dir=None):
-    """Coefficient tuples of YV_0..YV_N, extending _YV as far as N.
+    """Coefficient tuples of YV_0..YV_N.
 
-    Members from CACHE_FROM_N on go through the disk cache; an entry is
-    served only if it has the member's degree and passes recurrence_holds
-    against the two members before it."""
-    while len(_YV) <= N:
-        n, y1, y2 = len(_YV), _YV[-1], _YV[-2]
-        if n < CACHE_FROM_N:
-            y = _step(y1, y2)
-        else:
-            codec = cache.IntPoly(n * (n + 1) // 2,
-                                  lambda c: recurrence_holds(c, y1, y2))
-            y = cache.cached("yv-poly", n, {}, lambda: _step(y1, y2), codec,
-                             cache_dir)
-        _YV.append(tuple(y))
-    return tuple(_YV[: N + 1])
+    Members from YV_2 on go through the disk cache; an entry is served only
+    if it has the member's degree and passes recurrence_holds against the
+    two members before it."""
+    ys = [(1,), (0, 1)]
+    for n in range(2, N + 1):
+        y1, y2 = ys[-1], ys[-2]
+        codec = cache.IntPoly(n * (n + 1) // 2,
+                              lambda c: recurrence_holds(c, y1, y2))
+        ys.append(tuple(cache.cached("yv-poly", n, {}, lambda: _step(y1, y2),
+                                     codec, cache_dir)))
+    return tuple(ys[: N + 1])
 
 
 def yv_generate(N: int, cache_dir=None) -> YVSequence:
     """YV_0..YV_N; raises NotDivisible if the recursion ever fails to divide.
 
-    Members YV_n with n >= CACHE_FROM_N are disk-cached, one entry per n; a
-    loaded member has passed its degree check and recurrence_holds.
+    Members YV_n with n >= 2 are disk-cached, one entry per n; a loaded
+    member has passed its degree check and recurrence_holds.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -180,8 +164,8 @@ def yv_zeros(n: int, cache_dir=None) -> PointSet:
     On top of that, a stride sample of about 40 zeros (every zero when
     there are fewer than 80) must pass the scale-aware residual test
     |YV_n(z)| / sum_k |c_k||z|^k < RESIDUAL_TOL; the other zeros are not
-    evaluated.  n is capped at ZERO_CAP_DEFAULT.  Zero sets from
-    POINTS_CACHE_FROM_N on are disk-cached.
+    evaluated.  n is capped at ZERO_CAP_DEFAULT.  Zero sets are
+    disk-cached.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -196,12 +180,9 @@ def yv_zeros(n: int, cache_dir=None) -> PointSet:
         _check_residuals(cs, pts)
         return sort_points(pts)
 
-    if n >= POINTS_CACHE_FROM_N:
-        pts = cache.cached("yv-zeros", n, {"schedule": rootfind.DEFAULT_SCHEDULE},
-                           compute, cache.Points(n * (n + 1) // 2), cache_dir)
-    else:
-        pts = compute()
-    return PointSet(pts)
+    return PointSet(cache.cached(
+        "yv-zeros", n, {"schedule": rootfind.DEFAULT_SCHEDULE}, compute,
+        cache.Points(n * (n + 1) // 2), cache_dir))
 
 
 def _check_residuals(cs, pts):

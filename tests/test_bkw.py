@@ -345,6 +345,26 @@ class TestUnionSupport:
         bkw.union_support((1 - 1j) / 2, tau_grid=[0.25, 0.5])
         assert sum(math.prod(shape) for shape in calls) <= 15_000
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: bkw.union_support(3.0, [0.25, 0.5], tol=0), "tol must be"),
+        (lambda: bkw.union_support(3.0, [0.5], tol=-1e-4), "tol must be"),
+        (lambda: bkw.union_support(3.0, [0.5], tol=math.nan), "tol must be"),
+        (lambda: bkw.union_support(3.0, [0.5], tol=math.inf), "tol must be"),
+        (lambda: bkw.union_support(math.inf, [0.5]), "a must be finite"),
+        (lambda: bkw.union_support(complex(1, math.nan), [0.5]), "a must be finite"),
+        (lambda: bkw.real_support_interval(math.nan), "a must be finite"),
+        (lambda: bkw.real_support_interval(math.inf), "a must be finite"),
+        (lambda: bkw.cauchy_nu(2, math.nan), "a must be finite"),
+        (lambda: bkw.cauchy_nu(math.inf, 0), "beta must be finite"),
+        (lambda: bkw.cauchy_nu(complex(2, math.nan), 0), "beta must be finite"),
+    ], ids=["union-tol-0", "union-tol-negative", "union-tol-nan",
+            "union-tol-inf", "union-a-inf", "union-a-nan", "interval-a-nan",
+            "interval-a-inf", "cauchy-a-nan", "cauchy-beta-inf", "cauchy-beta-nan"])
+    def test_non_finite_parameter_refused(self, call, match):
+        # each gave an empty support, "no support found" or NonConvergence
+        with pytest.raises(ValueError, match=match):
+            call()
+
     @pytest.mark.parametrize("a", [0, 1, 1.88, -3])
     def test_real_interval_below_threshold_refused(self, a):
         # a^3 < 27/4: two branch points are non-real, the support no interval

@@ -191,14 +191,25 @@ def test_missing_directory_is_not_created(tmp_path, capsys):
     assert cache.list_entries(str(d / "sub")) == ["k-2.json"]
 
 
+def test_only_entry_names_are_listed_and_cleared(tmp_path):
+    # a figure written into its own cache directory: its JSON outputs are
+    # not entries, and clear keeps them
+    d = str(tmp_path)
+    (tmp_path / "manifest.json").write_text("{}")
+    (tmp_path / "grid_index.json").write_text("{}")
+    cache.store("sigma-poly", 10, {}, d)
+    assert cache.list_entries(d) == ["sigma-poly-10.json"]
+    assert cache.clear(d) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "grid_index.json", "manifest.json"]
+
+
 # SHA-256 of the encoded body (the exact bits) of one cheap output per kind,
 # for each cache.VERSION.  A change that moves one of these outputs must
 # raise VERSION, so that entries written by the old code are misses, and add
-# its row here.  The sigma-points row pins n = 6, below
-# yv.POINTS_CACHE_FROM_N, so it is not itself a stored entry: it pins Aberth's
-# threefold route on the exact sigma polynomial, which the stored kinds
-# sigma-points and sigma-points-yv (n >= 25) also run.  sigma-poly and yv-poly are
-# integers and hold anywhere.  The point kinds are the last multiprecision
+# its row here.  The sigma-points row pins n = 6: it pins Aberth's threefold
+# route on the exact sigma polynomial, which sigma-points-yv also runs.
+# sigma-poly and yv-poly are integers and hold anywhere.  The point kinds are the last multiprecision
 # iterates rounded to doubles, from seeds that come from numpy's double stage
 # and LAPACK; their hashes hold for x86-64 Linux, CPython 3.11, numpy 2.4.6 on
 # OpenBLAS 0.3.31, where they were recorded.  On another platform other
@@ -277,7 +288,7 @@ def test_unwritable_cache_dir_returns_the_value(tmp_path, sub):
 
 
 class TestSigmaPointEntries:
-    """sigma_points from yv.POINTS_CACHE_FROM_N on: one kind per route."""
+    """sigma_points entries: one kind per route."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -335,10 +346,3 @@ class TestSigmaPointEntries:
         dist = np.abs(got[:, None] - want[None, :])
         assert sorted(dist.argmin(axis=1)) == list(range(len(want)))
         assert dist.min(axis=1).max() < 1e-12 * np.abs(want).max()
-
-    def test_below_the_threshold_nothing_is_stored(self, tmp_cache):
-        n = yv.POINTS_CACHE_FROM_N - 1
-        branching.sigma_points(n, cache_dir=tmp_cache)
-        branching.sigma_points(n, cache_dir=tmp_cache,
-                               near=yv.yv_zeros(n, cache_dir=tmp_cache).points)
-        assert not [p for p in cache.list_entries(tmp_cache) if "points" in p]

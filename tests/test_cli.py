@@ -94,9 +94,12 @@ class TestFigureCommands:
         assert hits == []
         assert calls == [25]
         calls.clear()
-        rep = verify.run_check("fig2-trend", (10, 20), cache_dir=tmp_cache)
+        # each yv_zeros call builds its members anew: n = 20 reads back the
+        # members that n = 10 stored, and nothing else
+        rep = verify.run_check("fig2-trend", (10, 20),
+                               cache_dir=str(tmp_path / "trend"))
         assert rep["passed"], rep["detail"]
-        assert hits == []
+        assert hits == [("yv-poly", n) for n in range(2, 11)]
         assert calls == [10, 20]
 
     def test_figslopes(self, tmp_path, tmp_cache):
@@ -193,6 +196,18 @@ class TestSweepAndCache:
         assert names == ["eigenvalues_n3.csv", "eigenvalues_n5.csv",
                          "manifest.json"]
 
+    def test_cache_clear_keeps_figure_files(self, tmp_path, capsys):
+        d = str(tmp_path / "t10")
+        assert cli.main(["figure", "triangle10", "--out", d, "--cache-dir", d]) == 0
+        outputs = ["branching_points.csv", "grid_index.json", "manifest.json"]
+        capsys.readouterr()
+        assert cli.main(["cache", "ls", "--cache-dir", d]) == 0
+        assert capsys.readouterr().out.split() == [
+            "sigma-points-10.json", "sigma-poly-10.json"]
+        assert cli.main(["cache", "clear", "--cache-dir", d]) == 0
+        assert "removed 2 cached artifacts" in capsys.readouterr().out
+        assert sorted(p.name for p in (tmp_path / "t10").iterdir()) == outputs
+
     def test_cache_ls_and_clear(self, tmp_cache):
         from qesquartic.branching import sigma_polynomial
 
@@ -248,6 +263,18 @@ class TestMainEntry:
         rep = json.loads((tmp_path / "a3" / "interval.json").read_text())
         assert rep["a"] == 3.0
         assert rep["interval"][1] == pytest.approx(1.80861, abs=1e-4)
+
+    @pytest.mark.parametrize("argv, match", [
+        (["figA1", "--tol", "0"], "tol must be positive"),
+        (["figA1", "--tol", "nan"], "tol must be positive"),
+        (["figA3", "--a", "nan"], "a must be finite"),
+    ], ids=["figA1-tol-0", "figA1-tol-nan", "figA3-a-nan"])
+    def test_bad_support_parameter_refused(self, argv, match, tmp_path, tmp_cache):
+        # not an empty support file nor "no support found"
+        with pytest.raises(ValueError, match=match):
+            cli.main(["figure", *argv, "--out", str(tmp_path / "f"),
+                      "--cache-dir", tmp_cache])
+        assert not (tmp_path / "f").exists()
 
     def test_figA3_nonreal_a_refused(self, tmp_path, tmp_cache):
         # a non-real a, or a real one with a^3 < 27/4 and so non-real
@@ -326,7 +353,6 @@ class TestCacheDirConfinesWrites:
             d.mkdir()
         monkeypatch.setenv("HOME", str(home))
         monkeypatch.setenv(cache.ENV_VAR, str(env_cache))
-        # YV zeros are disk-cached from n = 25 on
         cli.cmd_figure("triangle", out_dir=tmp_path / "out",
                        cache_dir=str(target), overrides={"n": 25})
         assert list(home.rglob("*")) == []

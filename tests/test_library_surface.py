@@ -6,7 +6,12 @@ in a code span of README.  Anything else is reached only by tests.
 The same holds one level down: every defaulted parameter of a public
 function or method is passed by some call under src/ or perfbench/ (by
 keyword, by position or through *args/**kwargs; calls are matched by the
-callee's name), unless README names the function."""
+callee's name), unless README names the function.
+
+And no function changes module state: no ``global`` statement, and no
+mutating method call or item assignment on a name assigned at module level
+that the function (or one enclosing it) does not bind itself.  What a call
+keeps between calls goes through the disk cache."""
 
 import ast
 import re
@@ -133,3 +138,116 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
              if not any(_passes(c, name, position)
                         for c in calls.get(fn.name, ()))]
     assert not unset, "defaulted parameters no caller sets: " + ", ".join(unset)
+
+
+MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem", "clear",
+            "update", "setdefault", "add", "discard", "sort", "reverse"}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _scope_nodes(scope):
+    """The nodes of ``scope``'s body, nested scopes yielded but not entered."""
+    todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _bound(fn):
+    """Names that the function ``fn`` binds in its own scope."""
+    a = fn.args
+    names = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                             *filter(None, (a.vararg, a.kwarg)))}
+    for node in _scope_nodes(fn):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, SCOPES) and not isinstance(node, ast.Lambda):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((x.asname or x.name).split(".")[0] for x in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+    return names
+
+
+def _module_state_changes(source):
+    """``line: code`` of each place where a function changes module state."""
+    tree = ast.parse(source)
+    state = {n.id for n in _scope_nodes(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    found = []
+
+    def visit(scope, local, in_function):
+        if not isinstance(scope, (ast.Module, ast.ClassDef)):
+            local, in_function = local | _bound(scope), True
+        shared = state - local
+        for node in _scope_nodes(scope):
+            if isinstance(node, SCOPES):
+                visit(node, local, in_function)
+            elif not in_function:
+                continue
+            elif (isinstance(node, ast.Global)
+                  or isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in shared
+                  or isinstance(node, ast.Subscript)
+                  and not isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in shared):
+                found.append((node.lineno, ast.unparse(node)))
+
+    visit(tree, set(), False)
+    return [f"{line}: {code}" for line, code in sorted(found)]
+
+
+def test_no_function_changes_module_state():
+    changes = [f"{path.stem}:{line}" for path in sorted(PKG.glob("*.py"))
+               for line in _module_state_changes(path.read_text())]
+    assert not changes, "module state changed in " + ", ".join(changes)
+
+
+def test_module_state_rule_flags_each_form():
+    source = """
+CACHE = []
+TABLE = {}
+COUNT = 0
+
+
+def grow(x):
+    CACHE.append(x)
+
+
+def put(k, v):
+    TABLE[k] = v
+
+
+def bump():
+    global COUNT
+    COUNT += 1
+
+
+def own(x, TABLE=None):
+    CACHE = [x]
+    CACHE.append(x)
+    TABLE = {}
+    TABLE[x] = x
+    return [CACHE.pop() for _ in CACHE]
+
+
+def outer():
+    CACHE = []
+
+    def inner(x):
+        CACHE.append(x)
+    return inner
+
+
+def read(k):
+    return TABLE.get(k, CACHE[0])
+"""
+    assert _module_state_changes(source) == [
+        "8: CACHE.append(x)", "12: TABLE[k]", "16: global COUNT"]

@@ -40,6 +40,7 @@ class TestGeneration:
         assert all(c == 0 or j % 3 == d % 3 for j, c in enumerate(cs))
 
     def test_members_built_once(self, monkeypatch):
+        # later calls load every member from the (session) cache
         first = yv._yv_int_coeffs(30)
         for n in range(1, 11):
             yv.painleve_residual(n, 0.3 + 0.2j)
@@ -67,10 +68,9 @@ class TestGeneration:
         ([(0, 0, 1), (4, 0, 0, 1)], 2),      # nor with members integral in s
         ([(1,), (0, 1), (2, 0, 0, 1)], 3),   # t^3 + 2: 2 is not a multiple of 4
     ], ids=["g", "power-of-t", "power-of-t-in-s", "s-form"])
-    def test_non_exact_step_raises(self, start, n, monkeypatch):
-        monkeypatch.setattr(yv, "_YV", start)
+    def test_non_exact_step_raises(self, start, n):
         with pytest.raises(NotDivisible):
-            yv._yv_int_coeffs(n)
+            _steps(start, n)
 
     def test_divisor_in_s_form(self, monkeypatch):
         # YV_30's step divides by the s-form g of YV_28, whose coefficient
@@ -85,45 +85,53 @@ class TestGeneration:
         assert q[-1] == 1
         assert max(map(abs, q)).bit_length() == 997
 
-    def test_mixed_support_refused(self, monkeypatch):
-        monkeypatch.setattr(yv, "_YV", [(1,), (0, 1), (5, 1, 0, 1)])
+    def test_mixed_support_refused(self):
         with pytest.raises(StructureViolation):
-            yv._yv_int_coeffs(3)
+            _steps([(1,), (0, 1), (5, 1, 0, 1)], 3)
 
 
-N_CACHED = yv.CACHE_FROM_N + 3      # three members go through the cache
+def _steps(start, n):
+    """Members start[0], start[1], ... continued by yv._step as far as n."""
+    ys = list(start)
+    while len(ys) <= n:
+        ys.append(yv._step(ys[-1], ys[-2]))
+    return ys
+
+
+N_CACHED = 15
 
 
 @pytest.fixture()
 def members():
-    """YV_0..YV_N_CACHED, built in memory (the session cache may serve them)."""
+    """YV_0..YV_N_CACHED, as the session cache serves them."""
     return yv._yv_int_coeffs(N_CACHED)
 
 
-def _restart(monkeypatch, members, fail=False):
-    """A fresh process's _YV: the members below CACHE_FROM_N only, which are
-    never cached; with ``fail`` every recursion step raises."""
-    monkeypatch.setattr(yv, "_YV", list(members[: yv.CACHE_FROM_N]))
-    if fail:
-        def no_division(p, q):
-            raise AssertionError("a member was recomputed")
-        monkeypatch.setattr(yv.intpoly, "div_exact", no_division)
+def _serve(monkeypatch, ys):
+    """Make every recursion step return ys[n] for YV_n: a member of ys that
+    breaks the recursion reaches the cache as if a step had built it."""
+    index = {len(y): n for n, y in enumerate(ys)}   # degrees are distinct
+    monkeypatch.setattr(yv, "_step", lambda y1, y2: ys[index[len(y1)] + 1])
+
+
+def _no_steps(monkeypatch):
+    def no_division(p, q):
+        raise AssertionError("a member was recomputed")
+    monkeypatch.setattr(yv.intpoly, "div_exact", no_division)
 
 
 class TestCachedMembers:
     def test_warm_call_loads_and_does_not_recompute(self, monkeypatch, members,
                                                     tmp_cache):
-        _restart(monkeypatch, members)
         assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
-        _restart(monkeypatch, members, fail=True)
+        _no_steps(monkeypatch)
         assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
 
     @pytest.mark.parametrize("damage", ["wrong-degree", "one-coefficient",
                                         "directory"])
     def test_damaged_entry_is_recomputed(self, monkeypatch, members, tmp_cache,
                                          damage):
-        n = yv.CACHE_FROM_N + 1
-        _restart(monkeypatch, members)
+        n = 13
         yv._yv_int_coeffs(N_CACHED, tmp_cache)
         path = cache.artifact_path("yv-poly", n, tmp_cache)
         body = json.loads(path.read_text())["body"]
@@ -138,9 +146,9 @@ class TestCachedMembers:
                 k = next(j for j, c in enumerate(body) if c != "0")
                 body[k] = str(int(body[k]) + 1)
             cache.store("yv-poly", n, cache._entry({"n": n}, body), tmp_cache)
-        _restart(monkeypatch, members)
         assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
-        _restart(monkeypatch, members, fail=damage != "directory")
+        if damage != "directory":
+            _no_steps(monkeypatch)
         assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
         if damage == "directory":
             assert (path / "inner").is_dir()
@@ -151,40 +159,52 @@ class TestCachedMembers:
                                                  tmp_cache):
         # YV_(n-1) + 1 is integral in t, but its constant term, the g_0 of a
         # g of degree d, is odd where 4^d must divide it
-        n = yv.CACHE_FROM_N
+        n = 12
         bad = list(members[n - 1])
         bad[(len(bad) - 1) % 3] += 1
-        monkeypatch.setattr(yv, "_YV", list(members[: n - 1]) + [tuple(bad)])
+        step = yv._step
+        monkeypatch.setattr(yv, "_step", lambda y1, y2: (
+            tuple(bad) if len(y1) == len(members[n - 2]) else step(y1, y2)))
         with pytest.raises(NotDivisible):
             yv._yv_int_coeffs(n, tmp_cache)
-        assert cache.list_entries(tmp_cache) == []
+        assert cache.list_entries(tmp_cache) == sorted(
+            f"yv-poly-{k}.json" for k in range(2, n))
+        # the stored YV_(n-1) fails recurrence_holds: a later call rebuilds it
+        monkeypatch.setattr(yv, "_step", step)
+        assert yv._yv_int_coeffs(n, tmp_cache) == members[: n + 1]
 
     def test_writes_only_cached_members_under_cache_dir(self, monkeypatch,
-                                                        members, tmp_path):
+                                                        tmp_path):
         home, env, target = (tmp_path / d for d in ("home", "env", "target"))
         for d in (home, env):
             d.mkdir()
         monkeypatch.setenv("HOME", str(home))
         monkeypatch.setenv(cache.ENV_VAR, str(env))
-        monkeypatch.setattr(yv, "_YV", [(1,), (0, 1)])
         yv.yv_generate(N_CACHED, cache_dir=str(target))
         assert cache.list_entries(str(target)) == sorted(
-            f"yv-poly-{n}.json" for n in range(yv.CACHE_FROM_N, N_CACHED + 1))
+            f"yv-poly-{n}.json" for n in range(2, N_CACHED + 1))
         assert list(home.rglob("*")) == [] and list(env.rglob("*")) == []
+
+    def test_each_cache_dir_gets_every_member(self, tmp_path):
+        # no member is kept in memory between calls: a second directory in
+        # the same process receives the whole sequence, not just what is new
+        want = sorted(f"yv-poly-{n}.json" for n in range(2, 21))
+        for d in ("a", "b"):
+            yv.yv_generate(20, cache_dir=str(tmp_path / d))
+            assert cache.list_entries(str(tmp_path / d)) == want
 
     def test_verify_checks_every_member_it_is_given(self, monkeypatch, members,
                                                     tmp_cache):
-        # members served from memory (or, alike, from the cache) are held to
-        # the recursion identity, not only to their degrees
-        n = yv.CACHE_FROM_N + 1
+        # a member that breaks the recursion but has the right degree is
+        # caught by verify's identity check, not only by the one on load
+        n = 13
         bad = list(members[n])
         bad[n * (n + 1) // 2 % 3] += 7     # the lowest coefficient of the support
-        monkeypatch.setattr(yv, "_YV", list(members[:n]) + [tuple(bad)]
-                            + list(members[n + 1:]))
+        _serve(monkeypatch, members[:n] + (tuple(bad),) + members[n + 1:])
         rec = verify.run_check("yv-exact", N_CACHED, cache_dir=tmp_cache)
         assert not rec["passed"]
         assert rec["detail"] == f"recursion identity fails at n={n}"
-        monkeypatch.setattr(yv, "_YV", list(members))
+        _serve(monkeypatch, members)
         rec = verify.run_check("yv-exact", N_CACHED, cache_dir=tmp_cache)
         assert rec["passed"] and "recursion identity" in rec["detail"]
 
@@ -224,9 +244,12 @@ class TestZeros:
 
     @pytest.mark.parametrize("n", [3, 10, 25])
     def test_sorted_below_and_above_the_cache_threshold(self, n, tmp_cache):
-        # n < 25 is computed on every call, n >= 25 read from the cache
+        # (the cache once started at n = 25) the cold call computes, the
+        # warm one loads: both sorted, the same points
         z = yv.yv_zeros(n, cache_dir=tmp_cache).points
         assert np.array_equal(z, sort_points(z))
+        assert cache.list_entries(tmp_cache)[-1] == f"yv-zeros-{n}.json"
+        assert yv.yv_zeros(n, cache_dir=tmp_cache).points.tobytes() == z.tobytes()
 
 
 class TestScaledZeros:
