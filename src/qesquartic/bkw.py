@@ -50,7 +50,9 @@ SUPPORT_GRID_SIZE = 61   # raster side of union_support
 
 @dataclass
 class SupportSample:
-    """Union-of-supports sample over a tau grid."""
+    """Union-of-supports sample over a tau grid: each tau's support points
+    (unordered; refined raster crossings and raster members), their union,
+    and each tau's three branch points as endpoint markers."""
 
     a: complex
     tau_grid: list
@@ -62,23 +64,11 @@ class SupportSample:
         return PointSet(self.union)
 
     def to_json_dict(self) -> dict:
-        """{a, tau_grid, legs (chained polylines per tau), endpoints}.
-
-        tau and 1 - tau share one point array; each distinct array is
-        chained once and its legs serve every tau that has it."""
-        legs, chained = {}, {}
-        for t, pts in self.per_tau.items():
-            key = np.asarray(pts, dtype=complex).tobytes()
-            if key not in chained:
-                chained[key] = [
-                    [[float(z.real), float(z.imag)] for z in leg]
-                    for leg in _chain_polylines(pts)
-                ]
-            legs[f"{t:.6f}"] = chained[key]
+        """{a, tau_grid, endpoints}: the parameter, the taus and each tau's
+        three branch points; the support points go to CSV (``union_points``)."""
         return {
             "a": [self.a.real, self.a.imag],
             "tau_grid": [float(t) for t in self.tau_grid],
-            "legs": legs,
             "endpoints": {
                 f"{t:.6f}": sorted([float(z.real), float(z.imag)] for z in eps)
                 for t, eps in self.endpoints.items()
@@ -239,53 +229,6 @@ def cauchy_nu(beta, a=0.0):
         prev = total
         order *= 2
     raise NonConvergence("quadrature did not stabilize for cauchy_nu")
-
-
-def _chain_polylines(pts):
-    """Order curve-sample points into connected polylines.
-
-    Near-duplicates are collapsed first (raster hits and refined edge points
-    can land on top of each other), then a nearest-neighbor chain is split
-    wherever a hop exceeds 4 times the median hop.  A chain may
-    legitimately run through a junction (two legs traversed as one V-shaped
-    polyline); consumers get connected curves rather than scatter.
-    """
-    pts = np.asarray(pts, dtype=complex)
-    if len(pts) <= 1:
-        return [list(pts)] if len(pts) else []
-    # dedupe at a fraction of the median nearest-neighbor distance
-    D = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(D, np.inf)
-    med_nn = np.median(D.min(axis=1))
-    keep = []
-    for i in range(len(pts)):
-        if all(abs(pts[i] - pts[j]) > 0.3 * med_nn for j in keep):
-            keep.append(i)
-    pts = pts[keep]
-    if len(pts) <= 1:
-        return [list(pts)]
-    remaining = list(range(len(pts)))
-    center = pts.mean()
-    cur = max(remaining, key=lambda i: abs(pts[i] - center))
-    remaining.remove(cur)
-    order = [cur]
-    while remaining:
-        nxt = min(remaining, key=lambda i: abs(pts[i] - pts[cur]))
-        remaining.remove(nxt)
-        order.append(nxt)
-        cur = nxt
-    chain = pts[order]
-    hops = np.abs(np.diff(chain))
-    med = np.median(hops) if len(hops) else 0.0
-    legs = []
-    leg = [chain[0]]
-    for k, h in enumerate(hops):
-        if med > 0 and h > 4.0 * med:
-            legs.append(leg)
-            leg = []
-        leg.append(chain[k + 1])
-    legs.append(leg)
-    return [l for l in legs if l]
 
 
 def _continued_side(roots, ref):

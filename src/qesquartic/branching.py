@@ -527,7 +527,9 @@ def triangle_sets(n: int, cache_dir=None) -> tuple[PointSet, PointSet]:
     SCALE_CONSTANT n^(2/3) and YV_n's zeros, which also seed sigma's Aberth,
     by YV_SCALE_CONSTANT n^(2/3).  B's corner modulus tends to
     yv.CORNER_CONSTANT / YV_SCALE_CONSTANT = (2/3)^(1/3) ~ 0.8736, not 1.
+    An n beyond sigma's cap is refused before YV_n's zeros are computed.
     """
+    _check_n(n)
     zeros = yv.yv_zeros(n, cache_dir=cache_dir)
     bs = sigma_points(n, cache_dir=cache_dir, near=zeros.points)
     s = n ** (2.0 / 3.0)

@@ -15,8 +15,10 @@ manifest: ``config`` is every parameter with the value used, ``operations``
 what the figure returns, ``outputs`` the files it passed to ``emit``.  On the
 command line ``--n``, ``--a`` and ``--tol`` pass through under their own
 names, and ``--grid`` sets the figure's sampling parameter
-(``GRID_PARAMETER``).  Sweep ops declare their parameters the same way, so
-``--a`` is refused by the ops that take none.
+(``GRID_PARAMETER``); a figure refuses a grid below the least one that means
+something.  Sweep ops declare their parameters the same way, so ``--a`` is
+refused by the ops that take none.  ``main`` reports a refused input or a
+package error as one ``error:`` line on stderr and exit status 2.
 
 The cache directory comes from ``--cache-dir`` or the QESQUARTIC_CACHE
 environment variable.
@@ -35,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .bkw import EQUIMODULAR_TOL
+from .errors import QesquarticError
 from .pointset import PointSet
 
 FIGURE_NAMES = ("fig1", "figTau", "figA1", "triangle", "figA3", "figAtau",
@@ -128,6 +131,9 @@ def _figure_figTau(emit, cache_dir, k_max=150, taus=(0.25, 0.5, 0.75)):
 
 
 def _tau_grid(count):
+    """k/count for 0 < k < count, plus 1/2; count = 2 is the grid {1/2}."""
+    if count < 2:
+        raise ValueError(f"tau_count must be >= 2, got {count}")
     taus = [k / count for k in range(1, count)]
     if 0.5 not in taus:
         taus.append(0.5)
@@ -139,9 +145,10 @@ def _figure_figA1(emit, cache_dir, n=200, tol=EQUIMODULAR_TOL, tau_count=32,
     from .bkw import union_support
     from .spectral import scaled_spectrum
 
+    taus = _tau_grid(tau_count)
     ops = []
     for k, a in enumerate(a_values):
-        sup = union_support(a, tau_grid=_tau_grid(tau_count), tol=tol)
+        sup = union_support(a, tau_grid=taus, tol=tol)
         emit(f"support_a{k}.csv", sup.union_points())
         emit(f"support_a{k}.json", sup.to_json_dict())
         emit(f"spectrum_a{k}.csv",
@@ -154,12 +161,13 @@ def _figure_figA1(emit, cache_dir, n=200, tol=EQUIMODULAR_TOL, tau_count=32,
 def _figure_figA3(emit, cache_dir, a=3.0, tau_count=32):
     from .bkw import real_support_interval, support_endpoints, union_support
 
+    taus = _tau_grid(tau_count)
     a = complex(a)
     if a.imag:
         raise ValueError(f"figA3 needs a real parameter a, got {a}")
     a = a.real
     lo, hi = real_support_interval(a)
-    emit("support.csv", union_support(a, tau_grid=_tau_grid(tau_count)).union_points())
+    emit("support.csv", union_support(a, tau_grid=taus).union_points())
     emit("interval.json", {
         "a": a,
         "interval": [lo, hi],
@@ -169,6 +177,8 @@ def _figure_figA3(emit, cache_dir, a=3.0, tau_count=32):
 
 
 def _figure_figAtau(emit, cache_dir, samples=400):
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     # the real zero curve of the discriminant factor: a^3 = 27 tau (1 - tau)
     lines = ["tau,a"]
     for k in range(samples + 1):
@@ -236,8 +246,10 @@ def _figure_figslopes(emit, cache_dir, n=8, modulus=500.0,
 
 
 def _figure_lattice(emit, cache_dir, n=34, window=(-3.0, 3.0, -3.0, 3.0)):
-    from .branching import lattice_probe, sigma_points
+    from .branching import SIGMA_CAP_DEFAULT, lattice_probe, sigma_points
 
+    if n + 3 > SIGMA_CAP_DEFAULT:   # refused before the set at n is solved
+        raise ValueError(f"lattice needs n + 3 <= {SIGMA_CAP_DEFAULT}, got n = {n}")
     sets = []
     for m in (n, n + 3):
         ps = sigma_points(m, cache_dir=cache_dir).points
@@ -361,7 +373,17 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command; a refused input or a package error prints one
+    ``error:`` line on stderr and returns 2, as argparse's own errors exit."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, QesquarticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     if args.command == "figure":
         overrides = {key: getattr(args, key) for key in ("n", "a", "tol")
                      if getattr(args, key) is not None}

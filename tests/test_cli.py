@@ -1,11 +1,23 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from qesquartic import cache, cli, rootfind
 from qesquartic.branching import PEEL_MARGIN_MIN
+
+
+def refused(capsys, argv):
+    """Run ``cli.main(argv)``, check it refused with exit status 2 and one
+    ``error:`` line on stderr, and return that line."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
 
 
 class TestParseComplex:
@@ -131,7 +143,7 @@ class TestFigureCommands:
                              cache_dir=tmp_cache,
                              overrides={"n": 20, "tau_count": 5})
         sup = json.loads((out / "support_a0.json").read_text())
-        assert set(sup) == {"a", "tau_grid", "legs", "endpoints"}
+        assert set(sup) == {"a", "tau_grid", "endpoints"}
 
     def test_figA_small(self, tmp_path, tmp_cache):
         out = cli.cmd_figure("figA", out_dir=tmp_path / "fa",
@@ -269,21 +281,53 @@ class TestMainEntry:
         (["figA1", "--tol", "nan"], "tol must be positive"),
         (["figA3", "--a", "nan"], "a must be finite"),
     ], ids=["figA1-tol-0", "figA1-tol-nan", "figA3-a-nan"])
-    def test_bad_support_parameter_refused(self, argv, match, tmp_path, tmp_cache):
+    def test_bad_support_parameter_refused(self, argv, match, tmp_path, tmp_cache,
+                                           capsys):
         # not an empty support file nor "no support found"
-        with pytest.raises(ValueError, match=match):
-            cli.main(["figure", *argv, "--out", str(tmp_path / "f"),
-                      "--cache-dir", tmp_cache])
+        assert match in refused(capsys, ["figure", *argv, "--out",
+                                         str(tmp_path / "f"), "--cache-dir", tmp_cache])
         assert not (tmp_path / "f").exists()
 
-    def test_figA3_nonreal_a_refused(self, tmp_path, tmp_cache):
+    def test_figA3_nonreal_a_refused(self, tmp_path, tmp_cache, capsys):
         # a non-real a, or a real one with a^3 < 27/4 and so non-real
         # branch points: no real support interval
         for a in ("3+1j", "0", "1", "1.88"):
-            with pytest.raises(ValueError, match="real"):
-                cli.main(["figure", "figA3", "--a", a, "--out",
-                          str(tmp_path / "a3"), "--cache-dir", tmp_cache])
+            assert "real" in refused(capsys, ["figure", "figA3", "--a", a, "--out",
+                                              str(tmp_path / "a3"),
+                                              "--cache-dir", tmp_cache])
             assert not (tmp_path / "a3").exists()
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("argv, match", [
+        (["figAtau", "--grid", "0"], "samples must be >= 1"),
+        (["figAtau", "--grid", "-1"], "samples must be >= 1"),
+        (["figA1", "--grid", "0"], "tau_count must be >= 2"),
+        (["figA1", "--grid", "1"], "tau_count must be >= 2"),
+        (["figA3", "--grid", "0"], "tau_count must be >= 2"),
+        (["figA3", "--grid", "1"], "tau_count must be >= 2"),
+        (["figTau", "--grid", "2"], "k_max must be >= 3"),
+        (["fig1", "--n", "0"], "n must be >= 1"),
+        (["fig1", "--n", "401"], "exceeds the cap"),
+        (["triangle", "--n", "41"], "exceeds the cap"),
+        (["lattice", "--n", "38"], "lattice needs n + 3 <= 40"),
+        (["lattice", "--n", "40"], "lattice needs n + 3 <= 40"),
+        (["figA3", "--a", "inf"], "cannot parse"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+    def test_refused_with_one_error_line(self, argv, match, tmp_path, tmp_cache,
+                                         capsys):
+        out = tmp_path / "new" / "f"
+        assert match in refused(capsys, ["figure", *argv, "--out", str(out),
+                                         "--cache-dir", tmp_cache])
+        assert not (tmp_path / "new").exists()
+
+    def test_tol_admitting_every_raster_point_finishes(self, tmp_path, tmp_cache):
+        # at tol = 1 every raster point is a support point
+        start = time.perf_counter()
+        rc = cli.main(["figure", "figA1", "--grid", "3", "--tol", "1", "--n", "20",
+                       "--out", str(tmp_path / "a1"), "--cache-dir", tmp_cache])
+        assert rc == 0
+        assert time.perf_counter() - start < 20
 
 
 class TestParameterBinding:
@@ -292,10 +336,11 @@ class TestParameterBinding:
         ["figure", "fig1", "--grid", "3"],
         ["figure", "fig1", "--n", "10", "--tol", "0.1", "--grid", "3"],
     ], ids=["figTau-a", "fig1-grid", "fig1-tol-grid"])
-    def test_stray_flag_refused_before_writing(self, argv, tmp_path, tmp_cache):
+    def test_stray_flag_refused_before_writing(self, argv, tmp_path, tmp_cache,
+                                               capsys):
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match=argv[1]):
-            cli.main(argv + ["--out", str(out), "--cache-dir", tmp_cache])
+        assert argv[1] in refused(capsys, argv + ["--out", str(out),
+                                                  "--cache-dir", tmp_cache])
         assert not out.exists()
 
     def test_stray_override_refused(self, tmp_path, tmp_cache):
@@ -304,10 +349,11 @@ class TestParameterBinding:
                            cache_dir=tmp_cache, overrides={"n": 4, "a": 2})
         assert not (tmp_path / "t").exists()
 
-    def test_failing_figure_removes_created_directories(self, tmp_path, tmp_cache):
-        with pytest.raises(ValueError, match="real"):
-            cli.main(["figure", "figA3", "--a", "3+1j", "--out",
-                      str(tmp_path / "new" / "a3"), "--cache-dir", tmp_cache])
+    def test_failing_figure_removes_created_directories(self, tmp_path, tmp_cache,
+                                                       capsys):
+        assert "real" in refused(capsys, ["figure", "figA3", "--a", "3+1j", "--out",
+                                          str(tmp_path / "new" / "a3"),
+                                          "--cache-dir", tmp_cache])
         assert not (tmp_path / "new").exists()
 
     def test_failing_figure_keeps_existing_directory(self, tmp_path, tmp_cache):
@@ -330,11 +376,10 @@ class TestParameterBinding:
         assert sup["tau_grid"] == [0.2, 0.4, 0.5, 0.6, 0.8]
 
     @pytest.mark.parametrize("op", ["yv-zeros", "sigma-points"])
-    def test_sweep_refuses_a(self, op, tmp_path, tmp_cache):
+    def test_sweep_refuses_a(self, op, tmp_path, tmp_cache, capsys):
         out = tmp_path / "sw"
-        with pytest.raises(ValueError, match=op):
-            cli.main(["sweep", op, "--n", "4", "--a", "2", "--out", str(out),
-                      "--cache-dir", tmp_cache])
+        assert op in refused(capsys, ["sweep", op, "--n", "4", "--a", "2",
+                                      "--out", str(out), "--cache-dir", tmp_cache])
         assert not out.exists()
 
     def test_sweep_manifest_records_a_only_where_taken(self, tmp_path, tmp_cache):
