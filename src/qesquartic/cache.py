@@ -17,8 +17,8 @@ on load, each an ``IntPoly.check``: a Yablonskii-Vorob'ev member's recursion
 identity (``yv.recurrence_holds``) and a branching polynomial's mod-p
 resultant check (``branching._load_check``).  Point sets (YV zeros,
 branching points, spectra) are not re-checked on load.  The YV members, their
-zero sets and sigma_n's branching points are stored at every n: no module
-keeps them in memory.
+zero sets, sigma_n's branching points and the spectra of both eigenvalue
+routes are stored at every n: no module keeps them in memory.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ A figure is a function ``_figure_<name>(emit, cache_dir, **params)`` whose
 keyword signature is the one declaration of its parameters and defaults.
 ``cmd_figure`` binds the overrides to it before touching the disk (a
 parameter the figure does not take raises ``ValueError``), removes the output
-directory again if it created it and the figure fails, and writes the
+directory again if it created it and the figure fails (as ``cmd_sweep`` does
+when an op fails), and writes the
 manifest: ``config`` is every parameter with the value used, ``operations``
 what the figure returns, ``outputs`` the files it passed to ``emit``.  On the
 command line ``--n``, ``--a`` and ``--tol`` pass through under their own
@@ -27,6 +28,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import inspect
 import json
@@ -70,6 +72,21 @@ def _jsonable(value):
     return value
 
 
+@contextlib.contextmanager
+def _made_dir(out: Path):
+    """Create ``out`` with its parents; if the body raises, remove the
+    outermost directory this created."""
+    created = next((p for p in reversed((out, *out.parents)) if not p.exists()),
+                   None)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # figure commands
 # ---------------------------------------------------------------------------
@@ -97,15 +114,8 @@ def cmd_figure(name: str, out_dir=None, cache_dir=None, overrides=None) -> Path:
     except TypeError as exc:
         raise ValueError(f"figure {name}: {exc}") from None
     bound.apply_defaults()
-    created = next((p for p in reversed((out, *out.parents)) if not p.exists()),
-                   None)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+    with _made_dir(out):
         operations = fn(*bound.args, **bound.kwargs)
-    except BaseException:
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
-        raise
     config = {k: _jsonable(v) for k, v in bound.arguments.items()
               if k not in ("emit", "cache_dir")}
     _write_json(out / "manifest.json", {"figure": name, "config": config,
@@ -309,10 +319,10 @@ def cmd_sweep(op: str, ns, a=None, out_dir=None, cache_dir=None):
     bound.apply_defaults()
     params = {k: v for k, v in bound.arguments.items() if k not in ("n", "c")}
     out = Path(out_dir) if out_dir else Path.cwd() / f"sweep-{op}"
-    out.mkdir(parents=True, exist_ok=True)
     files = [f"{stem}_n{n}.csv" for n in ns]
-    for n, name in zip(ns, files):
-        run(n, cache_dir, **params).write_csv(out / name)
+    with _made_dir(out):
+        for n, name in zip(ns, files):
+            run(n, cache_dir, **params).write_csv(out / name)
     _write_json(out / "manifest.json", {
         "sweep": op, "ns": list(ns), **params, "outputs": sorted(files),
     })

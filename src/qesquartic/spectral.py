@@ -20,7 +20,8 @@ the residual check passed.  Above that, eigenvalues are the certified Aberth
 roots of the exact charpoly, seeded by the eigenvalues of its balanced
 similar matrix; at a = 0 the cubic factor structure x^r g(x^3) serves,
 immune to the multiple root at the origin, and Aberth on g starts from the
-eigenvalues of one residue-class block of the balanced matrix's cube.
+eigenvalues of one residue-class block of the balanced matrix's cube.  Both
+routes' spectra are disk-cached at every n, one "eigs-<a>" entry per (n, a).
 """
 
 from __future__ import annotations
@@ -227,9 +228,11 @@ def _a_token(a: complex) -> str:
 def eigenvalues(n: int, a=0.0, cache_dir=None) -> PointSet:
     """All n+1 eigenvalues, sorted lexicographically by (Re, Im).
 
-    Above the dense-precision threshold the multiprecision polynomial route
-    runs; those spectra (0.05-0.06 s at n = 84, 0.4-0.6 s at n = 200) are
-    disk-cached.  a must be finite; n is capped at EIG_CAP_DEFAULT.
+    Up to DENSE_EIG_MAX_N the dense eigensolve runs, above it the
+    multiprecision polynomial route (0.05-0.06 s at n = 84, 0.4-0.6 s at
+    n = 200).  Every spectrum is disk-cached under its (n, a): a hit at
+    n = 80 reads in 0.2-0.4 ms, against 9-16 ms for the dense eigensolve.
+    a must be finite; n is capped at EIG_CAP_DEFAULT.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -238,14 +241,11 @@ def eigenvalues(n: int, a=0.0, cache_dir=None) -> PointSet:
     ac = complex(a)
     if not np.isfinite(ac):
         raise ValueError(f"a must be finite, got {a!r}")
-    if n <= DENSE_EIG_MAX_N:
-        lam = sort_points(_eigs_dense(n, ac))
-    else:
-        key = {"a": [ac.real, ac.imag], "schedule": rootfind.DEFAULT_SCHEDULE}
-        lam = cache.cached(f"eigs-{_a_token(ac)}", n, key,
-                           lambda: sort_points(_eigs_poly_general(n, ac)),
-                           cache.Points(n + 1), cache_dir)
-    return PointSet(lam)
+    key = {"a": [ac.real, ac.imag], "schedule": rootfind.DEFAULT_SCHEDULE}
+    route = _eigs_dense if n <= DENSE_EIG_MAX_N else _eigs_poly_general
+    return PointSet(cache.cached(f"eigs-{_a_token(ac)}", n, key,
+                                 lambda: sort_points(route(n, ac)),
+                                 cache.Points(n + 1), cache_dir))
 
 
 def scaled_spectrum(n: int, a=0.0, rule="const", cache_dir=None) -> PointSet:

@@ -114,16 +114,30 @@ def _s_form(y):
     return r, G
 
 
+def _jet(p):
+    """(p, p', p'') at IDENTITY_T modulo IDENTITY_PRIME, in one Horner pass."""
+    t, m = IDENTITY_T, IDENTITY_PRIME
+    v = v1 = h2 = 0                       # h2 accumulates p''/2
+    for c in reversed(p):
+        h2 = (h2 * t + v1) % m
+        v1 = (v1 * t + v) % m
+        v = (v * t + c) % m
+    return v, v1, 2 * h2 % m
+
+
+def _identity_holds(jet, jet1, jet2) -> bool:
+    """The recursion identity of recurrence_holds on the three members' jets."""
+    v, v1, v2 = jet1
+    return (jet[0] * jet2[0] - IDENTITY_T * v * v
+            + 4 * (v * v2 - v1 * v1)) % IDENTITY_PRIME == 0
+
+
 def recurrence_holds(y, y1, y2) -> bool:
     """YV_n YV_{n-2} = t YV_{n-1}^2 - 4 (YV_{n-1} YV_{n-1}'' - YV_{n-1}'^2) at
     t = IDENTITY_T modulo IDENTITY_PRIME, for y, y1, y2 = YV_n, YV_{n-1},
     YV_{n-2}.  One evaluation of an exact identity: a member that fails it is
     wrong, one that passes agrees with the recursion at that point."""
-    t, m = IDENTITY_T, IDENTITY_PRIME
-    d1 = intpoly.deriv(y1)
-    v, v1, v2 = (intpoly.eval_mod(p, t, m) for p in (y1, d1, intpoly.deriv(d1)))
-    lhs = intpoly.eval_mod(y, t, m) * intpoly.eval_mod(y2, t, m)
-    return (lhs - t * v * v + 4 * (v * v2 - v1 * v1)) % m == 0
+    return _identity_holds(_jet(y), _jet(y1), _jet(y2))
 
 
 def _yv_int_coeffs(N: int, cache_dir=None):
@@ -131,12 +145,25 @@ def _yv_int_coeffs(N: int, cache_dir=None):
 
     Members from YV_2 on go through the disk cache; an entry is served only
     if it has the member's degree and passes recurrence_holds against the
-    two members before it."""
-    ys = [(1,), (0, 1)]
+    two members before it.  Each member's jet is computed at most once, when
+    a check first needs it, and serves the checks of the next two members."""
+    ys, jets = [(1,), (0, 1)], {}
+
+    def jet_of(k):
+        if k not in jets:
+            jets[k] = _jet(ys[k])
+        return jets[k]
+
+    def check(c, n):
+        j = _jet(c)
+        if not _identity_holds(j, jet_of(n - 1), jet_of(n - 2)):
+            return False
+        jets[n] = j                       # c is the member served
+        return True
+
     for n in range(2, N + 1):
         y1, y2 = ys[-1], ys[-2]
-        codec = cache.IntPoly(n * (n + 1) // 2,
-                              lambda c: recurrence_holds(c, y1, y2))
+        codec = cache.IntPoly(n * (n + 1) // 2, lambda c: check(c, n))
         ys.append(tuple(cache.cached("yv-poly", n, {}, lambda: _step(y1, y2),
                                      codec, cache_dir)))
     return tuple(ys[: N + 1])

@@ -4,7 +4,9 @@ Nothing here shares an algorithm with the package paths it checks: the
 Sylvester determinant is expanded by hand-style elimination over Fractions,
 determinants come from permutation-free cofactor recursion on dense lists,
 products are schoolbook convolutions, the Yablonskii-Vorob'ev recursion runs
-on full polynomials in t (the package runs it on the cube-structure factor),
+on full polynomials in t (the package runs it on the cube-structure factor)
+and its identity check evaluates built derivative polynomials (the package
+carries a polynomial and its derivatives through one Horner pass),
 the resultant over Z[a] is one
 fraction-free elimination on a Sylvester matrix of polynomials (the package
 interpolates it modulo primes instead; on constant rows it checks the
@@ -48,7 +50,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from qesquartic import bkw, intpoly, quaddiff
+from qesquartic import bkw, intpoly, quaddiff, yv
 from qesquartic.errors import CollisionUnresolved, StallNearTurningPoint
 from qesquartic.rootfind import aberth_roots, cubic_roots
 from qesquartic.spectral import build_matrix, charpoly_bivariate
@@ -181,6 +183,17 @@ def yv_tform(N):
                           intpoly.scale(wron, -4))
         ys.append(intpoly.div_exact(num, prev))
     return [tuple(y) for y in ys[: N + 1]]
+
+
+def recurrence_holds_five_eval(y, y1, y2):
+    """``yv.recurrence_holds`` by five evaluations mod IDENTITY_PRIME: YV_n,
+    YV_(n-2), and YV_(n-1) with its two derivatives built as polynomials (the
+    package evaluates a polynomial and its derivatives in one Horner pass)."""
+    t, m = yv.IDENTITY_T, yv.IDENTITY_PRIME
+    d1 = intpoly.deriv(y1)
+    v, v1, v2 = (intpoly.eval_mod(p, t, m) for p in (y1, d1, intpoly.deriv(d1)))
+    lhs = intpoly.eval_mod(y, t, m) * intpoly.eval_mod(y2, t, m)
+    return (lhs - t * v * v + 4 * (v * v2 - v1 * v1)) % m == 0
 
 
 def painleve_residual_mp(n, t, dps=50):

@@ -209,12 +209,13 @@ def test_only_entry_names_are_listed_and_cleared(tmp_path):
 # raise VERSION, so that entries written by the old code are misses, and add
 # its row here.  The sigma-points row pins n = 6: it pins Aberth's threefold
 # route on the exact sigma polynomial, which sigma-points-yv also runs.
-# sigma-poly and yv-poly are integers and hold anywhere.  The point kinds are the last multiprecision
-# iterates rounded to doubles, from seeds that come from numpy's double stage
-# and LAPACK; their hashes hold for x86-64 Linux, CPython 3.11, numpy 2.4.6 on
-# OpenBLAS 0.3.31, where they were recorded.  On another platform other
-# seeds may end a root one rounding away, and a point hash may differ with
-# no change to the algorithm.
+# sigma-poly and yv-poly are integers and hold anywhere.  The point kinds are
+# the last multiprecision iterates rounded to doubles, from seeds that come
+# from numpy's double stage and LAPACK (eigs-dense is LAPACK's own output);
+# their hashes hold for x86-64 Linux, CPython 3.11, numpy 2.4.6 on OpenBLAS
+# 0.3.31, where they were recorded.  On another platform other seeds may end
+# a root one rounding away, and a point hash may differ with no change to the
+# algorithm.
 PINNED_OUTPUTS = {
     2: {"eigs": "d10f211037fa0798f04a40753d3c1105a003f682a934175d8182baa752e99d8d",
         "yv-zeros": "09d8cb5c5fed15722a48ae78ce1a18f95dda6f196be70d482aec4501b8011d8a",
@@ -226,9 +227,11 @@ PINNED_OUTPUTS = {
         "sigma-poly": "fec13fb321102a3805e24e6c9f9f003fe811d3cfe334e77c36d651bb83fc9469",
         "sigma-points": "e7c27fa74a8f6874b186aeb326287b390970be3ac3acf8de949f8183808873e6"},
     # the a = 0 spectra start from the cube block of the balanced matrix:
-    # eigenvalues(81, 0) moves by an ulp, which eigs-a0 now pins
+    # eigenvalues(81, 0) moves by an ulp, which eigs-a0 now pins; eigs-dense
+    # pins the dense route, whose spectra are cached too
     4: {"eigs": "d94d21b0452a1ffebafabd634d9cc3f0693cf7ea771891dfb06c2e1a440fe320",
         "eigs-a0": "6dba9a315f7081be1b0efb911579e9527e729c84516b2c8995240532df021eae",
+        "eigs-dense": "e04ee59e5e96dba5c82306c17a8a2190ee011e21662522c80f55fdb5bf522dc6",
         "yv-poly": "d0172faecf7f73e33a015a72dfae6292369f4af25e63dcede1f9f71f34453315",
         "yv-zeros": "09d8cb5c5fed15722a48ae78ce1a18f95dda6f196be70d482aec4501b8011d8a",
         "sigma-poly": "fec13fb321102a3805e24e6c9f9f003fe811d3cfe334e77c36d651bb83fc9469",
@@ -239,6 +242,8 @@ PINNED = {
              cache.Points(82)),
     "eigs-a0": (lambda d: spectral.eigenvalues(81, 0, cache_dir=d).points,
                 cache.Points(82)),
+    "eigs-dense": (lambda d: spectral.eigenvalues(10, 0.5 - 0.5j, cache_dir=d).points,
+                   cache.Points(11)),
     "yv-poly": (lambda d: yv.yv_generate(20, cache_dir=d)[20].coeffs,
                 cache.IntPoly(210)),
     "yv-zeros": (lambda d: yv.yv_zeros(25, cache_dir=d).points, cache.Points(325)),

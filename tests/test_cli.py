@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qesquartic import cache, cli, rootfind
-from qesquartic.branching import PEEL_MARGIN_MIN
+from qesquartic.branching import PEEL_MARGIN_MIN, SIGMA_CAP_DEFAULT
+from qesquartic.spectral import EIG_CAP_DEFAULT
+from qesquartic.yv import ZERO_CAP_DEFAULT
 
 
 def refused(capsys, argv):
@@ -321,6 +328,21 @@ class TestRefusedInputs:
                                          "--cache-dir", tmp_cache])
         assert not (tmp_path / "new").exists()
 
+    def test_failing_sweep_removes_created_directories(self, tmp_path, tmp_cache,
+                                                      capsys):
+        assert "finite" in refused(capsys, ["sweep", "eigenvalues", "--n", "3",
+                                            "--a", "nan+1i", "--out",
+                                            str(tmp_path / "new" / "sw"),
+                                            "--cache-dir", tmp_cache])
+        assert not (tmp_path / "new").exists()
+
+    def test_failing_sweep_keeps_existing_directory(self, tmp_path, tmp_cache):
+        out = tmp_path / "sw"
+        out.mkdir()
+        with pytest.raises(ValueError):
+            cli.cmd_sweep("eigenvalues", [3, 0], out_dir=out, cache_dir=tmp_cache)
+        assert out.is_dir()
+
     def test_tol_admitting_every_raster_point_finishes(self, tmp_path, tmp_cache):
         # at tol = 1 every raster point is a support point
         start = time.perf_counter()
@@ -328,6 +350,93 @@ class TestRefusedInputs:
                        "--out", str(tmp_path / "a1"), "--cache-dir", tmp_cache])
         assert rc == 0
         assert time.perf_counter() - start < 20
+
+
+# every integer flag of every figure and sweep: (command, flag, least value
+# accepted, largest value accepted or None)
+INT_FLAGS = [
+    (["figure", "fig1"], "--n", 1, EIG_CAP_DEFAULT),
+    (["figure", "figA"], "--n", 1, EIG_CAP_DEFAULT),
+    (["figure", "figA1"], "--n", 1, EIG_CAP_DEFAULT),
+    (["figure", "triangle"], "--n", 1, SIGMA_CAP_DEFAULT),
+    (["figure", "triangle10"], "--n", 1, SIGMA_CAP_DEFAULT),
+    (["figure", "lattice"], "--n", 1, SIGMA_CAP_DEFAULT - 3),
+    (["figure", "figslopes"], "--n", 1, None),
+    (["figure", "figTau"], "--grid", 3, None),
+    (["figure", "figAtau"], "--grid", 1, None),
+    (["figure", "figA1"], "--grid", 2, None),
+    (["figure", "figA3"], "--grid", 2, None),
+    (["sweep", "eigenvalues"], "--n", 1, EIG_CAP_DEFAULT),
+    (["sweep", "scaled-spectrum"], "--n", 1, EIG_CAP_DEFAULT),
+    (["sweep", "yv-zeros"], "--n", 0, ZERO_CAP_DEFAULT),
+    (["sweep", "sigma-points"], "--n", 1, SIGMA_CAP_DEFAULT),
+]
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NON_FINITE_COMPLEX = st.one_of(
+    st.builds(complex, NON_FINITE, st.floats()),
+    st.builds(complex, st.floats(), NON_FINITE)).map(cli._fmt_complex)
+# every float and complex flag: (command, flag, refused values)
+FLOAT_FLAGS = [
+    (["figure", "figA1"], "--tol", st.one_of(st.floats(max_value=0.0), NON_FINITE)
+     .map(repr)),
+    (["figure", "figA3"], "--a", NON_FINITE_COMPLEX),
+    (["sweep", "eigenvalues"], "--a", NON_FINITE_COMPLEX),
+    (["sweep", "scaled-spectrum"], "--a", NON_FINITE_COMPLEX),
+]
+
+
+def _refused_values(least, largest):
+    # least - 1, and 0 and -1 where they are refused, then any value below
+    below = st.one_of(st.sampled_from(sorted({least - 1, min(0, least - 1), -1})),
+                      st.integers(max_value=least - 1))
+    return below if largest is None else st.one_of(
+        below, st.just(largest + 1), st.integers(min_value=largest + 1))
+
+
+class TestDrawnRefusals:
+    """Each flag's refused values, drawn: every one exits 2 with one
+    ``error:`` line and no traceback, and leaves no output directory.  A
+    sweep's refused n may follow an n it accepts, whose file it has written
+    by then.  Values go as ``--flag=value``: in ``--a -inf`` argparse takes
+    ``-inf`` for an option name and prints its usage instead."""
+
+    @staticmethod
+    def _check(base, argv):
+        # stderr is captured per example: capsys would span all of them
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main([*argv, "--out", str(base / "new" / "o"),
+                           "--cache-dir", str(base / "cache")])
+        lines = err.getvalue().splitlines()
+        assert rc == 2 and "Traceback" not in err.getvalue(), err.getvalue()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert not (base / "new").exists()
+
+    @pytest.mark.parametrize("command, flag, least, largest", INT_FLAGS,
+                             ids=lambda v: "-".join(v) if isinstance(v, list)
+                             else None)
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_int_flag(self, tmp_path_factory, command, flag, least, largest,
+                      data):
+        value = data.draw(_refused_values(least, largest))
+        accepted = data.draw(st.lists(st.integers(least, least + 2), max_size=1)
+                             if command[0] == "sweep" else st.just([]))
+        values = ",".join(map(str, [*accepted, value]))
+        self._check(tmp_path_factory.mktemp("drawn"),
+                    [*command, f"{flag}={values}"])
+
+    @pytest.mark.parametrize("command, flag, values", FLOAT_FLAGS,
+                             ids=lambda v: "-".join(v) if isinstance(v, list)
+                             else None)
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_float_flag(self, tmp_path_factory, command, flag, values, data):
+        argv = [*command, f"{flag}={data.draw(values)}"]
+        if command[0] == "sweep":
+            argv += ["--n", "3"]
+        self._check(tmp_path_factory.mktemp("drawn"), argv)
 
 
 class TestParameterBinding:

@@ -170,15 +170,29 @@ class TestEigenvalues:
             eigenvalues(n, a, cache_dir=tmp_cache)
         assert list(Path(tmp_cache).iterdir()) == []
 
-    def test_damaged_cache_entry_is_recomputed(self, tmp_cache):
+    # one n of each route: the dense eigensolve and the polynomial route
+    @pytest.mark.parametrize("n", [10, DENSE_EIG_MAX_N + 1])
+    def test_damaged_cache_entry_is_recomputed(self, tmp_cache, n):
         a = 0.5 - 0.5j
-        first = eigenvalues(81, a, cache_dir=tmp_cache).points
-        (path,) = Path(tmp_cache).glob("eigs-*-81.json")
+        first = eigenvalues(n, a, cache_dir=tmp_cache).points
+        (path,) = Path(tmp_cache).glob(f"eigs-*-{n}.json")
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        again = eigenvalues(81, a, cache_dir=tmp_cache).points
+        again = eigenvalues(n, a, cache_dir=tmp_cache).points
         assert np.array_equal(first, again)
         assert path.read_text() == text
+
+    @pytest.mark.parametrize("n", [10, DENSE_EIG_MAX_N])
+    def test_warm_dense_call_runs_no_eigensolve(self, tmp_cache, monkeypatch, n):
+        a = 0.5 - 0.5j
+        first = eigenvalues(n, a, cache_dir=tmp_cache).points
+
+        def refused(M):
+            raise AssertionError("a warm call ran the dense eigensolve")
+
+        monkeypatch.setattr(spectral.np.linalg, "eig", refused)
+        again = eigenvalues(n, a, cache_dir=tmp_cache).points
+        assert first.tobytes() == again.tobytes()
 
     def test_close_parameters_get_distinct_entries(self, tmp_cache):
         # 0.3 and 0.1 + 0.2 differ in the last bit only
@@ -187,10 +201,9 @@ class TestEigenvalues:
         names = sorted(p.name for p in Path(tmp_cache).glob("eigs-*-81.json"))
         assert names == ["eigs-0p30000000000000004_0-81.json", "eigs-0p3_0-81.json"]
 
-    def test_signed_zero_shares_one_entry(self, tmp_cache):
-        # -2j is complex(-0.0, -2.0); below the dense threshold nothing is
-        # cached, so n is the smallest cached size
-        n = DENSE_EIG_MAX_N + 1
+    @pytest.mark.parametrize("n", [10, DENSE_EIG_MAX_N + 1])
+    def test_signed_zero_shares_one_entry(self, tmp_cache, n):
+        # -2j is complex(-0.0, -2.0)
         first = eigenvalues(n, -2j, cache_dir=tmp_cache).points
         again = eigenvalues(n, complex(0, -2), cache_dir=tmp_cache).points
         names = [p.name for p in Path(tmp_cache).glob("eigs-*.json")]

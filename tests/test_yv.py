@@ -9,7 +9,7 @@ from qesquartic.errors import NotDivisible, StructureViolation
 from qesquartic.exactpoly import ExactPoly
 from qesquartic.pointset import sort_points
 
-from oracles import painleve_residual_mp, yv_tform
+from oracles import painleve_residual_mp, recurrence_holds_five_eval, yv_tform
 
 
 class TestGeneration:
@@ -121,6 +121,24 @@ def _no_steps(monkeypatch):
 
 
 class TestCachedMembers:
+    def test_recurrence_holds_matches_five_evaluations(self):
+        ys = yv._yv_int_coeffs(30)
+        for n in range(2, 31):
+            bad = list(ys[n])
+            bad[len(bad) // 2] += 1              # one coefficient changed
+            for y in (ys[n], bad):
+                got = yv.recurrence_holds(y, ys[n - 1], ys[n - 2])
+                assert got == recurrence_holds_five_eval(y, ys[n - 1], ys[n - 2])
+                assert got == (y is ys[n])
+
+    def test_warm_load_evaluates_each_member_once(self, monkeypatch, tmp_cache):
+        ys = yv._yv_int_coeffs(30, tmp_cache)
+        evaluated = []
+        jet = yv._jet
+        monkeypatch.setattr(yv, "_jet", lambda p: evaluated.append(tuple(p)) or jet(p))
+        assert yv._yv_int_coeffs(30, tmp_cache) == ys
+        assert sorted(evaluated, key=len) == list(ys)
+
     def test_warm_call_loads_and_does_not_recompute(self, monkeypatch, members,
                                                     tmp_cache):
         assert yv._yv_int_coeffs(N_CACHED, tmp_cache) == members
